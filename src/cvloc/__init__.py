@@ -9,18 +9,16 @@ from .cvls import load_scene, save_scene
 from .errors import (ConfigError, ContractError, CvlocError, DegenerateProblemError,
                      DomainError, FormatError, GenerationError, SingularSystemError)
 from .features import (AttentionMap, FeatureMap, FeaturePyramid, SparseAlignment,
-                       bilinear_lookup, compute_residuals, compute_weights,
-                       handcrafted_pyramid, normalize_features)
+                       normalize_features)
 from .geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
-                       RigidTransform, SatelliteGeoref, d_satproj_d_pose,
-                       meters_per_pixel, pose_to_transform, project_ground,
-                       project_satellite, sample_points, transform_points)
+                       RigidTransform, SatelliteGeoref, meters_per_pixel,
+                       pose_to_transform, project_ground, project_satellite,
+                       transform_points)
 from .losses import LossConfig, pab_weight, reprojection_error, total_loss, triplet_loss, weighted_distance
 from .metrics import MetricsSummary, PoseError, pose_error, summarize
 from .problem import AlignmentProblem
 from .solver import (LMConfig, OptimReport, RobustCost, build_jacobian,
                      build_weight_matrix, lm_step, refine_pose, robust_eval)
-from .synth import (PerturbBounds, SynthConfig, generate_scene,
-                    perturbation_sweep, sample_initial_pose)
+from .synth import PerturbBounds, SynthConfig, generate_scene, sample_initial_pose
 
 __version__ = "0.1.0"

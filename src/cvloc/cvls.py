@@ -113,7 +113,7 @@ def _read_pyramid(buffer: bytes, offset: int, table: list, view: str):
     for i, entry in enumerate(table):
         try:
             h, w, c = int(entry["h"]), int(entry["w"]), int(entry["c"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad level table entry: {exc}",
                               field=f"levels.{view}[{i}]") from exc
         if h < 1 or w < 1 or c < 1:
@@ -156,7 +156,10 @@ def load_scene(path) -> AlignmentProblem:
     pc = _require(meta, "pose_context", "metadata")
     gt = _require(meta, "gt_pose", "metadata")
     tables = _require(meta, "levels", "metadata")
-    point_count = int(_require(meta, "point_count", "metadata"))
+    try:
+        point_count = int(_require(meta, "point_count", "metadata"))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"not an integer: {exc}", field="point_count") from exc
     order = meta.get("level_order", "finest_first")
     if order != "finest_first":
         raise FormatError(f"unsupported level order {order!r}", field="level_order")

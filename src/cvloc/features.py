@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ContractError, DomainError
 
@@ -213,111 +212,7 @@ def bilinear_lookup_many(data: np.ndarray, uv: np.ndarray):
     return values, grads, in_bounds
 
 
-def bilinear_lookup(fmap: FeatureMap, uv) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Single-point bilinear lookup on a feature map.
-
-    Returns (value (c,), grad (c, 2), in_bounds). Out-of-bounds lookups
-    return zeros with in_bounds False.
-    """
-    uv_arr = np.asarray(uv, dtype=np.float64).reshape(1, 2)
-    values, grads, inb = bilinear_lookup_many(fmap.data, uv_arr)
-    return values[0], grads[0], bool(inb[0])
-
-
 def attention_lookup_many(amap: AttentionMap, uv: np.ndarray):
     """Bilinear attention values at uv; returns (values (N,), in_bounds (N,))."""
     values, _, inb = bilinear_lookup_many(amap.data[:, :, None], uv)
     return values[:, 0], inb
-
-
-def compute_residuals(f_sat: FeatureMap, f_grd: FeatureMap, uv_sat: np.ndarray,
-                      uv_grd: np.ndarray, visible: np.ndarray):
-    """Sparse cross-view feature residuals.
-
-    residual_i = f_sat[uv_sat_i] - f_grd[uv_grd_i] for points that are
-    ground-visible and land in bounds in both maps; other rows are zeroed
-    and masked out.
-
-    Returns:
-        residuals: (N, c)
-        valid_mask: (N,) bool
-    """
-    if f_sat.channels != f_grd.channels:
-        raise ContractError(
-            f"channel mismatch: satellite {f_sat.channels} vs ground {f_grd.channels}")
-    vals_sat, _, inb_sat = bilinear_lookup_many(f_sat.data, uv_sat)
-    vals_grd, _, inb_grd = bilinear_lookup_many(f_grd.data, uv_grd)
-    valid = np.asarray(visible, dtype=bool) & inb_sat & inb_grd
-    residuals = vals_sat - vals_grd
-    residuals[~valid] = 0.0
-    return residuals, valid
-
-
-def compute_weights(a_sat: AttentionMap, a_grd: AttentionMap, uv_sat: np.ndarray,
-                    uv_grd: np.ndarray, valid_mask: np.ndarray) -> np.ndarray:
-    """Per-point weights: product of the two views' attention lookups.
-
-    Masked points get exactly zero weight.
-    """
-    w_sat, inb_sat = attention_lookup_many(a_sat, uv_sat)
-    w_grd, inb_grd = attention_lookup_many(a_grd, uv_grd)
-    weights = w_sat * w_grd
-    weights[~(np.asarray(valid_mask, dtype=bool) & inb_sat & inb_grd)] = 0.0
-    return weights
-
-
-def _to_grayscale(image: np.ndarray) -> np.ndarray:
-    arr = np.asarray(image, dtype=np.float64)
-    if arr.ndim == 3:
-        arr = arr.mean(axis=2)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ContractError(f"image must be HxW or HxWx3 and non-empty, got {arr.shape}")
-    return arr
-
-
-def _downsample(image: np.ndarray) -> np.ndarray:
-    return ndimage.gaussian_filter(image, 1.0, mode="nearest")[::2, ::2]
-
-
-def handcrafted_pyramid(image: np.ndarray, levels: int, channels_per_level: int,
-                        attention_mask: np.ndarray | None = None) -> FeaturePyramid:
-    """Deterministic multi-scale feature pyramid from a raw image.
-
-    Per level the image is downsampled by 2 and expanded into channels
-    (Gaussian-smoothed intensity and its x/y gradients at doubling blur
-    scales, truncated to ``channels_per_level``), then L2-normalized per
-    pixel. Attention is 1 everywhere unless ``attention_mask`` is given,
-    in which case the mask is downsampled alongside the image.
-    """
-    if levels < 1:
-        raise ContractError(f"levels must be >= 1, got {levels}")
-    if channels_per_level < 1:
-        raise ContractError(f"channels must be >= 1, got {channels_per_level}")
-    img = _to_grayscale(image)
-    mask = None
-    if attention_mask is not None:
-        mask = np.clip(np.asarray(attention_mask, dtype=np.float64), 0.0, 1.0)
-        if mask.shape != img.shape:
-            raise ContractError("attention mask shape must match the image")
-
-    n_scales = -(-channels_per_level // 3)
-    sigmas = [2.0**k for k in range(n_scales)]
-
-    out = []
-    for _ in range(levels):
-        chans = []
-        for sigma in sigmas:
-            smooth = ndimage.gaussian_filter(img, sigma, mode="nearest")
-            gy, gx = np.gradient(smooth)
-            chans.extend([smooth, gx, gy])
-        stack = np.stack(chans[:channels_per_level], axis=-1)
-        fmap = normalize_features(FeatureMap(stack.astype(np.float32)))
-        if mask is None:
-            att = AttentionMap(np.ones(img.shape, dtype=np.float32))
-        else:
-            att = AttentionMap(np.clip(mask, 0.0, 1.0).astype(np.float32))
-        out.append((fmap, att))
-        img = _downsample(img)
-        if mask is not None:
-            mask = np.clip(_downsample(mask), 0.0, 1.0)
-    return FeaturePyramid(tuple(out))

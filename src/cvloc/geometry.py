@@ -338,29 +338,9 @@ def d_satproj_d_pose_many(points_cam, pose: Pose3, ctx: PoseContext,
     return jac
 
 
-def d_satproj_d_pose(point_cam, pose: Pose3, ctx: PoseContext,
-                     georef: SatelliteGeoref) -> np.ndarray:
-    """2x3 Jacobian of one point's satellite pixel w.r.t. the 3-DoF pose."""
-    pt = np.asarray(point_cam, dtype=np.float64).reshape(1, 3)
-    return d_satproj_d_pose_many(pt, pose, ctx, georef)[0]
-
-
 def translate_pose_east_south(pose: Pose3, d_east: float, d_south: float) -> Pose3:
     """Pose whose map position is shifted by (d_east, d_south), same yaw."""
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     return Pose3(pose.lateral + c * d_east + s * d_south,
                  pose.longitudinal + s * d_east - c * d_south,
                  pose.yaw)
-
-
-def sample_points(cloud: PointSet, n: int, seed: int) -> PointSet:
-    """Draw n points uniformly from a cloud, deterministically per seed.
-
-    Sampling is without replacement unless n exceeds the cloud size.
-    """
-    if n < 1:
-        raise ContractError(f"sample size must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    replace = n > cloud.count
-    idx = rng.choice(cloud.count, size=n, replace=replace)
-    return PointSet(cloud.points[idx])

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
-4 degenerate problem, 5 numeric self-check failure.
+4 degenerate problem (also an eval or sweep bound where every trial fails),
+5 numeric self-check failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from ..cvls import save_scene
 from ..errors import ConfigError, DegenerateProblemError, FormatError, GenerationError
-from ..synth import PerturbBounds, generate_scene, perturbation_sweep
+from ..synth import PerturbBounds, generate_scene
 from . import runner
 from .checks import check_numerics
 
@@ -32,7 +33,7 @@ def _cmd_localize(args) -> int:
                                      init_pose=runner.parse_init_pose(args.init),
                                      config=config)
     else:
-        bounds = PerturbBounds(max_shift=args.max_shift, max_yaw_deg=args.max_yaw)
+        bounds = _bounds(args.max_shift, args.max_yaw)
         record = runner.run_localize(args.scene, perturb_seed=args.perturb_seed,
                                      bounds=bounds, config=config)
     text = json.dumps(record, indent=2, sort_keys=True)
@@ -58,7 +59,7 @@ def _cmd_eval(args) -> int:
     config = runner.load_config(args.config)
     problem = runner.load_problem(args.scene)
     workers = runner.resolve_workers(args.workers)
-    bounds = PerturbBounds(max_shift=args.max_shift, max_yaw_deg=args.max_yaw)
+    bounds = _bounds(args.max_shift, args.max_yaw)
     summary, rows, failures = runner.run_eval(problem, args.trials, bounds,
                                               workers=workers,
                                               master_seed=args.seed, config=config)
@@ -72,17 +73,20 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _bounds(max_shift, max_yaw) -> PerturbBounds:
+    try:
+        return PerturbBounds(max_shift=float(max_shift), max_yaw_deg=float(max_yaw))
+    except ValueError as exc:
+        raise ConfigError(f"bad bound {max_shift}:{max_yaw}: {exc}") from exc
+
+
 def _parse_bounds(text: str) -> list[PerturbBounds]:
     out = []
     for piece in text.split(","):
         parts = piece.split(":")
         if len(parts) != 2:
             raise ConfigError(f"--bounds expects 'shift:yaw,...', got {piece!r}")
-        try:
-            out.append(PerturbBounds(max_shift=float(parts[0]),
-                                     max_yaw_deg=float(parts[1])))
-        except ValueError as exc:
-            raise ConfigError(f"bad bound {piece!r}: {exc}") from exc
+        out.append(_bounds(*parts))
     if not out:
         raise ConfigError("--bounds is empty")
     return out
@@ -92,8 +96,8 @@ def _cmd_sweep(args) -> int:
     config = runner.load_config(args.config)
     problem = runner.load_problem(args.scene)
     grid = _parse_bounds(args.bounds)
-    rows = perturbation_sweep(problem, grid, args.trials, args.seed,
-                              cfg=config.solver, cost=config.cost)
+    rows = runner.perturbation_sweep(problem, grid, args.trials, args.seed,
+                                     cfg=config.solver, cost=config.cost)
     runner.write_sweep_csv(args.out, rows)
     print(f"swept {len(grid)} bounds x {args.trials} trials -> {args.out}")
     return EXIT_OK

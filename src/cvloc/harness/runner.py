@@ -1,4 +1,4 @@
-"""Config parsing, single-run localization, and batch evaluation."""
+"""Config parsing, single-run localization, batch evaluation and sweeps."""
 
 from __future__ import annotations
 
@@ -233,9 +233,15 @@ def run_localize(scene_path, init_pose: Pose3 | None = None,
     }
 
 
-def _eval_trial(problem: AlignmentProblem, trial: int, master_seed: int,
-                bounds: PerturbBounds, config: RunConfig) -> dict:
-    seed = int(np.random.SeedSequence((master_seed, trial)).generate_state(1)[0])
+def _trial_seed(key: tuple, trial: int) -> int:
+    """Seed of one trial: eval keys are (master,), sweep keys (master, bound index)."""
+    return int(np.random.SeedSequence((*key, trial)).generate_state(1)[0])
+
+
+def _eval_trial(problem: AlignmentProblem, trial: int, key: tuple,
+                bounds: PerturbBounds, solver: LMConfig | None,
+                cost: RobustCost | None) -> dict:
+    seed = _trial_seed(key, trial)
     init = sample_initial_pose(problem.gt_pose, bounds, seed)
     row = {
         "trial": trial,
@@ -245,7 +251,7 @@ def _eval_trial(problem: AlignmentProblem, trial: int, master_seed: int,
         "init_yaw_deg": math.degrees(init.yaw),
     }
     try:
-        report = refine_pose(problem, init, config.solver, config.cost)
+        report = refine_pose(problem, init, solver, cost)
     except DegenerateProblemError as exc:
         row.update({
             "final_lateral_m": "", "final_longitudinal_m": "", "final_yaw_deg": "",
@@ -268,6 +274,37 @@ def _eval_trial(problem: AlignmentProblem, trial: int, master_seed: int,
     return row
 
 
+def _run_trials(problem: AlignmentProblem, trials: int, bounds: PerturbBounds,
+                key: tuple, solver: LMConfig | None, cost: RobustCost | None,
+                workers: int = 1) -> tuple[MetricsSummary, list, int]:
+    """Seeded trials at one bound; returns (summary, rows, failure count).
+
+    Raises DegenerateProblemError when every trial fails, since no error
+    is left to summarize.
+    """
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+
+    def one(trial: int) -> dict:
+        return _eval_trial(problem, trial, key, bounds, solver, cost)
+
+    if workers == 1:
+        rows = [one(t) for t in range(trials)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(one, range(trials)))
+
+    errors = [PoseError(row["err_lateral_m"], row["err_longitudinal_m"],
+                        row["err_yaw_deg"])
+              for row in rows if row["status"] == "ok"]
+    if not errors:
+        raise DegenerateProblemError(
+            f"all {trials} trials failed at max shift {bounds.max_shift} m, "
+            f"max yaw {bounds.max_yaw_deg} deg")
+    summary = summarize(errors, trial_count=trials)
+    return summary, rows, trials - len(errors)
+
+
 def run_eval(problem: AlignmentProblem, trials: int, bounds: PerturbBounds,
              workers: int = 1, master_seed: int = 0,
              config: RunConfig | None = None) -> tuple[MetricsSummary, list, int]:
@@ -275,31 +312,38 @@ def run_eval(problem: AlignmentProblem, trials: int, bounds: PerturbBounds,
 
     Returns (summary, per-trial rows, failure count). Trial seeds depend
     only on (master_seed, trial index), so the aggregate is identical for
-    any worker count.
+    any worker count. Raises DegenerateProblemError if every trial fails.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
     config = config or load_config(None)
+    return _run_trials(problem, trials, bounds, (master_seed,), config.solver,
+                       config.cost, workers)
 
-    if workers == 1:
-        rows = [_eval_trial(problem, t, master_seed, bounds, config)
-                for t in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda t: _eval_trial(problem, t, master_seed, bounds, config),
-                range(trials)))
 
-    errors = []
-    failures = 0
-    for row in rows:
-        if row["status"] == "ok":
-            errors.append(PoseError(row["err_lateral_m"], row["err_longitudinal_m"],
-                                    row["err_yaw_deg"]))
-        else:
-            failures += 1
-    summary = summarize(errors, trial_count=trials)
-    return summary, rows, failures
+@dataclass(frozen=True)
+class SweepRow:
+    bounds: PerturbBounds
+    summary: MetricsSummary
+    trials: int
+    failures: int
+
+
+def perturbation_sweep(problem: AlignmentProblem, bound_grid, trials_per_bound: int,
+                       seed: int, cfg: LMConfig | None = None,
+                       cost: RobustCost | None = None) -> list[SweepRow]:
+    """Refine from seeded perturbations at each bound and aggregate metrics.
+
+    Runs serially; trial seeds depend on (seed, bound index, trial index).
+    Failed trials (degenerate problems) count as misses in the recalls and
+    are reported in the row's failure count; a bound at which every trial
+    fails raises DegenerateProblemError.
+    """
+    rows = []
+    for bi, bounds in enumerate(bound_grid):
+        summary, _, failures = _run_trials(problem, trials_per_bound, bounds,
+                                           (seed, bi), cfg, cost)
+        rows.append(SweepRow(bounds=bounds, summary=summary,
+                             trials=trials_per_bound, failures=failures))
+    return rows
 
 
 def write_trials_csv(path, rows) -> None:

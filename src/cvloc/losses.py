@@ -17,7 +17,7 @@ from .errors import DegenerateProblemError, DomainError
 from .geometry import (PointSet, Pose3, PoseContext, SatelliteGeoref,
                        pose_to_transform, project_satellite, transform_points)
 from .problem import AlignmentProblem, evaluate_pose
-from .solver import RobustCost, robust_eval
+from .solver import RobustCost, weighted_cost
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,7 @@ def weighted_distance(problem: AlignmentProblem, pose: Pose3, cost: RobustCost,
     if not np.any(ev.alignment.valid_mask):
         raise DegenerateProblemError(
             f"no valid points at level {level} for pose {pose}", pose=pose)
-    rho, _ = robust_eval(cost, np.sum(ev.alignment.residuals**2, axis=1))
-    return float(np.sum(ev.alignment.weights * rho))
+    return weighted_cost(ev.alignment.weights, ev.alignment.residuals, cost)
 
 
 def triplet_loss(dis_init: float, dis_gt: float, alpha: float = 10.0) -> float:

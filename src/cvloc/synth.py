@@ -17,15 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import DegenerateProblemError, DomainError, GenerationError
+from .errors import DomainError, GenerationError
 from .features import (AttentionMap, FeatureMap, FeaturePyramid,
                        bilinear_lookup_many, bilinear_weights, normalize_features)
 from .geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
                        SatelliteGeoref, pose_to_transform, project_ground,
                        project_satellite, transform_points)
-from .metrics import MetricsSummary, pose_error, summarize
 from .problem import AlignmentProblem
-from .solver import LMConfig, RobustCost, refine_pose
 
 
 @dataclass(frozen=True)
@@ -71,8 +69,8 @@ class PerturbBounds:
     max_yaw_deg: float = 30.0
 
     def __post_init__(self):
-        if self.max_shift < 0 or self.max_yaw_deg < 0:
-            raise DomainError("perturbation bounds must be >= 0")
+        if not (0 <= self.max_shift < math.inf and 0 <= self.max_yaw_deg < math.inf):
+            raise DomainError("perturbation bounds must be finite and >= 0")
 
 
 def _smooth_field(rng: np.random.Generator, shape, sigma: float) -> np.ndarray:
@@ -241,42 +239,3 @@ def sample_initial_pose(gt: Pose3, bounds: PerturbBounds, seed: int) -> Pose3:
     d_lon = rng.uniform(-bounds.max_shift, bounds.max_shift)
     d_yaw = math.radians(rng.uniform(-bounds.max_yaw_deg, bounds.max_yaw_deg))
     return Pose3(gt.lateral + d_lat, gt.longitudinal + d_lon, gt.yaw + d_yaw)
-
-
-def _trial_seed(master: int, bound_index: int, trial: int) -> int:
-    return int(np.random.SeedSequence((master, bound_index, trial)).generate_state(1)[0])
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    bounds: PerturbBounds
-    summary: MetricsSummary
-    trials: int
-    failures: int
-
-
-def perturbation_sweep(problem: AlignmentProblem, bound_grid, trials_per_bound: int,
-                       seed: int, cfg: LMConfig | None = None,
-                       cost: RobustCost | None = None) -> list[SweepRow]:
-    """Refine from seeded perturbations at each bound and aggregate metrics.
-
-    Failed trials (degenerate problems) count as misses in the recalls and
-    are reported in the row's failure count.
-    """
-    rows = []
-    for bi, bounds in enumerate(bound_grid):
-        errors = []
-        failures = 0
-        for trial in range(trials_per_bound):
-            init = sample_initial_pose(problem.gt_pose, bounds,
-                                       _trial_seed(seed, bi, trial))
-            try:
-                report = refine_pose(problem, init, cfg, cost)
-            except DegenerateProblemError:
-                failures += 1
-                continue
-            errors.append(pose_error(report.final_pose, problem.gt_pose))
-        summary = summarize(errors, trial_count=trials_per_bound)
-        rows.append(SweepRow(bounds=bounds, summary=summary,
-                             trials=trials_per_bound, failures=failures))
-    return rows

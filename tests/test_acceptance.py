@@ -14,12 +14,12 @@ import pytest
 from cvloc.cvls import load_scene, save_scene
 from cvloc.geometry import (Pose3, d_satproj_d_pose_many, meters_per_pixel,
                             pose_to_transform, project_satellite, transform_points)
+from cvloc.harness.runner import perturbation_sweep
 from cvloc.losses import pab_weight, triplet_loss, weighted_distance
 from cvloc.metrics import pose_error, summarize
 from cvloc.problem import evaluate_pose, ground_level_data
 from cvloc.solver import RobustCost, build_jacobian, lm_step, refine_pose, weighted_cost
-from cvloc.synth import (PerturbBounds, SynthConfig, generate_scene,
-                         perturbation_sweep, sample_initial_pose)
+from cvloc.synth import PerturbBounds, SynthConfig, generate_scene, sample_initial_pose
 
 from conftest import SMALL_SCENE_CFG
 

@@ -31,6 +31,15 @@ def _meta(blob: bytes) -> dict:
     return json.loads(blob[header:header + meta_len])
 
 
+def _rewrite_meta(blob: bytes, edit) -> bytes:
+    """The same file with ``edit`` applied to its metadata dict."""
+    meta = _meta(blob)
+    edit(meta)
+    new_meta = json.dumps(meta, separators=(",", ":")).encode()
+    return (struct.pack("<4sHI", MAGIC, 1, len(new_meta)) + new_meta
+            + blob[_payload_offset(blob):])
+
+
 class TestRoundTrip:
     def test_arrays_bit_identical(self, scene_file):
         path, problem = scene_file
@@ -143,18 +152,24 @@ class TestValidation:
 
     def test_missing_metadata_field(self, scene_file, tmp_path):
         path, _ = scene_file
-        blob = path.read_bytes()
-        meta = _meta(blob)
-        del meta["georef"]["gamma"]
-        new_meta = json.dumps(meta, separators=(",", ":")).encode()
-        header = struct.calcsize("<4sHI")
-        _, _, old_len = struct.unpack_from("<4sHI", blob)
-        rebuilt = struct.pack("<4sHI", MAGIC, 1, len(new_meta)) + new_meta \
-            + blob[header + old_len:]
         bad = tmp_path / "bad.cvls"
-        bad.write_bytes(rebuilt)
+        bad.write_bytes(_rewrite_meta(path.read_bytes(),
+                                      lambda meta: meta["georef"].pop("gamma")))
         with pytest.raises(FormatError, match="georef.gamma"):
             load_scene(bad)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda meta: meta.update(point_count="abc"), "point_count"),
+        (lambda meta: meta["levels"]["satellite"][0].update(h="x"),
+         "levels.satellite[0]"),
+    ], ids=["point_count", "level_h"])
+    def test_non_integer_metadata_field(self, scene_file, tmp_path, edit, field):
+        path, _ = scene_file
+        bad = tmp_path / "bad.cvls"
+        bad.write_bytes(_rewrite_meta(path.read_bytes(), edit))
+        with pytest.raises(FormatError) as err:
+            load_scene(bad)
+        assert err.value.field == field
 
     def test_error_names_offending_field(self, scene_file, tmp_path):
         path, _ = scene_file

@@ -1,15 +1,14 @@
-"""Features: normalization, bilinear lookup, residuals, weights, extractor."""
+"""Features: map validation, normalization, bilinear lookup, pyramids."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from cvloc.errors import ContractError, DomainError
 from cvloc.features import (AttentionMap, FeatureMap, FeaturePyramid,
-                            bilinear_lookup, bilinear_lookup_many,
-                            compute_residuals, compute_weights,
-                            handcrafted_pyramid, normalize_features)
+                            bilinear_lookup_many, normalize_features)
+from cvloc.geometry import PointSet, Pose3
+from cvloc.problem import evaluate_pose
+
+from conftest import tiny_problem
 
 
 class TestFeatureMapValidation:
@@ -68,17 +67,16 @@ class TestBilinearLookup:
     def test_integer_coordinates_exact(self):
         rng = np.random.default_rng(2)
         data = rng.standard_normal((6, 7, 3))
-        fmap = FeatureMap(data)
-        for (u, v) in [(0, 0), (3, 2), (6, 5)]:
-            val, _, inb = bilinear_lookup(fmap, (u, v))
-            assert inb
-            assert np.allclose(val, data[v, u], atol=1e-15)
+        uv = np.array([[0.0, 0.0], [3.0, 2.0], [6.0, 5.0]])
+        vals, _, inb = bilinear_lookup_many(data, uv)
+        assert inb.all()
+        assert np.allclose(vals, data[[0, 2, 5], [0, 3, 6]], atol=1e-15)
 
     def test_cell_center_hand_value(self):
         data = np.array([[[0.0], [1.0]], [[0.0], [1.0]]])
-        val, _, inb = bilinear_lookup(FeatureMap(data), (0.5, 0.5))
-        assert inb
-        assert val[0] == pytest.approx(0.5)
+        vals, _, inb = bilinear_lookup_many(data, np.array([[0.5, 0.5]]))
+        assert inb[0]
+        assert vals[0, 0] == pytest.approx(0.5)
 
     def test_exact_on_affine_field(self):
         a, b, k = 0.7, -1.3, 2.5
@@ -112,163 +110,16 @@ class TestBilinearLookup:
             assert np.max(np.abs(grads[:, :, axis] - fd)) < 1e-5
 
     def test_out_of_bounds_soft_fail(self):
-        fmap = FeatureMap(np.ones((4, 4, 2)))
-        val, grad, inb = bilinear_lookup(fmap, (-0.01, 2.0))
-        assert not inb
-        assert np.all(val == 0) and np.all(grad == 0)
-        val, _, inb = bilinear_lookup(fmap, (3.01, 2.0))
-        assert not inb
+        vals, grads, inb = bilinear_lookup_many(np.ones((4, 4, 2)),
+                                                np.array([[-0.01, 2.0], [3.01, 2.0]]))
+        assert not inb.any()
+        assert np.all(vals == 0) and np.all(grads == 0)
 
     def test_border_texel_exact(self):
         data = np.arange(12.0).reshape(3, 4, 1)
-        val, _, inb = bilinear_lookup(FeatureMap(data), (3.0, 2.0))
-        assert inb
-        assert val[0] == data[2, 3, 0]
-
-
-class TestComputeResiduals:
-    def _maps(self):
-        rng = np.random.default_rng(5)
-        data = rng.standard_normal((8, 8, 3))
-        return normalize_features(FeatureMap(data)), normalize_features(
-            FeatureMap(rng.standard_normal((8, 8, 3))))
-
-    def test_identical_maps_zero_residual(self):
-        fmap, _ = self._maps()
-        uv = np.array([[1.5, 2.5], [3.0, 4.0]])
-        res, valid = compute_residuals(fmap, fmap, uv, uv, np.array([True, True]))
-        assert valid.all()
-        assert np.allclose(res, 0.0, atol=1e-15)
-
-    def test_antipodal_unit_vectors_norm_two(self):
-        a = np.zeros((2, 2, 2))
-        a[:, :] = [1.0, 0.0]
-        b = np.zeros((2, 2, 2))
-        b[:, :] = [-1.0, 0.0]
-        res, valid = compute_residuals(
-            FeatureMap(a, normalized=True), FeatureMap(b, normalized=True),
-            np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]), np.array([True]))
-        assert valid[0]
-        assert np.linalg.norm(res[0]) == pytest.approx(2.0)
-
-    def test_channel_mismatch_rejected(self):
-        fmap, _ = self._maps()
-        other = FeatureMap(np.zeros((8, 8, 2)))
-        with pytest.raises(ContractError):
-            compute_residuals(fmap, other, np.zeros((1, 2)), np.zeros((1, 2)),
-                              np.array([True]))
-
-    def test_antisymmetric_in_view_order(self):
-        f_sat, f_grd = self._maps()
-        rng = np.random.default_rng(6)
-        uv_s = rng.uniform(0, 7, (10, 2))
-        uv_g = rng.uniform(0, 7, (10, 2))
-        vis = rng.uniform(size=10) > 0.3
-        r1, v1 = compute_residuals(f_sat, f_grd, uv_s, uv_g, vis)
-        r2, v2 = compute_residuals(f_grd, f_sat, uv_g, uv_s, vis)
-        assert np.array_equal(v1, v2)
-        assert np.allclose(r1, -r2, atol=1e-15)
-
-    def test_invisible_rows_zeroed(self):
-        f_sat, f_grd = self._maps()
-        res, valid = compute_residuals(f_sat, f_grd, np.array([[1.0, 1.0]]),
-                                       np.array([[1.0, 1.0]]), np.array([False]))
-        assert not valid[0]
-        assert np.all(res[0] == 0)
-
-    def test_out_of_bounds_masks(self):
-        f_sat, f_grd = self._maps()
-        res, valid = compute_residuals(f_sat, f_grd, np.array([[40.0, 1.0]]),
-                                       np.array([[1.0, 1.0]]), np.array([True]))
-        assert not valid[0]
-        assert np.all(res[0] == 0)
-
-
-class TestComputeWeights:
-    def test_all_ones(self):
-        att = AttentionMap(np.ones((4, 4)))
-        uv = np.array([[1.0, 1.0], [2.5, 0.5]])
-        w = compute_weights(att, att, uv, uv, np.array([True, True]))
-        assert np.allclose(w, 1.0)
-
-    def test_product_hand_value(self):
-        a_sat = AttentionMap(np.full((4, 4), 0.5))
-        a_grd = AttentionMap(np.full((4, 4), 0.8))
-        w = compute_weights(a_sat, a_grd, np.array([[1.0, 2.0]]),
-                            np.array([[3.0, 1.0]]), np.array([True]))
-        assert w[0] == pytest.approx(0.4)
-
-    def test_out_of_bounds_zero(self):
-        att = AttentionMap(np.ones((4, 4)))
-        w = compute_weights(att, att, np.array([[10.0, 1.0]]),
-                            np.array([[1.0, 1.0]]), np.array([True]))
-        assert w[0] == 0.0
-
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    @settings(max_examples=30, deadline=None)
-    def test_weights_in_unit_interval(self, a, b):
-        w = compute_weights(AttentionMap(np.full((3, 3), a)),
-                            AttentionMap(np.full((3, 3), b)),
-                            np.array([[1.0, 1.0]]), np.array([[1.5, 1.5]]),
-                            np.array([True]))
-        assert 0.0 <= w[0] <= 1.0
-
-
-class TestHandcraftedPyramid:
-    def test_constant_image_intensity_only(self):
-        pyr = handcrafted_pyramid(np.full((32, 40), 5.0), levels=2, channels_per_level=6)
-        fmap = pyr.feature(0)
-        # gradient channels (1, 2, 4, 5) are zero; intensity channels carry
-        # the whole norm
-        assert np.allclose(fmap.data[:, :, [1, 2, 4, 5]], 0.0)
-        norms = np.linalg.norm(fmap.data, axis=-1)
-        assert np.allclose(norms, 1.0, atol=1e-6)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(7)
-        img = rng.uniform(size=(40, 48))
-        p1 = handcrafted_pyramid(img, 3, 8)
-        p2 = handcrafted_pyramid(img, 3, 8)
-        for l in range(3):
-            assert np.array_equal(p1.feature(l).data, p2.feature(l).data)
-            assert np.array_equal(p1.attention(l).data, p2.attention(l).data)
-
-    def test_level_and_channel_counts(self):
-        pyr = handcrafted_pyramid(np.zeros((64, 64)), levels=3, channels_per_level=5)
-        assert pyr.level_count == 3
-        sizes = [(pyr.feature(l).height, pyr.feature(l).width) for l in range(3)]
-        assert sizes == [(64, 64), (32, 32), (16, 16)]
-        assert all(pyr.feature(l).channels == 5 for l in range(3))
-
-    def test_shift_equivariance_away_from_borders(self):
-        rng = np.random.default_rng(8)
-        img = rng.uniform(size=(48, 64))
-        du, dv = 5, 3
-        shifted = np.roll(np.roll(img, dv, axis=0), du, axis=1)
-        p0 = handcrafted_pyramid(img, 1, 6).feature(0).data
-        p1 = handcrafted_pyramid(shifted, 1, 6).feature(0).data
-        m = 12  # exclude border influence
-        inner0 = p0[m:-m, m:-m]
-        inner1 = p1[m + dv:p0.shape[0] - m + dv, m + du:p0.shape[1] - m + du]
-        assert np.allclose(inner1, inner0, atol=1e-3)
-
-    def test_rgb_input_accepted(self):
-        pyr = handcrafted_pyramid(np.zeros((16, 16, 3)), levels=1, channels_per_level=3)
-        assert pyr.feature(0).channels == 3
-
-    def test_attention_defaults_to_one(self):
-        pyr = handcrafted_pyramid(np.zeros((16, 16)), 2, 3)
-        for l in range(2):
-            assert np.all(pyr.attention(l).data == 1.0)
-
-    def test_user_mask_propagates(self):
-        mask = np.zeros((16, 16))
-        mask[:8] = 1.0
-        pyr = handcrafted_pyramid(np.zeros((16, 16)), 2, 3, attention_mask=mask)
-        assert pyr.attention(0).data[0, 0] == 1.0
-        assert pyr.attention(0).data[15, 0] == 0.0
-        att1 = pyr.attention(1).data
-        assert att1.min() >= 0.0 and att1.max() <= 1.0
+        vals, _, inb = bilinear_lookup_many(data, np.array([[3.0, 2.0]]))
+        assert inb[0]
+        assert vals[0, 0] == data[2, 3, 0]
 
 
 class TestFeaturePyramid:
@@ -281,3 +132,34 @@ class TestFeaturePyramid:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             FeaturePyramid(())
+
+
+# The residual and weight formulas live in problem.evaluate_pose: satellite
+# minus ground feature, and the product of the two attention lookups, with
+# rows zeroed wherever either lookup misses its map. These cases pin the
+# out-of-bounds masking on a ground point whose satellite projection lies
+# 20 m east, outside the 16 px crop of tiny_problem.
+_IN_MAP, _OFF_MAP = 0, 1
+_OFF_MAP_POINTS = PointSet(np.array([[0.0, 0.0, 3.0], [20.0, 0.0, 20.0]]))
+
+
+def _off_map_alignment(**kwargs):
+    problem = tiny_problem(points=_OFF_MAP_POINTS, **kwargs)
+    return evaluate_pose(problem, Pose3(0.0, 0.0, 0.0)).alignment
+
+
+class TestComputeResiduals:
+    def test_out_of_bounds_masks(self):
+        al = _off_map_alignment()
+        assert not al.valid_mask[_OFF_MAP]
+        assert np.all(al.residuals[_OFF_MAP] == 0)
+        # the in-bounds row is untouched
+        assert al.valid_mask[_IN_MAP]
+        assert np.linalg.norm(al.residuals[_IN_MAP]) > 0
+
+
+class TestComputeWeights:
+    def test_out_of_bounds_zero(self):
+        al = _off_map_alignment()
+        assert al.weights[_OFF_MAP] == 0.0
+        assert al.weights[_IN_MAP] == 1.0

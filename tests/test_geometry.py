@@ -1,4 +1,4 @@
-"""Geometry: projections, pose transform, analytic Jacobians, sampling."""
+"""Geometry: projections, pose transform, analytic Jacobians."""
 
 import math
 
@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
-from cvloc.errors import ContractError, DomainError
+from cvloc.errors import DomainError
 from cvloc.geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
-                            RigidTransform, SatelliteGeoref, d_satproj_d_pose,
-                            d_satproj_d_pose_many, meters_per_pixel,
-                            pose_to_transform, project_ground, project_satellite,
-                            sample_points, transform_points,
+                            RigidTransform, SatelliteGeoref, d_satproj_d_pose_many,
+                            meters_per_pixel, pose_to_transform, project_ground,
+                            project_satellite, transform_points,
                             translate_pose_east_south, wrap_angle)
 
 
@@ -258,13 +256,14 @@ class TestSatProjJacobian:
 
     def test_translation_block_magnitude(self):
         pose = Pose3(0.3, -0.8, 0.9)
-        jac = d_satproj_d_pose(np.array([3.0, -1.0, 12.0]), pose, self.CTX, self.GEOREF)
-        norms = np.linalg.norm(jac[:, :2], axis=0)
+        jac = d_satproj_d_pose_many(np.array([[3.0, -1.0, 12.0], [-4.0, 0.5, 8.0]]),
+                                    pose, self.CTX, self.GEOREF)
+        norms = np.linalg.norm(jac[:, :, :2], axis=1)
         assert np.allclose(norms, 1.0 / 0.2, rtol=1e-12)
         # 1 m east shift at yaw 0 moves u by 1/gamma pixels
-        jac0 = d_satproj_d_pose(np.array([0.0, 0.0, 5.0]), Pose3(0, 0, 0),
-                                self.CTX, self.GEOREF)
-        assert jac0[0, 0] == pytest.approx(5.0)
+        jac0 = d_satproj_d_pose_many(np.array([[0.0, 0.0, 5.0]]), Pose3(0, 0, 0),
+                                     self.CTX, self.GEOREF)
+        assert jac0[0, 0, 0] == pytest.approx(5.0)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(17)
@@ -275,7 +274,7 @@ class TestSatProjJacobian:
                          float(rng.uniform(-math.pi, math.pi)))
             pt = np.array([rng.uniform(-30, 30), rng.uniform(-5, 5),
                            rng.uniform(2, 40)])
-            jac = d_satproj_d_pose(pt, pose, self.CTX, self.GEOREF)
+            jac = d_satproj_d_pose_many(pt[None], pose, self.CTX, self.GEOREF)[0]
             fd = np.empty((2, 3))
             for axis in range(3):
                 step = np.zeros(3)
@@ -294,51 +293,6 @@ class TestSatProjJacobian:
     def test_yaw_column_zero_at_rotation_center(self):
         # A point whose planar map position is the origin does not move
         # under yaw: camera point (0, y, 0) at zero pose.
-        jac = d_satproj_d_pose(np.array([0.0, 4.0, 0.0]), Pose3(0, 0, 0.3),
-                               self.CTX, self.GEOREF)
-        assert np.allclose(jac[:, 2], 0.0, atol=1e-12)
-
-    def test_many_matches_single(self):
-        pts = np.array([[1.0, 2.0, 3.0], [-4.0, 0.5, 8.0]])
-        pose = Pose3(0.2, 0.1, -0.5)
-        many = d_satproj_d_pose_many(pts, pose, self.CTX, self.GEOREF)
-        for i, pt in enumerate(pts):
-            assert np.allclose(many[i], d_satproj_d_pose(pt, pose, self.CTX, self.GEOREF))
-
-
-class TestSamplePoints:
-    def test_full_draw_is_permutation(self):
-        cloud = PointSet(np.arange(30.0).reshape(10, 3))
-        out = sample_points(cloud, 10, seed=0)
-        assert sorted(map(tuple, out.points)) == sorted(map(tuple, cloud.points))
-
-    def test_deterministic(self):
-        cloud = PointSet(np.random.default_rng(2).uniform(size=(100, 3)))
-        a = sample_points(cloud, 20, seed=7)
-        b = sample_points(cloud, 20, seed=7)
-        assert np.array_equal(a.points, b.points)
-
-    def test_with_replacement_only_when_needed(self):
-        cloud = PointSet(np.arange(15.0).reshape(5, 3))
-        out = sample_points(cloud, 12, seed=1)
-        assert out.count == 12
-
-    def test_empty_request_rejected(self):
-        cloud = PointSet(np.ones((3, 3)))
-        with pytest.raises(ContractError):
-            sample_points(cloud, 0, seed=0)
-
-    def test_uniformity_chi_square(self):
-        # 5000 distinct indices per repeat from a 120k cloud; bin counts
-        # should pass a chi-square uniformity test.
-        n_pop, n_draw, repeats, bins = 120_000, 5000, 1000, 50
-        cloud = PointSet(np.stack([np.arange(n_pop, dtype=np.float64)] * 3, axis=1))
-        counts = np.zeros(bins)
-        width = n_pop // bins
-        for rep in range(repeats):
-            out = sample_points(cloud, n_draw, seed=rep)
-            idx = out.points[:, 0].astype(np.int64)
-            assert len(np.unique(idx)) == n_draw  # distinct, no replacement
-            counts += np.bincount(idx // width, minlength=bins)
-        _, p = stats.chisquare(counts)
-        assert p > 0.01
+        jac = d_satproj_d_pose_many(np.array([[0.0, 4.0, 0.0]]), Pose3(0, 0, 0.3),
+                                    self.CTX, self.GEOREF)
+        assert np.allclose(jac[0, :, 2], 0.0, atol=1e-12)

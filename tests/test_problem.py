@@ -1,0 +1,70 @@
+"""Problem: the residual/weight formula of evaluate_pose and problem checks."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cvloc.errors import ContractError
+from cvloc.geometry import PointSet, Pose3
+from cvloc.problem import evaluate_pose
+
+from conftest import tiny_problem
+
+# The three default tiny_problem points, then one behind the camera (its
+# satellite projection is in bounds) and one visible on the ground but
+# projecting 20 m east, outside the 16 px satellite crop.
+_DEFAULT = [[0.0, 0.0, 3.0], [1.25, -1.25, 5.0], [-2.0, 2.0, 4.0]]
+_INVISIBLE = 3
+_MASKED_POINTS = PointSet(np.array(_DEFAULT + [[0.0, 0.0, -2.0], [20.0, 0.0, 20.0]]))
+
+
+def _constant(size: int, vec) -> np.ndarray:
+    return np.tile(np.asarray(vec, dtype=np.float32), (size, size, 1))
+
+
+def _alignment(**kwargs):
+    problem = tiny_problem(**kwargs)
+    return evaluate_pose(problem, Pose3(0.0, 0.0, 0.0)).alignment
+
+
+class TestEvaluatePose:
+    def test_identical_maps_zero_residual(self):
+        # the same feature everywhere in both views
+        al = _alignment(sat_data=_constant(16, [0.6, 0.8]),
+                        grd_data=_constant(17, [0.6, 0.8]))
+        assert al.valid_mask.all()
+        assert np.allclose(al.residuals, 0.0, atol=1e-15)
+
+    def test_antipodal_unit_vectors_norm_two(self):
+        al = _alignment(sat_data=_constant(16, [1.0, 0.0]),
+                        grd_data=_constant(17, [-1.0, 0.0]))
+        assert al.valid_mask.all()
+        assert np.allclose(np.linalg.norm(al.residuals, axis=1), 2.0)
+
+    def test_invisible_rows_zeroed(self):
+        al = _alignment(points=_MASKED_POINTS)
+        assert not al.valid_mask[_INVISIBLE]
+        assert np.all(al.residuals[_INVISIBLE] == 0)
+        assert al.weights[_INVISIBLE] == 0.0
+
+    def test_unit_attention_gives_unit_weights(self):
+        al = _alignment()
+        assert np.allclose(al.weights, 1.0)
+
+    def test_weight_is_attention_product(self):
+        al = _alignment(sat_att=np.full((16, 16), 0.5), grd_att=np.full((17, 17), 0.8))
+        assert al.weights == pytest.approx([0.4, 0.4, 0.4])
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @settings(max_examples=30, deadline=None)
+    def test_weights_in_unit_interval(self, a, b):
+        al = _alignment(sat_att=np.full((16, 16), a), grd_att=np.full((17, 17), b),
+                        points=_MASKED_POINTS)
+        assert np.all((al.weights >= 0.0) & (al.weights <= 1.0))
+
+
+class TestAlignmentProblem:
+    def test_channel_mismatch_rejected(self):
+        with pytest.raises(ContractError):
+            tiny_problem(sat_data=np.ones((16, 16, 3), dtype=np.float32))

@@ -212,6 +212,37 @@ class TestCli:
         assert "recall_lateral_1m" in header
         assert "failures" in header
 
+    def test_eval_all_trials_failed_exits_4(self, tmp_path, scene_path, capsys):
+        code = main(["eval", "--scene", str(scene_path), "--trials", "2",
+                     "--max-shift", "500", "--max-yaw", "0",
+                     "--out-dir", str(tmp_path / "eval")])
+        assert code == 4
+        assert "max shift 500.0 m" in capsys.readouterr().err
+
+    def test_sweep_all_trials_failed_exits_4(self, tmp_path, scene_path, capsys):
+        code = main(["sweep", "--scene", str(scene_path), "--bounds", "0:0,500:0",
+                     "--trials", "2", "--out", str(tmp_path / "sweep.csv")])
+        assert code == 4
+        assert "max shift 500.0 m" in capsys.readouterr().err
+
+    def test_sweep_zero_trials_exits_2(self, tmp_path, scene_path, capsys):
+        code = main(["sweep", "--scene", str(scene_path), "--bounds", "1:3",
+                     "--trials", "0", "--out", str(tmp_path / "sweep.csv")])
+        assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["localize", "--perturb-seed", "1", "--max-shift", "-1"],
+        ["eval", "--trials", "1", "--max-shift", "-1", "--out-dir", "unused"],
+        ["eval", "--trials", "1", "--max-yaw", "-1", "--out-dir", "unused"],
+        ["eval", "--trials", "1", "--max-shift", "nan", "--out-dir", "unused"],
+        ["sweep", "--bounds", "1:3,-1:3", "--trials", "1", "--out", "unused.csv"],
+    ], ids=["localize", "eval-shift", "eval-yaw", "eval-nan", "sweep"])
+    def test_bad_bounds_exit_2(self, scene_path, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main([argv[0], "--scene", str(scene_path), *argv[1:]])
+        assert code == 2
+        assert "bounds must be finite and >= 0" in capsys.readouterr().err
+
     def test_check_numerics_command(self, capsys):
         assert main(["check-numerics"]) == 0
         assert "all checks passed" in capsys.readouterr().out

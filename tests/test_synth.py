@@ -9,11 +9,11 @@ from scipy import stats
 from cvloc.cvls import save_scene
 from cvloc.errors import DomainError, GenerationError
 from cvloc.geometry import Pose3
+from cvloc.harness.runner import perturbation_sweep
 from cvloc.problem import evaluate_pose
 from cvloc.losses import weighted_distance
 from cvloc.solver import RobustCost
-from cvloc.synth import (PerturbBounds, SynthConfig, generate_scene,
-                         perturbation_sweep, sample_initial_pose)
+from cvloc.synth import PerturbBounds, SynthConfig, generate_scene, sample_initial_pose
 
 from conftest import SMALL_SCENE_CFG
 
