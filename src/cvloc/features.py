@@ -192,10 +192,13 @@ def bilinear_lookup_many(data: np.ndarray, uv: np.ndarray):
     in_bounds = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
 
     v0, u0, v1, u1, w00, w01, w10, w11 = bilinear_weights((h, w), uv)
-    f00 = data[v0, u0].astype(np.float64)
-    f01 = data[v0, u1].astype(np.float64)
-    f10 = data[v1, u0].astype(np.float64)
-    f11 = data[v1, u1].astype(np.float64)
+    # Corners are gathered by flat row index, which is faster than data[v, u].
+    flat = data.reshape(h * w, data.shape[2])
+    row0, row1 = v0 * w, v1 * w
+    f00 = flat[row0 + u0].astype(np.float64)
+    f01 = flat[row0 + u1].astype(np.float64)
+    f10 = flat[row1 + u0].astype(np.float64)
+    f11 = flat[row1 + u1].astype(np.float64)
 
     values = (w00[:, None] * f00 + w01[:, None] * f01
               + w10[:, None] * f10 + w11[:, None] * f11)
@@ -213,6 +216,23 @@ def bilinear_lookup_many(data: np.ndarray, uv: np.ndarray):
 
 
 def attention_lookup_many(amap: AttentionMap, uv: np.ndarray):
-    """Bilinear attention values at uv; returns (values (N,), in_bounds (N,))."""
-    values, _, inb = bilinear_lookup_many(amap.data[:, :, None], uv)
-    return values[:, 0], inb
+    """Bilinear attention values at uv; returns (values (N,), in_bounds (N,)).
+
+    Same arithmetic as ``bilinear_lookup_many`` on a one-channel map, without
+    the gradients.
+    """
+    data = amap.data
+    h, w = data.shape
+    uv = np.asarray(uv, dtype=np.float64)
+    u, v = uv[:, 0], uv[:, 1]
+    in_bounds = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+
+    v0, u0, v1, u1, w00, w01, w10, w11 = bilinear_weights((h, w), uv)
+    flat = data.reshape(-1)
+    row0, row1 = v0 * w, v1 * w
+    values = (w00 * flat[row0 + u0].astype(np.float64)
+              + w01 * flat[row0 + u1].astype(np.float64)
+              + w10 * flat[row1 + u0].astype(np.float64)
+              + w11 * flat[row1 + u1].astype(np.float64))
+    values[~in_bounds] = 0.0
+    return values, in_bounds

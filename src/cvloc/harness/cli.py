@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
-4 degenerate problem (also an eval or sweep bound where every trial fails),
-5 numeric self-check failure.
+4 degenerate problem or singular normal equations (also an eval or sweep
+bound where every trial fails), 5 numeric self-check failure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from ..cvls import save_scene
-from ..errors import ConfigError, DegenerateProblemError, FormatError, GenerationError
+from ..errors import (ConfigError, DegenerateProblemError, FormatError, GenerationError,
+                      SingularSystemError)
 from ..synth import PerturbBounds, generate_scene
 from . import runner
 from .checks import check_numerics
@@ -184,6 +185,9 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
     except DegenerateProblemError as exc:
         print(f"degenerate problem: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
+    except SingularSystemError as exc:
+        print(f"singular system: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 
 

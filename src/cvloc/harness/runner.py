@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..cvls import MAGIC, load_scene
-from ..errors import ConfigError, DegenerateProblemError
+from ..errors import ConfigError, DegenerateProblemError, SingularSystemError
 from ..geometry import Pose3
 from ..losses import LossConfig, total_loss
 from ..metrics import MetricsSummary, PoseError, pose_error, summarize
@@ -186,6 +186,8 @@ def parse_init_pose(text: str) -> Pose3:
         lat, lon, yaw_deg = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"--init has a non-numeric field: {text!r}") from exc
+    if not all(math.isfinite(x) for x in (lat, lon, yaw_deg)):
+        raise ConfigError(f"--init fields must be finite, got {text!r}")
     return Pose3(lat, lon, math.radians(yaw_deg))
 
 
@@ -252,11 +254,12 @@ def _eval_trial(problem: AlignmentProblem, trial: int, key: tuple,
     }
     try:
         report = refine_pose(problem, init, solver, cost)
-    except DegenerateProblemError as exc:
+    except (DegenerateProblemError, SingularSystemError) as exc:
+        kind = "degenerate" if isinstance(exc, DegenerateProblemError) else "singular"
         row.update({
             "final_lateral_m": "", "final_longitudinal_m": "", "final_yaw_deg": "",
             "err_lateral_m": "", "err_longitudinal_m": "", "err_yaw_deg": "",
-            "converged": "", "iterations": "", "status": f"degenerate: {exc}",
+            "converged": "", "iterations": "", "status": f"{kind}: {exc}",
         })
         return row
     err = pose_error(report.final_pose, problem.gt_pose)

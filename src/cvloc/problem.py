@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,12 @@ class AlignmentProblem:
         return (self.sat_pyramid.feature(level), self.sat_pyramid.attention(level),
                 self.georef.coarsened(level))
 
+    @cached_property
+    def _ground_levels(self) -> tuple[GroundLevelData, ...]:
+        # Filled on first use; a concurrent first fill from two threads
+        # computes the same read-only arrays, so either result may stay.
+        return tuple(_compute_ground_level(self, lvl) for lvl in range(self.level_count))
+
 
 @dataclass(frozen=True)
 class GroundLevelData:
@@ -70,16 +77,27 @@ class GroundLevelData:
 
 
 def ground_level_data(problem: AlignmentProblem, level: int) -> GroundLevelData:
+    """Ground-view lookups of one level, computed once per problem.
+
+    The pose never moves ground pixels, so every solve and trial on the same
+    problem shares one read-only entry per level.
+    """
+    return problem._ground_levels[level]
+
+
+def _compute_ground_level(problem: AlignmentProblem, level: int) -> GroundLevelData:
     """Project points into the ground view and sample that level's maps.
 
-    The pose never moves ground pixels, so coordinates are projected once at
-    full resolution and scaled by 2**-level for coarser maps.
+    Coordinates are projected at full resolution and scaled by 2**-level
+    for coarser maps.
     """
     uv0, visible = project_ground(problem.points, problem.intrinsics)
     uv = uv0 / float(2**level)
     feats, _, inb_f = bilinear_lookup_many(problem.grd_pyramid.feature(level).data, uv)
     att, inb_a = attention_lookup_many(problem.grd_pyramid.attention(level), uv)
     valid = visible & inb_f & inb_a
+    for arr in (uv, feats, att, valid):
+        arr.setflags(write=False)
     return GroundLevelData(uv=uv, features=feats, attention=att, valid=valid)
 
 

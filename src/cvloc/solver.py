@@ -7,6 +7,16 @@ feature residuals, assembles the Jacobian through the bilinear-interpolant
 gradients and the projection geometry, and solves the damped normal
 equations by Cholesky factorization. Steps are accepted only if the
 weighted cost decreases; the damping factor adapts multiplicatively.
+
+Hot path per level: the ground-view lookups come once per problem from
+``ground_level_data``'s cache, since the pose never moves ground pixels.
+Each evaluated pose costs one feature lookup with gradients and one
+attention lookup without them, both gathering the four bilinear corners
+by flat row index. After an accepted step the Jacobian is restacked by
+one batched ``np.matmul`` of the (N, c, 2) satellite gradients with the
+(N, 2, 3) projection Jacobians, and ``lm_step`` solves the 3x3 system.
+``build_jacobian`` and ``lm_step`` run this same code for the numeric
+self-checks.
 """
 
 from __future__ import annotations
@@ -196,8 +206,7 @@ def weighted_cost(weights: np.ndarray, residuals: np.ndarray, cost: RobustCost) 
 
 def _stack_jacobian(sat_grads: np.ndarray, proj_jac: np.ndarray) -> np.ndarray:
     # (N,c,2) @ (N,2,3) -> (N,c,3), flattened to (N*c, 3)
-    blocks = np.einsum("nck,nkj->ncj", sat_grads, proj_jac)
-    return blocks.reshape(-1, 3)
+    return np.matmul(sat_grads, proj_jac).reshape(-1, 3)
 
 
 def build_jacobian(problem: AlignmentProblem, pose: Pose3, level: int = 0,

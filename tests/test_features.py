@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from cvloc.errors import ContractError, DomainError
 from cvloc.features import (AttentionMap, FeatureMap, FeaturePyramid,
-                            bilinear_lookup_many, normalize_features)
+                            attention_lookup_many, bilinear_lookup_many,
+                            bilinear_weights, normalize_features)
 from cvloc.geometry import PointSet, Pose3
 from cvloc.problem import evaluate_pose
 
@@ -120,6 +121,67 @@ class TestBilinearLookup:
         vals, _, inb = bilinear_lookup_many(data, np.array([[3.0, 2.0]]))
         assert inb[0]
         assert vals[0, 0] == data[2, 3, 0]
+
+
+def _lookup_2d_reference(data, uv):
+    """Bilinear lookup by 2-D fancy indexing at each corner, same arithmetic."""
+    h, w, _ = data.shape
+    u, v = uv[:, 0], uv[:, 1]
+    in_bounds = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+    v0, u0, v1, u1, w00, w01, w10, w11 = bilinear_weights((h, w), uv)
+    f00 = data[v0, u0].astype(np.float64)
+    f01 = data[v0, u1].astype(np.float64)
+    f10 = data[v1, u0].astype(np.float64)
+    f11 = data[v1, u1].astype(np.float64)
+    values = (w00[:, None] * f00 + w01[:, None] * f01
+              + w10[:, None] * f10 + w11[:, None] * f11)
+    fu = np.clip(u, 0.0, w - 1.0) - u0
+    fv = np.clip(v, 0.0, h - 1.0) - v0
+    grads = np.empty((uv.shape[0], data.shape[2], 2))
+    grads[:, :, 0] = (1.0 - fv)[:, None] * (f01 - f00) + fv[:, None] * (f11 - f10)
+    grads[:, :, 1] = (1.0 - fu)[:, None] * (f10 - f00) + fu[:, None] * (f11 - f01)
+    values[~in_bounds] = 0.0
+    grads[~in_bounds] = 0.0
+    return values, grads, in_bounds
+
+
+def _probe_uv(h, w, rng, n=300):
+    """Interior, border-texel, corner and out-of-bounds coordinates."""
+    inside = np.stack([rng.uniform(0, w - 1, n), rng.uniform(0, h - 1, n)], axis=1)
+    border = np.array([[0.0, 0.0], [w - 1.0, 0.0], [0.0, h - 1.0], [w - 1.0, h - 1.0],
+                       [w - 1.0, (h - 1) / 2.0], [(w - 1) / 2.0, h - 1.0]])
+    outside = np.array([[-0.5, 0.0], [w - 0.5, 0.0], [0.0, -1e-9], [0.0, h - 0.9],
+                        [-3.0, -3.0], [w + 5.0, h + 5.0]])
+    return np.concatenate([inside, border, outside])
+
+
+class TestFlatGather:
+    """The flat-index corner gather equals 2-D indexing bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(13, 17, 4), (1, 9, 3), (9, 1, 3), (1, 1, 2),
+                                       (2, 2, 1)])
+    def test_matches_2d_indexing(self, dtype, shape):
+        rng = np.random.default_rng(sum(shape))
+        data = rng.standard_normal(shape).astype(dtype)
+        uv = _probe_uv(shape[0], shape[1], rng)
+        got = bilinear_lookup_many(data, uv)
+        want = _lookup_2d_reference(data, uv)
+        for g, e in zip(got, want):
+            assert np.array_equal(g, e)
+        assert not got[2][-6:].any()  # the out-of-bounds rows
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(13, 17), (1, 9), (9, 1), (1, 1)])
+    def test_attention_equals_one_channel_lookup(self, dtype, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        amap = AttentionMap(rng.uniform(0.0, 1.0, shape).astype(dtype))
+        uv = _probe_uv(shape[0], shape[1], rng)
+        values, inb = attention_lookup_many(amap, uv)
+        expect, _, expect_inb = bilinear_lookup_many(amap.data[:, :, None], uv)
+        assert np.array_equal(values, expect[:, 0])
+        assert np.array_equal(inb, expect_inb)
+        assert values.dtype == np.float64
 
 
 class TestFeaturePyramid:

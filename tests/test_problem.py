@@ -1,13 +1,19 @@
 """Problem: the residual/weight formula of evaluate_pose and problem checks."""
 
+import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvloc.errors import ContractError
-from cvloc.geometry import PointSet, Pose3
-from cvloc.problem import evaluate_pose
+from cvloc.features import attention_lookup_many, bilinear_lookup_many
+from cvloc.geometry import PointSet, Pose3, project_ground
+from cvloc.problem import evaluate_pose, ground_level_data
 
 from conftest import tiny_problem
 
@@ -68,3 +74,54 @@ class TestAlignmentProblem:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ContractError):
             tiny_problem(sat_data=np.ones((16, 16, 3), dtype=np.float32))
+
+
+class TestGroundLevelData:
+    def test_cached_read_only_and_equal_to_fresh_lookups(self, small_scene):
+        for level in range(small_scene.level_count):
+            first = ground_level_data(small_scene, level)
+            assert ground_level_data(small_scene, level) is first
+            uv0, visible = project_ground(small_scene.points, small_scene.intrinsics)
+            uv = uv0 / float(2**level)
+            feats, _, inb_f = bilinear_lookup_many(
+                small_scene.grd_pyramid.feature(level).data, uv)
+            att, inb_a = attention_lookup_many(small_scene.grd_pyramid.attention(level), uv)
+            fresh = {"uv": uv, "features": feats, "attention": att,
+                     "valid": visible & inb_f & inb_a}
+            for name, expect in fresh.items():
+                arr = getattr(first, name)
+                assert not arr.flags.writeable, name
+                assert np.array_equal(arr, expect), name
+
+    def test_replaced_problem_gets_its_own_entries(self):
+        problem = tiny_problem()
+        ground = ground_level_data(problem, 0)
+        flipped = dataclasses.replace(problem, grd_pyramid=tiny_problem(
+            grd_data=-problem.grd_pyramid.feature(0).data, normalize=False).grd_pyramid)
+        assert np.array_equal(ground_level_data(flipped, 0).features, -ground.features)
+        assert ground_level_data(problem, 0) is ground
+
+    def test_concurrent_first_fills_agree(self, small_scene):
+        # more threads than cores race on a cold cache with frequent switches
+        problem = dataclasses.replace(small_scene)
+        levels = range(problem.level_count)
+        start = threading.Barrier(8, timeout=30)
+
+        def fill(_):
+            start.wait()
+            return [ground_level_data(problem, lvl) for lvl in levels]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = [f.result(timeout=60) for f in
+                           [pool.submit(fill, i) for i in range(8)]]
+        finally:
+            sys.setswitchinterval(interval)
+        for lvl in levels:
+            kept = ground_level_data(problem, lvl)
+            assert ground_level_data(problem, lvl) is kept
+            for got in results:
+                for name in ("uv", "features", "attention", "valid"):
+                    assert np.array_equal(getattr(got[lvl], name), getattr(kept, name))

@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from cvloc.cvls import save_scene
-from cvloc.errors import ConfigError
+from cvloc.cvls import load_scene, save_scene
+from cvloc.errors import ConfigError, SingularSystemError
 from cvloc.geometry import Pose3
 from cvloc.harness import runner
 from cvloc.harness.cli import main
@@ -98,6 +98,9 @@ class TestConfig:
             runner.parse_init_pose("1,2")
         with pytest.raises(ConfigError):
             runner.parse_init_pose("a,b,c")
+        for text in ("nan,0,0", "0,inf,0", "0,0,-inf"):
+            with pytest.raises(ConfigError, match="finite"):
+                runner.parse_init_pose(text)
 
 
 class TestRunLocalize:
@@ -143,6 +146,36 @@ class TestRunEval:
         runner.write_trials_csv(p4, rows4)
         assert p1.read_bytes() == p4.read_bytes()
 
+    def test_two_workers_on_cold_problem_match_one(self, scene_path):
+        # each run starts from a freshly loaded scene, so the two threads
+        # race to fill the per-problem ground-level cache
+        bounds = PerturbBounds(5.0, 15.0)
+        cold = load_scene(scene_path)
+        assert "_ground_levels" not in vars(cold)
+        _, rows2, _ = runner.run_eval(cold, 6, bounds, workers=2, master_seed=9)
+        _, rows1, _ = runner.run_eval(load_scene(scene_path), 6, bounds, workers=1,
+                                      master_seed=9)
+        assert rows2 == rows1
+
+    def test_singular_trial_recorded_not_raised(self, scene_path, monkeypatch):
+        calls = []
+        solve = runner.refine_pose
+
+        def first_call_singular(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise SingularSystemError("Cholesky factorization failed (lambda=0.1)")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "refine_pose", first_call_singular)
+        summary, rows, failures = runner.run_eval(load_scene(scene_path), 3,
+                                                  PerturbBounds(1.0, 3.0))
+        assert failures == 1
+        assert rows[0]["status"] == "singular: Cholesky factorization failed (lambda=0.1)"
+        assert rows[0]["iterations"] == ""
+        assert [r["status"] for r in rows[1:]] == ["ok", "ok"]
+        assert summary.trial_count == 3
+
     def test_csv_row_count(self, tmp_path):
         problem = generate_scene(SMALL_SCENE_CFG)
         _, rows, _ = runner.run_eval(problem, 4, PerturbBounds(1.0, 3.0))
@@ -179,6 +212,21 @@ class TestCli:
         main(["synth", "--config", str(synth_cfg_file), "--out", str(scene)])
         code = main(["localize", "--scene", str(scene), "--init", "5000,0,0"])
         assert code == 4
+
+    def test_singular_system_exits_4(self, scene_path, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise SingularSystemError("Cholesky factorization failed (lambda=0.0)")
+
+        monkeypatch.setattr(runner, "refine_pose", singular)
+        code = main(["localize", "--scene", str(scene_path), "--init", "0,0,0"])
+        assert code == 4
+        assert "singular system" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("init", ["nan,0,0", "0,inf,0"])
+    def test_non_finite_init_exits_2(self, scene_path, init, capsys):
+        code = main(["localize", "--scene", str(scene_path), "--init", init])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_bad_config_exits_2(self, tmp_path, synth_cfg_file, capsys):
         cfg = tmp_path / "cfg.json"

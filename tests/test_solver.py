@@ -290,6 +290,34 @@ class TestRefinePose:
         json.dumps(report.to_dict())
 
 
+# (iteration budget per level, perturbation seed, final lateral m,
+# longitudinal m, yaw rad, total iterations) of refine_pose on small_scene
+# from PerturbBounds(5, 15), recorded before the matmul Jacobian stacking,
+# the per-problem ground lookups and the flat corner gather. The budget-2
+# runs stop mid-trajectory, so they pin the iterates, not only the optimum.
+_GOLDEN_SOLVES = [
+    (20, 900, -2.2122275260431566e-09, 7.909597898822591e-10, 1.7912133624583375e-10, 7),
+    (20, 901, 7.024186963444024e-09, 3.889239269178068e-10, -8.137898506594829e-10, 6),
+    (20, 902, 1.5334714083247102e-10, 7.140891023529033e-10, -7.512967008620422e-11, 6),
+    (2, 900, -0.00044343287041083077, 4.031749384111969e-05, 4.741155043804044e-05, 6),
+    (2, 901, 0.00015536947714310076, -7.069129905598285e-06, -1.6764806669326118e-05, 5),
+    (2, 903, -0.0003032686152101211, 1.798562251741238e-05, 3.278170399598423e-05, 5),
+]
+
+
+class TestGoldenSolves:
+    @pytest.mark.parametrize("budget,seed,lat,lon,yaw,iters", _GOLDEN_SOLVES)
+    def test_matches_recorded_solve(self, small_scene, budget, seed, lat, lon, yaw,
+                                    iters):
+        init = sample_initial_pose(small_scene.gt_pose, PerturbBounds(5.0, 15.0), seed)
+        report = refine_pose(small_scene, init, LMConfig(max_iters_per_level=budget))
+        assert report.iterations_total == iters
+        pose = report.final_pose
+        assert abs(pose.lateral - lat) <= 1e-9
+        assert abs(pose.longitudinal - lon) <= 1e-9
+        assert abs(pose.yaw - yaw) <= 1e-9
+
+
 class TestGaugeConsistency:
     """Shifting the periodic satellite field and all poses east by the same
     amount is an exact symmetry of the cost landscape. LM iterates are only
