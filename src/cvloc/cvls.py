@@ -64,11 +64,7 @@ def _metadata(problem: AlignmentProblem) -> dict:
             "height_m": ctx.height,
             "cam_to_gps": [float(x) for x in cam.reshape(-1)],
         },
-        "gt_pose": {
-            "lateral_m": problem.gt_pose.lateral,
-            "longitudinal_m": problem.gt_pose.longitudinal,
-            "yaw_deg": math.degrees(problem.gt_pose.yaw),
-        },
+        "gt_pose": problem.gt_pose.to_dict(),
         "levels": {
             "satellite": _level_table(problem.sat_pyramid),
             "ground": _level_table(problem.grd_pyramid),

@@ -152,26 +152,35 @@ def normalize_features(fmap: FeatureMap) -> FeatureMap:
 
 
 def bilinear_weights(shape_hw: tuple[int, int], uv: np.ndarray):
-    """Corner indices and interpolation weights for bilinear lookup.
+    """Flat corner indices and interpolation weights for bilinear lookup.
 
-    Returns (v0, u0, v1, u1, w00, w01, w10, w11) with w00 at (v0, u0) and
-    w01 at (v0, u1). Coordinates are clamped so indices stay legal; use the
-    in-bounds mask from :func:`bilinear_lookup_many` to reject outsiders.
+    Returns (idx, weights, fu, fv, in_bounds):
+        idx: (4, N) row indices into the map flattened to (h*w, ...), corners
+            in the order (v0, u0), (v0, u1), (v1, u0), (v1, u1).
+        weights: (4, N) interpolation weights of those corners.
+        fu, fv: (N,) fractional offsets of uv inside its cell.
+        in_bounds: (N,) True where uv lies in [0, w-1] x [0, h-1].
+
+    Coordinates are clamped so indices stay legal; callers zero the rows
+    outside ``in_bounds``.
     """
     h, w = shape_hw
-    u = np.clip(uv[:, 0], 0.0, w - 1.0)
-    v = np.clip(uv[:, 1], 0.0, h - 1.0)
+    uv = np.asarray(uv, dtype=np.float64)
+    u, v = uv[:, 0], uv[:, 1]
+    in_bounds = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+    u = np.clip(u, 0.0, w - 1.0)
+    v = np.clip(v, 0.0, h - 1.0)
     u0 = np.minimum(np.floor(u), max(w - 2, 0)).astype(np.intp)
     v0 = np.minimum(np.floor(v), max(h - 2, 0)).astype(np.intp)
     u1 = np.minimum(u0 + 1, w - 1)
-    v1 = np.minimum(v0 + 1, h - 1)
+    row0 = v0 * w
+    row1 = np.minimum(v0 + 1, h - 1) * w
+    idx = np.stack([row0 + u0, row0 + u1, row1 + u0, row1 + u1])
     fu = u - u0
     fv = v - v0
     w11 = fu * fv
-    w10 = fv - w11
-    w01 = fu - w11
-    w00 = 1.0 - fu - fv + w11
-    return v0, u0, v1, u1, w00, w01, w10, w11
+    weights = np.stack([1.0 - fu - fv + w11, fu - w11, fv - w11, w11])
+    return idx, weights, fu, fv, in_bounds
 
 
 def bilinear_lookup_many(data: np.ndarray, uv: np.ndarray):
@@ -186,26 +195,15 @@ def bilinear_lookup_many(data: np.ndarray, uv: np.ndarray):
         grads: (N, c, 2) d(value)/d(u, v), zero where out of bounds.
         in_bounds: (N,) True where uv lies in [0, w-1] x [0, h-1].
     """
-    h, w, _ = data.shape
-    uv = np.asarray(uv, dtype=np.float64)
-    u, v = uv[:, 0], uv[:, 1]
-    in_bounds = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
+    h, w, c = data.shape
+    idx, wts, fu, fv, in_bounds = bilinear_weights((h, w), uv)
+    # (4, N, c): all four corners in one gather by flat row index.
+    f00, f01, f10, f11 = np.take(data.reshape(h * w, c), idx, axis=0).astype(np.float64)
 
-    v0, u0, v1, u1, w00, w01, w10, w11 = bilinear_weights((h, w), uv)
-    # Corners are gathered by flat row index, which is faster than data[v, u].
-    flat = data.reshape(h * w, data.shape[2])
-    row0, row1 = v0 * w, v1 * w
-    f00 = flat[row0 + u0].astype(np.float64)
-    f01 = flat[row0 + u1].astype(np.float64)
-    f10 = flat[row1 + u0].astype(np.float64)
-    f11 = flat[row1 + u1].astype(np.float64)
+    values = (wts[0][:, None] * f00 + wts[1][:, None] * f01
+              + wts[2][:, None] * f10 + wts[3][:, None] * f11)
 
-    values = (w00[:, None] * f00 + w01[:, None] * f01
-              + w10[:, None] * f10 + w11[:, None] * f11)
-
-    fu = np.clip(u, 0.0, w - 1.0) - u0
-    fv = np.clip(v, 0.0, h - 1.0) - v0
-    grads = np.empty((uv.shape[0], data.shape[2], 2))
+    grads = np.empty((idx.shape[1], c, 2))
     grads[:, :, 0] = (1.0 - fv)[:, None] * (f01 - f00) + fv[:, None] * (f11 - f10)
     grads[:, :, 1] = (1.0 - fu)[:, None] * (f10 - f00) + fu[:, None] * (f11 - f01)
 
@@ -221,18 +219,8 @@ def attention_lookup_many(amap: AttentionMap, uv: np.ndarray):
     Same arithmetic as ``bilinear_lookup_many`` on a one-channel map, without
     the gradients.
     """
-    data = amap.data
-    h, w = data.shape
-    uv = np.asarray(uv, dtype=np.float64)
-    u, v = uv[:, 0], uv[:, 1]
-    in_bounds = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
-
-    v0, u0, v1, u1, w00, w01, w10, w11 = bilinear_weights((h, w), uv)
-    flat = data.reshape(-1)
-    row0, row1 = v0 * w, v1 * w
-    values = (w00 * flat[row0 + u0].astype(np.float64)
-              + w01 * flat[row0 + u1].astype(np.float64)
-              + w10 * flat[row1 + u0].astype(np.float64)
-              + w11 * flat[row1 + u1].astype(np.float64))
+    idx, wts, _, _, in_bounds = bilinear_weights(amap.data.shape, uv)
+    f00, f01, f10, f11 = np.take(amap.data.reshape(-1), idx).astype(np.float64)
+    values = wts[0] * f00 + wts[1] * f01 + wts[2] * f10 + wts[3] * f11
     values[~in_bounds] = 0.0
     return values, in_bounds

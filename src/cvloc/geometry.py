@@ -194,8 +194,10 @@ class Pose3:
         d = np.asarray(delta, dtype=np.float64)
         return Pose3(self.lateral + d[0], self.longitudinal + d[1], self.yaw + d[2])
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.lateral, self.longitudinal, self.yaw])
+    def to_dict(self) -> dict:
+        """JSON form used by run records and scene files; yaw in degrees."""
+        return {"lateral_m": self.lateral, "longitudinal_m": self.longitudinal,
+                "yaw_deg": math.degrees(self.yaw)}
 
 
 @dataclass(frozen=True)

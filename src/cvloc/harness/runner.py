@@ -17,7 +17,8 @@ from ..cvls import MAGIC, load_scene
 from ..errors import ConfigError, DegenerateProblemError, SingularSystemError
 from ..geometry import Pose3
 from ..losses import LossConfig, total_loss
-from ..metrics import MetricsSummary, PoseError, pose_error, summarize
+from ..metrics import (SHIFT_THRESHOLDS_M, YAW_THRESHOLDS_DEG, MetricsSummary, PoseError,
+                       pose_error, summarize)
 from ..problem import AlignmentProblem
 from ..solver import LMConfig, RobustCost, refine_pose
 from ..synth import PerturbBounds, SynthConfig, generate_scene, sample_initial_pose
@@ -33,11 +34,9 @@ _TRIAL_CSV_COLUMNS = [
 _SWEEP_CSV_COLUMNS = [
     "max_shift_m", "max_yaw_deg",
     "median_lateral_m", "median_longitudinal_m", "median_yaw_deg",
-    "recall_lateral_0.25m", "recall_lateral_0.5m", "recall_lateral_1m",
-    "recall_lateral_2m",
-    "recall_longitudinal_0.25m", "recall_longitudinal_0.5m",
-    "recall_longitudinal_1m", "recall_longitudinal_2m",
-    "recall_yaw_1deg", "recall_yaw_2deg", "recall_yaw_4deg",
+    *[f"recall_lateral_{t:g}m" for t in SHIFT_THRESHOLDS_M],
+    *[f"recall_longitudinal_{t:g}m" for t in SHIFT_THRESHOLDS_M],
+    *[f"recall_yaw_{t:g}deg" for t in YAW_THRESHOLDS_DEG],
     "trials", "failures",
 ]
 
@@ -191,11 +190,6 @@ def parse_init_pose(text: str) -> Pose3:
     return Pose3(lat, lon, math.radians(yaw_deg))
 
 
-def _pose_json(pose: Pose3) -> dict:
-    return {"lateral_m": pose.lateral, "longitudinal_m": pose.longitudinal,
-            "yaw_deg": math.degrees(pose.yaw)}
-
-
 def run_localize(scene_path, init_pose: Pose3 | None = None,
                  perturb_seed: int | None = None,
                  bounds: PerturbBounds | None = None,
@@ -222,9 +216,9 @@ def run_localize(scene_path, init_pose: Pose3 | None = None,
                                problem.gt_pose, config.cost, config.loss)
     return {
         "scene": str(scene_path),
-        "init_pose": _pose_json(init_pose),
-        "gt_pose": _pose_json(problem.gt_pose),
-        "final_pose": _pose_json(report.final_pose),
+        "init_pose": init_pose.to_dict(),
+        "gt_pose": problem.gt_pose.to_dict(),
+        "final_pose": report.final_pose.to_dict(),
         "error": {"lateral_m": err.lateral_err, "longitudinal_m": err.longitudinal_err,
                   "yaw_deg": err.yaw_err_deg},
         "converged": report.converged,
@@ -378,8 +372,8 @@ def write_sweep_csv(path, sweep_rows) -> None:
             writer.writerow([
                 row.bounds.max_shift, row.bounds.max_yaw_deg,
                 s.median_lateral, s.median_longitudinal, s.median_yaw_deg,
-                *[s.recall_lateral[t] for t in (0.25, 0.5, 1.0, 2.0)],
-                *[s.recall_longitudinal[t] for t in (0.25, 0.5, 1.0, 2.0)],
-                *[s.recall_yaw[t] for t in (1.0, 2.0, 4.0)],
+                *[s.recall_lateral[t] for t in SHIFT_THRESHOLDS_M],
+                *[s.recall_longitudinal[t] for t in SHIFT_THRESHOLDS_M],
+                *[s.recall_yaw[t] for t in YAW_THRESHOLDS_DEG],
                 row.trials, row.failures,
             ])

@@ -106,18 +106,14 @@ class PoseEvaluation:
     """Sparse alignment at one pose and level, plus solver-side extras."""
 
     alignment: SparseAlignment
-    uv_sat: np.ndarray      # (N, 2)
-    sat_grads: np.ndarray | None  # (N, c, 2) when requested
+    sat_grads: np.ndarray  # (N, c, 2) satellite feature gradients, zero where masked
 
 
 def evaluate_pose(problem: AlignmentProblem, pose: Pose3, level: int = 0,
-                  ground: GroundLevelData | None = None,
-                  want_grads: bool = False) -> PoseEvaluation:
-    """Residuals and weights of the sparse alignment at ``pose``.
+                  ground: GroundLevelData | None = None) -> PoseEvaluation:
+    """Residuals, weights and satellite gradients of the alignment at ``pose``.
 
-    ``ground`` may carry precomputed ground-view lookups for the level;
-    ``want_grads`` additionally returns the satellite feature gradients at
-    the projected pixels for Jacobian assembly.
+    ``ground`` may carry precomputed ground-view lookups for the level.
     """
     if ground is None:
         ground = ground_level_data(problem, level)
@@ -130,13 +126,12 @@ def evaluate_pose(problem: AlignmentProblem, pose: Pose3, level: int = 0,
     att_sat, _ = attention_lookup_many(a_sat, uv_sat)
 
     valid = ground.valid & inb_sat
+    masked = ~valid
     residuals = vals_sat - ground.features
-    residuals[~valid] = 0.0
+    residuals[masked] = 0.0
     weights = att_sat * ground.attention
-    weights[~valid] = 0.0
-    if want_grads:
-        grads_sat[~valid] = 0.0
+    weights[masked] = 0.0
+    grads_sat[masked] = 0.0
 
     alignment = SparseAlignment(residuals=residuals, weights=weights, valid_mask=valid)
-    return PoseEvaluation(alignment=alignment, uv_sat=uv_sat,
-                          sat_grads=grads_sat if want_grads else None)
+    return PoseEvaluation(alignment=alignment, sat_grads=grads_sat)

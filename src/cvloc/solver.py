@@ -12,9 +12,11 @@ Hot path per level: the ground-view lookups come once per problem from
 ``ground_level_data``'s cache, since the pose never moves ground pixels.
 Each evaluated pose costs one feature lookup with gradients and one
 attention lookup without them, both gathering the four bilinear corners
-by flat row index. After an accepted step the Jacobian is restacked by
-one batched ``np.matmul`` of the (N, c, 2) satellite gradients with the
-(N, 2, 3) projection Jacobians, and ``lm_step`` solves the 3x3 system.
+by flat row index. After an accepted step the Jacobian is rebuilt as
+per-point (N, c, 3) blocks by one batched ``np.matmul`` of the (N, c, 2)
+satellite gradients with the (N, 2, 3) projection Jacobians. Weights are
+per point, one w_i * rho'(||r_i||^2) for all c rows of point i with no row
+broadcast, and ``lm_step`` solves the 3x3 system from the blocks.
 ``build_jacobian`` and ``lm_step`` run this same code for the numeric
 self-checks.
 """
@@ -134,7 +136,7 @@ class IterationRecord:
 
     def to_dict(self) -> dict:
         return {
-            "pose": _pose_dict(self.pose),
+            "pose": self.pose.to_dict(),
             "cost": self.cost,
             "candidate_cost": self.candidate_cost,
             "lambda": self.lam,
@@ -168,27 +170,19 @@ class OptimReport:
 
     def to_dict(self) -> dict:
         return {
-            "final_pose": _pose_dict(self.final_pose),
+            "final_pose": self.final_pose.to_dict(),
             "converged": self.converged,
             "iterations_total": self.iterations_total,
             "levels": [lv.to_dict() for lv in self.levels],
         }
 
 
-def _pose_dict(pose: Pose3) -> dict:
-    return {
-        "lateral_m": pose.lateral,
-        "longitudinal_m": pose.longitudinal,
-        "yaw_deg": math.degrees(pose.yaw),
-    }
-
-
 def build_weight_matrix(weights: np.ndarray, residuals: np.ndarray,
                         cost: RobustCost) -> np.ndarray:
-    """Per-point diagonal entries w_i * rho'(||r_i||^2).
+    """Per-point weights w_i * rho'(||r_i||^2), shape (N,).
 
-    The caller broadcasts each entry across that point's channel rows when
-    assembling the stacked system. Masked points (weight 0) stay 0.
+    One entry weights all of that point's residual rows in ``lm_step``; it
+    is not repeated per row. Masked points (weight 0) stay 0.
     """
     weights = np.asarray(weights, dtype=np.float64)
     residuals = np.asarray(residuals, dtype=np.float64)
@@ -204,9 +198,11 @@ def weighted_cost(weights: np.ndarray, residuals: np.ndarray, cost: RobustCost) 
     return float(np.sum(np.asarray(weights) * rho))
 
 
-def _stack_jacobian(sat_grads: np.ndarray, proj_jac: np.ndarray) -> np.ndarray:
-    # (N,c,2) @ (N,2,3) -> (N,c,3), flattened to (N*c, 3)
-    return np.matmul(sat_grads, proj_jac).reshape(-1, 3)
+def _jacobian_blocks(problem: AlignmentProblem, pose: Pose3, georef,
+                     sat_grads: np.ndarray) -> np.ndarray:
+    # (N,c,2) satellite gradients @ (N,2,3) projection Jacobians -> (N,c,3)
+    proj_jac = d_satproj_d_pose_many(problem.points, pose, problem.ctx, georef)
+    return np.matmul(sat_grads, proj_jac)
 
 
 def build_jacobian(problem: AlignmentProblem, pose: Pose3, level: int = 0,
@@ -216,13 +212,12 @@ def build_jacobian(problem: AlignmentProblem, pose: Pose3, level: int = 0,
     Each point's c rows chain the satellite bilinear gradient with the
     projection Jacobian; masked points contribute zero blocks.
     """
-    ev = evaluate_pose(problem, pose, level=level, ground=ground, want_grads=True)
+    ev = evaluate_pose(problem, pose, level=level, ground=ground)
     _, _, georef = problem.satellite_level(level)
-    proj_jac = d_satproj_d_pose_many(problem.points, pose, problem.ctx, georef)
-    return _stack_jacobian(ev.sat_grads, proj_jac)
+    return _jacobian_blocks(problem, pose, georef, ev.sat_grads).reshape(-1, 3)
 
 
-def lm_step(jacobian: np.ndarray, w_diag: np.ndarray, residual_stack: np.ndarray,
+def lm_step(jacobian: np.ndarray, weights: np.ndarray, residuals: np.ndarray,
             lam: float) -> np.ndarray:
     """Solve one damped normal-equation step.
 
@@ -230,18 +225,21 @@ def lm_step(jacobian: np.ndarray, w_diag: np.ndarray, residual_stack: np.ndarray
     Cholesky factorization. Diagonal entries of H are floored at
     ``DIAG_FLOOR`` before damping so any lam > 0 yields a solvable system.
 
+    W holds one weight per point: ``weights[i]`` applies to all k residual
+    rows of point i, with no row broadcast by the caller. A plain (rows, 3)
+    system is the case k = 1.
+
     Args:
-        jacobian: (rows, 3).
-        w_diag: (rows,) non-negative weights.
-        residual_stack: (rows,) stacked residual vector.
+        jacobian: (n, k, 3) per-point blocks, or (n, 3) when k = 1.
+        weights: (n,) non-negative per-point weights.
+        residuals: (n, k), or (n,) when k = 1.
         lam: damping factor >= 0.
     """
-    jacobian = np.asarray(jacobian, dtype=np.float64)
-    w_diag = np.asarray(w_diag, dtype=np.float64)
-    residual_stack = np.asarray(residual_stack, dtype=np.float64).reshape(-1)
-    jw = jacobian * w_diag[:, None]
-    hess = jacobian.T @ jw
-    grad = jw.T @ residual_stack
+    weights = np.asarray(weights, dtype=np.float64)
+    blocks = np.asarray(jacobian, dtype=np.float64).reshape(weights.shape[0], -1, 3)
+    jw = (blocks * weights[:, None, None]).reshape(-1, 3)
+    hess = blocks.reshape(-1, 3).T @ jw
+    grad = jw.T @ np.asarray(residuals, dtype=np.float64).reshape(-1)
     damped = hess + lam * np.diag(np.maximum(np.diag(hess), DIAG_FLOOR))
     try:
         factor = cho_factor(damped, lower=True)
@@ -274,7 +272,7 @@ def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = N
         records = []
         stopped_by_tol = False
 
-        ev = evaluate_pose(problem, pose, level=level, ground=ground, want_grads=True)
+        ev = evaluate_pose(problem, pose, level=level, ground=ground)
         if not np.any(ev.alignment.valid_mask):
             raise _degenerate(level, pose, level_traces, records, total_iters)
         current_cost = weighted_cost(ev.alignment.weights, ev.alignment.residuals, cost)
@@ -283,19 +281,13 @@ def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = N
         for _ in range(cfg.max_iters_per_level):
             total_iters += 1
             if jac is None:
-                proj_jac = d_satproj_d_pose_many(problem.points, pose, problem.ctx,
-                                                 georef)
-                jac = _stack_jacobian(ev.sat_grads, proj_jac)
-                n_chan = ev.alignment.residuals.shape[1]
-                w_rows = np.repeat(
-                    build_weight_matrix(ev.alignment.weights, ev.alignment.residuals,
-                                        cost), n_chan)
-                r_stack = ev.alignment.residuals.reshape(-1)
-            delta = lm_step(jac, w_rows, r_stack, lam)
+                jac = _jacobian_blocks(problem, pose, georef, ev.sat_grads)
+                w_points = build_weight_matrix(ev.alignment.weights,
+                                               ev.alignment.residuals, cost)
+            delta = lm_step(jac, w_points, ev.alignment.residuals, lam)
 
             candidate = pose.with_delta(delta)
-            ev_cand = evaluate_pose(problem, candidate, level=level, ground=ground,
-                                    want_grads=True)
+            ev_cand = evaluate_pose(problem, candidate, level=level, ground=ground)
             if not np.any(ev_cand.alignment.valid_mask):
                 raise _degenerate(level, pose, level_traces, records, total_iters)
             cand_cost = weighted_cost(ev_cand.alignment.weights,

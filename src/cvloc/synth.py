@@ -59,6 +59,16 @@ class SynthConfig:
             raise DomainError(f"unknown attention mode {self.attention_mode!r}")
         if self.feature_smoothness <= 0:
             raise DomainError("feature_smoothness must be > 0")
+        self._geometry()  # an unreachable gamma or a bad camera fails here
+
+    def _geometry(self) -> tuple[SatelliteGeoref, CameraIntrinsics]:
+        """Satellite georeference and ground camera of the generated scene."""
+        georef = SatelliteGeoref.from_gamma((self.sat_size - 1) / 2.0, self.gamma)
+        intrinsics = CameraIntrinsics(
+            fx=self.grd_focal, fy=self.grd_focal,
+            cx=(self.grd_width - 1) / 2.0, cy=(self.grd_height - 1) / 2.0,
+            width=self.grd_width, height=self.grd_height)
+        return georef, intrinsics
 
 
 @dataclass(frozen=True)
@@ -101,11 +111,7 @@ def generate_scene(cfg: SynthConfig) -> AlignmentProblem:
     step = 2**(cfg.levels - 1)
     margin = 2 * step
 
-    georef = SatelliteGeoref.from_gamma((cfg.sat_size - 1) / 2.0, cfg.gamma)
-    intrinsics = CameraIntrinsics(
-        fx=cfg.grd_focal, fy=cfg.grd_focal,
-        cx=(cfg.grd_width - 1) / 2.0, cy=(cfg.grd_height - 1) / 2.0,
-        width=cfg.grd_width, height=cfg.grd_height)
+    georef, intrinsics = cfg._geometry()
     ctx = PoseContext(roll=0.0, pitch=0.0, height=cfg.cam_height_m)
 
     # Ground pixels on the coarsest level's texel grid, so every pyramid
@@ -205,19 +211,17 @@ def _splat_ground_map(base: np.ndarray, uv: np.ndarray, targets: np.ndarray,
 
     # The solver looks up at the float32-quantized projection, a hair off
     # the integer texel; solve the dominant corner exactly for that spot.
-    v0, u0, v1, u1, w00, w01, w10, w11 = bilinear_weights((gh, gw), uv)
-    weights = np.stack([w00, w01, w10, w11], axis=1)
-    corners_v = np.stack([v0, v0, v1, v1], axis=1)
-    corners_u = np.stack([u0, u1, u0, u1], axis=1)
-    dom = np.argmax(weights, axis=1)
+    idx, weights, _, _, _ = bilinear_weights((gh, gw), uv)
+    flat = out.reshape(gh * gw, -1)  # a view: writes land in out
+    dom = np.argmax(weights, axis=0)
     rows = np.arange(uv.shape[0])
 
-    corner_vals = out[corners_v, corners_u]          # (N, 4, c)
-    contrib = np.einsum("nk,nkc->nc", weights, corner_vals)
-    dom_w = weights[rows, dom]
-    dom_vals = corner_vals[rows, dom]
+    corner_vals = np.take(flat, idx, axis=0)         # (4, N, c)
+    contrib = np.einsum("kn,knc->nc", weights, corner_vals)
+    dom_w = weights[dom, rows]
+    dom_vals = corner_vals[dom, rows]
     solved = dom_vals + (targets - contrib) / dom_w[:, None]
-    out[corners_v[rows, dom], corners_u[rows, dom]] = solved
+    flat[idx[dom, rows]] = solved
     return out
 
 

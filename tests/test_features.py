@@ -5,7 +5,7 @@ import pytest
 from cvloc.errors import ContractError, DomainError
 from cvloc.features import (AttentionMap, FeatureMap, FeaturePyramid,
                             attention_lookup_many, bilinear_lookup_many,
-                            bilinear_weights, normalize_features)
+                            normalize_features)
 from cvloc.geometry import PointSet, Pose3
 from cvloc.problem import evaluate_pose
 
@@ -124,19 +124,27 @@ class TestBilinearLookup:
 
 
 def _lookup_2d_reference(data, uv):
-    """Bilinear lookup by 2-D fancy indexing at each corner, same arithmetic."""
+    """Bilinear lookup by 2-D fancy indexing at each corner, same arithmetic.
+
+    Builds its own clamped corners and weights rather than calling the
+    library's ``bilinear_weights``, which is part of the code under test.
+    """
     h, w, _ = data.shape
     u, v = uv[:, 0], uv[:, 1]
     in_bounds = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
-    v0, u0, v1, u1, w00, w01, w10, w11 = bilinear_weights((h, w), uv)
+    u, v = np.clip(u, 0.0, w - 1.0), np.clip(v, 0.0, h - 1.0)
+    u0 = np.minimum(np.floor(u), max(w - 2, 0)).astype(np.intp)
+    v0 = np.minimum(np.floor(v), max(h - 2, 0)).astype(np.intp)
+    u1, v1 = np.minimum(u0 + 1, w - 1), np.minimum(v0 + 1, h - 1)
+    fu, fv = u - u0, v - v0
+    w11 = fu * fv
+    w00, w01, w10 = 1.0 - fu - fv + w11, fu - w11, fv - w11
     f00 = data[v0, u0].astype(np.float64)
     f01 = data[v0, u1].astype(np.float64)
     f10 = data[v1, u0].astype(np.float64)
     f11 = data[v1, u1].astype(np.float64)
     values = (w00[:, None] * f00 + w01[:, None] * f01
               + w10[:, None] * f10 + w11[:, None] * f11)
-    fu = np.clip(u, 0.0, w - 1.0) - u0
-    fv = np.clip(v, 0.0, h - 1.0) - v0
     grads = np.empty((uv.shape[0], data.shape[2], 2))
     grads[:, :, 0] = (1.0 - fv)[:, None] * (f01 - f00) + fv[:, None] * (f11 - f10)
     grads[:, :, 1] = (1.0 - fu)[:, None] * (f10 - f00) + fu[:, None] * (f11 - f01)

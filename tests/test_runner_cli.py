@@ -2,10 +2,11 @@
 
 import json
 import math
+import struct
 
 import pytest
 
-from cvloc.cvls import load_scene, save_scene
+from cvloc.cvls import MAGIC, VERSION, load_scene, save_scene
 from cvloc.errors import ConfigError, SingularSystemError
 from cvloc.geometry import Pose3
 from cvloc.harness import runner
@@ -206,6 +207,40 @@ class TestCli:
         bad = tmp_path / "bad.cvls"
         bad.write_bytes(b"JUNKJUNKJUNK")
         assert main(["localize", "--scene", str(bad), "--init", "0,0,0"]) == 3
+
+    def test_localize_dropped_ground_level_exits_3(self, scene_path, tmp_path, capsys):
+        # The ground level table and payload lose the coarsest level, so the
+        # file parses but its two pyramids disagree on the level count.
+        blob = scene_path.read_bytes()
+        header = struct.calcsize("<4sHI")
+        _, _, meta_len = struct.unpack_from("<4sHI", blob)
+        meta = json.loads(blob[header:header + meta_len])
+        dropped = meta["levels"]["ground"].pop()
+        level_bytes = 4 * dropped["h"] * dropped["w"] * (dropped["c"] + 1)
+        points_at = len(blob) - 12 * meta["point_count"]
+        new_meta = json.dumps(meta, separators=(",", ":")).encode()
+        bad = tmp_path / "dropped.cvls"
+        bad.write_bytes(struct.pack("<4sHI", MAGIC, VERSION, len(new_meta)) + new_meta
+                        + blob[header + meta_len:points_at - level_bytes]
+                        + blob[points_at:])
+        code = main(["localize", "--scene", str(bad), "--init", "0,0,0"])
+        assert code == 3
+        assert "level counts differ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synth", "eval"])
+    @pytest.mark.parametrize("synth", [{"gamma": 100000.0}, {"grd_focal": -5},
+                                       {"grd_width": 0}],
+                             ids=["gamma", "focal", "width"])
+    def test_unbuildable_synth_geometry_exits_2(self, tmp_path, command, synth, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": synth}))
+        if command == "synth":
+            argv = ["synth", "--config", str(cfg), "--out", str(tmp_path / "s.cvls")]
+        else:
+            argv = ["eval", "--scene", str(cfg), "--trials", "1",
+                    "--out-dir", str(tmp_path / "eval")]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_degenerate_init_exits_4(self, tmp_path, synth_cfg_file, capsys):
         scene = tmp_path / "scene.cvls"

@@ -122,6 +122,20 @@ class TestLMStep:
         assert err.value.hessian is not None
         assert err.value.hessian.shape == (3, 3)
 
+    def test_per_point_blocks_equal_repeated_row_weights(self):
+        # (n, k, 3) blocks with one weight per point are the stacked
+        # (n*k, 3) system with each weight repeated over its k rows.
+        rng = np.random.default_rng(4)
+        n, k = 40, 8
+        jac = rng.standard_normal((n, k, 3))
+        w = rng.uniform(0.0, 2.0, n)
+        w[::7] = 0.0
+        res = rng.standard_normal((n, k))
+        for lam in (0.0, 1e-3, 10.0):
+            blocks = lm_step(jac, w, res, lam)
+            rows = lm_step(jac.reshape(-1, 3), np.repeat(w, k), res.reshape(-1), lam)
+            assert np.array_equal(blocks, rows)
+
     def test_floor_rescues_damped_zero_columns(self):
         jac = np.zeros((6, 3))
         jac[:, 0] = 1.0
