@@ -166,61 +166,81 @@ def bilinear_weights(shape_hw: tuple[int, int], uv: np.ndarray):
     """
     h, w = shape_hw
     uv = np.asarray(uv, dtype=np.float64)
-    u, v = uv[:, 0], uv[:, 1]
-    in_bounds = (u >= 0) & (u <= w - 1) & (v >= 0) & (v <= h - 1)
-    u = np.clip(u, 0.0, w - 1.0)
-    v = np.clip(v, 0.0, h - 1.0)
-    u0 = np.minimum(np.floor(u), max(w - 2, 0)).astype(np.intp)
-    v0 = np.minimum(np.floor(v), max(h - 2, 0)).astype(np.intp)
-    u1 = np.minimum(u0 + 1, w - 1)
-    row0 = v0 * w
-    row1 = np.minimum(v0 + 1, h - 1) * w
-    idx = np.stack([row0 + u0, row0 + u1, row1 + u0, row1 + u1])
+    u = np.clip(uv[:, 0], 0.0, w - 1.0)
+    v = np.clip(uv[:, 1], 0.0, h - 1.0)
+    # Clamping moves exactly the coordinates outside the map.
+    in_bounds = (u == uv[:, 0]) & (v == uv[:, 1])
+    # The cell's corner as whole floats, so fu and fv need no int cast.
+    u0 = np.minimum(np.floor(u), max(w - 2, 0))
+    v0 = np.minimum(np.floor(v), max(h - 2, 0))
     fu = u - u0
     fv = v - v0
+    col0 = u0.astype(np.intp)
+    col1 = np.minimum(col0 + 1, w - 1)
+    row0 = v0.astype(np.intp) * w
+    row1 = np.minimum(row0 + w, (h - 1) * w)
+    idx = np.stack([row0 + col0, row0 + col1, row1 + col0, row1 + col1])
     w11 = fu * fv
     weights = np.stack([1.0 - fu - fv + w11, fu - w11, fv - w11, w11])
     return idx, weights, fu, fv, in_bounds
 
 
-def bilinear_lookup_many(data: np.ndarray, uv: np.ndarray):
+def bilinear_lookup_many(data: np.ndarray, uv: np.ndarray, corners=None):
     """Vectorized bilinear lookup with analytic spatial gradients.
 
     Args:
         data: (h, w, c) array.
         uv: (N, 2) sub-pixel coordinates.
+        corners: ``bilinear_weights((h, w), uv)``, when the caller already
+            built it for another lookup on a map of the same size; built
+            from ``uv`` when omitted.
 
     Returns:
         values: (N, c) interpolated values, zero where out of bounds.
-        grads: (N, c, 2) d(value)/d(u, v), zero where out of bounds.
+        grads: (N, c, 2) d(value)/d(u, v), zero where out of bounds. It is a
+            transposed view of one (2, N, c) buffer, so each derivative is
+            written as one contiguous (N, c) plane.
         in_bounds: (N,) True where uv lies in [0, w-1] x [0, h-1].
     """
     h, w, c = data.shape
-    idx, wts, fu, fv, in_bounds = bilinear_weights((h, w), uv)
+    if corners is None:
+        corners = bilinear_weights((h, w), uv)
+    idx, wts, fu, fv, in_bounds = corners
     # (4, N, c): all four corners in one gather by flat row index.
-    f00, f01, f10, f11 = np.take(data.reshape(h * w, c), idx, axis=0).astype(np.float64)
+    texels = np.take(data.reshape(h * w, c), idx, axis=0).astype(np.float64)
+    # Each einsum adds its products in k order from +0.0, rounding every
+    # product and every sum as the written-out w0*f00 + w1*f01 + ... does,
+    # but with no temporaries. That holds while numpy's einsum kernels use
+    # no FMA (none in its x86-64-v2 baseline); tests compare the two forms.
+    values = np.einsum("kn,knc->nc", wts, texels)
+    # d/du = (1-fv)*(f01-f00) + fv*(f11-f10), d/dv = (1-fu)*(f10-f00) + fu*(f11-f01)
+    planes = np.empty((2, idx.shape[1], c))
+    np.einsum("kn,knc->nc", (1.0 - fv, fv), texels[1::2] - texels[::2], out=planes[0])
+    np.einsum("kn,knc->nc", (1.0 - fu, fu), texels[2:] - texels[:2], out=planes[1])
+    grads = planes.transpose(1, 2, 0)
 
-    values = (wts[0][:, None] * f00 + wts[1][:, None] * f01
-              + wts[2][:, None] * f10 + wts[3][:, None] * f11)
-
-    grads = np.empty((idx.shape[1], c, 2))
-    grads[:, :, 0] = (1.0 - fv)[:, None] * (f01 - f00) + fv[:, None] * (f11 - f10)
-    grads[:, :, 1] = (1.0 - fu)[:, None] * (f10 - f00) + fu[:, None] * (f11 - f01)
-
-    outside = ~in_bounds
-    values[outside] = 0.0
-    grads[outside] = 0.0
+    if not in_bounds.all():
+        outside = ~in_bounds
+        values[outside] = 0.0
+        grads[outside] = 0.0
     return values, grads, in_bounds
 
 
-def attention_lookup_many(amap: AttentionMap, uv: np.ndarray):
+def attention_lookup_many(amap: AttentionMap, uv: np.ndarray, corners=None):
     """Bilinear attention values at uv; returns (values (N,), in_bounds (N,)).
 
     Same arithmetic as ``bilinear_lookup_many`` on a one-channel map, without
-    the gradients.
+    the gradients. ``corners`` is as there: the ``bilinear_weights`` of a map
+    of the same size, shared with a feature lookup at the same ``uv``.
     """
-    idx, wts, _, _, in_bounds = bilinear_weights(amap.data.shape, uv)
+    if corners is None:
+        corners = bilinear_weights(amap.data.shape, uv)
+    idx, wts, _, _, in_bounds = corners
     f00, f01, f10, f11 = np.take(amap.data.reshape(-1), idx).astype(np.float64)
-    values = wts[0] * f00 + wts[1] * f01 + wts[2] * f10 + wts[3] * f11
-    values[~in_bounds] = 0.0
+    values = wts[0] * f00
+    values += wts[1] * f01
+    values += wts[2] * f10
+    values += wts[3] * f11
+    if not in_bounds.all():
+        values[~in_bounds] = 0.0
     return values, in_bounds

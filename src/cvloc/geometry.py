@@ -276,8 +276,11 @@ def pose_to_transform(pose: Pose3, ctx: PoseContext) -> RigidTransform:
     """
     rot_body_to_sat = (_rot_z(pose.yaw) @ _BODY_TO_SAT
                        @ _rot_x(ctx.pitch) @ _rot_z(ctx.roll))
-    gps_to_sat = RigidTransform(rot_body_to_sat, pose_translation(pose, ctx.height))
-    return gps_to_sat.compose(ctx.cam_to_gps)
+    # The products of RigidTransform.compose, validated once on the result.
+    mount = ctx.cam_to_gps
+    return RigidTransform(rot_body_to_sat @ mount.rotation,
+                          rot_body_to_sat @ mount.translation
+                          + pose_translation(pose, ctx.height))
 
 
 def transform_points(points, transform: RigidTransform) -> np.ndarray:
@@ -331,11 +334,8 @@ def d_satproj_d_pose_many(points_cam, pose: Pose3, ctx: PoseContext,
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     inv_g = 1.0 / georef.gamma
     jac = np.empty((n, 2, 3))
-    jac[:, 0, 0] = c * inv_g
-    jac[:, 0, 1] = s * inv_g
+    jac[:, :, :2] = ((c * inv_g, s * inv_g), (s * inv_g, -c * inv_g))
     jac[:, 0, 2] = -y * inv_g
-    jac[:, 1, 0] = s * inv_g
-    jac[:, 1, 1] = -c * inv_g
     jac[:, 1, 2] = x * inv_g
     return jac
 

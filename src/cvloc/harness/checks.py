@@ -1,8 +1,9 @@
 """User-runnable numeric self-checks.
 
 Each check compares an analytic quantity against an independent reference
-(central finite differences or a dense least-squares solve) and reports
-the worst observed error against a fixed tolerance.
+(central finite differences, a dense least-squares solve, or lookups that
+build their own bilinear corners) and reports the worst observed error
+against a fixed tolerance.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..features import bilinear_lookup_many
+from ..features import (AttentionMap, attention_lookup_many, bilinear_lookup_many,
+                        bilinear_weights)
 from ..geometry import (Pose3, PoseContext, SatelliteGeoref,
                         d_satproj_d_pose_many, pose_to_transform,
                         project_satellite, transform_points)
@@ -232,6 +234,24 @@ def _check_residual_jacobian(rng, scenes=8):
                         detail=f"{scenes} small scenes, interior-cell points")]
 
 
+def _check_shared_corners(rng, n_points=1000):
+    """Lookups on one shared corner build vs lookups that build their own."""
+    shape = (40, 50, 3)
+    data = rng.standard_normal(shape).astype(np.float32)
+    amap = AttentionMap(rng.uniform(0.0, 1.0, shape[:2]).astype(np.float32))
+    # about a third of the coordinates fall outside the map
+    uv = np.stack([rng.uniform(-5.0, 54.0, n_points),
+                   rng.uniform(-4.0, 43.0, n_points)], axis=1)
+    corners = bilinear_weights(shape[:2], uv)
+    pairs = list(zip(bilinear_lookup_many(data, uv, corners), bilinear_lookup_many(data, uv)))
+    pairs += zip(attention_lookup_many(amap, uv, corners), attention_lookup_many(amap, uv))
+    worst = max(float(np.max(np.abs(np.subtract(a, b, dtype=np.float64)))) for a, b in pairs)
+    tol = 0.0
+    outside = int(np.sum(~corners[4]))
+    return [CheckResult(name="shared_corner_lookup", passed=worst <= tol, max_error=worst,
+                        tolerance=tol, detail=f"{n_points} lookups, {outside} outside the map")]
+
+
 def check_numerics(seed: int = 0, projection_jacobian_fn=None) -> NumericsReport:
     """Run the full self-check battery.
 
@@ -245,4 +265,5 @@ def check_numerics(seed: int = 0, projection_jacobian_fn=None) -> NumericsReport
     results += _check_bilinear_gradient(rng)
     results += _check_lm_step(rng)
     results += _check_residual_jacobian(rng)
+    results += _check_shared_corners(rng)
     return NumericsReport(results=tuple(results))

@@ -110,6 +110,17 @@ def _cmd_check_numerics(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+def _seed(text: str) -> int:
+    """argparse type of every seed flag: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvloc",
@@ -120,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True, help="CVLS scene file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--init", help="initial pose 'lat_m,lon_m,yaw_deg'")
-    group.add_argument("--perturb-seed", type=int, dest="perturb_seed",
+    group.add_argument("--perturb-seed", type=_seed, dest="perturb_seed",
                        help="sample the initial pose from the true pose")
     p.add_argument("--max-shift", type=float, default=10.0,
                    help="perturbation shift bound in meters (with --perturb-seed)")
@@ -132,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic scene file")
     p.add_argument("--config", help="JSON config file (synth section)")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=_seed, help="override the config seed")
     p.add_argument("--out", required=True, help="output CVLS path")
     p.set_defaults(func=_cmd_synth)
 
@@ -142,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--max-shift", type=float, default=10.0)
     p.add_argument("--max-yaw", type=float, default=30.0)
-    p.add_argument("--seed", type=int, default=0, help="master seed for trial fan-out")
+    p.add_argument("--seed", type=_seed, default=0, help="master seed for trial fan-out")
     p.add_argument("--workers", type=int, default=None,
                    help="parallel trials (CVL_WORKERS env overrides)")
     p.add_argument("--config", help="JSON config file")
@@ -155,13 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounds", required=True,
                    help="comma list of shift_m:yaw_deg, e.g. '5:15,10:30,20:60'")
     p.add_argument("--trials", type=int, required=True, help="trials per bound")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("check-numerics", help="run the numeric self-check battery")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_check_numerics)
 
     return parser

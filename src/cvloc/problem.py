@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ContractError
 from .features import (AttentionMap, FeatureMap, FeaturePyramid, SparseAlignment,
-                       attention_lookup_many, bilinear_lookup_many)
+                       attention_lookup_many, bilinear_lookup_many, bilinear_weights)
 from .geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
                        SatelliteGeoref, pose_to_transform, project_ground,
                        project_satellite, transform_points)
@@ -122,16 +122,20 @@ def evaluate_pose(problem: AlignmentProblem, pose: Pose3, level: int = 0,
     pts_sat = transform_points(problem.points, pose_to_transform(pose, problem.ctx))
     uv_sat = project_satellite(pts_sat, georef)
 
-    vals_sat, grads_sat, inb_sat = bilinear_lookup_many(f_sat.data, uv_sat)
-    att_sat, _ = attention_lookup_many(a_sat, uv_sat)
+    # One set of corners serves both lookups: the attention map has the
+    # feature map's size at every level.
+    corners = bilinear_weights(f_sat.data.shape[:2], uv_sat)
+    residuals, grads_sat, inb_sat = bilinear_lookup_many(f_sat.data, uv_sat, corners)
+    weights, _ = attention_lookup_many(a_sat, uv_sat, corners)
 
+    residuals -= ground.features
+    weights *= ground.attention
     valid = ground.valid & inb_sat
-    masked = ~valid
-    residuals = vals_sat - ground.features
-    residuals[masked] = 0.0
-    weights = att_sat * ground.attention
-    weights[masked] = 0.0
-    grads_sat[masked] = 0.0
+    if not valid.all():
+        masked = ~valid
+        residuals[masked] = 0.0
+        weights[masked] = 0.0
+        grads_sat[masked] = 0.0
 
     alignment = SparseAlignment(residuals=residuals, weights=weights, valid_mask=valid)
     return PoseEvaluation(alignment=alignment, sat_grads=grads_sat)

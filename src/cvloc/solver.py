@@ -10,15 +10,19 @@ weighted cost decreases; the damping factor adapts multiplicatively.
 
 Hot path per level: the ground-view lookups come once per problem from
 ``ground_level_data``'s cache, since the pose never moves ground pixels.
-Each evaluated pose costs one feature lookup with gradients and one
-attention lookup without them, both gathering the four bilinear corners
-by flat row index. After an accepted step the Jacobian is rebuilt as
-per-point (N, c, 3) blocks by one batched ``np.matmul`` of the (N, c, 2)
-satellite gradients with the (N, 2, 3) projection Jacobians. Weights are
-per point, one w_i * rho'(||r_i||^2) for all c rows of point i with no row
-broadcast, and ``lm_step`` solves the 3x3 system from the blocks.
-``build_jacobian`` and ``lm_step`` run this same code for the numeric
-self-checks.
+Each evaluated pose builds its bilinear corners once, and one feature
+lookup with gradients and one attention lookup without them gather
+through those corners by flat row index. The two gradient components are
+written as contiguous (N, c) planes and read as an (N, c, 2) view; the
+residuals and weights are formed in place, and masked rows are written
+only when some point is masked. A candidate pose's cost evaluates only
+rho, and the weights of an accepted pose only rho'. After an accepted
+step the Jacobian is rebuilt as per-point (N, c, 3) blocks by one batched
+``np.matmul`` of the satellite gradients with the (N, 2, 3) projection
+Jacobians. Weights are per point, one w_i * rho'(||r_i||^2) for all c
+rows of point i with no row broadcast, and ``lm_step`` solves the 3x3
+system from the blocks. ``build_jacobian`` and ``lm_step`` run this same
+code for the numeric self-checks.
 """
 
 from __future__ import annotations
@@ -72,24 +76,44 @@ class RobustCost:
         return cls("geman_mcclure", sigma=sigma)
 
 
-def robust_eval(cost: RobustCost, s):
-    """Evaluate (rho(s), rho'(s)); s may be a scalar or an array."""
+def _squared_norms(s) -> np.ndarray:
     s_arr = np.asarray(s, dtype=np.float64)
     if np.any(s_arr < 0):
         raise ContractError("squared residual norm must be >= 0")
+    return s_arr
+
+
+def _rho(cost: RobustCost, s) -> np.ndarray:
+    """rho(s) alone, for the cost."""
+    s_arr = _squared_norms(s)
     if cost.kind == "squared":
-        rho = s_arr
-        drho = np.ones_like(s_arr)
-    elif cost.kind == "huber":
+        return s_arr
+    if cost.kind == "huber":
         d = cost.delta
         above = s_arr > d
         safe = np.where(above, s_arr, d)
-        rho = np.where(above, 2.0 * np.sqrt(d * safe) - d, s_arr)
-        drho = np.where(above, np.sqrt(d / safe), 1.0)
-    else:  # geman_mcclure
-        sig2 = cost.sigma**2
-        rho = sig2 * s_arr / (sig2 + s_arr)
-        drho = (sig2 / (sig2 + s_arr))**2
+        return np.where(above, 2.0 * np.sqrt(d * safe) - d, s_arr)
+    sig2 = cost.sigma**2  # geman_mcclure
+    return sig2 * s_arr / (sig2 + s_arr)
+
+
+def _drho(cost: RobustCost, s) -> np.ndarray:
+    """rho'(s) alone, for the IRLS weights."""
+    s_arr = _squared_norms(s)
+    if cost.kind == "squared":
+        return np.ones_like(s_arr)
+    if cost.kind == "huber":
+        d = cost.delta
+        above = s_arr > d
+        safe = np.where(above, s_arr, d)
+        return np.where(above, np.sqrt(d / safe), 1.0)
+    sig2 = cost.sigma**2  # geman_mcclure
+    return (sig2 / (sig2 + s_arr))**2
+
+
+def robust_eval(cost: RobustCost, s):
+    """Evaluate (rho(s), rho'(s)); s may be a scalar or an array."""
+    rho, drho = _rho(cost, s), _drho(cost, s)
     if np.isscalar(s):
         return float(rho), float(drho)
     return rho, drho
@@ -188,13 +212,12 @@ def build_weight_matrix(weights: np.ndarray, residuals: np.ndarray,
     residuals = np.asarray(residuals, dtype=np.float64)
     if weights.shape[0] != residuals.shape[0]:
         raise ContractError("weights and residuals disagree on point count")
-    _, drho = robust_eval(cost, np.sum(residuals**2, axis=1))
-    return weights * drho
+    return weights * _drho(cost, np.sum(residuals**2, axis=1))
 
 
 def weighted_cost(weights: np.ndarray, residuals: np.ndarray, cost: RobustCost) -> float:
     """Sum of w_i * rho(||r_i||^2) over all points."""
-    rho, _ = robust_eval(cost, np.sum(np.asarray(residuals)**2, axis=1))
+    rho = _rho(cost, np.sum(np.asarray(residuals)**2, axis=1))
     return float(np.sum(np.asarray(weights) * rho))
 
 

@@ -46,6 +46,8 @@ class SynthConfig:
     cam_height_m: float = -1.65
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.sat_size < 64:
             raise DomainError(f"sat_size must be >= 64, got {self.sat_size}")
         if self.point_count < 10:

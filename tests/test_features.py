@@ -5,7 +5,7 @@ import pytest
 from cvloc.errors import ContractError, DomainError
 from cvloc.features import (AttentionMap, FeatureMap, FeaturePyramid,
                             attention_lookup_many, bilinear_lookup_many,
-                            normalize_features)
+                            bilinear_weights, normalize_features)
 from cvloc.geometry import PointSet, Pose3
 from cvloc.problem import evaluate_pose
 
@@ -190,6 +190,44 @@ class TestFlatGather:
         assert np.array_equal(values, expect[:, 0])
         assert np.array_equal(inb, expect_inb)
         assert values.dtype == np.float64
+
+
+class TestSharedCorners:
+    """Lookups handed one set of corners equal lookups that build their own."""
+
+    @pytest.mark.parametrize("shape", [(13, 17, 4), (1, 9, 3), (9, 1, 3), (1, 1, 2)])
+    def test_passed_corners_change_nothing(self, shape):
+        rng = np.random.default_rng(sum(shape) + 2)
+        data = rng.standard_normal(shape).astype(np.float32)
+        amap = AttentionMap(rng.uniform(0.0, 1.0, shape[:2]).astype(np.float32))
+        uv = _probe_uv(shape[0], shape[1], rng)
+        corners = bilinear_weights(shape[:2], uv)
+
+        shared = bilinear_lookup_many(data, uv, corners)
+        for got, alone, ref in zip(shared, bilinear_lookup_many(data, uv),
+                                   _lookup_2d_reference(data, uv)):
+            assert np.array_equal(got, alone)
+            assert np.array_equal(got, ref)
+        att_shared = attention_lookup_many(amap, uv, corners)
+        for got, alone in zip(att_shared, attention_lookup_many(amap, uv)):
+            assert np.array_equal(got, alone)
+        in_bounds = shared[2]
+        assert in_bounds[:-6].all() and not in_bounds[-6:].any()
+
+    def test_gradient_planes_are_contiguous(self):
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal((13, 17, 4))
+        uv = _probe_uv(13, 17, rng)
+        _, grads, _ = bilinear_lookup_many(data, uv)
+        assert grads.shape == (len(uv), 4, 2)
+        for axis in range(2):
+            assert grads[:, :, axis].flags.c_contiguous
+
+    def test_in_bounds_edges(self):
+        _, _, _, _, inb = bilinear_weights(
+            (4, 5), np.array([[0.0, 0.0], [4.0, 3.0], [-0.0, 3.0], [4.0 + 1e-12, 0.0],
+                              [1.0, np.inf], [2.5, -1e-300]]))
+        assert inb.tolist() == [True, True, True, False, False, False]
 
 
 class TestFeaturePyramid:

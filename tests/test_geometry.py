@@ -234,6 +234,18 @@ class TestPoseToTransform:
             pose_to_transform(pose, PoseContext(height=-1.5)))
         assert np.allclose(direct, chained, atol=1e-12)
 
+    def test_mount_composed_like_rigid_transform_compose(self):
+        # one validated transform from compose's own products, to the bit
+        rng = np.random.default_rng(4)
+        mount = RigidTransform(_random_rotation(rng), rng.uniform(-1, 1, 3))
+        bare = PoseContext(roll=0.02, pitch=-0.05, height=-1.5)
+        mounted = PoseContext(roll=0.02, pitch=-0.05, height=-1.5, cam_to_gps=mount)
+        for pose in (Pose3(1.0, -2.0, 0.3), Pose3(-7.5, 4.25, -2.9)):
+            direct = pose_to_transform(pose, mounted)
+            composed = pose_to_transform(pose, bare).compose(mount)
+            assert np.array_equal(direct.rotation, composed.rotation)
+            assert np.array_equal(direct.translation, composed.translation)
+
 
 class TestProjectionConsistency:
     def test_east_south_shift_moves_pixels_exactly(self):

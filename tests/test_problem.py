@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvloc.features
+import cvloc.problem
 from cvloc.errors import ContractError
 from cvloc.features import attention_lookup_many, bilinear_lookup_many
-from cvloc.geometry import PointSet, Pose3, project_ground
+from cvloc.geometry import (PointSet, Pose3, pose_to_transform, project_ground,
+                            project_satellite, transform_points)
 from cvloc.problem import evaluate_pose, ground_level_data
 
 from conftest import tiny_problem
@@ -68,6 +71,71 @@ class TestEvaluatePose:
         al = _alignment(sat_att=np.full((16, 16), a), grd_att=np.full((17, 17), b),
                         points=_MASKED_POINTS)
         assert np.all((al.weights >= 0.0) & (al.weights <= 1.0))
+
+
+def _unfused_evaluation(problem, pose, level):
+    """evaluate_pose's formulas from two lookups that each build their own
+    corners, with fresh residual and weight arrays and unconditional masking."""
+    f_sat, a_sat, georef = problem.satellite_level(level)
+    ground = ground_level_data(problem, level)
+    uv = project_satellite(
+        transform_points(problem.points, pose_to_transform(pose, problem.ctx)), georef)
+    vals, grads, inb = bilinear_lookup_many(f_sat.data, uv)
+    att, _ = attention_lookup_many(a_sat, uv)
+    valid = ground.valid & inb
+    masked = ~valid
+    residuals = vals - ground.features
+    residuals[masked] = 0.0
+    weights = att * ground.attention
+    weights[masked] = 0.0
+    grads[masked] = 0.0
+    return residuals, weights, valid, grads
+
+
+def _assert_matches_unfused(problem, pose, level=0):
+    ev = evaluate_pose(problem, pose, level)
+    got = (ev.alignment.residuals, ev.alignment.weights, ev.alignment.valid_mask,
+           ev.sat_grads)
+    for g, e in zip(got, _unfused_evaluation(problem, pose, level)):
+        assert np.array_equal(g, e)
+    return ev.alignment.valid_mask
+
+
+class TestFusedEvaluation:
+    """One corner build per pose gives the unfused evaluation to the bit."""
+
+    @staticmethod
+    def _attention_problem(points=None):
+        rng = np.random.default_rng(21)
+        return tiny_problem(points=points, sat_att=rng.uniform(0.2, 1.0, (16, 16)),
+                            grd_att=rng.uniform(0.2, 1.0, (17, 17)))
+
+    def test_all_valid_pose(self):
+        valid = _assert_matches_unfused(self._attention_problem(), Pose3(0.3, -0.2, 0.05))
+        assert valid.all()
+
+    def test_partly_masked_pose(self):
+        valid = _assert_matches_unfused(self._attention_problem(_MASKED_POINTS),
+                                        Pose3(0.3, -0.2, 0.05))
+        assert valid.any() and not valid.all()
+
+    def test_generated_scene_every_level(self, small_scene):
+        for level in range(small_scene.level_count):
+            _assert_matches_unfused(small_scene, Pose3(2.5, -1.5, 0.08), level)
+
+    def test_one_corner_build_per_evaluation(self, small_scene, monkeypatch):
+        ground = ground_level_data(small_scene, 0)  # filled before counting
+        real = cvloc.features.bilinear_weights
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cvloc.features, "bilinear_weights", counting)
+        monkeypatch.setattr(cvloc.problem, "bilinear_weights", counting)
+        evaluate_pose(small_scene, Pose3(1.0, -0.5, 0.05), 0, ground=ground)
+        assert len(calls) == 1
 
 
 class TestAlignmentProblem:

@@ -128,7 +128,31 @@ class TestRunLocalize:
         json.dumps(record)
 
 
+# (final lateral m, final longitudinal m, final yaw deg, iterations) of
+# run_eval on small_scene, 6 trials at 10 m / 30 deg, master seed 5.
+_RECORDED_EVAL = [
+    (-1.8005443298208905e-08, 1.5108428044710872e-09, 1.0720046431793811e-07, 6),
+    (-2.3462886322943782e-09, 7.974326452127962e-10, 1.10895201749029e-08, 7),
+    (-2.3444747709756565e-09, 7.974002733017037e-10, 1.1078379567959442e-08, 8),
+    (-2.337689762500441e-09, 7.970989960826519e-10, 1.10364921015328e-08, 7),
+    (-1.3145865885321723e-07, -5.888711202663662e-09, 7.258751476764893e-07, 8),
+    (-2.086567864954794e-09, 7.874870120729252e-10, 9.491166958203464e-09, 7),
+]
+
+
 class TestRunEval:
+    def test_rows_equal_recorded_values(self, small_scene):
+        """Final poses are compared with ==, so any change of rounding in the
+        LM path shows here. A change that alters rounding on purpose must
+        record these values again and say so in CHANGES.md."""
+        _, rows, failures = runner.run_eval(small_scene, 6, PerturbBounds(10.0, 30.0),
+                                            workers=1, master_seed=5)
+        assert failures == 0
+        got = [(r["final_lateral_m"], r["final_longitudinal_m"], r["final_yaw_deg"],
+                r["iterations"]) for r in rows]
+        assert got == _RECORDED_EVAL
+        assert all(r["converged"] and r["status"] == "ok" for r in rows)
+
     def test_single_trial_at_zero_bounds(self, scene_path):
         problem = generate_scene(SMALL_SCENE_CFG)
         summary, rows, failures = runner.run_eval(
@@ -325,6 +349,30 @@ class TestCli:
         code = main([argv[0], "--scene", str(scene_path), *argv[1:]])
         assert code == 2
         assert "bounds must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["localize", "--scene", "SCENE", "--perturb-seed", "-1"],
+        ["synth", "--seed", "-1", "--out", "s.cvls"],
+        ["eval", "--scene", "SCENE", "--trials", "1", "--seed", "-1", "--out-dir", "e"],
+        ["sweep", "--scene", "SCENE", "--bounds", "1:3", "--trials", "1", "--seed", "-3",
+         "--out", "s.csv"],
+        ["check-numerics", "--seed", "-1"],
+    ], ids=["localize", "synth", "eval", "sweep", "check-numerics"])
+    def test_negative_seed_flag_exits_2(self, scene_path, argv, tmp_path, monkeypatch,
+                                        capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([str(scene_path) if a == "SCENE" else a for a in argv])
+        assert exc.value.code == 2
+        assert "expected a non-negative integer, got '-" in capsys.readouterr().err
+
+    def test_negative_config_seed_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"seed": -4}}))
+        code = main(["eval", "--scene", str(cfg), "--trials", "1",
+                     "--out-dir", str(tmp_path / "eval")])
+        assert code == 2
+        assert "seed must be >= 0, got -4" in capsys.readouterr().err
 
     def test_check_numerics_command(self, capsys):
         assert main(["check-numerics"]) == 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvloc import solver
 from cvloc.errors import ContractError, DegenerateProblemError, DomainError, SingularSystemError
 from cvloc.features import FeatureMap, FeaturePyramid
 from cvloc.geometry import Pose3, translate_pose_east_south
@@ -60,6 +61,50 @@ class TestRobustEval:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             RobustCost("cauchy")
+
+
+_COSTS = [RobustCost.squared(), RobustCost.huber(), RobustCost.geman_mcclure(1.3)]
+
+
+def _robust_pair_reference(cost, s):
+    """rho and rho' computed together, as one formula per kind."""
+    if cost.kind == "squared":
+        return s, np.ones_like(s)
+    if cost.kind == "huber":
+        d = cost.delta
+        above = s > d
+        safe = np.where(above, s, d)
+        return (np.where(above, 2.0 * np.sqrt(d * safe) - d, s),
+                np.where(above, np.sqrt(d / safe), 1.0))
+    sig2 = cost.sigma**2
+    return sig2 * s / (sig2 + s), (sig2 / (sig2 + s))**2
+
+
+class TestSingleSidedCost:
+    """weighted_cost computes only rho and build_weight_matrix only rho'."""
+
+    @pytest.mark.parametrize("cost", _COSTS, ids=lambda c: c.kind)
+    def test_each_side_equals_the_pair(self, cost):
+        # ||r||^2 = 0, exactly delta (0.25 = 0.5**2), and above delta
+        residuals = np.array([[0.0, 0.0], [0.5, 0.0], [0.9, -1.7]])
+        s = np.sum(residuals**2, axis=1)
+        assert s[0] == 0.0 and s[1] == cost.delta and s[2] > cost.delta
+        weights = np.array([0.3, 0.7, 1.0])
+        rho, drho = robust_eval(cost, s)
+        for got, want in zip((rho, drho), _robust_pair_reference(cost, s)):
+            assert np.array_equal(got, want)
+        assert weighted_cost(weights, residuals, cost) == float(np.sum(weights * rho))
+        assert np.array_equal(build_weight_matrix(weights, residuals, cost), weights * drho)
+        for k in range(3):
+            assert robust_eval(cost, float(s[k])) == (float(rho[k]), float(drho[k]))
+
+    @pytest.mark.parametrize("cost", _COSTS, ids=lambda c: c.kind)
+    def test_negative_rejected_by_both_sides(self, cost):
+        for side in (solver._rho, solver._drho):
+            with pytest.raises(ContractError):
+                side(cost, np.array([0.1, -1e-300]))
+            with pytest.raises(ContractError):
+                side(cost, -0.5)
 
 
 class TestBuildWeightMatrix:
