@@ -18,7 +18,7 @@ from .losses import LossConfig, pab_weight, reprojection_error, total_loss, trip
 from .metrics import MetricsSummary, PoseError, pose_error, summarize
 from .problem import AlignmentProblem
 from .solver import (LMConfig, OptimReport, RobustCost, build_jacobian,
-                     build_weight_matrix, lm_step, refine_pose, robust_eval)
+                     build_weight_matrix, lm_step, refine_pose)
 from .synth import PerturbBounds, SynthConfig, generate_scene, sample_initial_pose
 
 __version__ = "0.1.0"

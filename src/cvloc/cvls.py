@@ -24,7 +24,7 @@ import struct
 import numpy as np
 
 from .errors import CvlocError, FormatError
-from .features import AttentionMap, FeatureMap, FeaturePyramid, is_unit_normalized
+from .features import AttentionMap, FeatureMap, FeaturePyramid
 from .geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
                        RigidTransform, SatelliteGeoref)
 from .problem import AlignmentProblem
@@ -88,6 +88,8 @@ def save_scene(path, problem: AlignmentProblem) -> None:
 
 
 def _require(meta: dict, key: str, section: str):
+    if not isinstance(meta, dict):
+        raise FormatError(f"expected an object, got {type(meta).__name__}", field=section)
     if key not in meta:
         raise FormatError("missing field", field=f"{section}.{key}")
     return meta[key]
@@ -105,6 +107,8 @@ def _take(buffer: bytes, offset: int, count: int, what: str) -> tuple[np.ndarray
 
 
 def _read_pyramid(buffer: bytes, offset: int, table: list, view: str):
+    if not isinstance(table, list) or not table:
+        raise FormatError("expected a non-empty list of levels", field=f"levels.{view}")
     levels = []
     for i, entry in enumerate(table):
         try:
@@ -117,11 +121,10 @@ def _read_pyramid(buffer: bytes, offset: int, table: list, view: str):
                               field=f"levels.{view}[{i}]")
         feat_raw, offset = _take(buffer, offset, h * w * c, f"{view} level {i} features")
         att_raw, offset = _take(buffer, offset, h * w, f"{view} level {i} attention")
-        feat_data = feat_raw.reshape(h, w, c)
         if att_raw.size and (att_raw.min() < 0.0 or att_raw.max() > 1.0):
             raise FormatError("attention out of [0,1]", field=f"{view} level {i} attention")
-        fmap = FeatureMap(feat_data, normalized=is_unit_normalized(feat_data))
-        levels.append((fmap, AttentionMap(att_raw.reshape(h, w))))
+        levels.append((FeatureMap(feat_raw.reshape(h, w, c)),
+                       AttentionMap(att_raw.reshape(h, w))))
     return FeaturePyramid(tuple(levels)), offset
 
 

@@ -1,6 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer-field check."""
 
 from __future__ import annotations
+
+import numbers
 
 
 class CvlocError(Exception):
@@ -53,3 +55,15 @@ class GenerationError(CvlocError):
 
 class ConfigError(CvlocError):
     """A configuration file or value is invalid."""
+
+
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise DomainError unless ``value`` is an integer >= ``minimum``.
+
+    Booleans are rejected although Python counts them as integers, so a
+    JSON ``true`` cannot stand in for 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")

@@ -18,23 +18,17 @@ from .errors import ContractError, DomainError
 #: Pixel vectors with an L2 norm below this stay zero under normalization.
 ZERO_NORM_EPS = 1e-12
 
-#: Unit-norm slack accepted by the ``normalized`` flag.
-UNIT_NORM_TOL = 1e-6
-
-
-def is_unit_normalized(data: np.ndarray, tol: float = UNIT_NORM_TOL) -> bool:
-    """True if every pixel's channel vector has unit L2 norm (or is zero)."""
-    norms = np.linalg.norm(data.astype(np.float64), axis=-1)
-    return bool(np.all((np.abs(norms - 1.0) <= tol) | (norms <= ZERO_NORM_EPS)))
-
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """Dense per-pixel feature map, shape (height, width, channels)."""
+    """Dense per-pixel feature map, shape (height, width, channels).
+
+    The data must be finite; it is stored contiguous and read-only, as
+    float32 or float64 (other dtypes are cast to float64).
+    ``normalize_features`` returns a map whose pixels have unit norm.
+    """
 
     data: np.ndarray
-    normalized: bool = False
-    zero_pixels: int = 0
 
     def __post_init__(self):
         arr = np.asarray(self.data)
@@ -44,8 +38,6 @@ class FeatureMap:
             arr = arr.astype(np.float64)
         if not np.all(np.isfinite(arr)):
             raise DomainError("feature data contains non-finite values")
-        if self.normalized and not is_unit_normalized(arr):
-            raise ContractError("map flagged normalized but pixel norms are not unit")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
@@ -97,14 +89,11 @@ class FeaturePyramid:
     """Ordered (FeatureMap, AttentionMap) pairs, finest level first."""
 
     levels: tuple
-    level_order: str = "finest_first"
 
     def __post_init__(self):
         levels = tuple(self.levels)
         if len(levels) < 1:
             raise ContractError("pyramid needs at least one level")
-        if self.level_order != "finest_first":
-            raise ContractError(f"unsupported level order {self.level_order!r}")
         for i, (feat, att) in enumerate(levels):
             if (feat.height, feat.width) != (att.height, att.width):
                 raise ContractError(
@@ -139,16 +128,15 @@ class SparseAlignment:
 def normalize_features(fmap: FeatureMap) -> FeatureMap:
     """L2-normalize every pixel's channel vector.
 
-    Pixels with norm below ``ZERO_NORM_EPS`` are left zero rather than
-    inflated, so empty regions cannot fake correspondence; their count is
-    reported on the returned map.
+    Computed in float64 and returned in the input's dtype. Pixels with norm
+    at or below ``ZERO_NORM_EPS`` are left zero rather than inflated, so
+    empty regions cannot fake correspondence.
     """
     data = fmap.data.astype(np.float64)
     norms = np.linalg.norm(data, axis=-1, keepdims=True)
-    zero = norms[..., 0] <= ZERO_NORM_EPS
-    out = np.where(zero[..., None], 0.0, data / np.where(zero[..., None], 1.0, norms))
-    return FeatureMap(out.astype(fmap.data.dtype), normalized=True,
-                      zero_pixels=int(zero.sum()))
+    zero = norms <= ZERO_NORM_EPS
+    out = np.where(zero, 0.0, data / np.where(zero, 1.0, norms))
+    return FeatureMap(out.astype(fmap.data.dtype))
 
 
 def bilinear_weights(shape_hw: tuple[int, int], uv: np.ndarray):

@@ -80,19 +80,12 @@ class SatelliteGeoref:
     latitude_deg: float
     zoom: int
     scale: int
-    earth_const: float = WEB_MERCATOR_BASE
 
     def __post_init__(self):
         if not self.gamma > 0:
             raise DomainError(f"gamma must be > 0, got {self.gamma}")
         if not abs(self.latitude_deg) < 90.0:
             raise DomainError(f"latitude must satisfy |lat| < 90, got {self.latitude_deg}")
-
-    @classmethod
-    def from_latitude(cls, center_px: float, latitude_deg: float, zoom: int = 18,
-                      scale: int = 2) -> "SatelliteGeoref":
-        gamma = meters_per_pixel(latitude_deg, zoom, scale)
-        return cls(center_px, gamma, latitude_deg, zoom, scale)
 
     @classmethod
     def from_gamma(cls, center_px: float, gamma: float, zoom: int = 18,
@@ -162,14 +155,6 @@ class RigidTransform:
     @classmethod
     def identity(cls) -> "RigidTransform":
         return cls(np.eye(3), np.zeros(3))
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self after other: (self ∘ other)(p) = self(other(p))."""
-        return RigidTransform(self.rotation @ other.rotation,
-                              self.rotation @ other.translation + self.translation)
-
-    def inverse(self) -> "RigidTransform":
-        return RigidTransform(self.rotation.T, -(self.rotation.T @ self.translation))
 
 
 @dataclass(frozen=True)
@@ -276,7 +261,7 @@ def pose_to_transform(pose: Pose3, ctx: PoseContext) -> RigidTransform:
     """
     rot_body_to_sat = (_rot_z(pose.yaw) @ _BODY_TO_SAT
                        @ _rot_x(ctx.pitch) @ _rot_z(ctx.roll))
-    # The products of RigidTransform.compose, validated once on the result.
+    # Body-to-satellite after camera-to-body, validated once on the result.
     mount = ctx.cam_to_gps
     return RigidTransform(rot_body_to_sat @ mount.rotation,
                           rot_body_to_sat @ mount.translation

@@ -201,6 +201,9 @@ def run_localize(scene_path, init_pose: Pose3 | None = None,
     """
     config = config or load_config(None)
     problem = load_scene(scene_path)
+    if config.loss.dis_level >= problem.level_count:
+        raise ConfigError(f"loss.dis_level {config.loss.dis_level} is out of range: "
+                          f"the scene has {problem.level_count} pyramid levels")
     if init_pose is None:
         if perturb_seed is None:
             raise ConfigError("need either an explicit init pose or a perturb seed")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProblemError, DomainError
+from .errors import DegenerateProblemError, DomainError, require_int
 from .geometry import (PointSet, Pose3, PoseContext, SatelliteGeoref,
                        pose_to_transform, project_satellite, transform_points)
 from .problem import AlignmentProblem, evaluate_pose
@@ -38,8 +38,7 @@ class LossConfig:
             raise DomainError("alpha must be > 0")
         if not 0 <= self.beta_lo < self.beta_hi:
             raise DomainError("need 0 <= beta_lo < beta_hi")
-        if self.dis_level < 0:
-            raise DomainError("dis_level must be >= 0")
+        require_int("dis_level", self.dis_level, 0)
 
 
 def reprojection_error(pose_a: Pose3, pose_b: Pose3, points: PointSet,

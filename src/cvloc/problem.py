@@ -68,12 +68,15 @@ class AlignmentProblem:
 
 @dataclass(frozen=True)
 class GroundLevelData:
-    """Pose-independent ground-view lookups for one pyramid level."""
+    """Pose-independent ground-view lookups for one pyramid level.
 
-    uv: np.ndarray        # (N, 2) level-scaled pixel coordinates
-    features: np.ndarray  # (N, c)
+    Sampled at the points' ground-image projections scaled to the level;
+    the arrays are read-only.
+    """
+
+    features: np.ndarray   # (N, c)
     attention: np.ndarray  # (N,)
-    valid: np.ndarray     # (N,) ground-visible and in level bounds
+    valid: np.ndarray      # (N,) ground-visible and in level bounds
 
 
 def ground_level_data(problem: AlignmentProblem, level: int) -> GroundLevelData:
@@ -96,9 +99,9 @@ def _compute_ground_level(problem: AlignmentProblem, level: int) -> GroundLevelD
     feats, _, inb_f = bilinear_lookup_many(problem.grd_pyramid.feature(level).data, uv)
     att, inb_a = attention_lookup_many(problem.grd_pyramid.attention(level), uv)
     valid = visible & inb_f & inb_a
-    for arr in (uv, feats, att, valid):
+    for arr in (feats, att, valid):
         arr.setflags(write=False)
-    return GroundLevelData(uv=uv, features=feats, attention=att, valid=valid)
+    return GroundLevelData(features=feats, attention=att, valid=valid)
 
 
 @dataclass(frozen=True)

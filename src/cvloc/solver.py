@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import ContractError, DegenerateProblemError, DomainError, SingularSystemError
+from .errors import (ContractError, DegenerateProblemError, DomainError,
+                     SingularSystemError, require_int)
 from .geometry import Pose3, d_satproj_d_pose_many
 from .problem import AlignmentProblem, evaluate_pose, ground_level_data
 
@@ -111,14 +112,6 @@ def _drho(cost: RobustCost, s) -> np.ndarray:
     return (sig2 / (sig2 + s_arr))**2
 
 
-def robust_eval(cost: RobustCost, s):
-    """Evaluate (rho(s), rho'(s)); s may be a scalar or an array."""
-    rho, drho = _rho(cost, s), _drho(cost, s)
-    if np.isscalar(s):
-        return float(rho), float(drho)
-    return rho, drho
-
-
 @dataclass(frozen=True)
 class LMConfig:
     """Solver schedule: iteration budget, stopping rule, damping.
@@ -135,8 +128,7 @@ class LMConfig:
     level_order: str = "coarse_to_fine"
 
     def __post_init__(self):
-        if self.max_iters_per_level < 1:
-            raise DomainError("max_iters_per_level must be >= 1")
+        require_int("max_iters_per_level", self.max_iters_per_level, 1)
         if self.stop_tol <= 0:
             raise DomainError("stop_tol must be > 0")
         if self.lambda_init <= 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import DomainError, GenerationError
+from .errors import DomainError, GenerationError, require_int
 from .features import (AttentionMap, FeatureMap, FeaturePyramid,
                        bilinear_lookup_many, bilinear_weights, normalize_features)
 from .geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
@@ -46,17 +46,13 @@ class SynthConfig:
     cam_height_m: float = -1.65
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if self.sat_size < 64:
-            raise DomainError(f"sat_size must be >= 64, got {self.sat_size}")
-        if self.point_count < 10:
-            raise DomainError(f"point_count must be >= 10, got {self.point_count}")
+        for name, minimum in (("seed", 0), ("sat_size", 64), ("point_count", 10),
+                              ("levels", 1), ("channels", 1), ("grd_width", 1),
+                              ("grd_height", 1)):
+            require_int(name, getattr(self, name), minimum)
         lo, hi = self.point_depth_range
         if not (0 < lo < hi):
             raise DomainError(f"depth range must be positive and ordered, got {self.point_depth_range}")
-        if self.levels < 1 or self.channels < 1:
-            raise DomainError("levels and channels must be >= 1")
         if self.attention_mode not in ("uniform", "random_smooth"):
             raise DomainError(f"unknown attention mode {self.attention_mode!r}")
         if self.feature_smoothness <= 0:

@@ -31,13 +31,18 @@ def _meta(blob: bytes) -> dict:
     return json.loads(blob[header:header + meta_len])
 
 
+def _with_meta(blob: bytes, meta) -> bytes:
+    """The same file with its metadata replaced by ``meta``."""
+    new_meta = json.dumps(meta, separators=(",", ":")).encode()
+    return (struct.pack("<4sHI", MAGIC, 1, len(new_meta)) + new_meta
+            + blob[_payload_offset(blob):])
+
+
 def _rewrite_meta(blob: bytes, edit) -> bytes:
     """The same file with ``edit`` applied to its metadata dict."""
     meta = _meta(blob)
     edit(meta)
-    new_meta = json.dumps(meta, separators=(",", ":")).encode()
-    return (struct.pack("<4sHI", MAGIC, 1, len(new_meta)) + new_meta
-            + blob[_payload_offset(blob):])
+    return _with_meta(blob, meta)
 
 
 class TestRoundTrip:
@@ -79,12 +84,6 @@ class TestRoundTrip:
         save_scene(p1, problem)
         save_scene(p2, problem)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_normalized_flag_recovered(self, scene_file):
-        path, problem = scene_file
-        loaded = load_scene(path)
-        assert loaded.sat_pyramid.feature(0).normalized \
-            == problem.sat_pyramid.feature(0).normalized
 
 
 class TestValidation:
@@ -167,6 +166,23 @@ class TestValidation:
         path, _ = scene_file
         bad = tmp_path / "bad.cvls"
         bad.write_bytes(_rewrite_meta(path.read_bytes(), edit))
+        with pytest.raises(FormatError) as err:
+            load_scene(bad)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("replace, field", [
+        (lambda meta: 5, "metadata"),
+        (lambda meta: {**meta, "levels": 5}, "levels"),
+        (lambda meta: {**meta, "levels": {**meta["levels"], "satellite": 5}},
+         "levels.satellite"),
+        (lambda meta: {**meta, "levels": {"satellite": [], "ground": []}},
+         "levels.satellite"),
+    ], ids=["root", "levels", "level_table", "empty_tables"])
+    def test_malformed_metadata_structure(self, scene_file, tmp_path, replace, field):
+        path, _ = scene_file
+        blob = path.read_bytes()
+        bad = tmp_path / "bad.cvls"
+        bad.write_bytes(_with_meta(blob, replace(_meta(blob))))
         with pytest.raises(FormatError) as err:
             load_scene(bad)
         assert err.value.field == field

@@ -23,10 +23,6 @@ class TestFeatureMapValidation:
         with pytest.raises(ContractError):
             FeatureMap(np.zeros((4, 4)))
 
-    def test_normalized_flag_checked(self):
-        with pytest.raises(ContractError):
-            FeatureMap(np.full((2, 2, 2), 3.0), normalized=True)
-
     def test_attention_range_enforced(self):
         with pytest.raises(DomainError):
             AttentionMap(np.full((2, 2), 1.5))
@@ -40,7 +36,6 @@ class TestNormalizeFeatures:
         data[0, 0] = [3.0, 4.0]
         out = normalize_features(FeatureMap(data))
         assert np.allclose(out.data[0, 0], [0.6, 0.8])
-        assert out.normalized
 
     def test_idempotent_on_unit_vectors(self):
         rng = np.random.default_rng(0)
@@ -55,7 +50,6 @@ class TestNormalizeFeatures:
         out = normalize_features(FeatureMap(data))
         assert np.all(np.isfinite(out.data))
         assert np.allclose(out.data[1, 1], 0.0)
-        assert out.zero_pixels == 3
 
     def test_unit_norms_within_tolerance(self):
         rng = np.random.default_rng(1)

@@ -47,10 +47,6 @@ class TestMetersPerPixel:
 
 
 class TestSatelliteGeoref:
-    def test_from_latitude_matches_formula(self):
-        g = SatelliteGeoref.from_latitude(255.5, 49.0)
-        assert g.gamma == meters_per_pixel(49.0, 18, 2)
-
     def test_from_gamma_round_trips_through_formula(self):
         g = SatelliteGeoref.from_gamma(255.5, 0.2)
         assert abs(g.gamma - meters_per_pixel(g.latitude_deg, g.zoom, g.scale)) \
@@ -148,14 +144,6 @@ class TestRigidTransform:
         with pytest.raises(DomainError):
             RigidTransform(r, np.zeros(3))
 
-    def test_compose_inverse_round_trip(self):
-        rng = np.random.default_rng(5)
-        a = _random_rotation(rng)
-        t = RigidTransform(a, rng.uniform(-2, 2, 3))
-        pts = rng.uniform(-10, 10, size=(50, 3))
-        back = transform_points(transform_points(pts, t), t.inverse())
-        assert np.allclose(back, pts, atol=1e-9)
-
     def test_preserves_pairwise_distances(self):
         rng = np.random.default_rng(6)
         t = RigidTransform(_random_rotation(rng), rng.uniform(-5, 5, 3))
@@ -235,16 +223,17 @@ class TestPoseToTransform:
         assert np.allclose(direct, chained, atol=1e-12)
 
     def test_mount_composed_like_rigid_transform_compose(self):
-        # one validated transform from compose's own products, to the bit
+        # to the bit: the composition's products, pose after mount, written out
         rng = np.random.default_rng(4)
         mount = RigidTransform(_random_rotation(rng), rng.uniform(-1, 1, 3))
         bare = PoseContext(roll=0.02, pitch=-0.05, height=-1.5)
         mounted = PoseContext(roll=0.02, pitch=-0.05, height=-1.5, cam_to_gps=mount)
         for pose in (Pose3(1.0, -2.0, 0.3), Pose3(-7.5, 4.25, -2.9)):
             direct = pose_to_transform(pose, mounted)
-            composed = pose_to_transform(pose, bare).compose(mount)
-            assert np.array_equal(direct.rotation, composed.rotation)
-            assert np.array_equal(direct.translation, composed.translation)
+            outer = pose_to_transform(pose, bare)
+            assert np.array_equal(direct.rotation, outer.rotation @ mount.rotation)
+            assert np.array_equal(direct.translation,
+                                  outer.rotation @ mount.translation + outer.translation)
 
 
 class TestProjectionConsistency:

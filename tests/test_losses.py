@@ -156,6 +156,9 @@ class TestPabWeight:
             LossConfig(alpha=0.0)
         with pytest.raises(DomainError):
             LossConfig(beta_lo=50.0, beta_hi=10.0)
+        for dis_level in (0.5, 1.0, False, -1):
+            with pytest.raises(DomainError):
+                LossConfig(dis_level=dis_level)
 
 
 class TestTotalLoss:

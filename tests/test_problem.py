@@ -154,7 +154,7 @@ class TestGroundLevelData:
             feats, _, inb_f = bilinear_lookup_many(
                 small_scene.grd_pyramid.feature(level).data, uv)
             att, inb_a = attention_lookup_many(small_scene.grd_pyramid.attention(level), uv)
-            fresh = {"uv": uv, "features": feats, "attention": att,
+            fresh = {"features": feats, "attention": att,
                      "valid": visible & inb_f & inb_a}
             for name, expect in fresh.items():
                 arr = getattr(first, name)
@@ -191,5 +191,5 @@ class TestGroundLevelData:
             kept = ground_level_data(problem, lvl)
             assert ground_level_data(problem, lvl) is kept
             for got in results:
-                for name in ("uv", "features", "attention", "valid"):
+                for name in ("features", "attention", "valid"):
                     assert np.array_equal(getattr(got[lvl], name), getattr(kept, name))

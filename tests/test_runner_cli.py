@@ -75,9 +75,14 @@ class TestConfig:
 
     def test_invalid_value_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"solver": {"lambda_down": 2.0}}))
-        with pytest.raises(ConfigError):
-            runner.load_config(path)
+        for data in ({"solver": {"lambda_down": 2.0}},
+                     {"solver": {"max_iters_per_level": 2.5}},
+                     {"loss": {"dis_level": 0.5}},
+                     {"synth": {"seed": 1.5}},
+                     {"synth": {"levels": True}}):
+            path.write_text(json.dumps(data))
+            with pytest.raises(ConfigError):
+                runner.load_config(path)
 
     def test_workers_env_override(self, monkeypatch):
         monkeypatch.setenv("CVL_WORKERS", "3")
@@ -286,6 +291,16 @@ class TestCli:
         code = main(["localize", "--scene", str(scene_path), "--init", init])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_dis_level_beyond_scene_exits_2(self, scene_path, tmp_path, capsys):
+        # beta_lo 0 opens the triplet gate, which evaluates at dis_level
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"loss": {"dis_level": 7, "beta_lo": 0}}))
+        code = main(["localize", "--scene", str(scene_path), "--perturb-seed", "3",
+                     "--config", str(cfg)])
+        assert code == 2
+        assert "loss.dis_level 7 is out of range: the scene has 3 pyramid levels" \
+            in capsys.readouterr().err
 
     def test_bad_config_exits_2(self, tmp_path, synth_cfg_file, capsys):
         cfg = tmp_path / "cfg.json"

@@ -42,7 +42,6 @@ class TestGenerateScene:
     def test_satellite_maps_unit_normalized(self, small_scene):
         for lvl in range(small_scene.level_count):
             fmap = small_scene.sat_pyramid.feature(lvl)
-            assert fmap.normalized
             norms = np.linalg.norm(fmap.data.astype(np.float64), axis=-1)
             assert np.abs(norms - 1.0).max() < 1e-6
 
@@ -92,6 +91,12 @@ class TestGenerateScene:
                     {"grd_width": 0}, {"grd_height": 0}):
             with pytest.raises(DomainError):
                 SynthConfig(**bad)
+        # integer fields take integers only, not floats or booleans
+        for name in ("seed", "sat_size", "levels", "channels", "point_count",
+                     "grd_width", "grd_height"):
+            for value in (2.5, float(getattr(SynthConfig(), name)), True):
+                with pytest.raises(DomainError, match=f"{name} must be an integer"):
+                    SynthConfig(**{name: value})
 
 
 class TestGridOracle:
