@@ -23,7 +23,7 @@ import struct
 
 import numpy as np
 
-from .errors import CvlocError, FormatError
+from .errors import CvlocError, DomainError, FormatError, require_int
 from .features import AttentionMap, FeatureMap, FeaturePyramid
 from .geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
                        RigidTransform, SatelliteGeoref)
@@ -95,6 +95,19 @@ def _require(meta: dict, key: str, section: str):
     return meta[key]
 
 
+def _require_int(meta: dict, key: str, section: str, minimum: int,
+                 field: str | None = None) -> int:
+    """An integer field >= ``minimum``; a float (even 2.0), a boolean or a
+    string raises FormatError naming ``field`` (``section.key`` by default)
+    instead of being truncated."""
+    value = _require(meta, key, section)
+    try:
+        require_int(key, value, minimum)
+    except DomainError as exc:
+        raise FormatError(str(exc), field=field or f"{section}.{key}") from exc
+    return value
+
+
 def _take(buffer: bytes, offset: int, count: int, what: str) -> tuple[np.ndarray, int]:
     nbytes = count * 4
     if offset + nbytes > len(buffer):
@@ -111,14 +124,8 @@ def _read_pyramid(buffer: bytes, offset: int, table: list, view: str):
         raise FormatError("expected a non-empty list of levels", field=f"levels.{view}")
     levels = []
     for i, entry in enumerate(table):
-        try:
-            h, w, c = int(entry["h"]), int(entry["w"]), int(entry["c"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad level table entry: {exc}",
-                              field=f"levels.{view}[{i}]") from exc
-        if h < 1 or w < 1 or c < 1:
-            raise FormatError(f"non-positive dimensions {entry}",
-                              field=f"levels.{view}[{i}]")
+        field = f"levels.{view}[{i}]"
+        h, w, c = (_require_int(entry, key, field, 1, field=field) for key in "hwc")
         feat_raw, offset = _take(buffer, offset, h * w * c, f"{view} level {i} features")
         att_raw, offset = _take(buffer, offset, h * w, f"{view} level {i} attention")
         if att_raw.size and (att_raw.min() < 0.0 or att_raw.max() > 1.0):
@@ -155,31 +162,25 @@ def load_scene(path) -> AlignmentProblem:
     pc = _require(meta, "pose_context", "metadata")
     gt = _require(meta, "gt_pose", "metadata")
     tables = _require(meta, "levels", "metadata")
-    try:
-        point_count = int(_require(meta, "point_count", "metadata"))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"not an integer: {exc}", field="point_count") from exc
+    point_count = _require_int(meta, "point_count", "metadata", 1, field="point_count")
     order = meta.get("level_order", "finest_first")
     if order != "finest_first":
         raise FormatError(f"unsupported level order {order!r}", field="level_order")
-    if point_count < 1:
-        raise FormatError(f"point_count must be >= 1, got {point_count}",
-                          field="point_count")
 
     try:
         georef = SatelliteGeoref(
             center_px=float(_require(g, "center_px", "georef")),
             gamma=float(_require(g, "gamma", "georef")),
             latitude_deg=float(_require(g, "latitude_deg", "georef")),
-            zoom=int(_require(g, "zoom", "georef")),
-            scale=int(_require(g, "scale", "georef")))
+            zoom=_require_int(g, "zoom", "georef", 0),
+            scale=_require_int(g, "scale", "georef", 1))
         intrinsics = CameraIntrinsics(
             fx=float(_require(k, "fx", "intrinsics")),
             fy=float(_require(k, "fy", "intrinsics")),
             cx=float(_require(k, "cx", "intrinsics")),
             cy=float(_require(k, "cy", "intrinsics")),
-            width=int(_require(k, "width", "intrinsics")),
-            height=int(_require(k, "height", "intrinsics")))
+            width=_require_int(k, "width", "intrinsics", 1),
+            height=_require_int(k, "height", "intrinsics", 1))
         cam = np.asarray(_require(pc, "cam_to_gps", "pose_context"),
                          dtype=np.float64)
         if cam.shape != (12,):

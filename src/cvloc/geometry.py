@@ -305,24 +305,32 @@ def project_ground(points_cam, intrinsics: CameraIntrinsics,
 
 
 def d_satproj_d_pose_many(points_cam, pose: Pose3, ctx: PoseContext,
-                          georef: SatelliteGeoref) -> np.ndarray:
+                          georef: SatelliteGeoref, pts_sat=None) -> np.ndarray:
     """Analytic Jacobians of satellite pixel coordinates w.r.t. the pose.
 
     Returns an Nx2x3 array: for each point, d(u, v) / d(lateral,
     longitudinal, yaw). The translation columns are constant across points
     (each with norm 1/gamma); the yaw column is the rotation derivative
     (-v_m, u_m)/gamma of the point's planar map position.
+
+    ``pts_sat`` is the points already transformed into the satellite frame
+    at ``pose``, when the caller has them; they are computed when omitted.
+    The result is the transposed view of one (3, 2, N) buffer, so the 2x2
+    translation block is four scalar fills and the yaw column's two rows
+    are one contiguous (2, N) plane.
     """
-    pts_sat = transform_points(points_cam, pose_to_transform(pose, ctx))
-    x, y = pts_sat[:, 0], pts_sat[:, 1]
-    n = pts_sat.shape[0]
+    if pts_sat is None:
+        pts_sat = transform_points(points_cam, pose_to_transform(pose, ctx))
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     inv_g = 1.0 / georef.gamma
-    jac = np.empty((n, 2, 3))
-    jac[:, :, :2] = ((c * inv_g, s * inv_g), (s * inv_g, -c * inv_g))
-    jac[:, 0, 2] = -y * inv_g
-    jac[:, 1, 2] = x * inv_g
-    return jac
+    cols = np.empty((3, 2, pts_sat.shape[0]))
+    cols[0, 0] = c * inv_g
+    cols[0, 1] = s * inv_g
+    cols[1, 0] = s * inv_g
+    cols[1, 1] = -c * inv_g
+    np.multiply(pts_sat[:, 1], -inv_g, out=cols[2, 0])
+    np.multiply(pts_sat[:, 0], inv_g, out=cols[2, 1])
+    return cols.transpose(2, 1, 0)
 
 
 def translate_pose_east_south(pose: Pose3, d_east: float, d_south: float) -> Pose3:

@@ -1,9 +1,9 @@
 """User-runnable numeric self-checks.
 
 Each check compares an analytic quantity against an independent reference
-(central finite differences, a dense least-squares solve, or lookups that
-build their own bilinear corners) and reports the worst observed error
-against a fixed tolerance.
+(central finite differences, a dense least-squares solve, lookups that
+build their own bilinear corners, or normal equations from the formed
+Jacobian) and reports the worst observed error against a fixed tolerance.
 """
 
 from __future__ import annotations
@@ -12,13 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import solver
 from ..features import (AttentionMap, attention_lookup_many, bilinear_lookup_many,
                         bilinear_weights)
 from ..geometry import (Pose3, PoseContext, SatelliteGeoref,
                         d_satproj_d_pose_many, pose_to_transform,
                         project_satellite, transform_points)
 from ..problem import evaluate_pose, ground_level_data
-from ..solver import build_jacobian, lm_step
+from ..solver import (RobustCost, build_jacobian, build_weight_matrix, lm_step,
+                      normal_equations)
 from ..synth import SynthConfig, generate_scene
 
 _FD_STEP = 1e-4
@@ -155,11 +157,12 @@ def _check_lm_step(rng, systems=20):
         jac = rng.standard_normal((m, 3))
         w = rng.uniform(0.1, 2.0, size=m)
         res = rng.standard_normal(m)
-        delta = lm_step(jac, w, res, 0.0)
+        hess, grad = normal_equations(jac, w, res)
+        delta = lm_step(hess, grad, 0.0)
         sqrt_w = np.sqrt(w)
         ref, *_ = np.linalg.lstsq(jac * sqrt_w[:, None], -res * sqrt_w, rcond=None)
         worst = max(worst, float(np.max(np.abs(delta - ref))))
-        norms = [float(np.linalg.norm(lm_step(jac, w, res, lam)))
+        norms = [float(np.linalg.norm(lm_step(hess, grad, lam)))
                  for lam in np.logspace(-4, 4, 10)]
         if any(b > a + 1e-12 for a, b in zip(norms, norms[1:])):
             ladder_ok = False
@@ -190,18 +193,21 @@ def _safe_fd_points(problem, pose, level, h_max):
     return interior & inside
 
 
+def _small_scene(rng):
+    # depth range chosen so every point sits inside the 64 px, 0.2 m/px
+    # satellite crop near the true pose
+    return generate_scene(SynthConfig(
+        seed=int(rng.integers(0, 2**31)), sat_size=64, levels=1, channels=4,
+        point_count=48, grd_width=128, grd_height=64, grd_focal=60.0,
+        point_depth_range=(2.5, 5.5), feature_smoothness=4.0))
+
+
 def _check_residual_jacobian(rng, scenes=8):
     """Full-chain residual Jacobian vs FD on small synthetic scenes."""
     tol = 1e-3
     worst = 0.0
     for i in range(scenes):
-        # depth range chosen so every point sits inside the 64 px, 0.2 m/px
-        # satellite crop even under the probe poses
-        cfg = SynthConfig(seed=int(rng.integers(0, 2**31)), sat_size=64,
-                          levels=1, channels=4, point_count=48,
-                          grd_width=128, grd_height=64, grd_focal=60.0,
-                          point_depth_range=(2.5, 5.5), feature_smoothness=4.0)
-        problem = generate_scene(cfg)
+        problem = _small_scene(rng)
         pose = Pose3(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.5, 0.5)),
                      float(rng.uniform(-0.1, 0.1)))
         ground = ground_level_data(problem, 0)
@@ -252,6 +258,35 @@ def _check_shared_corners(rng, n_points=1000):
                         tolerance=tol, detail=f"{n_points} lookups, {outside} outside the map")]
 
 
+def _check_normal_equations(rng, scenes=8):
+    """The solver's H and g, assembled from the gradient planes, vs the dense
+    J^T W J and J^T W r of the formed Jacobian."""
+    tol = 1e-10
+    worst = 0.0
+    masked = 0
+    cost = RobustCost.huber()
+    for _ in range(scenes):
+        problem = _small_scene(rng)
+        # shifts of up to 5 m move some points off the 12.8 m crop
+        pose = Pose3(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)),
+                     float(rng.uniform(-0.3, 0.3)))
+        ev = evaluate_pose(problem, pose, 0)
+        masked += int(np.sum(~ev.alignment.valid_mask))
+        _, _, georef = problem.satellite_level(0)
+        proj_jac = d_satproj_d_pose_many(problem.points, pose, problem.ctx, georef,
+                                         pts_sat=ev.pts_sat)
+        w_points = build_weight_matrix(ev.alignment.weights, ev.sq_norms, cost)
+        from_planes = solver._normal_equations(ev, proj_jac, w_points)
+        dense = normal_equations(build_jacobian(problem, pose, 0), w_points,
+                                 ev.alignment.residuals)
+        for got, want in zip(from_planes, dense):
+            scale = max(float(np.max(np.abs(want))), np.finfo(float).tiny)
+            worst = max(worst, float(np.max(np.abs(got - want))) / scale)
+    return [CheckResult(name="normal_equations/planes_vs_dense", passed=worst <= tol,
+                        max_error=worst, tolerance=tol,
+                        detail=f"{scenes} small scenes, {masked} masked points")]
+
+
 def check_numerics(seed: int = 0, projection_jacobian_fn=None) -> NumericsReport:
     """Run the full self-check battery.
 
@@ -266,4 +301,5 @@ def check_numerics(seed: int = 0, projection_jacobian_fn=None) -> NumericsReport
     results += _check_lm_step(rng)
     results += _check_residual_jacobian(rng)
     results += _check_shared_corners(rng)
+    results += _check_normal_equations(rng)
     return NumericsReport(results=tuple(results))

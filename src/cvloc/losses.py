@@ -64,7 +64,7 @@ def weighted_distance(problem: AlignmentProblem, pose: Pose3, cost: RobustCost,
     if not np.any(ev.alignment.valid_mask):
         raise DegenerateProblemError(
             f"no valid points at level {level} for pose {pose}", pose=pose)
-    return weighted_cost(ev.alignment.weights, ev.alignment.residuals, cost)
+    return weighted_cost(ev.alignment.weights, ev.sq_norms, cost)
 
 
 def triplet_loss(dis_init: float, dis_gt: float, alpha: float = 10.0) -> float:

@@ -55,7 +55,14 @@ class AlignmentProblem:
     def level_count(self) -> int:
         return self.sat_pyramid.level_count
 
+    def _check_level(self, level: int) -> None:
+        """Raise ContractError unless ``level`` is in [0, level_count)."""
+        if not 0 <= level < self.level_count:
+            raise ContractError(f"pyramid level {level} is outside [0, {self.level_count})")
+
     def satellite_level(self, level: int) -> tuple[FeatureMap, AttentionMap, SatelliteGeoref]:
+        """Feature map, attention map and georeference of one pyramid level."""
+        self._check_level(level)
         return (self.sat_pyramid.feature(level), self.sat_pyramid.attention(level),
                 self.georef.coarsened(level))
 
@@ -85,6 +92,7 @@ def ground_level_data(problem: AlignmentProblem, level: int) -> GroundLevelData:
     The pose never moves ground pixels, so every solve and trial on the same
     problem shares one read-only entry per level.
     """
+    problem._check_level(level)
     return problem._ground_levels[level]
 
 
@@ -110,17 +118,21 @@ class PoseEvaluation:
 
     alignment: SparseAlignment
     sat_grads: np.ndarray  # (N, c, 2) satellite feature gradients, zero where masked
+    pts_sat: np.ndarray    # (N, 3) points in the satellite frame at the pose
+    sq_norms: np.ndarray   # (N,) squared residual norms sum_c r^2, zero where masked
 
 
 def evaluate_pose(problem: AlignmentProblem, pose: Pose3, level: int = 0,
                   ground: GroundLevelData | None = None) -> PoseEvaluation:
     """Residuals, weights and satellite gradients of the alignment at ``pose``.
 
+    Also keeps the satellite-frame points and each point's squared residual
+    norm, the one home of sum_c r^2 for the robust cost and the weights.
     ``ground`` may carry precomputed ground-view lookups for the level.
     """
+    f_sat, a_sat, georef = problem.satellite_level(level)
     if ground is None:
         ground = ground_level_data(problem, level)
-    f_sat, a_sat, georef = problem.satellite_level(level)
 
     pts_sat = transform_points(problem.points, pose_to_transform(pose, problem.ctx))
     uv_sat = project_satellite(pts_sat, georef)
@@ -141,4 +153,5 @@ def evaluate_pose(problem: AlignmentProblem, pose: Pose3, level: int = 0,
         grads_sat[masked] = 0.0
 
     alignment = SparseAlignment(residuals=residuals, weights=weights, valid_mask=valid)
-    return PoseEvaluation(alignment=alignment, sat_grads=grads_sat)
+    return PoseEvaluation(alignment=alignment, sat_grads=grads_sat, pts_sat=pts_sat,
+                          sq_norms=np.einsum("nc,nc->n", residuals, residuals))

@@ -15,14 +15,18 @@ lookup with gradients and one attention lookup without them gather
 through those corners by flat row index. The two gradient components are
 written as contiguous (N, c) planes and read as an (N, c, 2) view; the
 residuals and weights are formed in place, and masked rows are written
-only when some point is masked. A candidate pose's cost evaluates only
-rho, and the weights of an accepted pose only rho'. After an accepted
-step the Jacobian is rebuilt as per-point (N, c, 3) blocks by one batched
-``np.matmul`` of the satellite gradients with the (N, 2, 3) projection
-Jacobians. Weights are per point, one w_i * rho'(||r_i||^2) for all c
-rows of point i with no row broadcast, and ``lm_step`` solves the 3x3
-system from the blocks. ``build_jacobian`` and ``lm_step`` run this same
-code for the numeric self-checks.
+only when some point is masked. The evaluation also keeps the
+satellite-frame points and each point's sum_c r^2, so a candidate pose's
+cost evaluates only rho on those norms. After an accepted step the
+projection Jacobian is built from the kept points, the weights
+w_i * rho'(||r_i||^2) from the kept norms, and ``_normal_equations``
+assembles H = J^T W J and g = J^T W r straight from the gradient planes:
+the 2x2 translation block is shared by every point, so two scaled planes
+and one yaw row give J^T as a (3, N*c) array, and one GEMM and one GEMV
+give H and g. No (N, c, 3) Jacobian is formed. A rejected step reuses H
+and g, and ``lm_step`` is the damped 3x3 Cholesky solve alone.
+``build_jacobian`` and ``normal_equations`` form the dense J and its
+normal equations as references for the numeric self-checks.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from .errors import (ContractError, DegenerateProblemError, DomainError,
                      SingularSystemError, require_int)
 from .geometry import Pose3, d_satproj_d_pose_many
-from .problem import AlignmentProblem, evaluate_pose, ground_level_data
+from .problem import AlignmentProblem, PoseEvaluation, evaluate_pose, ground_level_data
 
 #: Floor applied to Hessian diagonal entries before damping.
 DIAG_FLOOR = 1e-12
@@ -193,31 +197,25 @@ class OptimReport:
         }
 
 
-def build_weight_matrix(weights: np.ndarray, residuals: np.ndarray,
+def build_weight_matrix(weights: np.ndarray, sq_norms: np.ndarray,
                         cost: RobustCost) -> np.ndarray:
-    """Per-point weights w_i * rho'(||r_i||^2), shape (N,).
+    """Per-point weights w_i * rho'(s_i), shape (N,).
 
-    One entry weights all of that point's residual rows in ``lm_step``; it
-    is not repeated per row. Masked points (weight 0) stay 0.
+    ``sq_norms`` holds each point's squared residual norm s_i = ||r_i||^2
+    (``PoseEvaluation.sq_norms``). One entry weights all of that point's
+    residual rows in the normal equations; it is not repeated per row.
+    Masked points (weight 0) stay 0.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    residuals = np.asarray(residuals, dtype=np.float64)
-    if weights.shape[0] != residuals.shape[0]:
-        raise ContractError("weights and residuals disagree on point count")
-    return weights * _drho(cost, np.sum(residuals**2, axis=1))
+    sq_norms = np.asarray(sq_norms, dtype=np.float64)
+    if weights.shape != sq_norms.shape:
+        raise ContractError("weights and squared norms disagree on point count")
+    return weights * _drho(cost, sq_norms)
 
 
-def weighted_cost(weights: np.ndarray, residuals: np.ndarray, cost: RobustCost) -> float:
-    """Sum of w_i * rho(||r_i||^2) over all points."""
-    rho = _rho(cost, np.sum(np.asarray(residuals)**2, axis=1))
-    return float(np.sum(np.asarray(weights) * rho))
-
-
-def _jacobian_blocks(problem: AlignmentProblem, pose: Pose3, georef,
-                     sat_grads: np.ndarray) -> np.ndarray:
-    # (N,c,2) satellite gradients @ (N,2,3) projection Jacobians -> (N,c,3)
-    proj_jac = d_satproj_d_pose_many(problem.points, pose, problem.ctx, georef)
-    return np.matmul(sat_grads, proj_jac)
+def weighted_cost(weights: np.ndarray, sq_norms: np.ndarray, cost: RobustCost) -> float:
+    """Sum of w_i * rho(s_i) over all points, with s_i = ||r_i||^2."""
+    return float(np.sum(np.asarray(weights) * _rho(cost, sq_norms)))
 
 
 def build_jacobian(problem: AlignmentProblem, pose: Pose3, level: int = 0,
@@ -225,36 +223,72 @@ def build_jacobian(problem: AlignmentProblem, pose: Pose3, level: int = 0,
     """Stacked (N*c)x3 Jacobian of the residual vector w.r.t. the pose.
 
     Each point's c rows chain the satellite bilinear gradient with the
-    projection Jacobian; masked points contribute zero blocks.
+    projection Jacobian; masked points contribute zero blocks. The solver
+    never forms it: it is the input of the finite-difference and dense
+    normal-equation checks.
     """
     ev = evaluate_pose(problem, pose, level=level, ground=ground)
     _, _, georef = problem.satellite_level(level)
-    return _jacobian_blocks(problem, pose, georef, ev.sat_grads).reshape(-1, 3)
+    proj_jac = d_satproj_d_pose_many(problem.points, pose, problem.ctx, georef,
+                                     pts_sat=ev.pts_sat)
+    return np.matmul(ev.sat_grads, proj_jac).reshape(-1, 3)
 
 
-def lm_step(jacobian: np.ndarray, weights: np.ndarray, residuals: np.ndarray,
-            lam: float) -> np.ndarray:
-    """Solve one damped normal-equation step.
-
-    delta = -(H + lam * diag(H))^-1 J^T W r with H = J^T W J, solved by
-    Cholesky factorization. Diagonal entries of H are floored at
-    ``DIAG_FLOOR`` before damping so any lam > 0 yields a solvable system.
+def normal_equations(jacobian: np.ndarray, weights: np.ndarray,
+                     residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense H = J^T W J and g = J^T W r from a formed Jacobian.
 
     W holds one weight per point: ``weights[i]`` applies to all k residual
     rows of point i, with no row broadcast by the caller. A plain (rows, 3)
-    system is the case k = 1.
+    system is the case k = 1. This is the reference that the solver's own
+    assembly from the gradient planes is checked against.
 
     Args:
-        jacobian: (n, k, 3) per-point blocks, or (n, 3) when k = 1.
+        jacobian: (n, k, 3) per-point blocks, or (n*k, 3) stacked rows.
         weights: (n,) non-negative per-point weights.
         residuals: (n, k), or (n,) when k = 1.
-        lam: damping factor >= 0.
     """
     weights = np.asarray(weights, dtype=np.float64)
     blocks = np.asarray(jacobian, dtype=np.float64).reshape(weights.shape[0], -1, 3)
     jw = (blocks * weights[:, None, None]).reshape(-1, 3)
     hess = blocks.reshape(-1, 3).T @ jw
     grad = jw.T @ np.asarray(residuals, dtype=np.float64).reshape(-1)
+    return hess, grad
+
+
+def _normal_equations(ev: PoseEvaluation, proj_jac: np.ndarray,
+                      w_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H = J^T W J and g = J^T W r of one evaluation, without forming J.
+
+    Row (i, k) of J is gu_ik * P_i[0] + gv_ik * P_i[1], with (gu, gv) the
+    satellite gradient planes and P_i the point's 2x3 projection Jacobian.
+    Its 2x2 translation block is shared by every point, so J's two
+    translation columns are the planes scaled by its four entries; the yaw
+    column combines the planes with the point's two yaw entries repeated
+    over its c rows, and W repeats the point weights the same way.
+    """
+    n, c, _ = ev.sat_grads.shape
+    planes = ev.sat_grads.transpose(2, 0, 1).reshape(2, n * c)
+    jac_t = np.empty((3, n * c))
+    np.dot(proj_jac[0, :, :2].T, planes, out=jac_t[:2])
+    yaw_rows = np.repeat(proj_jac[:, :, 2].T, c, axis=1)
+    np.einsum("kn,kn->n", yaw_rows, planes, out=jac_t[2])
+    weighted = jac_t * np.repeat(w_points, c)
+    return weighted @ jac_t.T, weighted @ ev.alignment.residuals.reshape(-1)
+
+
+def lm_step(hess: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray:
+    """Solve one damped normal-equation step.
+
+    delta = -(H + lam * diag(H))^-1 g for H = J^T W J and g = J^T W r,
+    solved by Cholesky factorization. Diagonal entries of H are floored at
+    ``DIAG_FLOOR`` before damping so any lam > 0 yields a solvable system.
+
+    Args:
+        hess: (3, 3) H.
+        grad: (3,) g.
+        lam: damping factor >= 0.
+    """
     damped = hess + lam * np.diag(np.maximum(np.diag(hess), DIAG_FLOOR))
     try:
         factor = cho_factor(damped, lower=True)
@@ -290,33 +324,35 @@ def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = N
         ev = evaluate_pose(problem, pose, level=level, ground=ground)
         if not np.any(ev.alignment.valid_mask):
             raise _degenerate(level, pose, level_traces, records, total_iters)
-        current_cost = weighted_cost(ev.alignment.weights, ev.alignment.residuals, cost)
+        current_cost = weighted_cost(ev.alignment.weights, ev.sq_norms, cost)
 
-        jac = None  # relinearize only after accepted steps
+        hess = None  # relinearize only after accepted steps
         for _ in range(cfg.max_iters_per_level):
             total_iters += 1
-            if jac is None:
-                jac = _jacobian_blocks(problem, pose, georef, ev.sat_grads)
-                w_points = build_weight_matrix(ev.alignment.weights,
-                                               ev.alignment.residuals, cost)
-            delta = lm_step(jac, w_points, ev.alignment.residuals, lam)
+            if hess is None:
+                proj_jac = d_satproj_d_pose_many(problem.points, pose, problem.ctx,
+                                                 georef, pts_sat=ev.pts_sat)
+                w_points = build_weight_matrix(ev.alignment.weights, ev.sq_norms, cost)
+                hess, grad = _normal_equations(ev, proj_jac, w_points)
+                # The translation block is invertible, so J != 0 exactly
+                # when some satellite gradient is nonzero.
+                jac_nonzero = bool(np.any(ev.sat_grads))
+            delta = lm_step(hess, grad, lam)
 
             candidate = pose.with_delta(delta)
             ev_cand = evaluate_pose(problem, candidate, level=level, ground=ground)
             if not np.any(ev_cand.alignment.valid_mask):
                 raise _degenerate(level, pose, level_traces, records, total_iters)
-            cand_cost = weighted_cost(ev_cand.alignment.weights,
-                                      ev_cand.alignment.residuals, cost)
+            cand_cost = weighted_cost(ev_cand.alignment.weights, ev_cand.sq_norms, cost)
 
             accepted = cand_cost < current_cost
             used_lam = lam
-            last_jac_nonzero = bool(np.any(jac))
             if accepted:
                 pose = candidate
                 ev = ev_cand
                 current_cost = cand_cost
                 lam *= cfg.lambda_down
-                jac = None
+                hess = None
             else:
                 lam *= cfg.lambda_up
 
@@ -332,7 +368,7 @@ def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = N
 
         if level == 0:
             finest_tol_stop = stopped_by_tol
-            finest_informative = last_jac_nonzero
+            finest_informative = jac_nonzero
         level_traces.append(LevelTrace(level=level, iterations=tuple(records),
                                        stopped_by_tolerance=stopped_by_tol))
 

@@ -18,7 +18,8 @@ from cvloc.harness.runner import perturbation_sweep
 from cvloc.losses import pab_weight, triplet_loss, weighted_distance
 from cvloc.metrics import pose_error, summarize
 from cvloc.problem import evaluate_pose, ground_level_data
-from cvloc.solver import RobustCost, build_jacobian, lm_step, refine_pose, weighted_cost
+from cvloc.solver import (RobustCost, build_jacobian, lm_step, normal_equations, refine_pose,
+                          weighted_cost)
 from cvloc.synth import PerturbBounds, SynthConfig, generate_scene, sample_initial_pose
 
 from conftest import SMALL_SCENE_CFG
@@ -123,11 +124,12 @@ class TestAcceptance:
             jac = rng.standard_normal((m, 3))
             w = rng.uniform(0.05, 2.0, m)
             res = rng.standard_normal(m)
-            delta = lm_step(jac, w, res, 0.0)
+            hess, grad = normal_equations(jac, w, res)
+            delta = lm_step(hess, grad, 0.0)
             sw = np.sqrt(w)
             oracle, *_ = np.linalg.lstsq(jac * sw[:, None], -res * sw, rcond=None)
             worst = max(worst, float(np.abs(delta - oracle).max()))
-            norms = [float(np.linalg.norm(lm_step(jac, w, res, lam)))
+            norms = [float(np.linalg.norm(lm_step(hess, grad, lam)))
                      for lam in np.logspace(-4, 4, 10)]
             ladder_ok &= all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
         ok = worst < 1e-8 and ladder_ok
@@ -206,8 +208,7 @@ class TestAcceptance:
                 ev = evaluate_pose(problem, pose, 0, ground=ground)
                 if not np.any(ev.alignment.valid_mask):
                     return np.inf
-                return weighted_cost(ev.alignment.weights, ev.alignment.residuals,
-                                     cost)
+                return weighted_cost(ev.alignment.weights, ev.sq_norms, cost)
 
             # the cached evaluation path must agree with the public quantity
             assert dis(problem.gt_pose) == pytest.approx(

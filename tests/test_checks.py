@@ -1,7 +1,9 @@
 """Numeric self-check battery, including fault injection."""
 
+from cvloc import solver
 from cvloc.geometry import d_satproj_d_pose_many
 from cvloc.harness.checks import check_numerics
+from cvloc.harness.cli import main
 
 
 class TestCheckNumerics:
@@ -18,6 +20,7 @@ class TestCheckNumerics:
         assert any("bilinear" in n for n in names)
         assert any("lm_step" in n for n in names)
         assert any("residual_jacobian" in n for n in names)
+        assert "normal_equations/planes_vs_dense" in names
         for r in report.results:
             assert r.max_error >= 0.0
             assert r.line().startswith("[PASS]") or r.line().startswith("[FAIL]")
@@ -37,6 +40,21 @@ class TestCheckNumerics:
         # the untouched columns still pass
         assert all("lateral" not in name for name in failing)
         assert all("longitudinal" not in name for name in failing)
+
+    def test_wrong_yaw_column_in_assembly_exits_5(self, monkeypatch, capsys):
+        # the solver's assembly reads u's yaw entry for v's and back
+        assemble = solver._normal_equations
+
+        def swapped_yaw_rows(ev, proj_jac, w_points):
+            wrong = proj_jac.copy()
+            wrong[:, :, 2] = proj_jac[:, ::-1, 2]
+            return assemble(ev, wrong, w_points)
+
+        monkeypatch.setattr(solver, "_normal_equations", swapped_yaw_rows)
+        assert main(["check-numerics"]) == 5
+        failing = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("[FAIL]")]
+        assert len(failing) == 1 and "normal_equations/planes_vs_dense" in failing[0]
 
     def test_report_serializable(self):
         import json

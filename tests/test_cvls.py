@@ -161,7 +161,20 @@ class TestValidation:
         (lambda meta: meta.update(point_count="abc"), "point_count"),
         (lambda meta: meta["levels"]["satellite"][0].update(h="x"),
          "levels.satellite[0]"),
-    ], ids=["point_count", "level_h"])
+        # whole-number floats and booleans are rejected, not truncated
+        (lambda meta: meta["georef"].update(zoom=18.7), "georef.zoom"),
+        (lambda meta: meta["georef"].update(zoom=True), "georef.zoom"),
+        (lambda meta: meta["georef"].update(scale=2.0), "georef.scale"),
+        (lambda meta: meta["intrinsics"].update(width=17.5), "intrinsics.width"),
+        (lambda meta: meta["intrinsics"].update(height=True), "intrinsics.height"),
+        (lambda meta: meta["levels"]["satellite"][0].update(w=16.0),
+         "levels.satellite[0]"),
+        (lambda meta: meta["levels"]["ground"][0].update(c=True), "levels.ground[0]"),
+        (lambda meta: meta.update(point_count=3.0), "point_count"),
+        (lambda meta: meta.update(point_count=True), "point_count"),
+    ], ids=["point_count", "level_h", "zoom_fraction", "zoom_bool", "scale_float",
+            "width_fraction", "height_bool", "level_w_float", "level_c_bool",
+            "point_count_float", "point_count_bool"])
     def test_non_integer_metadata_field(self, scene_file, tmp_path, edit, field):
         path, _ = scene_file
         bad = tmp_path / "bad.cvls"

@@ -297,3 +297,20 @@ class TestSatProjJacobian:
         jac = d_satproj_d_pose_many(np.array([[0.0, 4.0, 0.0]]), Pose3(0, 0, 0.3),
                                     self.CTX, self.GEOREF)
         assert np.allclose(jac[0, :, 2], 0.0, atol=1e-12)
+
+    def test_given_satellite_points_change_nothing(self):
+        # the caller's already-transformed points give the same Jacobian to
+        # the bit, laid out as one (3, 2, N) buffer with a contiguous yaw plane
+        rng = np.random.default_rng(5)
+        pts = np.column_stack([rng.uniform(-30, 30, 50), rng.uniform(-5, 5, 50),
+                               rng.uniform(2, 40, 50)])
+        pose = Pose3(1.5, -2.0, 0.7)
+        pts_sat = transform_points(pts, pose_to_transform(pose, self.CTX))
+        own = d_satproj_d_pose_many(pts, pose, self.CTX, self.GEOREF)
+        given = d_satproj_d_pose_many(pts, pose, self.CTX, self.GEOREF, pts_sat=pts_sat)
+        assert np.array_equal(own, given)
+        assert given.shape == (50, 2, 3)
+        assert given.transpose(2, 1, 0).flags.c_contiguous
+        inv_g = 1.0 / self.GEOREF.gamma
+        assert np.array_equal(given[:, 0, 2], -pts_sat[:, 1] * inv_g)
+        assert np.array_equal(given[:, 1, 2], pts_sat[:, 0] * inv_g)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cvloc.errors import DegenerateProblemError, DomainError
+from cvloc.errors import ContractError, DegenerateProblemError, DomainError
 from cvloc.geometry import PointSet, Pose3, translate_pose_east_south
 from cvloc.losses import (LossConfig, pab_weight, reprojection_error, total_loss,
                           triplet_loss, weighted_distance)
@@ -85,6 +85,14 @@ class TestWeightedDistance:
     def test_degenerate_when_no_valid_points(self, small_scene):
         with pytest.raises(DegenerateProblemError):
             weighted_distance(small_scene, Pose3(500.0, 0.0, 0.0), RobustCost.huber())
+
+    @pytest.mark.parametrize("level", [-1, 3], ids=["negative", "level_count"])
+    def test_level_outside_pyramid_rejected(self, small_scene, level):
+        # -1 used to pair the coarsest features with a mis-scaled georef
+        assert small_scene.level_count == 3
+        with pytest.raises(ContractError, match="level"):
+            weighted_distance(small_scene, small_scene.gt_pose, RobustCost.huber(),
+                              level=level)
 
 
 class TestTripletLoss:
@@ -191,6 +199,13 @@ class TestTotalLoss:
         assert total == pytest.approx(
             parts["reprojection_pre"] + parts["beta"] * parts["triplet"], abs=1e-12)
         assert parts["beta"] == pab_weight(parts["reprojection_init"])
+
+    def test_distance_level_beyond_pyramid_rejected(self, small_scene):
+        gt = small_scene.gt_pose
+        init = translate_pose_east_south(gt, 3.0, -2.0)
+        cfg = LossConfig(beta_lo=0.0, dis_level=small_scene.level_count)
+        with pytest.raises(ContractError, match="level"):
+            total_loss(small_scene, gt, init, gt, cfg=cfg)
 
     def test_gated_run_reports_distances(self, small_scene):
         gt = small_scene.gt_pose

@@ -17,6 +17,7 @@ from cvloc.features import attention_lookup_many, bilinear_lookup_many
 from cvloc.geometry import (PointSet, Pose3, pose_to_transform, project_ground,
                             project_satellite, transform_points)
 from cvloc.problem import evaluate_pose, ground_level_data
+from cvloc.solver import build_jacobian
 
 from conftest import tiny_problem
 
@@ -136,6 +137,19 @@ class TestFusedEvaluation:
         monkeypatch.setattr(cvloc.problem, "bilinear_weights", counting)
         evaluate_pose(small_scene, Pose3(1.0, -0.5, 0.05), 0, ground=ground)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("level", [-1, 3], ids=["negative", "level_count"])
+@pytest.mark.parametrize("call", [
+    lambda problem, level: evaluate_pose(problem, problem.gt_pose, level),
+    lambda problem, level: build_jacobian(problem, problem.gt_pose, level),
+    lambda problem, level: ground_level_data(problem, level),
+    lambda problem, level: problem.satellite_level(level),
+], ids=["evaluate_pose", "build_jacobian", "ground_level_data", "satellite_level"])
+def test_level_outside_pyramid_rejected(small_scene, call, level):
+    assert small_scene.level_count == 3
+    with pytest.raises(ContractError, match=f"level {level} is outside"):
+        call(small_scene, level)
 
 
 class TestAlignmentProblem:

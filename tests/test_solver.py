@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from cvloc import solver
 from cvloc.errors import ContractError, DegenerateProblemError, DomainError, SingularSystemError
 from cvloc.features import FeatureMap, FeaturePyramid
-from cvloc.geometry import Pose3, translate_pose_east_south
+from cvloc.geometry import Pose3, d_satproj_d_pose_many, translate_pose_east_south
+from cvloc.harness.runner import _trial_seed
 from cvloc.problem import AlignmentProblem, evaluate_pose, ground_level_data
 from cvloc.solver import (LMConfig, RobustCost, build_jacobian, build_weight_matrix,
-                          lm_step, refine_pose, weighted_cost)
+                          lm_step, normal_equations, refine_pose, weighted_cost)
 from cvloc.synth import SynthConfig, generate_scene, sample_initial_pose, PerturbBounds
 from cvloc.metrics import pose_error
 
@@ -98,8 +99,8 @@ class TestSingleSidedCost:
         rho, drho = _rho_pair(cost, s)
         for got, want in zip((rho, drho), _robust_pair_reference(cost, s)):
             assert np.array_equal(got, want)
-        assert weighted_cost(weights, residuals, cost) == float(np.sum(weights * rho))
-        assert np.array_equal(build_weight_matrix(weights, residuals, cost), weights * drho)
+        assert weighted_cost(weights, s, cost) == float(np.sum(weights * rho))
+        assert np.array_equal(build_weight_matrix(weights, s, cost), weights * drho)
 
     @pytest.mark.parametrize("cost", _COSTS, ids=lambda c: c.kind)
     def test_negative_rejected_by_both_sides(self, cost):
@@ -112,31 +113,36 @@ class TestSingleSidedCost:
 
 class TestBuildWeightMatrix:
     def test_squared_passthrough(self):
-        r = np.ones((4, 2))
-        w = build_weight_matrix(np.ones(4), r, RobustCost.squared())
+        w = build_weight_matrix(np.ones(4), np.full(4, 2.0), RobustCost.squared())
         assert np.allclose(w, 1.0)
 
     def test_attention_scaling(self):
-        r = np.zeros((1, 3))
-        w = build_weight_matrix(np.array([0.4]), r, RobustCost.squared())
+        w = build_weight_matrix(np.array([0.4]), np.zeros(1), RobustCost.squared())
         assert w[0] == pytest.approx(0.4)
 
     def test_huber_downweights(self):
-        r = np.array([[2.0, 0.0]])  # ||r||^2 = 4
-        w = build_weight_matrix(np.array([1.0]), r, RobustCost.huber(1.0))
+        w = build_weight_matrix(np.array([1.0]), np.array([4.0]), RobustCost.huber(1.0))
         assert w[0] == pytest.approx(0.5)
 
     def test_masked_points_stay_zero(self):
-        r = np.array([[2.0, 0.0], [0.0, 0.0]])
-        w = build_weight_matrix(np.array([0.0, 1.0]), r, RobustCost.huber(1.0))
+        w = build_weight_matrix(np.array([0.0, 1.0]), np.array([4.0, 0.0]),
+                                RobustCost.huber(1.0))
         assert w[0] == 0.0
+
+    def test_point_count_mismatch_rejected(self):
+        with pytest.raises(ContractError):
+            build_weight_matrix(np.ones(3), np.ones(2), RobustCost.squared())
+
+
+def _solve(jac, w, res, lam):
+    return lm_step(*normal_equations(jac, w, res), lam)
 
 
 class TestLMStep:
     def test_zero_residual_zero_step(self):
         rng = np.random.default_rng(0)
         jac = rng.standard_normal((12, 3))
-        delta = lm_step(jac, np.ones(12), np.zeros(12), 0.5)
+        delta = _solve(jac, np.ones(12), np.zeros(12), 0.5)
         assert np.allclose(delta, 0.0)
 
     def test_matches_dense_least_squares(self):
@@ -147,7 +153,7 @@ class TestLMStep:
             jac = rng.standard_normal((m, 3))
             w = rng.uniform(0.05, 3.0, m)
             res = rng.standard_normal(m)
-            delta = lm_step(jac, w, res, 0.0)
+            delta = _solve(jac, w, res, 0.0)
             sw = np.sqrt(w)
             expect, *_ = np.linalg.lstsq(jac * sw[:, None], -res * sw, rcond=None)
             assert np.allclose(delta, expect, atol=1e-8)
@@ -157,8 +163,8 @@ class TestLMStep:
         jac = rng.standard_normal((30, 3))
         w = rng.uniform(0.1, 1.0, 30)
         res = rng.standard_normal(30)
-        norms = [np.linalg.norm(lm_step(jac, w, res, lam))
-                 for lam in np.logspace(-6, 6, 13)]
+        hess, grad = normal_equations(jac, w, res)
+        norms = [np.linalg.norm(lm_step(hess, grad, lam)) for lam in np.logspace(-6, 6, 13)]
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
         assert norms[-1] < 1e-4 * norms[0]
 
@@ -166,7 +172,7 @@ class TestLMStep:
         jac = np.zeros((6, 3))
         jac[:, 0] = 1.0  # rank one
         with pytest.raises(SingularSystemError) as err:
-            lm_step(jac, np.ones(6), np.ones(6), 0.0)
+            _solve(jac, np.ones(6), np.ones(6), 0.0)
         assert err.value.hessian is not None
         assert err.value.hessian.shape == (3, 3)
 
@@ -180,16 +186,53 @@ class TestLMStep:
         w[::7] = 0.0
         res = rng.standard_normal((n, k))
         for lam in (0.0, 1e-3, 10.0):
-            blocks = lm_step(jac, w, res, lam)
-            rows = lm_step(jac.reshape(-1, 3), np.repeat(w, k), res.reshape(-1), lam)
+            blocks = _solve(jac, w, res, lam)
+            rows = _solve(jac.reshape(-1, 3), np.repeat(w, k), res.reshape(-1), lam)
             assert np.array_equal(blocks, rows)
 
     def test_floor_rescues_damped_zero_columns(self):
         jac = np.zeros((6, 3))
         jac[:, 0] = 1.0
-        delta = lm_step(jac, np.ones(6), np.ones(6), 1e-3)
+        delta = _solve(jac, np.ones(6), np.ones(6), 1e-3)
         assert np.all(np.isfinite(delta))
         assert np.allclose(delta[1:], 0.0)
+
+    def test_damping_scales_floored_diagonal(self):
+        hess = np.diag([4.0, 0.0, 1.0])
+        hess[0, 2] = hess[2, 0] = 0.5
+        grad = np.array([1.0, 0.0, -2.0])
+        lam = 0.3
+        damped = hess + lam * np.diag([4.0, solver.DIAG_FLOOR, 1.0])
+        assert np.allclose(lm_step(hess, grad, lam), -np.linalg.solve(damped, grad),
+                           rtol=1e-12, atol=0.0)
+
+
+class TestNormalEquations:
+    @pytest.mark.parametrize("pose", [Pose3(0.4, -0.3, 0.05), Pose3(10.0, 0.0, 0.2)])
+    def test_planes_equal_dense_assembly(self, small_scene, pose):
+        # the solver's assembly from the gradient planes is H and g of the
+        # formed Jacobian, on every level, masked points included
+        cost = RobustCost.huber()
+        for level in range(small_scene.level_count):
+            ev = evaluate_pose(small_scene, pose, level)
+            assert 0 < ev.alignment.valid_mask.sum() < small_scene.points.count
+            _, _, georef = small_scene.satellite_level(level)
+            proj_jac = d_satproj_d_pose_many(small_scene.points, pose, small_scene.ctx,
+                                             georef, pts_sat=ev.pts_sat)
+            w = build_weight_matrix(ev.alignment.weights, ev.sq_norms, cost)
+            got = solver._normal_equations(ev, proj_jac, w)
+            want = normal_equations(build_jacobian(small_scene, pose, level), w,
+                                    ev.alignment.residuals)
+            for g, e in zip(got, want):
+                assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e))
+
+    def test_refine_pose_forms_no_jacobian(self, small_scene, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a batched matmul on the hot path")
+
+        monkeypatch.setattr(solver.np, "matmul", forbidden)
+        report = refine_pose(small_scene, Pose3(2.0, -1.0, 0.05))
+        assert report.converged
 
 
 class TestBuildJacobian:
@@ -421,8 +464,8 @@ class TestGaugeConsistency:
                 e1 = evaluate_pose(problem, pose, lvl)
                 e2 = evaluate_pose(shifted, moved, lvl)
                 assert np.array_equal(e1.alignment.valid_mask, e2.alignment.valid_mask)
-                c1 = weighted_cost(e1.alignment.weights, e1.alignment.residuals, cost)
-                c2 = weighted_cost(e2.alignment.weights, e2.alignment.residuals, cost)
+                c1 = weighted_cost(e1.alignment.weights, e1.sq_norms, cost)
+                c2 = weighted_cost(e2.alignment.weights, e2.sq_norms, cost)
                 assert c2 == pytest.approx(c1, abs=1e-12)
 
     def test_solves_land_on_corresponding_optima(self):
@@ -434,3 +477,44 @@ class TestGaugeConsistency:
         assert r2.final_pose.lateral == pytest.approx(expect.lateral, abs=1e-4)
         assert r2.final_pose.longitudinal == pytest.approx(expect.longitudinal, abs=1e-4)
         assert r2.final_pose.yaw == pytest.approx(expect.yaw, abs=1e-6)
+
+
+# (total iterations, accept flags per level from the coarsest, "1" for an
+# accepted step) of the first 20 north-star trials: the default scene,
+# 10 m / 30 deg, eval master seed 42. Recorded before the solver assembled
+# its normal equations from the gradient planes; a change of rounding that
+# flips a step's acceptance shows here.
+_NORTH_STAR_STEPS = [
+    (7, ("11111", "1", "1")),
+    (6, ("1111", "1", "1")),
+    (7, ("11111", "1", "1")),
+    (7, ("11111", "1", "1")),
+    (7, ("11111", "1", "1")),
+    (8, ("111111", "1", "1")),
+    (6, ("1111", "1", "1")),
+    (7, ("11111", "1", "1")),
+    (8, ("111111", "1", "1")),
+    (7, ("11111", "1", "1")),
+    (7, ("11111", "1", "1")),
+    (7, ("11111", "1", "1")),
+    (9, ("1111111", "1", "1")),
+    (7, ("11111", "1", "1")),
+    (7, ("11111", "1", "1")),
+    (7, ("11111", "1", "1")),
+    (7, ("11111", "1", "1")),
+    (8, ("111111", "1", "1")),
+    (8, ("111111", "1", "1")),
+    (6, ("1111", "1", "1")),
+]
+
+
+def test_north_star_trials_keep_their_steps(default_scene):
+    bounds = PerturbBounds(10.0, 30.0)
+    got = []
+    for trial in range(len(_NORTH_STAR_STEPS)):
+        init = sample_initial_pose(default_scene.gt_pose, bounds, _trial_seed((42,), trial))
+        report = refine_pose(default_scene, init)
+        got.append((report.iterations_total,
+                    tuple("".join("1" if it.accepted else "0" for it in lv.iterations)
+                          for lv in report.levels)))
+    assert got == _NORTH_STAR_STEPS
