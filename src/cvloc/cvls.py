@@ -23,7 +23,7 @@ import struct
 
 import numpy as np
 
-from .errors import CvlocError, DomainError, FormatError, require_int
+from .errors import CvlocError, DomainError, FormatError, require_int, require_number
 from .features import AttentionMap, FeatureMap, FeaturePyramid
 from .geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
                        RigidTransform, SatelliteGeoref)
@@ -87,36 +87,37 @@ def save_scene(path, problem: AlignmentProblem) -> None:
         fh.write(np.ascontiguousarray(problem.points.points, dtype="<f4").tobytes())
 
 
-def _require(meta: dict, key: str, section: str):
+def _require(meta: dict, key: str, section: str, check=None, *args,
+             field: str | None = None):
+    """``meta[key]``, through ``check(key, value, *args)`` if given. A missing
+    key raises FormatError naming ``section.key``, a failed check (for
+    ``require_int``, a float, even 2.0, a boolean or a string) names
+    ``field``, ``section.key`` by default."""
     if not isinstance(meta, dict):
         raise FormatError(f"expected an object, got {type(meta).__name__}", field=section)
     if key not in meta:
         raise FormatError("missing field", field=f"{section}.{key}")
-    return meta[key]
-
-
-def _require_int(meta: dict, key: str, section: str, minimum: int,
-                 field: str | None = None) -> int:
-    """An integer field >= ``minimum``; a float (even 2.0), a boolean or a
-    string raises FormatError naming ``field`` (``section.key`` by default)
-    instead of being truncated."""
-    value = _require(meta, key, section)
+    if check is None:
+        return meta[key]
     try:
-        require_int(key, value, minimum)
-    except DomainError as exc:
+        return check(key, meta[key], *args)
+    except (DomainError, OverflowError) as exc:
         raise FormatError(str(exc), field=field or f"{section}.{key}") from exc
-    return value
 
 
-def _take(buffer: bytes, offset: int, count: int, what: str) -> tuple[np.ndarray, int]:
+def _take(buffer: bytes, offset: int, shape: tuple, what: str, cls):
+    """``cls`` on the float32 array of ``shape`` at ``offset``, and the offset
+    after it; a short payload or the type's CvlocError names ``what``."""
+    count = math.prod(shape)
     nbytes = count * 4
     if offset + nbytes > len(buffer):
         raise FormatError(f"payload truncated, need {nbytes} bytes at offset {offset}",
                           field=what)
     arr = np.frombuffer(buffer, dtype="<f4", count=count, offset=offset)
-    if not np.all(np.isfinite(arr)):
-        raise FormatError("non-finite values", field=what)
-    return arr, offset + nbytes
+    try:
+        return cls(arr.reshape(shape)), offset + nbytes
+    except CvlocError as exc:
+        raise FormatError(str(exc), field=what) from exc
 
 
 def _read_pyramid(buffer: bytes, offset: int, table: list, view: str):
@@ -125,13 +126,13 @@ def _read_pyramid(buffer: bytes, offset: int, table: list, view: str):
     levels = []
     for i, entry in enumerate(table):
         field = f"levels.{view}[{i}]"
-        h, w, c = (_require_int(entry, key, field, 1, field=field) for key in "hwc")
-        feat_raw, offset = _take(buffer, offset, h * w * c, f"{view} level {i} features")
-        att_raw, offset = _take(buffer, offset, h * w, f"{view} level {i} attention")
-        if att_raw.size and (att_raw.min() < 0.0 or att_raw.max() > 1.0):
-            raise FormatError("attention out of [0,1]", field=f"{view} level {i} attention")
-        levels.append((FeatureMap(feat_raw.reshape(h, w, c)),
-                       AttentionMap(att_raw.reshape(h, w))))
+        h, w, c = (_require(entry, key, field, require_int, 1, field=field)
+                   for key in "hwc")
+        fmap, offset = _take(buffer, offset, (h, w, c), f"{view} level {i} features",
+                             FeatureMap)
+        amap, offset = _take(buffer, offset, (h, w), f"{view} level {i} attention",
+                             AttentionMap)
+        levels.append((fmap, amap))
     return FeaturePyramid(tuple(levels)), offset
 
 
@@ -154,7 +155,7 @@ def load_scene(path) -> AlignmentProblem:
         raise FormatError("metadata truncated", field="metadata")
     try:
         meta = json.loads(blob[_HEADER.size:_HEADER.size + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON or an overlong integer
         raise FormatError(f"metadata is not valid JSON: {exc}", field="metadata") from exc
 
     g = _require(meta, "georef", "metadata")
@@ -162,43 +163,46 @@ def load_scene(path) -> AlignmentProblem:
     pc = _require(meta, "pose_context", "metadata")
     gt = _require(meta, "gt_pose", "metadata")
     tables = _require(meta, "levels", "metadata")
-    point_count = _require_int(meta, "point_count", "metadata", 1, field="point_count")
+    point_count = _require(meta, "point_count", "metadata", require_int, 1,
+                           field="point_count")
     order = meta.get("level_order", "finest_first")
     if order != "finest_first":
         raise FormatError(f"unsupported level order {order!r}", field="level_order")
 
     try:
         georef = SatelliteGeoref(
-            center_px=float(_require(g, "center_px", "georef")),
-            gamma=float(_require(g, "gamma", "georef")),
-            latitude_deg=float(_require(g, "latitude_deg", "georef")),
-            zoom=_require_int(g, "zoom", "georef", 0),
-            scale=_require_int(g, "scale", "georef", 1))
+            center_px=_require(g, "center_px", "georef", require_number),
+            gamma=_require(g, "gamma", "georef", require_number),
+            latitude_deg=_require(g, "latitude_deg", "georef", require_number),
+            zoom=_require(g, "zoom", "georef", require_int, 0),
+            scale=_require(g, "scale", "georef", require_int, 1))
         intrinsics = CameraIntrinsics(
-            fx=float(_require(k, "fx", "intrinsics")),
-            fy=float(_require(k, "fy", "intrinsics")),
-            cx=float(_require(k, "cx", "intrinsics")),
-            cy=float(_require(k, "cy", "intrinsics")),
-            width=_require_int(k, "width", "intrinsics", 1),
-            height=_require_int(k, "height", "intrinsics", 1))
-        cam = np.asarray(_require(pc, "cam_to_gps", "pose_context"),
-                         dtype=np.float64)
-        if cam.shape != (12,):
-            raise FormatError("cam_to_gps must hold 12 floats",
+            fx=_require(k, "fx", "intrinsics", require_number),
+            fy=_require(k, "fy", "intrinsics", require_number),
+            cx=_require(k, "cx", "intrinsics", require_number),
+            cy=_require(k, "cy", "intrinsics", require_number),
+            width=_require(k, "width", "intrinsics", require_int, 1),
+            height=_require(k, "height", "intrinsics", require_int, 1))
+        cam = _require(pc, "cam_to_gps", "pose_context")
+        if not (isinstance(cam, list) and len(cam) == 12):
+            raise FormatError("cam_to_gps must hold 12 numbers",
                               field="pose_context.cam_to_gps")
-        cam = cam.reshape(3, 4)
+        try:
+            cam = np.reshape([require_number("cam_to_gps", x) for x in cam], (3, 4))
+        except (DomainError, OverflowError) as exc:
+            raise FormatError(str(exc), field="pose_context.cam_to_gps") from exc
         ctx = PoseContext(
-            roll=math.radians(float(_require(pc, "roll_deg", "pose_context"))),
-            pitch=math.radians(float(_require(pc, "pitch_deg", "pose_context"))),
-            height=float(_require(pc, "height_m", "pose_context")),
+            roll=math.radians(_require(pc, "roll_deg", "pose_context", require_number)),
+            pitch=math.radians(_require(pc, "pitch_deg", "pose_context", require_number)),
+            height=_require(pc, "height_m", "pose_context", require_number),
             cam_to_gps=RigidTransform(cam[:, :3], cam[:, 3]))
         gt_pose = Pose3(
-            lateral=float(_require(gt, "lateral_m", "gt_pose")),
-            longitudinal=float(_require(gt, "longitudinal_m", "gt_pose")),
-            yaw=math.radians(float(_require(gt, "yaw_deg", "gt_pose"))))
+            lateral=_require(gt, "lateral_m", "gt_pose", require_number),
+            longitudinal=_require(gt, "longitudinal_m", "gt_pose", require_number),
+            yaw=math.radians(_require(gt, "yaw_deg", "gt_pose", require_number)))
     except FormatError:
         raise
-    except (CvlocError, ValueError, TypeError) as exc:
+    except CvlocError as exc:
         raise FormatError(f"invalid metadata value: {exc}", field="metadata") from exc
 
     offset = _HEADER.size + meta_len
@@ -206,7 +210,7 @@ def load_scene(path) -> AlignmentProblem:
                                     "satellite")
     grd_pyr, offset = _read_pyramid(blob, offset, _require(tables, "ground", "levels"),
                                     "ground")
-    pts_raw, offset = _take(blob, offset, point_count * 3, "points")
+    points, offset = _take(blob, offset, (point_count, 3), "points", PointSet)
     if offset != len(blob):
         raise FormatError(f"{len(blob) - offset} trailing bytes after payload",
                           field="payload")
@@ -214,7 +218,6 @@ def load_scene(path) -> AlignmentProblem:
     try:
         return AlignmentProblem(
             sat_pyramid=sat_pyr, georef=georef, grd_pyramid=grd_pyr,
-            intrinsics=intrinsics, points=PointSet(pts_raw.reshape(point_count, 3)),
-            ctx=ctx, gt_pose=gt_pose)
+            intrinsics=intrinsics, points=points, ctx=ctx, gt_pose=gt_pose)
     except CvlocError as exc:
         raise FormatError(f"inconsistent scene: {exc}", field="payload") from exc

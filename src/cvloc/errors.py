@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the integer-field check."""
+"""Exception types shared across the toolkit, and the integer and number checks."""
 
 from __future__ import annotations
 
@@ -57,8 +57,8 @@ class ConfigError(CvlocError):
     """A configuration file or value is invalid."""
 
 
-def require_int(name: str, value, minimum: int) -> None:
-    """Raise DomainError unless ``value`` is an integer >= ``minimum``.
+def require_int(name: str, value, minimum: int) -> int:
+    """``value``; raise DomainError unless it is an integer >= ``minimum``.
 
     Booleans are rejected although Python counts them as integers, so a
     JSON ``true`` cannot stand in for 1.
@@ -67,3 +67,13 @@ def require_int(name: str, value, minimum: int) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def require_number(name: str, value) -> float:
+    """``value`` as a float; raise DomainError unless it is a real number,
+    which a JSON ``true`` or ``"0.5"`` is not, and OverflowError for an
+    integer beyond the float range. Finiteness is the value type's rule."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    return float(value)

@@ -19,6 +19,20 @@ from .errors import ContractError, DomainError
 ZERO_NORM_EPS = 1e-12
 
 
+def _map_array(data, what: str, layout: str) -> np.ndarray:
+    """``data`` as a finite, contiguous, read-only float32/float64 array."""
+    arr = np.asarray(data)
+    if arr.ndim != len(layout.split("x")):
+        raise ContractError(f"{what} data must be {layout}, got shape {arr.shape}")
+    if arr.dtype not in (np.float32, np.float64):
+        arr = arr.astype(np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{what} data contains non-finite values")
+    arr = np.ascontiguousarray(arr)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class FeatureMap:
     """Dense per-pixel feature map, shape (height, width, channels).
@@ -31,16 +45,7 @@ class FeatureMap:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.ndim != 3:
-            raise ContractError(f"feature data must be HxWxC, got shape {arr.shape}")
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("feature data contains non-finite values")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _map_array(self.data, "feature", "HxWxC"))
 
     @property
     def height(self) -> int:
@@ -62,17 +67,9 @@ class AttentionMap:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.ndim != 2:
-            raise ContractError(f"attention data must be HxW, got shape {arr.shape}")
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("attention data contains non-finite values")
+        arr = _map_array(self.data, "attention", "HxW")
         if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
             raise DomainError("attention out of [0,1]")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
     @property

@@ -82,8 +82,10 @@ class SatelliteGeoref:
     scale: int
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise DomainError(f"gamma must be > 0, got {self.gamma}")
+        if not math.isfinite(self.center_px):
+            raise DomainError(f"center_px must be finite, got {self.center_px}")
+        if not 0 < self.gamma < math.inf:
+            raise DomainError(f"gamma must be finite and > 0, got {self.gamma}")
         if not abs(self.latitude_deg) < 90.0:
             raise DomainError(f"latitude must satisfy |lat| < 90, got {self.latitude_deg}")
 
@@ -123,8 +125,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise DomainError("focal lengths must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise DomainError("focal lengths must be finite and positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise DomainError("principal point must lie inside the image")
 
@@ -198,6 +200,10 @@ class PoseContext:
     pitch: float = 0.0
     height: float = 0.0
     cam_to_gps: RigidTransform = field(default_factory=RigidTransform.identity)
+
+    def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.roll, self.pitch, self.height)):
+            raise DomainError("roll, pitch and height must be finite")
 
 
 @dataclass(frozen=True)

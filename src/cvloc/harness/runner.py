@@ -10,11 +10,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from ..cvls import MAGIC, load_scene
-from ..errors import ConfigError, DegenerateProblemError, SingularSystemError
+from ..errors import (ConfigError, DegenerateProblemError, SingularSystemError,
+                      require_number)
 from ..geometry import Pose3
 from ..losses import LossConfig, total_loss
 from ..metrics import (SHIFT_THRESHOLDS_M, YAW_THRESHOLDS_DEG, MetricsSummary, PoseError,
@@ -49,105 +51,86 @@ class RunConfig:
     synth: SynthConfig
 
 
-def _build_section(name: str, data: dict, builder):
-    if not isinstance(data, dict):
-        raise ConfigError(f"section {name!r} must be an object")
-    try:
-        return builder(data)
-    except TypeError as exc:
-        raise ConfigError(f"section {name!r}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"section {name!r}: {exc}") from exc
+#: Each config section's dataclass and the types of its fields.
+_SECTIONS = {name: (cls, get_type_hints(cls))
+             for name, cls in get_type_hints(RunConfig).items()}
 
 
-def _cost_from(data: dict) -> RobustCost:
-    kind = data.get("kind", "huber")
-    extra = set(data) - {"kind", "delta", "sigma"}
+def _section(name: str, data: dict, **translated):
+    """The section's dataclass from its keys, each one of the class's fields.
+    Keys typed ``float`` must hold JSON numbers; the dataclass supplies every
+    default and checks every value. ``translated`` holds the fields the file
+    spells another way, which it cannot set directly."""
+    cls, hints = _SECTIONS[name]
+    extra = set(data) - (set(hints) - set(translated))
     if extra:
-        raise ConfigError(f"unknown cost keys {sorted(extra)}")
-    if kind == "squared":
-        return RobustCost.squared()
-    if kind == "huber":
-        return RobustCost.huber(delta=float(data.get("delta", 0.25)))
-    if kind == "geman_mcclure":
-        return RobustCost.geman_mcclure(sigma=float(data.get("sigma", 1.0)))
-    raise ConfigError(f"unknown cost kind {kind!r}")
-
-
-def _solver_from(data: dict) -> LMConfig:
-    allowed = {"max_iters_per_level", "stop_tol", "lambda_init", "lambda_up",
-               "lambda_down", "level_order"}
-    extra = set(data) - allowed
-    if extra:
-        raise ConfigError(f"unknown solver keys {sorted(extra)}")
-    return LMConfig(**data)
-
-
-def _loss_from(data: dict) -> LossConfig:
-    allowed = {"alpha", "beta_lo", "beta_hi", "dis_level"}
-    extra = set(data) - allowed
-    if extra:
-        raise ConfigError(f"unknown loss keys {sorted(extra)}")
-    return LossConfig(**data)
+        raise ConfigError(f"unknown {name} keys {sorted(extra)}")
+    kwargs = {key: require_number(key, value) if hints[key] is float else value
+              for key, value in data.items()}
+    return cls(**kwargs, **translated)
 
 
 def _synth_from(data: dict) -> SynthConfig:
+    """The file's ``depth_min``/``depth_max`` give ``point_depth_range``, and
+    its ``gt_pose`` object takes the keys of ``Pose3.to_dict``."""
     data = dict(data)
-    gt = data.pop("gt_pose", None)
-    allowed = {"seed", "sat_size", "gamma", "levels", "channels", "point_count",
-               "depth_min", "depth_max", "feature_smoothness", "attention_mode",
-               "grd_width", "grd_height", "grd_focal", "cam_height_m"}
-    extra = set(data) - allowed
+    default = SynthConfig()
+    lo, hi = default.point_depth_range
+    depth = (require_number("depth_min", data.pop("depth_min", lo)),
+             require_number("depth_max", data.pop("depth_max", hi)))
+    gt = data.pop("gt_pose", {})
+    if not isinstance(gt, dict):
+        raise ConfigError("synth.gt_pose must be an object")
+    pose = default.gt_pose.to_dict()
+    extra = set(gt) - set(pose)
     if extra:
-        raise ConfigError(f"unknown synth keys {sorted(extra)}")
-    kwargs = dict(data)
-    if "depth_min" in kwargs or "depth_max" in kwargs:
-        lo = kwargs.pop("depth_min", 3.0)
-        hi = kwargs.pop("depth_max", 25.0)
-        kwargs["point_depth_range"] = (float(lo), float(hi))
-    if gt is not None:
-        if not isinstance(gt, dict):
-            raise ConfigError("synth.gt_pose must be an object")
-        kwargs["gt_pose"] = Pose3(
-            float(gt.get("lateral_m", 0.0)),
-            float(gt.get("longitudinal_m", 0.0)),
-            math.radians(float(gt.get("yaw_deg", 0.0))))
-    return SynthConfig(**kwargs)
+        raise ConfigError(f"unknown synth.gt_pose keys {sorted(extra)}")
+    pose.update((key, require_number(f"gt_pose.{key}", value))
+                for key, value in gt.items())
+    gt_pose = Pose3(pose["lateral_m"], pose["longitudinal_m"],
+                    math.radians(pose["yaw_deg"]))
+    return _section("synth", data, point_depth_range=depth, gt_pose=gt_pose)
+
+
+def _reject_constant(name: str):
+    """``json.load`` hook for the non-standard ``NaN`` and ``[-]Infinity``."""
+    raise ConfigError(f"{name} is not a number; config values must be finite")
 
 
 def load_config(path=None) -> RunConfig:
-    """Parse a JSON config file; missing sections fall back to defaults.
+    """Parse a JSON config file; missing sections and keys take the defaults.
 
     Schema (all sections optional): ``solver`` (LM schedule), ``cost``
     (robust cost), ``loss`` (triplet/gating), ``synth`` (scene defaults).
-    Angles are degrees.
+    Angles are degrees. Numbers must be finite JSON numbers.
     """
     data = {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                data = json.load(fh, parse_constant=_reject_constant)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad UTF-8, bad JSON or an overlong integer
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
-    extra = set(data) - {"solver", "cost", "loss", "synth"}
+    extra = set(data) - set(_SECTIONS)
     if extra:
         raise ConfigError(f"unknown config sections {sorted(extra)}")
 
-    try:
-        return RunConfig(
-            solver=_build_section("solver", data.get("solver", {}), _solver_from),
-            cost=_build_section("cost", data.get("cost", {}), _cost_from),
-            loss=_build_section("loss", data.get("loss", {}), _loss_from),
-            synth=_build_section("synth", data.get("synth", {}), _synth_from),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:  # invalid values surface as ConfigError
-        raise ConfigError(str(exc)) from exc
+    built = {}
+    for name in _SECTIONS:
+        section = data.get(name, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"section {name!r} must be an object")
+        try:
+            built[name] = (_synth_from(section) if name == "synth"
+                           else _section(name, section))
+        # DomainError is a ValueError; an integer too large for a float overflows
+        except (OverflowError, ValueError) as exc:
+            raise ConfigError(f"section {name!r}: {exc}") from exc
+    return RunConfig(**built)
 
 
 def load_problem(source) -> AlignmentProblem:
@@ -183,11 +166,10 @@ def parse_init_pose(text: str) -> Pose3:
         raise ConfigError(f"--init expects 'lat_m,lon_m,yaw_deg', got {text!r}")
     try:
         lat, lon, yaw_deg = (float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"--init has a non-numeric field: {text!r}") from exc
-    if not all(math.isfinite(x) for x in (lat, lon, yaw_deg)):
-        raise ConfigError(f"--init fields must be finite, got {text!r}")
-    return Pose3(lat, lon, math.radians(yaw_deg))
+        return Pose3(lat, lon, math.radians(yaw_deg))
+    except ValueError as exc:  # a non-numeric field, or Pose3's finiteness rule
+        raise ConfigError(f"--init fields must be finite numbers, got {text!r}: "
+                          f"{exc}") from exc
 
 
 def run_localize(scene_path, init_pose: Pose3 | None = None,

@@ -9,6 +9,7 @@ far enough from the truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,10 @@ class LossConfig:
     dis_level: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise DomainError("alpha must be > 0")
-        if not 0 <= self.beta_lo < self.beta_hi:
-            raise DomainError("need 0 <= beta_lo < beta_hi")
+        if not 0 < self.alpha < math.inf:
+            raise DomainError("alpha must be finite and > 0")
+        if not 0 <= self.beta_lo < self.beta_hi < math.inf:
+            raise DomainError("need 0 <= beta_lo < beta_hi < inf")
         require_int("dis_level", self.dis_level, 0)
 
 

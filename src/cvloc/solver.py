@@ -58,15 +58,15 @@ class RobustCost:
     The huber default delta=0.25 makes rho' drop to 1/2 at ||r|| = 1.
     """
 
-    kind: str
+    kind: str = "huber"
     delta: float = 0.25
     sigma: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("squared", "huber", "geman_mcclure"):
             raise DomainError(f"unknown robust cost kind {self.kind!r}")
-        if self.delta <= 0 or self.sigma <= 0:
-            raise DomainError("robust cost parameters must be positive")
+        if not (0 < self.delta < math.inf and 0 < self.sigma < math.inf):
+            raise DomainError("robust cost parameters must be finite and positive")
 
     @classmethod
     def squared(cls) -> "RobustCost":
@@ -133,12 +133,12 @@ class LMConfig:
 
     def __post_init__(self):
         require_int("max_iters_per_level", self.max_iters_per_level, 1)
-        if self.stop_tol <= 0:
-            raise DomainError("stop_tol must be > 0")
-        if self.lambda_init <= 0:
-            raise DomainError("lambda_init must be > 0")
-        if self.lambda_up <= 1:
-            raise DomainError("lambda_up must be > 1")
+        if not 0 < self.stop_tol < math.inf:
+            raise DomainError("stop_tol must be finite and > 0")
+        if not 0 < self.lambda_init < math.inf:
+            raise DomainError("lambda_init must be finite and > 0")
+        if not 1 < self.lambda_up < math.inf:
+            raise DomainError("lambda_up must be finite and > 1")
         if not 0 < self.lambda_down < 1:
             raise DomainError("lambda_down must lie in (0, 1)")
         if self.level_order != "coarse_to_fine":

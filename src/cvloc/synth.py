@@ -51,22 +51,22 @@ class SynthConfig:
                               ("grd_height", 1)):
             require_int(name, getattr(self, name), minimum)
         lo, hi = self.point_depth_range
-        if not (0 < lo < hi):
-            raise DomainError(f"depth range must be positive and ordered, got {self.point_depth_range}")
+        if not (0 < lo < hi < math.inf):
+            raise DomainError(f"depth range must be 0 < min < max < inf, got {lo}, {hi}")
         if self.attention_mode not in ("uniform", "random_smooth"):
             raise DomainError(f"unknown attention mode {self.attention_mode!r}")
-        if self.feature_smoothness <= 0:
-            raise DomainError("feature_smoothness must be > 0")
-        self._geometry()  # an unreachable gamma or a bad camera fails here
+        if not 0 < self.feature_smoothness < math.inf:
+            raise DomainError("feature_smoothness must be finite and > 0")
+        self._geometry()  # an unreachable gamma, a bad camera or height fails here
 
-    def _geometry(self) -> tuple[SatelliteGeoref, CameraIntrinsics]:
-        """Satellite georeference and ground camera of the generated scene."""
+    def _geometry(self) -> tuple[SatelliteGeoref, CameraIntrinsics, PoseContext]:
+        """Satellite georeference, ground camera and pose context of the scene."""
         georef = SatelliteGeoref.from_gamma((self.sat_size - 1) / 2.0, self.gamma)
         intrinsics = CameraIntrinsics(
             fx=self.grd_focal, fy=self.grd_focal,
             cx=(self.grd_width - 1) / 2.0, cy=(self.grd_height - 1) / 2.0,
             width=self.grd_width, height=self.grd_height)
-        return georef, intrinsics
+        return georef, intrinsics, PoseContext(height=self.cam_height_m)
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,7 @@ def generate_scene(cfg: SynthConfig) -> AlignmentProblem:
     step = 2**(cfg.levels - 1)
     margin = 2 * step
 
-    georef, intrinsics = cfg._geometry()
-    ctx = PoseContext(roll=0.0, pitch=0.0, height=cfg.cam_height_m)
+    georef, intrinsics, ctx = cfg._geometry()
 
     # Ground pixels on the coarsest level's texel grid, so every pyramid
     # level sees the splats at integer coordinates.

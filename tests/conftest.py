@@ -1,15 +1,25 @@
-"""Shared fixtures: small handmade and generated scenes."""
+"""Shared fixtures: small handmade and generated scenes, and the Hypothesis
+profile of CI runs."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cvloc.features import AttentionMap, FeatureMap, FeaturePyramid, normalize_features
 from cvloc.geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
                             SatelliteGeoref)
 from cvloc.problem import AlignmentProblem
 from cvloc.synth import SynthConfig, generate_scene
+
+# CI (GitHub Actions sets CI) draws the same examples on every run, with no
+# deadline on a shared runner's timing.
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def tiny_problem(sat_data=None, grd_data=None, sat_att=None, grd_att=None,

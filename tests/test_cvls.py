@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvloc.cvls import MAGIC, load_scene, save_scene
 from cvloc.errors import FormatError
@@ -209,3 +211,90 @@ class TestValidation:
         with pytest.raises(FormatError) as err:
             load_scene(bad)
         assert err.value.field == "points"
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda meta: meta["georef"].update(gamma="0.2"), "georef.gamma"),
+        (lambda meta: meta["intrinsics"].update(fx=True), "intrinsics.fx"),
+        (lambda meta: meta["pose_context"].update(height_m=None), "pose_context.height_m"),
+        (lambda meta: meta["gt_pose"].update(yaw_deg=[0.0]), "gt_pose.yaw_deg"),
+        (lambda meta: meta["georef"].update(center_px=10**400), "georef.center_px"),
+        (lambda meta: meta["pose_context"]["cam_to_gps"].__setitem__(0, "1"),
+         "pose_context.cam_to_gps"),
+        (lambda meta: meta["pose_context"]["cam_to_gps"].__setitem__(5, True),
+         "pose_context.cam_to_gps"),
+    ], ids=["gamma_str", "fx_bool", "height_null", "yaw_list", "center_overflow",
+            "cam_str", "cam_bool"])
+    def test_non_number_metadata_field(self, scene_file, tmp_path, edit, field):
+        path, _ = scene_file
+        bad = tmp_path / "bad.cvls"
+        bad.write_bytes(_rewrite_meta(path.read_bytes(), edit))
+        with pytest.raises(FormatError) as err:
+            load_scene(bad)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta["georef"].update(center_px=float("nan")),
+        lambda meta: meta["georef"].update(gamma=float("inf")),
+        lambda meta: meta["intrinsics"].update(fy=float("inf")),
+        lambda meta: meta["pose_context"].update(roll_deg=float("nan")),
+        lambda meta: meta["pose_context"].update(height_m=float("-inf")),
+    ], ids=["center_nan", "gamma_inf", "fy_inf", "roll_nan", "height_inf"])
+    def test_non_finite_metadata_value(self, scene_file, tmp_path, edit):
+        path, _ = scene_file
+        bad = tmp_path / "bad.cvls"
+        bad.write_bytes(_rewrite_meta(path.read_bytes(), edit))
+        with pytest.raises(FormatError, match="finite") as err:
+            load_scene(bad)
+        assert err.value.field == "metadata"
+
+    @pytest.mark.parametrize("array, field", [
+        ("satellite attention", "satellite level 0 attention"),
+        ("ground features", "ground level 0 features"),
+    ])
+    def test_nan_payload_names_array(self, scene_file, tmp_path, array, field):
+        path, problem = scene_file
+        sat_feat = problem.sat_pyramid.feature(0).data.size * 4
+        sat_att = problem.sat_pyramid.attention(0).data.size * 4
+        skip = sat_feat if array == "satellite attention" else sat_feat + sat_att
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, _payload_offset(bytes(blob)) + skip, float("nan"))
+        bad = tmp_path / "bad.cvls"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="non-finite") as err:
+            load_scene(bad)
+        assert err.value.field == field
+
+
+@pytest.fixture(scope="module")
+def tiny_scene_copy(tmp_path_factory):
+    """The bytes of a saved tiny scene, and a path to write altered copies to."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    save_scene(folder / "scene.cvls", tiny_problem())
+    return (folder / "scene.cvls").read_bytes(), folder / "copy.cvls"
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_corrupted_file_loads_or_raises_format_error(tiny_scene_copy, data):
+    """Overwritten bytes in one section, a cut or trailing bytes: the loader
+    returns a scene or raises FormatError, never another exception."""
+    original, path = tiny_scene_copy
+    blob = bytearray(original)
+    payload = _payload_offset(original)
+    sections = {"header": (0, 10), "metadata": (10, payload),
+                "payload": (payload, len(blob))}
+    kind = data.draw(st.sampled_from([*sections, "cut", "tail"]), label="kind")
+    if kind == "cut":
+        del blob[data.draw(st.integers(0, len(blob) - 1), label="end"):]
+    elif kind == "tail":
+        blob += data.draw(st.binary(min_size=1, max_size=16), label="tail")
+    else:
+        lo, hi = sections[kind]
+        for _ in range(data.draw(st.integers(1, 4), label="overwrites")):
+            blob[data.draw(st.integers(lo, hi - 1), label="at")] = data.draw(
+                st.integers(0, 255), label="byte")
+    path.write_bytes(bytes(blob))
+    try:
+        load_scene(path)
+    except FormatError:
+        pass

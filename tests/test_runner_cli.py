@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -63,9 +65,13 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"solver": {"max_iter": 3}}))
-        with pytest.raises(ConfigError):
-            runner.load_config(path)
+        # point_depth_range is spelled depth_min/depth_max in the file
+        for data in ({"solver": {"max_iter": 3}},
+                     {"synth": {"gt_pose": {"lateral": 3.0}}},
+                     {"synth": {"point_depth_range": [3.0, 9.0]}}):
+            path.write_text(json.dumps(data))
+            with pytest.raises(ConfigError, match="unknown"):
+                runner.load_config(path)
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -79,10 +85,67 @@ class TestConfig:
                      {"solver": {"max_iters_per_level": 2.5}},
                      {"loss": {"dis_level": 0.5}},
                      {"synth": {"seed": 1.5}},
-                     {"synth": {"levels": True}}):
+                     {"synth": {"levels": True}},
+                     # numeric keys take JSON numbers: no booleans, no strings
+                     {"loss": {"alpha": True}},
+                     {"cost": {"delta": "0.5"}},
+                     {"solver": {"stop_tol": "0.5"}},
+                     {"synth": {"cam_height_m": "x"}},
+                     {"synth": {"depth_min": "3"}},
+                     {"synth": {"depth_max": False}},
+                     {"synth": {"gt_pose": {"yaw_deg": True}}},
+                     {"synth": {"gt_pose": {"lateral_m": "1"}}},
+                     # every key reaches its dataclass, whatever the cost kind
+                     {"cost": {"kind": "squared", "delta": -1.0}}):
             path.write_text(json.dumps(data))
             with pytest.raises(ConfigError):
                 runner.load_config(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"solver": {"stop_tol": NaN}}',
+        '{"cost": {"delta": NaN}}',
+        '{"synth": {"feature_smoothness": NaN}}',
+        '{"solver": {"lambda_init": Infinity}}',
+        '{"synth": {"gt_pose": {"lateral_m": -Infinity}}}',
+    ], ids=["stop_tol", "delta", "smoothness", "lambda_init", "gt_lateral"])
+    def test_non_finite_constant_rejected(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="is not a number"):
+            runner.load_config(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"solver": {"stop_tol": 1e400}}',
+        '{"solver": {"lambda_init": 1e400}}',
+        '{"solver": {"lambda_up": 1e400}}',
+        '{"cost": {"delta": 1e400}}',
+        '{"loss": {"alpha": 1e400}}',
+        '{"loss": {"beta_hi": 1e400}}',
+        '{"synth": {"feature_smoothness": 1e400}}',
+        '{"synth": {"depth_max": 1e400}}',
+        '{"synth": {"grd_focal": 1e400}}',
+        '{"synth": {"cam_height_m": -1e400}}',
+        '{"synth": {"gt_pose": {"yaw_deg": 1e400}}}',
+        '{"cost": {"sigma": 1%s}}' % ("0" * 400),
+        '{"synth": {"sat_size": 1%s}}' % ("0" * 400),
+        '{"solver": {"max_iters_per_level": 1%s}}' % ("0" * 5000),
+    ], ids=["stop_tol", "lambda_init", "lambda_up", "delta", "alpha", "beta_hi",
+            "smoothness", "depth_max", "focal", "cam_height", "gt_yaw", "sigma_int",
+            "sat_size_int", "iters_digits"])
+    def test_out_of_range_number_rejected(self, tmp_path, text):
+        """Numbers that overflow to inf, or integers beyond what a float or
+        the JSON parser holds."""
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            runner.load_config(path)
+
+    def test_readme_block_is_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## Config file\n.*?```json\n(.*?)```", readme, re.S)
+        path = tmp_path / "cfg.json"
+        path.write_text(block.group(1))
+        assert runner.load_config(path) == runner.load_config(None)
 
     def test_workers_env_override(self, monkeypatch):
         monkeypatch.setenv("CVL_WORKERS", "3")
@@ -326,6 +389,20 @@ class TestCli:
         code = main(["localize", "--scene", str(scene), "--init", "0,0,0",
                      "--config", str(cfg)])
         assert code == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"synth": {"cam_height_m": "x"}}',
+        '{"synth": {"feature_smoothness": NaN}}',
+        '{"solver": {"stop_tol": NaN}}',
+        '{"cost": {"delta": NaN}}',
+    ], ids=["cam_height_str", "smoothness_nan", "stop_tol_nan", "delta_nan"])
+    def test_bad_config_number_exits_2(self, tmp_path, text, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = main(["eval", "--scene", str(cfg), "--trials", "1",
+                     "--out-dir", str(tmp_path / "eval")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_eval_from_synth_config(self, tmp_path, synth_cfg_file, capsys):
         out_dir = tmp_path / "eval"
