@@ -29,7 +29,8 @@ class FormatError(CvlocError):
 
 
 class SingularSystemError(CvlocError):
-    """Cholesky factorization failed on a damped normal-equation system."""
+    """A damped normal-equation system has a non-finite entry, or its
+    Cholesky factorization met a pivot that is not > 0."""
 
     def __init__(self, message: str, hessian=None):
         super().__init__(message)

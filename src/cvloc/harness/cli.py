@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
-4 degenerate problem or singular normal equations (also an eval or sweep
-bound where every trial fails), 5 numeric self-check failure.
+4 degenerate problem or singular or non-finite normal equations (also an
+eval or sweep bound where every trial fails), 5 numeric self-check failure.
 """
 
 from __future__ import annotations

@@ -24,7 +24,11 @@ assembles H = J^T W J and g = J^T W r straight from the gradient planes:
 the 2x2 translation block is shared by every point, so two scaled planes
 and one yaw row give J^T as a (3, N*c) array, and one GEMM and one GEMV
 give H and g. No (N, c, 3) Jacobian is formed. A rejected step reuses H
-and g, and ``lm_step`` is the damped 3x3 Cholesky solve alone.
+and g, and ``lm_step`` is the damped 3x3 Cholesky solve alone. That
+solve is in closed form on Python floats (``cho_factor``, ``cho_solve``):
+it reads the lower triangle of the damped matrix, and raises
+SingularSystemError on a pivot that is not > 0 or on a non-finite entry
+of H or g.
 ``build_jacobian`` and ``normal_equations`` form the dense J and its
 normal equations as references for the numeric self-checks.
 """
@@ -35,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import (ContractError, DegenerateProblemError, DomainError,
                      SingularSystemError, require_int)
@@ -277,25 +280,63 @@ def _normal_equations(ev: PoseEvaluation, proj_jac: np.ndarray,
     return weighted @ jac_t.T, weighted @ ev.alignment.residuals.reshape(-1)
 
 
+def cho_factor(a) -> tuple[float, ...]:
+    """Lower Cholesky factor L of a 3x3 matrix A = L L^T, in closed form.
+
+    Reads only the lower triangle of ``a``, so the strict upper triangle
+    never changes the result. Returns L's six lower entries row by row,
+    (l00, l10, l11, l20, l21, l22). Raises SingularSystemError carrying
+    ``a`` when a pivot is not > 0.
+    """
+    (a00, _, _), (a10, a11, _), (a20, a21, a22) = np.asarray(a, dtype=np.float64).tolist()
+    l00 = _pivot_root(a00, 0, a)
+    l10, l20 = a10 / l00, a20 / l00
+    l11 = _pivot_root(a11 - l10 * l10, 1, a)
+    l21 = (a21 - l20 * l10) / l11
+    l22 = _pivot_root(a22 - l20 * l20 - l21 * l21, 2, a)
+    return l00, l10, l11, l20, l21, l22
+
+
+def _pivot_root(pivot: float, k: int, a) -> float:
+    if not pivot > 0:  # NaN fails too
+        raise SingularSystemError(
+            f"Cholesky factorization failed: pivot {k} is {pivot!r}, not > 0", hessian=a)
+    return math.sqrt(pivot)
+
+
+def cho_solve(factor: tuple[float, ...], b) -> np.ndarray:
+    """Solve A x = b for the 3-vector x, given ``cho_factor(A)``."""
+    l00, l10, l11, l20, l21, l22 = factor
+    b0, b1, b2 = np.asarray(b, dtype=np.float64).tolist()
+    y0 = b0 / l00
+    y1 = (b1 - l10 * y0) / l11
+    y2 = (b2 - l20 * y0 - l21 * y1) / l22
+    x2 = y2 / l22
+    x1 = (y1 - l21 * x2) / l11
+    x0 = (y0 - l10 * x1 - l20 * x2) / l00
+    return np.array([x0, x1, x2])
+
+
 def lm_step(hess: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray:
     """Solve one damped normal-equation step.
 
     delta = -(H + lam * diag(H))^-1 g for H = J^T W J and g = J^T W r,
     solved by Cholesky factorization. Diagonal entries of H are floored at
     ``DIAG_FLOOR`` before damping so any lam > 0 yields a solvable system.
+    Raises SingularSystemError when H or g has a NaN or infinite entry
+    (``hessian`` is then H), or when the damped matrix has a pivot that is
+    not > 0 (``hessian`` is then the damped matrix).
 
     Args:
         hess: (3, 3) H.
         grad: (3,) g.
         lam: damping factor >= 0.
     """
-    damped = hess + lam * np.diag(np.maximum(np.diag(hess), DIAG_FLOOR))
-    try:
-        factor = cho_factor(damped, lower=True)
-    except LinAlgError as exc:
+    if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
         raise SingularSystemError(
-            f"Cholesky factorization failed (lambda={lam})", hessian=damped) from exc
-    return -cho_solve(factor, grad)
+            f"normal equations are not finite (lambda={lam})", hessian=hess)
+    damped = hess + lam * np.diag(np.maximum(np.diag(hess), DIAG_FLOOR))
+    return -cho_solve(cho_factor(damped), grad)
 
 
 def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = None,

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DomainError, GenerationError, require_int
 from .features import (AttentionMap, FeatureMap, FeaturePyramid,
@@ -81,10 +80,18 @@ class PerturbBounds:
             raise DomainError("perturbation bounds must be finite and >= 0")
 
 
+def _gaussian_filter(data: np.ndarray, sigma, mode: str) -> np.ndarray:
+    # Imported here, not at module level: loading and localizing saved
+    # scenes never filter, and importing scipy takes longer than the rest
+    # of their start-up.
+    from scipy import ndimage
+    return ndimage.gaussian_filter(data, sigma=sigma, mode=mode)
+
+
 def _smooth_field(rng: np.random.Generator, shape, sigma: float) -> np.ndarray:
     noise = rng.standard_normal(shape)
     spatial = (sigma, sigma) + (0.0,) * (len(shape) - 2)
-    return ndimage.gaussian_filter(noise, sigma=spatial, mode="wrap")
+    return _gaussian_filter(noise, spatial, "wrap")
 
 
 def _attention(rng: np.random.Generator, shape, mode: str, sigma: float) -> AttentionMap:
@@ -200,8 +207,8 @@ def _splat_ground_map(base: np.ndarray, uv: np.ndarray, targets: np.ndarray,
     splat_w[tex_v, tex_u] = 1.0
 
     sigma = max(1.0, float(spacing))
-    blur_val = ndimage.gaussian_filter(splat_val, sigma=(sigma, sigma, 0.0), mode="nearest")
-    blur_w = ndimage.gaussian_filter(splat_w, sigma=sigma, mode="nearest")
+    blur_val = _gaussian_filter(splat_val, (sigma, sigma, 0.0), "nearest")
+    blur_w = _gaussian_filter(splat_w, sigma, "nearest")
     eps = 1e-3
     out = (blur_val + eps * base) / (blur_w + eps)[..., None]
     out[tex_v, tex_u] = targets

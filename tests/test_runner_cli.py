@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -198,16 +201,15 @@ class TestRunLocalize:
 
 # (final lateral m, final longitudinal m, final yaw deg, iterations) of
 # run_eval on small_scene, 6 trials at 10 m / 30 deg, master seed 5.
-# Recorded again when the solver began assembling its normal equations
-# from the gradient planes: each value moved by at most 3e-16 and no
-# iteration count changed.
+# Recorded again when the damped 3x3 Cholesky solve moved to closed form:
+# each value moved by at most 1.3e-15 and no iteration count changed.
 _RECORDED_EVAL = [
-    (-1.8005443249200316e-08, 1.5108430101026073e-09, 1.0720046422646422e-07, 6),
-    (-2.3462886192634964e-09, 7.97432696154256e-10, 1.108952011878493e-08, 7),
-    (-2.3444747934731886e-09, 7.97400068830658e-10, 1.107837944609195e-08, 8),
-    (-2.3376897127169237e-09, 7.970991487435373e-10, 1.1036492112371965e-08, 7),
-    (-1.3145865895333414e-07, -5.888711457430314e-09, 7.258751474640136e-07, 8),
-    (-2.086567857850902e-09, 7.874869424150077e-10, 9.491166893665945e-09, 7),
+    (-1.800544321962252e-08, 1.5108428676927181e-09, 1.0720046424823448e-07, 6),
+    (-2.3462885610901897e-09, 7.974327038218811e-10, 1.1089520071705094e-08, 7),
+    (-2.3444748523585895e-09, 7.974002909310989e-10, 1.1078379389093533e-08, 8),
+    (-2.3376896219212692e-09, 7.97098926297332e-10, 1.1036492138987898e-08, 7),
+    (-1.3145865889764686e-07, -5.888711204718537e-09, 7.258751473653009e-07, 8),
+    (-2.0865678682264445e-09, 7.874869687498171e-10, 9.491168106437322e-09, 7),
 ]
 
 
@@ -490,3 +492,40 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["localize", "--scene", "x.cvls"])
         assert exc.value.code == 2
+
+
+# Loads a saved scene, solves and evaluates on 2 workers, and prints the
+# scipy modules loaded by then; then generates a scene, which imports
+# scipy.ndimage on demand.
+_STARTUP_SCRIPT = """
+import json, sys
+import cvloc, cvloc.harness.cli
+from cvloc.cvls import load_scene
+from cvloc.geometry import Pose3
+from cvloc.harness.runner import run_eval
+from cvloc.solver import refine_pose
+from cvloc.synth import PerturbBounds, SynthConfig, generate_scene
+
+problem = load_scene(sys.argv[1])
+report = refine_pose(problem, Pose3(0.5, -0.3, 0.02))
+_, rows, failures = run_eval(problem, 2, PerturbBounds(3.0, 10.0), workers=2)
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+generated = generate_scene(SynthConfig(seed=5, sat_size=128, levels=2, channels=2,
+                                       point_count=50, grd_width=256, grd_height=96,
+                                       grd_focal=120.0, point_depth_range=(3.0, 14.0)))
+print(json.dumps({"scipy": scipy, "iterations": report.iterations_total,
+                  "failures": failures, "points": len(generated.points.points)}))
+"""
+
+
+class TestStartup:
+    def test_saved_scene_paths_import_no_scipy(self, scene_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(scene_path)],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["scipy"] == []
+        assert out["iterations"] > 0 and out["failures"] == 0
+        assert out["points"] > 0

@@ -176,6 +176,16 @@ class TestLMStep:
         assert err.value.hessian is not None
         assert err.value.hessian.shape == (3, 3)
 
+    @pytest.mark.parametrize("name, index, value", [
+        ("hess", (2, 0), math.nan), ("hess", (0, 2), math.nan),
+        ("grad", 1, math.nan), ("hess", (1, 1), math.inf),
+    ], ids=["lower_nan", "upper_nan", "grad_nan", "diag_inf"])
+    def test_non_finite_system_raises(self, name, index, value):
+        system = {"hess": np.eye(3), "grad": np.ones(3)}
+        system[name][index] = value
+        with pytest.raises(SingularSystemError, match="not finite"):
+            lm_step(system["hess"], system["grad"], 0.0)
+
     def test_per_point_blocks_equal_repeated_row_weights(self):
         # (n, k, 3) blocks with one weight per point are the stacked
         # (n*k, 3) system with each weight repeated over its k rows.
@@ -205,6 +215,45 @@ class TestLMStep:
         damped = hess + lam * np.diag([4.0, solver.DIAG_FLOOR, 1.0])
         assert np.allclose(lm_step(hess, grad, lam), -np.linalg.solve(damped, grad),
                            rtol=1e-12, atol=0.0)
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+class TestClosedFormCholesky:
+    @given(m=st.lists(_unit, min_size=9, max_size=9), b=st.lists(_unit, min_size=3, max_size=3),
+           shift=st.floats(0.5, 2.0), lam=st.just(0.0) | st.floats(1e-6, 1e3),
+           upper=st.lists(st.floats(), min_size=3, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_solve(self, m, b, shift, lam, upper):
+        # well-conditioned SPD: M M^T + shift * I, then damped as lm_step does
+        m = np.array(m).reshape(3, 3)
+        a = m @ m.T + shift * np.eye(3)
+        a += lam * np.diag(np.diag(a))
+        x = solver.cho_solve(solver.cho_factor(a), np.array(b))
+        expect = np.linalg.solve(a, b)
+        np.testing.assert_allclose(x, expect, rtol=1e-12,
+                                   atol=1e-12 * np.linalg.norm(expect))
+        # only the lower triangle is read
+        junk = a.copy()
+        junk[np.triu_indices(3, 1)] = upper
+        assert solver.cho_factor(junk) == solver.cho_factor(a)
+
+    @given(lower=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+           diag=st.lists(st.integers(1, 4), min_size=2, max_size=2),
+           k=st.integers(0, 2), pivot=st.integers(-5, 0))
+    @settings(max_examples=100, deadline=None)
+    def test_non_positive_pivot_raises(self, lower, diag, k, pivot):
+        # H = L L^T with pivot k replaced; integer entries keep every pivot exact
+        low = np.zeros((3, 3))
+        low[np.tril_indices(3, -1)] = lower
+        np.fill_diagonal(low, diag[:k] + [0] + diag[k:])
+        hess = low @ low.T
+        hess[k, k] += pivot
+        with pytest.raises(SingularSystemError, match=f"pivot {k} ") as err:
+            lm_step(hess, np.ones(3), 0.0)
+        assert err.value.hessian.shape == (3, 3)
+        assert np.array_equal(err.value.hessian, hess)
 
 
 class TestNormalEquations:
