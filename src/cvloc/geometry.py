@@ -43,6 +43,9 @@ WEB_MERCATOR_BASE = 156543.03392
 
 _TWO_PI = 2.0 * math.pi
 
+#: Ground-camera depth (m) a point must exceed to be visible.
+DEPTH_MIN = 0.1
+
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle to (-pi, pi]."""
@@ -290,43 +293,39 @@ def project_satellite(points_sat: np.ndarray, georef: SatelliteGeoref) -> np.nda
     return pts[..., :2] / georef.gamma + georef.center_px
 
 
-def project_ground(points_cam, intrinsics: CameraIntrinsics,
-                   depth_min: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
+def project_ground(points_cam, intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Pinhole projection of camera-frame points onto the ground image.
 
     Returns (Nx2 pixel coordinates, N visibility flags). A point is visible
-    iff its depth exceeds ``depth_min`` and the pixel lies inside
+    iff its depth exceeds ``DEPTH_MIN`` and the pixel lies inside
     [0, width) x [0, height). Coordinates of invisible points are computed
-    with the depth clamped to ``depth_min`` so the output stays finite.
+    with the depth clamped to ``DEPTH_MIN`` so the output stays finite.
     """
     pts = points_cam.points if isinstance(points_cam, PointSet) else np.asarray(points_cam, dtype=np.float64)
     z = pts[:, 2]
-    safe_z = np.maximum(z, depth_min)
+    safe_z = np.maximum(z, DEPTH_MIN)
     u = intrinsics.fx * pts[:, 0] / safe_z + intrinsics.cx
     v = intrinsics.fy * pts[:, 1] / safe_z + intrinsics.cy
-    visible = ((z > depth_min)
+    visible = ((z > DEPTH_MIN)
                & (u >= 0) & (u < intrinsics.width)
                & (v >= 0) & (v < intrinsics.height))
     return np.stack([u, v], axis=1), visible
 
 
-def d_satproj_d_pose_many(points_cam, pose: Pose3, ctx: PoseContext,
-                          georef: SatelliteGeoref, pts_sat=None) -> np.ndarray:
+def d_satproj_d_pose_many(pts_sat: np.ndarray, pose: Pose3,
+                          georef: SatelliteGeoref) -> np.ndarray:
     """Analytic Jacobians of satellite pixel coordinates w.r.t. the pose.
 
-    Returns an Nx2x3 array: for each point, d(u, v) / d(lateral,
-    longitudinal, yaw). The translation columns are constant across points
-    (each with norm 1/gamma); the yaw column is the rotation derivative
-    (-v_m, u_m)/gamma of the point's planar map position.
+    ``pts_sat`` is the (N, 3) points already transformed into the satellite
+    frame at ``pose``. Returns an Nx2x3 array: for each point, d(u, v) /
+    d(lateral, longitudinal, yaw). The translation columns are constant
+    across points (each with norm 1/gamma); the yaw column is the rotation
+    derivative (-v_m, u_m)/gamma of the point's planar map position.
 
-    ``pts_sat`` is the points already transformed into the satellite frame
-    at ``pose``, when the caller has them; they are computed when omitted.
     The result is the transposed view of one (3, 2, N) buffer, so the 2x2
     translation block is four scalar fills and the yaw column's two rows
     are one contiguous (2, N) plane.
     """
-    if pts_sat is None:
-        pts_sat = transform_points(points_cam, pose_to_transform(pose, ctx))
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     inv_g = 1.0 / georef.gamma
     cols = np.empty((3, 2, pts_sat.shape[0]))

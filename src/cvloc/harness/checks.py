@@ -90,7 +90,7 @@ def _check_projection_jacobian(rng, jacobian_fn, draws=100):
                      float(rng.uniform(-np.pi, np.pi)))
         pts = rng.uniform(-30, 30, size=(8, 3))
         pts[:, 2] = rng.uniform(2, 40, size=8)
-        analytic = fn(pts, pose, ctx, georef)
+        analytic = fn(transform_points(pts, pose_to_transform(pose, ctx)), pose, georef)
         for axis in range(3):
             fd = _fd_sat_uv(pts, pose, ctx, georef, axis, _FD_STEP)
             scale = max(float(np.max(np.abs(fd))), 1e-6)
@@ -116,7 +116,7 @@ def _check_translation_block(rng, jacobian_fn, draws=50):
         pose = Pose3(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)),
                      float(rng.uniform(-np.pi, np.pi)))
         pts = rng.uniform(-10, 10, size=(4, 3))
-        jac = fn(pts, pose, PoseContext(), georef)
+        jac = fn(transform_points(pts, pose_to_transform(pose, PoseContext())), pose, georef)
         norms = np.linalg.norm(jac[:, :, :2], axis=1)
         worst = max(worst, float(np.max(np.abs(norms * gamma - 1.0))))
     return [CheckResult(name="projection_jacobian/translation_block_norm",
@@ -211,7 +211,7 @@ def _check_residual_jacobian(rng, scenes=8):
         pose = Pose3(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(-0.5, 0.5)),
                      float(rng.uniform(-0.1, 0.1)))
         ground = ground_level_data(problem, 0)
-        jac = build_jacobian(problem, pose, level=0, ground=ground)
+        jac = build_jacobian(problem, pose, level=0)
         n, c = problem.points.count, problem.sat_pyramid.feature(0).channels
 
         safe = _safe_fd_points(problem, pose, 0, _FD_STEP)
@@ -264,7 +264,7 @@ def _check_normal_equations(rng, scenes=8):
     tol = 1e-10
     worst = 0.0
     masked = 0
-    cost = RobustCost.huber()
+    cost = RobustCost()
     for _ in range(scenes):
         problem = _small_scene(rng)
         # shifts of up to 5 m move some points off the 12.8 m crop
@@ -273,8 +273,7 @@ def _check_normal_equations(rng, scenes=8):
         ev = evaluate_pose(problem, pose, 0)
         masked += int(np.sum(~ev.alignment.valid_mask))
         _, _, georef = problem.satellite_level(0)
-        proj_jac = d_satproj_d_pose_many(problem.points, pose, problem.ctx, georef,
-                                         pts_sat=ev.pts_sat)
+        proj_jac = d_satproj_d_pose_many(ev.pts_sat, pose, georef)
         w_points = build_weight_matrix(ev.alignment.weights, ev.sq_norms, cost)
         from_planes = solver._normal_equations(ev, proj_jac, w_points)
         dense = normal_equations(build_jacobian(problem, pose, 0), w_points,
@@ -291,7 +290,8 @@ def check_numerics(seed: int = 0, projection_jacobian_fn=None) -> NumericsReport
     """Run the full self-check battery.
 
     ``projection_jacobian_fn`` substitutes the analytic projection Jacobian
-    in the checks that consume it (used by fault-injection tests).
+    in the checks that consume it (used by fault-injection tests); it takes
+    ``d_satproj_d_pose_many``'s arguments (pts_sat, pose, georef).
     """
     rng = np.random.default_rng(seed)
     results = []

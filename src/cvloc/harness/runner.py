@@ -145,18 +145,17 @@ def load_problem(source) -> AlignmentProblem:
 
 
 def resolve_workers(cli_value=None) -> int:
-    """Worker count: CVL_WORKERS env var wins over the CLI flag."""
+    """Worker count: CVL_WORKERS env var wins over the CLI flag.
+
+    Only parses; ``run_eval`` checks that the count is >= 1.
+    """
     env = os.environ.get("CVL_WORKERS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"CVL_WORKERS must be an integer, got {env!r}") from exc
-    else:
-        n = cli_value if cli_value is not None else 1
-    if n < 1:
-        raise ConfigError(f"worker count must be >= 1, got {n}")
-    return n
+    if env is None:
+        return cli_value if cli_value is not None else 1
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise ConfigError(f"CVL_WORKERS must be an integer, got {env!r}") from exc
 
 
 def parse_init_pose(text: str) -> Pose3:
@@ -266,6 +265,8 @@ def _run_trials(problem: AlignmentProblem, trials: int, bounds: PerturbBounds,
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise ConfigError(f"worker count must be >= 1, got {workers}")
 
     def one(trial: int) -> dict:
         return _eval_trial(problem, trial, key, bounds, solver, cost)

@@ -105,7 +105,7 @@ def total_loss(problem: AlignmentProblem, pose_pre: Pose3, pose_init: Pose3,
     the gate is open, so a zero feature distance at the true pose cannot
     poison a run whose initial pose was already accurate.
     """
-    cost = cost or RobustCost.huber()
+    cost = cost or RobustCost()
     cfg = cfg or LossConfig()
 
     reproj_pre = reprojection_error(pose_pre, pose_gt, problem.points, problem.ctx,

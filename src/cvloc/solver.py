@@ -53,12 +53,13 @@ DIAG_FLOOR = 1e-12
 class RobustCost:
     """Robust cost rho(s) on squared residual norms s = ||r||^2 >= 0.
 
-    Kinds:
+    Kinds (``delta`` is read by huber only, ``sigma`` by geman_mcclure only):
         squared: rho(s) = s.
         huber: quadratic below ``delta``, 2*sqrt(delta*s) - delta above.
         geman_mcclure: sigma^2 * s / (sigma^2 + s).
 
-    The huber default delta=0.25 makes rho' drop to 1/2 at ||r|| = 1.
+    ``RobustCost()`` is huber with delta=0.25, which makes rho' drop to 1/2
+    at ||r|| = 1.
     """
 
     kind: str = "huber"
@@ -70,18 +71,6 @@ class RobustCost:
             raise DomainError(f"unknown robust cost kind {self.kind!r}")
         if not (0 < self.delta < math.inf and 0 < self.sigma < math.inf):
             raise DomainError("robust cost parameters must be finite and positive")
-
-    @classmethod
-    def squared(cls) -> "RobustCost":
-        return cls("squared")
-
-    @classmethod
-    def huber(cls, delta: float = 0.25) -> "RobustCost":
-        return cls("huber", delta=delta)
-
-    @classmethod
-    def geman_mcclure(cls, sigma: float = 1.0) -> "RobustCost":
-        return cls("geman_mcclure", sigma=sigma)
 
 
 def _squared_norms(s) -> np.ndarray:
@@ -132,7 +121,6 @@ class LMConfig:
     lambda_init: float = 0.1
     lambda_up: float = 10.0
     lambda_down: float = 0.1
-    level_order: str = "coarse_to_fine"
 
     def __post_init__(self):
         require_int("max_iters_per_level", self.max_iters_per_level, 1)
@@ -144,8 +132,6 @@ class LMConfig:
             raise DomainError("lambda_up must be finite and > 1")
         if not 0 < self.lambda_down < 1:
             raise DomainError("lambda_down must lie in (0, 1)")
-        if self.level_order != "coarse_to_fine":
-            raise DomainError(f"unsupported level order {self.level_order!r}")
 
 
 @dataclass(frozen=True)
@@ -221,19 +207,18 @@ def weighted_cost(weights: np.ndarray, sq_norms: np.ndarray, cost: RobustCost) -
     return float(np.sum(np.asarray(weights) * _rho(cost, sq_norms)))
 
 
-def build_jacobian(problem: AlignmentProblem, pose: Pose3, level: int = 0,
-                   ground=None) -> np.ndarray:
+def build_jacobian(problem: AlignmentProblem, pose: Pose3, level: int = 0) -> np.ndarray:
     """Stacked (N*c)x3 Jacobian of the residual vector w.r.t. the pose.
 
     Each point's c rows chain the satellite bilinear gradient with the
-    projection Jacobian; masked points contribute zero blocks. The solver
-    never forms it: it is the input of the finite-difference and dense
-    normal-equation checks.
+    projection Jacobian; masked points contribute zero blocks. The ground
+    lookups come from the problem's per-level cache. The solver never forms
+    it: it is the input of the finite-difference and dense normal-equation
+    checks.
     """
-    ev = evaluate_pose(problem, pose, level=level, ground=ground)
+    ev = evaluate_pose(problem, pose, level=level)
     _, _, georef = problem.satellite_level(level)
-    proj_jac = d_satproj_d_pose_many(problem.points, pose, problem.ctx, georef,
-                                     pts_sat=ev.pts_sat)
+    proj_jac = d_satproj_d_pose_many(ev.pts_sat, pose, georef)
     return np.matmul(ev.sat_grads, proj_jac).reshape(-1, 3)
 
 
@@ -347,7 +332,7 @@ def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = N
     point is masked at some iterate.
     """
     cfg = cfg or LMConfig()
-    cost = cost or RobustCost.huber()
+    cost = cost or RobustCost()
 
     pose = init
     level_traces = []
@@ -371,8 +356,7 @@ def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = N
         for _ in range(cfg.max_iters_per_level):
             total_iters += 1
             if hess is None:
-                proj_jac = d_satproj_d_pose_many(problem.points, pose, problem.ctx,
-                                                 georef, pts_sat=ev.pts_sat)
+                proj_jac = d_satproj_d_pose_many(ev.pts_sat, pose, georef)
                 w_points = build_weight_matrix(ev.alignment.weights, ev.sq_norms, cost)
                 hess, grad = _normal_equations(ev, proj_jac, w_points)
                 # The translation block is invertible, so J != 0 exactly

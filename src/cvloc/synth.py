@@ -70,14 +70,19 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class PerturbBounds:
-    """Uniform initial-pose perturbation bounds."""
+    """Uniform initial-pose perturbation bounds.
+
+    Each bound b is sampled over [-b, b], so its span 2 * b must be finite
+    too: b may be at most half the largest float.
+    """
 
     max_shift: float = 10.0
     max_yaw_deg: float = 30.0
 
     def __post_init__(self):
-        if not (0 <= self.max_shift < math.inf and 0 <= self.max_yaw_deg < math.inf):
-            raise DomainError("perturbation bounds must be finite and >= 0")
+        if not (0 <= 2 * self.max_shift < math.inf and 0 <= 2 * self.max_yaw_deg < math.inf):
+            raise DomainError("perturbation bounds must be finite and >= 0, "
+                              "at most half the largest float")
 
 
 def _gaussian_filter(data: np.ndarray, sigma, mode: str) -> np.ndarray:

@@ -3,6 +3,7 @@ profile of CI runs."""
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -69,10 +70,19 @@ SMALL_SCENE_CFG = SynthConfig(seed=11, sat_size=128, point_count=300,
                               point_depth_range=(3.0, 14.0))
 
 
+@functools.cache
+def small_scene_problem() -> AlignmentProblem:
+    """A small but fully representative generated scene (3 levels, 300 pts).
+
+    Hypothesis tests call this instead of taking the fixture: a test's
+    arguments are printed with each example, and the scene's repr is large.
+    """
+    return generate_scene(SMALL_SCENE_CFG)
+
+
 @pytest.fixture(scope="session")
 def small_scene():
-    """A small but fully representative generated scene (3 levels, 300 pts)."""
-    return generate_scene(SMALL_SCENE_CFG)
+    return small_scene_problem()
 
 
 @pytest.fixture(scope="session")

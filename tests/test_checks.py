@@ -28,8 +28,8 @@ class TestCheckNumerics:
         assert "all checks passed" in text
 
     def test_injected_yaw_sign_flip_fails_naming_column(self):
-        def flipped(points, pose, ctx, georef):
-            jac = d_satproj_d_pose_many(points, pose, ctx, georef).copy()
+        def flipped(pts_sat, pose, georef):
+            jac = d_satproj_d_pose_many(pts_sat, pose, georef).copy()
             jac[:, :, 2] *= -1.0
             return jac
 

@@ -255,15 +255,17 @@ class TestSatProjJacobian:
     GEOREF = SatelliteGeoref.from_gamma(255.5, 0.2)
     CTX = PoseContext(height=-1.5)
 
+    def _jac(self, pts_cam, pose):
+        pts_sat = transform_points(pts_cam, pose_to_transform(pose, self.CTX))
+        return d_satproj_d_pose_many(pts_sat, pose, self.GEOREF)
+
     def test_translation_block_magnitude(self):
         pose = Pose3(0.3, -0.8, 0.9)
-        jac = d_satproj_d_pose_many(np.array([[3.0, -1.0, 12.0], [-4.0, 0.5, 8.0]]),
-                                    pose, self.CTX, self.GEOREF)
+        jac = self._jac(np.array([[3.0, -1.0, 12.0], [-4.0, 0.5, 8.0]]), pose)
         norms = np.linalg.norm(jac[:, :, :2], axis=1)
         assert np.allclose(norms, 1.0 / 0.2, rtol=1e-12)
         # 1 m east shift at yaw 0 moves u by 1/gamma pixels
-        jac0 = d_satproj_d_pose_many(np.array([[0.0, 0.0, 5.0]]), Pose3(0, 0, 0),
-                                     self.CTX, self.GEOREF)
+        jac0 = self._jac(np.array([[0.0, 0.0, 5.0]]), Pose3(0, 0, 0))
         assert jac0[0, 0, 0] == pytest.approx(5.0)
 
     def test_matches_finite_differences(self):
@@ -275,7 +277,7 @@ class TestSatProjJacobian:
                          float(rng.uniform(-math.pi, math.pi)))
             pt = np.array([rng.uniform(-30, 30), rng.uniform(-5, 5),
                            rng.uniform(2, 40)])
-            jac = d_satproj_d_pose_many(pt[None], pose, self.CTX, self.GEOREF)[0]
+            jac = self._jac(pt[None], pose)[0]
             fd = np.empty((2, 3))
             for axis in range(3):
                 step = np.zeros(3)
@@ -294,23 +296,20 @@ class TestSatProjJacobian:
     def test_yaw_column_zero_at_rotation_center(self):
         # A point whose planar map position is the origin does not move
         # under yaw: camera point (0, y, 0) at zero pose.
-        jac = d_satproj_d_pose_many(np.array([[0.0, 4.0, 0.0]]), Pose3(0, 0, 0.3),
-                                    self.CTX, self.GEOREF)
+        jac = self._jac(np.array([[0.0, 4.0, 0.0]]), Pose3(0, 0, 0.3))
         assert np.allclose(jac[0, :, 2], 0.0, atol=1e-12)
 
-    def test_given_satellite_points_change_nothing(self):
-        # the caller's already-transformed points give the same Jacobian to
-        # the bit, laid out as one (3, 2, N) buffer with a contiguous yaw plane
+    def test_one_buffer_layout(self):
+        # laid out as one (3, 2, N) buffer with a contiguous yaw plane read
+        # straight from the satellite-frame points
         rng = np.random.default_rng(5)
         pts = np.column_stack([rng.uniform(-30, 30, 50), rng.uniform(-5, 5, 50),
                                rng.uniform(2, 40, 50)])
         pose = Pose3(1.5, -2.0, 0.7)
         pts_sat = transform_points(pts, pose_to_transform(pose, self.CTX))
-        own = d_satproj_d_pose_many(pts, pose, self.CTX, self.GEOREF)
-        given = d_satproj_d_pose_many(pts, pose, self.CTX, self.GEOREF, pts_sat=pts_sat)
-        assert np.array_equal(own, given)
-        assert given.shape == (50, 2, 3)
-        assert given.transpose(2, 1, 0).flags.c_contiguous
+        jac = d_satproj_d_pose_many(pts_sat, pose, self.GEOREF)
+        assert jac.shape == (50, 2, 3)
+        assert jac.transpose(2, 1, 0).flags.c_contiguous
         inv_g = 1.0 / self.GEOREF.gamma
-        assert np.array_equal(given[:, 0, 2], -pts_sat[:, 1] * inv_g)
-        assert np.array_equal(given[:, 1, 2], pts_sat[:, 0] * inv_g)
+        assert np.array_equal(jac[:, 0, 2], -pts_sat[:, 1] * inv_g)
+        assert np.array_equal(jac[:, 1, 2], pts_sat[:, 0] * inv_g)

@@ -56,7 +56,7 @@ class TestReprojectionError:
 
 class TestWeightedDistance:
     def test_vanishes_at_ground_truth(self, small_scene):
-        dis = weighted_distance(small_scene, small_scene.gt_pose, RobustCost.huber())
+        dis = weighted_distance(small_scene, small_scene.gt_pose, RobustCost())
         assert dis < 1e-8
 
     def test_single_contributing_point(self):
@@ -71,27 +71,27 @@ class TestWeightedDistance:
         att_g[8, 8] = 1.0
         problem = tiny_problem(sat_data=sat, grd_data=grd, grd_att=att_g,
                                normalize=False)
-        dis = weighted_distance(problem, problem.gt_pose, RobustCost.squared())
+        dis = weighted_distance(problem, problem.gt_pose, RobustCost("squared"))
         assert dis == pytest.approx(0.3, rel=1e-12)
 
     def test_permutation_invariant(self):
         problem = tiny_problem()
         shuffled = tiny_problem(points=PointSet(problem.points.points[::-1]))
-        cost = RobustCost.huber()
+        cost = RobustCost()
         assert weighted_distance(problem, Pose3(0.3, -0.2, 0.05), cost) == \
             pytest.approx(weighted_distance(shuffled, Pose3(0.3, -0.2, 0.05), cost),
                           rel=1e-12)
 
     def test_degenerate_when_no_valid_points(self, small_scene):
         with pytest.raises(DegenerateProblemError):
-            weighted_distance(small_scene, Pose3(500.0, 0.0, 0.0), RobustCost.huber())
+            weighted_distance(small_scene, Pose3(500.0, 0.0, 0.0), RobustCost())
 
     @pytest.mark.parametrize("level", [-1, 3], ids=["negative", "level_count"])
     def test_level_outside_pyramid_rejected(self, small_scene, level):
         # -1 used to pair the coarsest features with a mis-scaled georef
         assert small_scene.level_count == 3
         with pytest.raises(ContractError, match="level"):
-            weighted_distance(small_scene, small_scene.gt_pose, RobustCost.huber(),
+            weighted_distance(small_scene, small_scene.gt_pose, RobustCost(),
                               level=level)
 
 

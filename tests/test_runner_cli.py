@@ -244,6 +244,10 @@ class TestRunEval:
         runner.write_trials_csv(p4, rows4)
         assert p1.read_bytes() == p4.read_bytes()
 
+    def test_zero_workers_rejected(self, small_scene):
+        with pytest.raises(ConfigError, match="worker count must be >= 1, got 0"):
+            runner.run_eval(small_scene, 2, PerturbBounds(1.0, 3.0), workers=0)
+
     def test_two_workers_on_cold_problem_match_one(self, scene_path):
         # each run starts from a freshly loaded scene, so the two threads
         # race to fill the per-problem ground-level cache
@@ -406,6 +410,27 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_level_order_config_exits_2(self, scene_path, tmp_path, capsys):
+        # levels always run coarse to fine; the key is no longer a setting
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"solver": {"level_order": "coarse_to_fine"}}')
+        code = main(["localize", "--scene", str(scene_path), "--init", "0,0,0",
+                     "--config", str(cfg)])
+        assert code == 2
+        assert "unknown solver keys ['level_order']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env, flag", [(None, "0"), ("0", "2")], ids=["flag", "env"])
+    def test_zero_workers_exit_2(self, scene_path, tmp_path, monkeypatch, env, flag,
+                                 capsys):
+        if env is None:
+            monkeypatch.delenv("CVL_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("CVL_WORKERS", env)
+        code = main(["eval", "--scene", str(scene_path), "--trials", "1",
+                     "--workers", flag, "--out-dir", str(tmp_path / "eval")])
+        assert code == 2
+        assert "worker count must be >= 1, got 0" in capsys.readouterr().err
+
     def test_eval_from_synth_config(self, tmp_path, synth_cfg_file, capsys):
         out_dir = tmp_path / "eval"
         code = main(["eval", "--scene", str(synth_cfg_file), "--trials", "2",
@@ -459,6 +484,20 @@ class TestCli:
         code = main([argv[0], "--scene", str(scene_path), *argv[1:]])
         assert code == 2
         assert "bounds must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["localize", "--perturb-seed", "1", "--max-shift", "1e308"],
+        ["eval", "--trials", "1", "--max-yaw", "1e308", "--out-dir", "unused"],
+        ["sweep", "--bounds", "1e308:30", "--trials", "1", "--out", "unused.csv"],
+        ["eval", "--trials", "1", "--max-shift", "9e307", "--out-dir", "unused"],
+    ], ids=["localize", "eval", "sweep", "eval-9e307"])
+    def test_overflowing_bound_span_exits_2(self, scene_path, argv, tmp_path, monkeypatch,
+                                            capsys):
+        # rng.uniform(-b, b) overflows once 2 * b is infinite
+        monkeypatch.chdir(tmp_path)
+        code = main([argv[0], "--scene", str(scene_path), *argv[1:]])
+        assert code == 2
+        assert "at most half the largest float" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["localize", "--scene", "SCENE", "--perturb-seed", "-1"],

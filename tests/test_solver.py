@@ -18,7 +18,7 @@ from cvloc.solver import (LMConfig, RobustCost, build_jacobian, build_weight_mat
 from cvloc.synth import SynthConfig, generate_scene, sample_initial_pose, PerturbBounds
 from cvloc.metrics import pose_error
 
-from conftest import tiny_problem
+from conftest import small_scene_problem, tiny_problem
 
 
 def _rho_pair(cost, s):
@@ -28,34 +28,35 @@ def _rho_pair(cost, s):
 
 class TestRobustEval:
     def test_squared_identity(self):
-        assert _rho_pair(RobustCost.squared(), 4.0) == (4.0, 1.0)
+        assert _rho_pair(RobustCost("squared"), 4.0) == (4.0, 1.0)
 
-    @pytest.mark.parametrize("cost", [RobustCost.squared(), RobustCost.huber(1.0),
-                                      RobustCost.geman_mcclure(0.5)])
+    @pytest.mark.parametrize("cost", [RobustCost("squared"), RobustCost("huber", 1.0),
+                                      RobustCost("geman_mcclure", sigma=0.5)])
     def test_zero_at_zero(self, cost):
         rho, _ = _rho_pair(cost, 0.0)
         assert rho == 0.0
 
     def test_huber_hand_values(self):
-        rho, drho = _rho_pair(RobustCost.huber(1.0), 4.0)
+        rho, drho = _rho_pair(RobustCost("huber", 1.0), 4.0)
         assert rho == pytest.approx(3.0)
         assert drho == pytest.approx(0.5)
 
     def test_huber_default_halves_at_unit_residual(self):
-        _, drho = _rho_pair(RobustCost.huber(), 1.0)
+        assert RobustCost() == RobustCost("huber", delta=0.25)
+        _, drho = _rho_pair(RobustCost(), 1.0)
         assert drho == pytest.approx(0.5)
 
     def test_negative_rejected(self):
         with pytest.raises(ContractError):
-            _rho_pair(RobustCost.squared(), -0.1)
+            _rho_pair(RobustCost("squared"), -0.1)
 
     def test_vectorized(self):
-        rho, drho = _rho_pair(RobustCost.huber(1.0), np.array([0.25, 4.0]))
+        rho, drho = _rho_pair(RobustCost("huber", 1.0), np.array([0.25, 4.0]))
         assert np.allclose(rho, [0.25, 3.0])
         assert np.allclose(drho, [1.0, 0.5])
 
-    @pytest.mark.parametrize("cost", [RobustCost.squared(), RobustCost.huber(0.7),
-                                      RobustCost.geman_mcclure(1.3)])
+    @pytest.mark.parametrize("cost", [RobustCost("squared"), RobustCost("huber", 0.7),
+                                      RobustCost("geman_mcclure", sigma=1.3)])
     @given(s=st.floats(0.0, 1e6), ds=st.floats(0.0, 1e3))
     @settings(max_examples=50, deadline=None)
     def test_monotone_nonnegative(self, cost, s, ds):
@@ -69,7 +70,7 @@ class TestRobustEval:
             RobustCost("cauchy")
 
 
-_COSTS = [RobustCost.squared(), RobustCost.huber(), RobustCost.geman_mcclure(1.3)]
+_COSTS = [RobustCost("squared"), RobustCost(), RobustCost("geman_mcclure", sigma=1.3)]
 
 
 def _robust_pair_reference(cost, s):
@@ -113,25 +114,25 @@ class TestSingleSidedCost:
 
 class TestBuildWeightMatrix:
     def test_squared_passthrough(self):
-        w = build_weight_matrix(np.ones(4), np.full(4, 2.0), RobustCost.squared())
+        w = build_weight_matrix(np.ones(4), np.full(4, 2.0), RobustCost("squared"))
         assert np.allclose(w, 1.0)
 
     def test_attention_scaling(self):
-        w = build_weight_matrix(np.array([0.4]), np.zeros(1), RobustCost.squared())
+        w = build_weight_matrix(np.array([0.4]), np.zeros(1), RobustCost("squared"))
         assert w[0] == pytest.approx(0.4)
 
     def test_huber_downweights(self):
-        w = build_weight_matrix(np.array([1.0]), np.array([4.0]), RobustCost.huber(1.0))
+        w = build_weight_matrix(np.array([1.0]), np.array([4.0]), RobustCost("huber", 1.0))
         assert w[0] == pytest.approx(0.5)
 
     def test_masked_points_stay_zero(self):
         w = build_weight_matrix(np.array([0.0, 1.0]), np.array([4.0, 0.0]),
-                                RobustCost.huber(1.0))
+                                RobustCost("huber", 1.0))
         assert w[0] == 0.0
 
     def test_point_count_mismatch_rejected(self):
         with pytest.raises(ContractError):
-            build_weight_matrix(np.ones(3), np.ones(2), RobustCost.squared())
+            build_weight_matrix(np.ones(3), np.ones(2), RobustCost("squared"))
 
 
 def _solve(jac, w, res, lam):
@@ -261,13 +262,12 @@ class TestNormalEquations:
     def test_planes_equal_dense_assembly(self, small_scene, pose):
         # the solver's assembly from the gradient planes is H and g of the
         # formed Jacobian, on every level, masked points included
-        cost = RobustCost.huber()
+        cost = RobustCost()
         for level in range(small_scene.level_count):
             ev = evaluate_pose(small_scene, pose, level)
             assert 0 < ev.alignment.valid_mask.sum() < small_scene.points.count
             _, _, georef = small_scene.satellite_level(level)
-            proj_jac = d_satproj_d_pose_many(small_scene.points, pose, small_scene.ctx,
-                                             georef, pts_sat=ev.pts_sat)
+            proj_jac = d_satproj_d_pose_many(ev.pts_sat, pose, georef)
             w = build_weight_matrix(ev.alignment.weights, ev.sq_norms, cost)
             got = solver._normal_equations(ev, proj_jac, w)
             want = normal_equations(build_jacobian(small_scene, pose, level), w,
@@ -304,7 +304,7 @@ class TestBuildJacobian:
         h = 1e-5
         pose = Pose3(0.11, -0.23, 0.015)
         ground = ground_level_data(small_scene, 0)
-        jac = build_jacobian(small_scene, pose, level=0, ground=ground)
+        jac = build_jacobian(small_scene, pose, level=0)
         n = small_scene.points.count
         c = small_scene.sat_pyramid.feature(0).channels
 
@@ -364,7 +364,6 @@ class TestLMConfig:
         {"lambda_init": -1.0},
         {"lambda_up": 1.0},
         {"lambda_down": 1.5},
-        {"level_order": "fine_to_coarse"},
         {"max_iters_per_level": 2.5},
         {"max_iters_per_level": 3.0},
         {"max_iters_per_level": True},
@@ -421,12 +420,44 @@ class TestRefinePose:
         assert err.value.report is not None
         assert not err.value.report.converged
 
-    def test_accepted_cost_non_increasing_within_levels(self, small_scene):
-        init = sample_initial_pose(small_scene.gt_pose, PerturbBounds(5, 15), 3)
-        report = refine_pose(small_scene, init)
+    @given(d_lat=st.floats(-10.0, 10.0), d_lon=st.floats(-10.0, 10.0),
+           d_yaw_deg=st.floats(-30.0, 30.0))
+    @settings(max_examples=100, deadline=None)
+    def test_accepted_cost_non_increasing_within_levels(self, d_lat, d_lon, d_yaw_deg):
+        problem = small_scene_problem()
+        gt = problem.gt_pose
+        init = Pose3(gt.lateral + d_lat, gt.longitudinal + d_lon,
+                     gt.yaw + math.radians(d_yaw_deg))
+        cfg = LMConfig()
+        try:
+            report = refine_pose(problem, init, cfg)
+            completed = True
+        except DegenerateProblemError as err:
+            # Near 10 m every point can leave this small crop. The partial
+            # report keeps the per-level properties; its total also counts
+            # an iteration whose candidate masked every point, with no record.
+            report, completed = err.report, False
+            assert not report.converged
+        except SingularSystemError as err:
+            # With few points left on the crop, H can be rank-deficient once
+            # lambda has decayed to about 1e-17; the solve stops with no report.
+            assert err.hessian.shape == (3, 3)
+            return
         for trace in report.levels:
-            costs = [rec.cost for rec in trace.iterations if rec.accepted]
-            assert all(b <= a + 1e-15 for a, b in zip(costs, costs[1:]))
+            costs = [rec.cost for rec in trace.iterations]
+            assert all(b <= a for a, b in zip(costs, costs[1:]))
+            assert len(trace.iterations) <= cfg.max_iters_per_level
+            for rec in trace.iterations:
+                assert math.isfinite(rec.cost) and math.isfinite(rec.candidate_cost)
+                assert all(math.isfinite(d) for d in rec.delta)
+                pose = rec.pose
+                assert all(math.isfinite(x) for x in (pose.lateral, pose.longitudinal,
+                                                      pose.yaw))
+        if completed:
+            assert report.iterations_total == sum(len(t.iterations) for t in report.levels)
+        if report.converged:
+            assert report.levels[-1].level == 0
+            assert report.levels[-1].stopped_by_tolerance
 
     def test_deterministic_reports(self, small_scene):
         init = Pose3(2.0, 1.0, 0.05)
@@ -503,7 +534,7 @@ class TestGaugeConsistency:
 
     def test_cost_landscape_shifts_exactly(self):
         problem, shifted, de = self._shifted_pair()
-        cost = RobustCost.huber()
+        cost = RobustCost()
         rng = np.random.default_rng(4)
         for _ in range(20):
             pose = Pose3(float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)),

@@ -1,6 +1,7 @@
 """Synthetic scenes: zero-residual construction, determinism, perturbations."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ class TestGenerateScene:
 class TestGridOracle:
     def test_weighted_distance_minimum_at_truth_cell(self, small_scene):
         # brute-force: the gt cell must beat every other cell on the grid
-        cost = RobustCost.huber()
+        cost = RobustCost()
         gt = small_scene.gt_pose
         best = None
         shifts = np.linspace(-5.0, 5.0, 21)
@@ -138,6 +139,16 @@ class TestSampleInitialPose:
             assert abs(p.lateral - gt.lateral) <= 10.0
             assert abs(p.longitudinal - gt.longitudinal) <= 10.0
             assert abs(math.degrees(p.yaw - gt.yaw)) <= 30.0 + 1e-9
+
+    def test_largest_bound_samples_and_larger_is_rejected(self):
+        # the span [-b, b] of a bound b must stay finite
+        b = sys.float_info.max / 2
+        p = sample_initial_pose(Pose3(0, 0, 0), PerturbBounds(b, b), seed=1)
+        assert abs(p.lateral) <= b and abs(p.longitudinal) <= b
+        above = float(np.nextafter(b, math.inf))
+        for kwargs in ({"max_shift": above}, {"max_yaw_deg": above}):
+            with pytest.raises(DomainError, match="half the largest float"):
+                PerturbBounds(**kwargs)
 
     def test_marginals_uniform_ks(self):
         gt = Pose3(0, 0, 0)
