@@ -6,7 +6,10 @@ Layout (little-endian throughout):
     version         u16      currently 1
     metadata_len    u32
     metadata        UTF-8 JSON (georef, intrinsics, pose_context, gt_pose,
-                    level table per view, point_count, level_order)
+                    level table per view, point_count, level_order); the
+                    georef holds center_px and gamma, and the latitude_deg,
+                    zoom and scale keys that older files also carry are
+                    ignored
     payload         per view (satellite first, then ground), per level
                     (finest first): feature float32 row-major (h, w, c),
                     attention float32 row-major (h, w); finally points
@@ -46,9 +49,6 @@ def _metadata(problem: AlignmentProblem) -> dict:
         "georef": {
             "center_px": problem.georef.center_px,
             "gamma": problem.georef.gamma,
-            "latitude_deg": problem.georef.latitude_deg,
-            "zoom": problem.georef.zoom,
-            "scale": problem.georef.scale,
         },
         "intrinsics": {
             "fx": problem.intrinsics.fx,
@@ -172,10 +172,7 @@ def load_scene(path) -> AlignmentProblem:
     try:
         georef = SatelliteGeoref(
             center_px=_require(g, "center_px", "georef", require_number),
-            gamma=_require(g, "gamma", "georef", require_number),
-            latitude_deg=_require(g, "latitude_deg", "georef", require_number),
-            zoom=_require(g, "zoom", "georef", require_int, 0),
-            scale=_require(g, "scale", "georef", require_int, 1))
+            gamma=_require(g, "gamma", "georef", require_number))
         intrinsics = CameraIntrinsics(
             fx=_require(k, "fx", "intrinsics", require_number),
             fy=_require(k, "fy", "intrinsics", require_number),

@@ -40,8 +40,9 @@ class SingularSystemError(CvlocError):
 class DegenerateProblemError(CvlocError):
     """No valid points remain, so the alignment objective is undefined.
 
-    When raised from the pose solver, ``pose`` holds the last iterate and
-    ``report`` the partial optimization trace (``converged`` is False).
+    When raised from the pose solver, ``pose`` holds the pose the level
+    started from and ``report`` the partial optimization trace
+    (``converged`` is False).
     """
 
     def __init__(self, message: str, pose=None, report=None):

@@ -75,45 +75,29 @@ class SatelliteGeoref:
     """Georeference of a square satellite crop.
 
     ``center_px`` is the pixel coordinate of the map origin on both image
-    axes; ``gamma`` is the meters-per-pixel ratio.
+    axes; ``gamma`` is the meters-per-pixel ratio, given directly or
+    computed from web-map tiles with :func:`meters_per_pixel`.
     """
 
     center_px: float
     gamma: float
-    latitude_deg: float
-    zoom: int
-    scale: int
 
     def __post_init__(self):
         if not math.isfinite(self.center_px):
             raise DomainError(f"center_px must be finite, got {self.center_px}")
         if not 0 < self.gamma < math.inf:
             raise DomainError(f"gamma must be finite and > 0, got {self.gamma}")
-        if not abs(self.latitude_deg) < 90.0:
-            raise DomainError(f"latitude must satisfy |lat| < 90, got {self.latitude_deg}")
-
-    @classmethod
-    def from_gamma(cls, center_px: float, gamma: float, zoom: int = 18,
-                   scale: int = 2) -> "SatelliteGeoref":
-        """Solve for the latitude whose tile resolution equals ``gamma``."""
-        cos_lat = gamma * (2**zoom * scale) / WEB_MERCATOR_BASE
-        if not 0.0 < cos_lat <= 1.0:
-            raise DomainError(
-                f"gamma {gamma} is not reachable at zoom {zoom}, scale {scale}")
-        return cls(center_px, gamma, math.degrees(math.acos(cos_lat)), zoom, scale)
 
     def coarsened(self, level: int) -> "SatelliteGeoref":
         """Georeference of the same crop downsampled by 2**level.
 
         Pixel coordinates scale by 2**-level; one coarse pixel covers
-        2**level times more meters, equivalent to dropping ``level`` zoom
-        steps at the same latitude.
+        2**level times more meters.
         """
         if level == 0:
             return self
         f = 2**level
-        return SatelliteGeoref(self.center_px / f, self.gamma * f,
-                               self.latitude_deg, self.zoom - level, self.scale)
+        return SatelliteGeoref(self.center_px / f, self.gamma * f)
 
 
 @dataclass(frozen=True)

@@ -83,8 +83,7 @@ def _check_projection_jacobian(rng, jacobian_fn, draws=100):
     worst = np.zeros(3)
     tol = 1e-4
     for _ in range(draws):
-        georef = SatelliteGeoref.from_gamma(
-            255.5, float(rng.uniform(0.1, 0.5)), zoom=15, scale=2)
+        georef = SatelliteGeoref(255.5, float(rng.uniform(0.1, 0.5)))
         ctx = PoseContext(height=float(rng.uniform(-3, 0)))
         pose = Pose3(float(rng.uniform(-20, 20)), float(rng.uniform(-20, 20)),
                      float(rng.uniform(-np.pi, np.pi)))
@@ -112,7 +111,7 @@ def _check_translation_block(rng, jacobian_fn, draws=50):
     worst = 0.0
     for _ in range(draws):
         gamma = float(rng.uniform(0.05, 1.0))
-        georef = SatelliteGeoref.from_gamma(255.5, gamma, zoom=15, scale=2)
+        georef = SatelliteGeoref(255.5, gamma)
         pose = Pose3(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)),
                      float(rng.uniform(-np.pi, np.pi)))
         pts = rng.uniform(-10, 10, size=(4, 3))

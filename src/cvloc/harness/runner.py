@@ -15,8 +15,7 @@ from typing import get_type_hints
 import numpy as np
 
 from ..cvls import MAGIC, load_scene
-from ..errors import (ConfigError, DegenerateProblemError, SingularSystemError,
-                      require_number)
+from ..errors import ConfigError, DegenerateProblemError, require_number
 from ..geometry import Pose3
 from ..losses import LossConfig, total_loss
 from ..metrics import (SHIFT_THRESHOLDS_M, YAW_THRESHOLDS_DEG, MetricsSummary, PoseError,
@@ -232,12 +231,11 @@ def _eval_trial(problem: AlignmentProblem, trial: int, key: tuple,
     }
     try:
         report = refine_pose(problem, init, solver, cost)
-    except (DegenerateProblemError, SingularSystemError) as exc:
-        kind = "degenerate" if isinstance(exc, DegenerateProblemError) else "singular"
+    except DegenerateProblemError as exc:
         row.update({
             "final_lateral_m": "", "final_longitudinal_m": "", "final_yaw_deg": "",
             "err_lateral_m": "", "err_longitudinal_m": "", "err_yaw_deg": "",
-            "converged": "", "iterations": "", "status": f"{kind}: {exc}",
+            "converged": "", "iterations": "", "status": f"degenerate: {exc}",
         })
         return row
     err = pose_error(report.final_pose, problem.gt_pose)

@@ -102,8 +102,9 @@ def total_loss(problem: AlignmentProblem, pose_pre: Pose3, pose_init: Pose3,
     """Combined objective: re-projection term plus gated triplet term.
 
     Returns (total, components); the triplet branch is only evaluated when
-    the gate is open, so a zero feature distance at the true pose cannot
-    poison a run whose initial pose was already accurate.
+    the gate is open. The triplet is undefined when the feature distance at
+    the true pose is 0; it is then reported as None and left out of the
+    total.
     """
     cost = cost or RobustCost()
     cfg = cfg or LossConfig()
@@ -117,12 +118,12 @@ def total_loss(problem: AlignmentProblem, pose_pre: Pose3, pose_init: Pose3,
     if beta > 0.0:
         dis_init = weighted_distance(problem, pose_init, cost, level=cfg.dis_level)
         dis_gt = weighted_distance(problem, pose_gt, cost, level=cfg.dis_level)
-        triplet = triplet_loss(dis_init, dis_gt, cfg.alpha)
+        triplet = triplet_loss(dis_init, dis_gt, cfg.alpha) if dis_gt > 0 else None
     else:
         dis_init = dis_gt = None
         triplet = 0.0
 
-    total = reproj_pre + beta * triplet
+    total = reproj_pre + (0.0 if triplet is None else beta * triplet)
     components = {
         "total": total,
         "reprojection_pre": reproj_pre,

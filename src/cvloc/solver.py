@@ -6,7 +6,9 @@ each level with the previous level's result. Per iteration it projects the
 feature residuals, assembles the Jacobian through the bilinear-interpolant
 gradients and the projection geometry, and solves the damped normal
 equations by Cholesky factorization. Steps are accepted only if the
-weighted cost decreases; the damping factor adapts multiplicatively.
+weighted cost decreases; the damping factor adapts multiplicatively. A
+step whose damped system cannot be factored, or whose candidate pose
+leaves no valid point, is rejected like one that raises the cost.
 
 Hot path per level: the ground-view lookups come once per problem from
 ``ground_level_data``'s cache, since the pose never moves ground pixels.
@@ -59,7 +61,7 @@ class RobustCost:
         geman_mcclure: sigma^2 * s / (sigma^2 + s).
 
     ``RobustCost()`` is huber with delta=0.25, which makes rho' drop to 1/2
-    at ||r|| = 1.
+    at ||r|| = 1. ``sigma`` squared must also be finite and > 0.
     """
 
     kind: str = "huber"
@@ -71,6 +73,8 @@ class RobustCost:
             raise DomainError(f"unknown robust cost kind {self.kind!r}")
         if not (0 < self.delta < math.inf and 0 < self.sigma < math.inf):
             raise DomainError("robust cost parameters must be finite and positive")
+        if not 0 < self.sigma * self.sigma < math.inf:
+            raise DomainError(f"sigma squared must be finite and > 0, got sigma {self.sigma}")
 
 
 def _squared_norms(s) -> np.ndarray:
@@ -136,21 +140,26 @@ class LMConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One LM iteration. ``candidate_cost`` is inf when the candidate pose
+    left no valid point or no step was solved; ``delta`` is None when the
+    damped system could not be factored. Both are written as null."""
+
     pose: Pose3
     cost: float
     candidate_cost: float
     lam: float
     accepted: bool
-    delta: tuple
+    delta: tuple | None
 
     def to_dict(self) -> dict:
         return {
             "pose": self.pose.to_dict(),
             "cost": self.cost,
-            "candidate_cost": self.candidate_cost,
+            "candidate_cost": (self.candidate_cost if math.isfinite(self.candidate_cost)
+                               else None),
             "lambda": self.lam,
             "accepted": self.accepted,
-            "delta": list(self.delta),
+            "delta": None if self.delta is None else list(self.delta),
         }
 
 
@@ -328,8 +337,10 @@ def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = N
                 cost: RobustCost | None = None) -> OptimReport:
     """Coarse-to-fine LM refinement of an initial pose.
 
-    Raises DegenerateProblemError (carrying the partial report) if every
-    point is masked at some iterate.
+    A rejected step raises lambda: its candidate raised the cost or left no
+    valid point, or the damped system had no Cholesky factor. Raises
+    DegenerateProblemError (carrying the partial report) if every point is
+    masked at the pose a level starts from.
     """
     cfg = cfg or LMConfig()
     cost = cost or RobustCost()
@@ -349,7 +360,7 @@ def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = N
 
         ev = evaluate_pose(problem, pose, level=level, ground=ground)
         if not np.any(ev.alignment.valid_mask):
-            raise _degenerate(level, pose, level_traces, records, total_iters)
+            raise _degenerate(level, pose, level_traces, total_iters)
         current_cost = weighted_cost(ev.alignment.weights, ev.sq_norms, cost)
 
         hess = None  # relinearize only after accepted steps
@@ -362,16 +373,25 @@ def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = N
                 # The translation block is invertible, so J != 0 exactly
                 # when some satellite gradient is nonzero.
                 jac_nonzero = bool(np.any(ev.sat_grads))
-            delta = lm_step(hess, grad, lam)
+            used_lam = lam
+            try:
+                delta = lm_step(hess, grad, lam)
+            except SingularSystemError:
+                lam *= cfg.lambda_up
+                records.append(IterationRecord(
+                    pose=pose, cost=current_cost, candidate_cost=math.inf,
+                    lam=used_lam, accepted=False, delta=None))
+                continue
 
             candidate = pose.with_delta(delta)
             ev_cand = evaluate_pose(problem, candidate, level=level, ground=ground)
-            if not np.any(ev_cand.alignment.valid_mask):
-                raise _degenerate(level, pose, level_traces, records, total_iters)
-            cand_cost = weighted_cost(ev_cand.alignment.weights, ev_cand.sq_norms, cost)
+            if np.any(ev_cand.alignment.valid_mask):
+                cand_cost = weighted_cost(ev_cand.alignment.weights, ev_cand.sq_norms,
+                                          cost)
+            else:
+                cand_cost = math.inf
 
             accepted = cand_cost < current_cost
-            used_lam = lam
             if accepted:
                 pose = candidate
                 ev = ev_cand
@@ -402,12 +422,10 @@ def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = N
                        iterations_total=total_iters)
 
 
-def _degenerate(level: int, pose: Pose3, traces: list, records: list,
+def _degenerate(level: int, pose: Pose3, traces: list,
                 total_iters: int) -> DegenerateProblemError:
-    traces = list(traces)
-    traces.append(LevelTrace(level=level, iterations=tuple(records),
-                             stopped_by_tolerance=False))
-    report = OptimReport(levels=tuple(traces), final_pose=pose, converged=False,
+    start = LevelTrace(level=level, iterations=(), stopped_by_tolerance=False)
+    report = OptimReport(levels=(*traces, start), final_pose=pose, converged=False,
                          iterations_total=total_iters)
     return DegenerateProblemError(
         f"all points masked at pyramid level {level}", pose=pose, report=report)

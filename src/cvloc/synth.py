@@ -56,11 +56,11 @@ class SynthConfig:
             raise DomainError(f"unknown attention mode {self.attention_mode!r}")
         if not 0 < self.feature_smoothness < math.inf:
             raise DomainError("feature_smoothness must be finite and > 0")
-        self._geometry()  # an unreachable gamma, a bad camera or height fails here
+        self._geometry()  # a bad gamma, camera or height fails here
 
     def _geometry(self) -> tuple[SatelliteGeoref, CameraIntrinsics, PoseContext]:
         """Satellite georeference, ground camera and pose context of the scene."""
-        georef = SatelliteGeoref.from_gamma((self.sat_size - 1) / 2.0, self.gamma)
+        georef = SatelliteGeoref((self.sat_size - 1) / 2.0, self.gamma)
         intrinsics = CameraIntrinsics(
             fx=self.grd_focal, fy=self.grd_focal,
             cx=(self.grd_width - 1) / 2.0, cy=(self.grd_height - 1) / 2.0,

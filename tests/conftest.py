@@ -56,7 +56,7 @@ def tiny_problem(sat_data=None, grd_data=None, sat_att=None, grd_att=None,
         points = PointSet(pts)
     return AlignmentProblem(
         sat_pyramid=FeaturePyramid(((fmap_s, att_s),)),
-        georef=SatelliteGeoref.from_gamma((sat_size - 1) / 2.0, gamma, zoom=15),
+        georef=SatelliteGeoref((sat_size - 1) / 2.0, gamma),
         grd_pyramid=FeaturePyramid(((fmap_g, att_g),)),
         intrinsics=intr,
         points=points,

@@ -84,7 +84,7 @@ class TestAcceptance:
         from cvloc.geometry import PoseContext, SatelliteGeoref
 
         rng = np.random.default_rng(7)
-        georef = SatelliteGeoref.from_gamma(255.5, 0.2)
+        georef = SatelliteGeoref(255.5, 0.2)
         ctx = PoseContext(height=-1.6)
         h = 1e-4
         worst_fd = 0.0

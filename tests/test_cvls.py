@@ -80,6 +80,29 @@ class TestRoundTrip:
         save_scene(second, loaded)
         assert path.read_bytes() == second.read_bytes()
 
+    # Files written before the georef became (center_px, gamma) also carry
+    # the tile fields; they are ignored, whatever their values.
+    @pytest.mark.parametrize("old_keys", [
+        {"latitude_deg": 65.25, "zoom": 15, "scale": 2},
+        {"latitude_deg": 65.25, "zoom": 18.7, "scale": 2},
+        {"latitude_deg": 65.25, "zoom": True, "scale": 2},
+        {"latitude_deg": 65.25, "zoom": 15, "scale": 2.0},
+    ], ids=["tile_keys", "zoom_fraction", "zoom_bool", "scale_float"])
+    def test_old_georef_keys_ignored(self, scene_file, tmp_path, old_keys):
+        path, problem = scene_file
+        old = tmp_path / "old.cvls"
+        old.write_bytes(_rewrite_meta(path.read_bytes(),
+                                      lambda meta: meta["georef"].update(old_keys)))
+        loaded = load_scene(old)
+        assert loaded.georef == problem.georef
+        again = tmp_path / "again.cvls"
+        save_scene(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_georef_has_only_projection_keys(self, scene_file):
+        path, _ = scene_file
+        assert set(_meta(path.read_bytes())["georef"]) == {"center_px", "gamma"}
+
     def test_save_deterministic(self, tmp_path):
         problem = tiny_problem()
         p1, p2 = tmp_path / "a.cvls", tmp_path / "b.cvls"
@@ -164,9 +187,6 @@ class TestValidation:
         (lambda meta: meta["levels"]["satellite"][0].update(h="x"),
          "levels.satellite[0]"),
         # whole-number floats and booleans are rejected, not truncated
-        (lambda meta: meta["georef"].update(zoom=18.7), "georef.zoom"),
-        (lambda meta: meta["georef"].update(zoom=True), "georef.zoom"),
-        (lambda meta: meta["georef"].update(scale=2.0), "georef.scale"),
         (lambda meta: meta["intrinsics"].update(width=17.5), "intrinsics.width"),
         (lambda meta: meta["intrinsics"].update(height=True), "intrinsics.height"),
         (lambda meta: meta["levels"]["satellite"][0].update(w=16.0),
@@ -174,8 +194,7 @@ class TestValidation:
         (lambda meta: meta["levels"]["ground"][0].update(c=True), "levels.ground[0]"),
         (lambda meta: meta.update(point_count=3.0), "point_count"),
         (lambda meta: meta.update(point_count=True), "point_count"),
-    ], ids=["point_count", "level_h", "zoom_fraction", "zoom_bool", "scale_float",
-            "width_fraction", "height_bool", "level_w_float", "level_c_bool",
+    ], ids=["point_count", "level_h", "width_fraction", "height_bool", "level_w_float", "level_c_bool",
             "point_count_float", "point_count_bool"])
     def test_non_integer_metadata_field(self, scene_file, tmp_path, edit, field):
         path, _ = scene_file

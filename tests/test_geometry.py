@@ -47,29 +47,24 @@ class TestMetersPerPixel:
 
 
 class TestSatelliteGeoref:
-    def test_from_gamma_round_trips_through_formula(self):
-        g = SatelliteGeoref.from_gamma(255.5, 0.2)
-        assert abs(g.gamma - meters_per_pixel(g.latitude_deg, g.zoom, g.scale)) \
-            <= 1e-9 * g.gamma
-
     def test_coarsened_consistency(self):
-        g = SatelliteGeoref.from_gamma(255.5, 0.2)
+        g = SatelliteGeoref(255.5, 0.2)
         g2 = g.coarsened(2)
-        assert g2.gamma == g.gamma * 4
-        assert g2.center_px == g.center_px / 4
-        assert g2.gamma == meters_per_pixel(g2.latitude_deg, g2.zoom, g2.scale)
+        assert g2 == SatelliteGeoref(255.5 / 4, 0.2 * 4)
+        assert g.coarsened(0) is g
 
     def test_invalid_gamma(self):
         with pytest.raises(DomainError):
-            SatelliteGeoref(10.0, -0.1, 0.0, 18, 2)
+            SatelliteGeoref(10.0, -0.1)
 
-    def test_unreachable_gamma(self):
-        with pytest.raises(DomainError):
-            SatelliteGeoref.from_gamma(10.0, 1e9)
+    @pytest.mark.parametrize("gamma", [1e-300, 0.5, 1e9])
+    def test_any_finite_positive_gamma(self, gamma):
+        # no tile zoom or latitude has to reach it
+        assert SatelliteGeoref(10.0, gamma).gamma == gamma
 
 
 class TestProjectSatellite:
-    GEOREF = SatelliteGeoref.from_gamma(640.0, 0.2)
+    GEOREF = SatelliteGeoref(640.0, 0.2)
 
     def test_image_center_identity(self):
         uv = project_satellite(np.array([[0.0, 0.0, -5.0]]), self.GEOREF)
@@ -81,7 +76,7 @@ class TestProjectSatellite:
 
     def test_doubling_gamma_halves_pixel_offset(self):
         pts = np.random.default_rng(1).uniform(-30, 30, size=(20, 3))
-        g2 = SatelliteGeoref.from_gamma(640.0, 0.4, zoom=17)
+        g2 = SatelliteGeoref(640.0, 0.4)
         off1 = project_satellite(pts, self.GEOREF) - 640.0
         off2 = project_satellite(pts, g2) - 640.0
         assert np.allclose(off1, 2.0 * off2)
@@ -238,7 +233,7 @@ class TestPoseToTransform:
 
 class TestProjectionConsistency:
     def test_east_south_shift_moves_pixels_exactly(self):
-        georef = SatelliteGeoref.from_gamma(255.5, 0.2)
+        georef = SatelliteGeoref(255.5, 0.2)
         ctx = PoseContext(height=-1.5)
         rng = np.random.default_rng(8)
         pts = rng.uniform(-10, 10, size=(40, 3))
@@ -252,7 +247,7 @@ class TestProjectionConsistency:
 
 
 class TestSatProjJacobian:
-    GEOREF = SatelliteGeoref.from_gamma(255.5, 0.2)
+    GEOREF = SatelliteGeoref(255.5, 0.2)
     CTX = PoseContext(height=-1.5)
 
     def _jac(self, pts_cam, pose):

@@ -9,8 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cvloc import solver
 from cvloc.cvls import MAGIC, VERSION, load_scene, save_scene
 from cvloc.errors import ConfigError, SingularSystemError
 from cvloc.geometry import Pose3
@@ -18,7 +20,7 @@ from cvloc.harness import runner
 from cvloc.harness.cli import main
 from cvloc.synth import PerturbBounds, generate_scene
 
-from conftest import SMALL_SCENE_CFG
+from conftest import SMALL_SCENE_CFG, tiny_problem
 
 
 @pytest.fixture(scope="module")
@@ -260,22 +262,26 @@ class TestRunEval:
         assert rows2 == rows1
 
     def test_singular_trial_recorded_not_raised(self, scene_path, monkeypatch):
+        # The first LM step of the first trial cannot be factored: the solve
+        # raises lambda and goes on from the same pose.
+        problem = load_scene(scene_path)
+        _, plain, _ = runner.run_eval(problem, 3, PerturbBounds(1.0, 3.0))
         calls = []
-        solve = runner.refine_pose
+        step = solver.lm_step
 
         def first_call_singular(*args, **kwargs):
             calls.append(1)
             if len(calls) == 1:
-                raise SingularSystemError("Cholesky factorization failed (lambda=0.1)")
-            return solve(*args, **kwargs)
+                raise SingularSystemError("Cholesky factorization failed")
+            return step(*args, **kwargs)
 
-        monkeypatch.setattr(runner, "refine_pose", first_call_singular)
-        summary, rows, failures = runner.run_eval(load_scene(scene_path), 3,
-                                                  PerturbBounds(1.0, 3.0))
-        assert failures == 1
-        assert rows[0]["status"] == "singular: Cholesky factorization failed (lambda=0.1)"
-        assert rows[0]["iterations"] == ""
-        assert [r["status"] for r in rows[1:]] == ["ok", "ok"]
+        monkeypatch.setattr(solver, "lm_step", first_call_singular)
+        summary, rows, failures = runner.run_eval(problem, 3, PerturbBounds(1.0, 3.0))
+        assert failures == 0
+        assert [r["status"] for r in rows] == ["ok", "ok", "ok"]
+        assert rows[0]["converged"] is True
+        assert abs(rows[0]["err_lateral_m"]) < 1e-3
+        assert rows[1:] == plain[1:]
         assert summary.trial_count == 3
 
     def test_csv_row_count(self, tmp_path):
@@ -309,18 +315,37 @@ class TestCli:
         bad.write_bytes(b"JUNKJUNKJUNK")
         assert main(["localize", "--scene", str(bad), "--init", "0,0,0"]) == 3
 
-    def test_localize_fractional_zoom_exits_3(self, scene_path, tmp_path, capsys):
+    def test_localize_ignores_old_georef_keys(self, scene_path, tmp_path, capsys):
+        # A file written when the georef also held tile fields, one of them
+        # a fractional zoom: the fields are ignored and the scene localizes.
         blob = scene_path.read_bytes()
         header = struct.calcsize("<4sHI")
         _, _, meta_len = struct.unpack_from("<4sHI", blob)
         meta = json.loads(blob[header:header + meta_len])
-        meta["georef"]["zoom"] += 0.7
+        meta["georef"].update(latitude_deg=47.9, zoom=18.7, scale=2)
         new_meta = json.dumps(meta, separators=(",", ":")).encode()
-        bad = tmp_path / "zoom.cvls"
-        bad.write_bytes(struct.pack("<4sHI", MAGIC, VERSION, len(new_meta)) + new_meta
+        old = tmp_path / "old.cvls"
+        old.write_bytes(struct.pack("<4sHI", MAGIC, VERSION, len(new_meta)) + new_meta
                         + blob[header + meta_len:])
-        assert main(["localize", "--scene", str(bad), "--init", "0,0,0"]) == 3
-        assert "georef.zoom" in capsys.readouterr().err
+        assert main(["localize", "--scene", str(old), "--init", "0,0,0"]) == 0
+        assert json.loads(capsys.readouterr().out)["converged"] is True
+
+    def test_large_gamma_synthesizes_and_localizes(self, tmp_path, capsys):
+        # 0.5 m/px lies beyond every web-map tile at zoom 18, scale 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {
+            "seed": 3, "gamma": 0.5, "sat_size": 128, "point_count": 120,
+            "grd_width": 256, "grd_height": 96, "grd_focal": 120.0,
+            "depth_min": 3.0, "depth_max": 12.0}}))
+        scene = tmp_path / "s.cvls"
+        assert main(["synth", "--config", str(cfg), "--out", str(scene)]) == 0
+        assert load_scene(scene).georef.gamma == 0.5
+        capsys.readouterr()
+        assert main(["localize", "--scene", str(scene), "--perturb-seed", "3"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["converged"] is True
+        assert abs(record["error"]["lateral_m"]) < 1e-3
+        assert abs(record["error"]["longitudinal_m"]) < 1e-3
 
     def test_localize_dropped_ground_level_exits_3(self, scene_path, tmp_path, capsys):
         # The ground level table and payload lose the coarsest level, so the
@@ -342,7 +367,7 @@ class TestCli:
         assert "level counts differ" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["synth", "eval"])
-    @pytest.mark.parametrize("synth", [{"gamma": 100000.0}, {"grd_focal": -5},
+    @pytest.mark.parametrize("synth", [{"gamma": -0.2}, {"grd_focal": -5},
                                        {"grd_width": 0}],
                              ids=["gamma", "focal", "width"])
     def test_unbuildable_synth_geometry_exits_2(self, tmp_path, command, synth, capsys):
@@ -376,6 +401,29 @@ class TestCli:
         code = main(["localize", "--scene", str(scene_path), "--init", init])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_sigma_squared_overflow_exits_2(self, scene_path, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cost": {"kind": "geman_mcclure", "sigma": 1.4e154}}))
+        code = main(["localize", "--scene", str(scene_path), "--init", "0,0,0",
+                     "--config", str(cfg)])
+        assert code == 2
+        assert "sigma squared must be finite" in capsys.readouterr().err
+
+    def test_zero_distance_at_truth_reports_null_triplet(self, tmp_path, capsys):
+        # Constant unit feature maps: the weighted feature distance is 0 at
+        # every pose, so the triplet term is undefined, yet the record is
+        # written. The 3 m start opens the gate (3 points, 3 px each).
+        flat = np.ones((16, 16, 2), dtype=np.float32)
+        scene = tmp_path / "flat.cvls"
+        save_scene(scene, tiny_problem(sat_data=flat, grd_data=np.ones((17, 17, 2),
+                                                                       dtype=np.float32)))
+        assert main(["localize", "--scene", str(scene), "--init", "3,0,0"]) == 0
+        loss = json.loads(capsys.readouterr().out)["loss"]
+        assert loss["beta"] > 0
+        assert loss["dis_gt"] == 0.0
+        assert loss["triplet"] is None
+        assert loss["total"] == loss["reprojection_pre"]
 
     def test_dis_level_beyond_scene_exits_2(self, scene_path, tmp_path, capsys):
         # beta_lo 0 opens the triplet gate, which evaluates at dis_level

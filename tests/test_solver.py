@@ -1,5 +1,6 @@
 """Solver: robust costs, LM step, Jacobian assembly, multi-level refinement."""
 
+import json
 import math
 
 import numpy as np
@@ -68,6 +69,12 @@ class TestRobustEval:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             RobustCost("cauchy")
+
+    # sigma is finite and > 0, but sigma^2 overflows or underflows
+    @pytest.mark.parametrize("sigma", [1.4e154, 1e-170])
+    def test_sigma_squared_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(DomainError, match="sigma squared"):
+            RobustCost("geman_mcclure", sigma=sigma)
 
 
 _COSTS = [RobustCost("squared"), RobustCost(), RobustCost("geman_mcclure", sigma=1.3)]
@@ -431,33 +438,58 @@ class TestRefinePose:
         cfg = LMConfig()
         try:
             report = refine_pose(problem, init, cfg)
-            completed = True
         except DegenerateProblemError as err:
-            # Near 10 m every point can leave this small crop. The partial
-            # report keeps the per-level properties; its total also counts
-            # an iteration whose candidate masked every point, with no record.
-            report, completed = err.report, False
+            # Near 10 m every point can leave this small crop at the pose a
+            # level starts from; only there does the solve stop.
+            report = err.report
             assert not report.converged
-        except SingularSystemError as err:
-            # With few points left on the crop, H can be rank-deficient once
-            # lambda has decayed to about 1e-17; the solve stops with no report.
-            assert err.hessian.shape == (3, 3)
-            return
+            assert report.levels[-1].iterations == ()
         for trace in report.levels:
             costs = [rec.cost for rec in trace.iterations]
             assert all(b <= a for a, b in zip(costs, costs[1:]))
             assert len(trace.iterations) <= cfg.max_iters_per_level
             for rec in trace.iterations:
-                assert math.isfinite(rec.cost) and math.isfinite(rec.candidate_cost)
-                assert all(math.isfinite(d) for d in rec.delta)
+                assert math.isfinite(rec.cost)
+                # an unscored candidate (inf) or an unsolved step (no delta)
+                # is always a rejected step
+                if rec.delta is None or not math.isfinite(rec.candidate_cost):
+                    assert not rec.accepted
+                if rec.delta is not None:
+                    assert all(math.isfinite(d) for d in rec.delta)
                 pose = rec.pose
                 assert all(math.isfinite(x) for x in (pose.lateral, pose.longitudinal,
                                                       pose.yaw))
-        if completed:
-            assert report.iterations_total == sum(len(t.iterations) for t in report.levels)
+        assert report.iterations_total == sum(len(t.iterations) for t in report.levels)
         if report.converged:
             assert report.levels[-1].level == 0
             assert report.levels[-1].stopped_by_tolerance
+
+    # Two starts that once ended the solve at level 1: a candidate that masks
+    # every point, and a damped system with no Cholesky factor once lambda
+    # has decayed to 1e-17 with a single point left on the crop.
+    @pytest.mark.parametrize("d_lat, d_lon, d_yaw_deg, unsolved", [
+        (0.0, 9.0, 0.0, False), (9.42, -9.77, 12.97, True),
+    ], ids=["all_masked_candidate", "singular_step"])
+    def test_unscorable_step_is_rejected(self, small_scene, d_lat, d_lon, d_yaw_deg,
+                                         unsolved):
+        gt = small_scene.gt_pose
+        init = Pose3(gt.lateral + d_lat, gt.longitudinal + d_lon,
+                     gt.yaw + math.radians(d_yaw_deg))
+        report = refine_pose(small_scene, init)
+        assert [t.level for t in report.levels] == [2, 1, 0]
+        assert report.iterations_total == sum(len(t.iterations) for t in report.levels)
+        level1 = report.levels[1].iterations
+        unscored = [i for i, rec in enumerate(level1) if rec.candidate_cost == math.inf]
+        assert unscored
+        for i in unscored:
+            assert not level1[i].accepted
+            if i + 1 < len(level1):
+                assert level1[i + 1].lam == level1[i].lam * LMConfig().lambda_up
+        assert any(level1[i].delta is None for i in unscored) == unsolved
+        # written as null, never as the non-standard Infinity
+        trace = report.levels[1].to_dict()["iterations"]
+        assert all(trace[i]["candidate_cost"] is None for i in unscored)
+        json.dumps(report.to_dict(), allow_nan=False)
 
     def test_deterministic_reports(self, small_scene):
         init = Pose3(2.0, 1.0, 0.05)
@@ -473,7 +505,6 @@ class TestRefinePose:
         assert report.iterations_total <= 3 * small_scene.level_count
 
     def test_trace_is_json_serializable(self, small_scene):
-        import json
         report = refine_pose(small_scene, small_scene.gt_pose)
         json.dumps(report.to_dict())
 

@@ -88,7 +88,7 @@ class TestGenerateScene:
         with pytest.raises(DomainError):
             SynthConfig(attention_mode="learned")
         # geometry that generate_scene could not build
-        for bad in ({"gamma": 100000.0}, {"gamma": -0.2}, {"grd_focal": -5.0},
+        for bad in ({"gamma": 0.0}, {"gamma": -0.2}, {"grd_focal": -5.0},
                     {"grd_width": 0}, {"grd_height": 0}):
             with pytest.raises(DomainError):
                 SynthConfig(**bad)
