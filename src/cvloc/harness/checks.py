@@ -77,9 +77,8 @@ def _fd_sat_uv(point, pose, ctx, georef, axis, h):
     return (uv_plus - uv_minus) / (2.0 * h)
 
 
-def _check_projection_jacobian(rng, jacobian_fn, draws=100):
+def _check_projection_jacobian(rng, draws=100):
     """Per-column FD comparison of the satellite projection Jacobian."""
-    fn = jacobian_fn or d_satproj_d_pose_many
     worst = np.zeros(3)
     tol = 1e-4
     for _ in range(draws):
@@ -89,7 +88,8 @@ def _check_projection_jacobian(rng, jacobian_fn, draws=100):
                      float(rng.uniform(-np.pi, np.pi)))
         pts = rng.uniform(-30, 30, size=(8, 3))
         pts[:, 2] = rng.uniform(2, 40, size=8)
-        analytic = fn(transform_points(pts, pose_to_transform(pose, ctx)), pose, georef)
+        analytic = d_satproj_d_pose_many(
+            transform_points(pts, pose_to_transform(pose, ctx)), pose, georef)
         for axis in range(3):
             fd = _fd_sat_uv(pts, pose, ctx, georef, axis, _FD_STEP)
             scale = max(float(np.max(np.abs(fd))), 1e-6)
@@ -104,9 +104,8 @@ def _check_projection_jacobian(rng, jacobian_fn, draws=100):
     return results
 
 
-def _check_translation_block(rng, jacobian_fn, draws=50):
+def _check_translation_block(rng, draws=50):
     """Translation columns of the projection Jacobian have norm 1/gamma."""
-    fn = jacobian_fn or d_satproj_d_pose_many
     tol = 1e-12
     worst = 0.0
     for _ in range(draws):
@@ -115,7 +114,8 @@ def _check_translation_block(rng, jacobian_fn, draws=50):
         pose = Pose3(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)),
                      float(rng.uniform(-np.pi, np.pi)))
         pts = rng.uniform(-10, 10, size=(4, 3))
-        jac = fn(transform_points(pts, pose_to_transform(pose, PoseContext())), pose, georef)
+        jac = d_satproj_d_pose_many(
+            transform_points(pts, pose_to_transform(pose, PoseContext())), pose, georef)
         norms = np.linalg.norm(jac[:, :, :2], axis=1)
         worst = max(worst, float(np.max(np.abs(norms * gamma - 1.0))))
     return [CheckResult(name="projection_jacobian/translation_block_norm",
@@ -285,17 +285,12 @@ def _check_normal_equations(rng, scenes=8):
                         detail=f"{scenes} small scenes, {masked} masked points")]
 
 
-def check_numerics(seed: int = 0, projection_jacobian_fn=None) -> NumericsReport:
-    """Run the full self-check battery.
-
-    ``projection_jacobian_fn`` substitutes the analytic projection Jacobian
-    in the checks that consume it (used by fault-injection tests); it takes
-    ``d_satproj_d_pose_many``'s arguments (pts_sat, pose, georef).
-    """
+def check_numerics(seed: int = 0) -> NumericsReport:
+    """Run the full self-check battery."""
     rng = np.random.default_rng(seed)
     results = []
-    results += _check_projection_jacobian(rng, projection_jacobian_fn)
-    results += _check_translation_block(rng, projection_jacobian_fn)
+    results += _check_projection_jacobian(rng)
+    results += _check_translation_block(rng)
     results += _check_bilinear_gradient(rng)
     results += _check_lm_step(rng)
     results += _check_residual_jacobian(rng)

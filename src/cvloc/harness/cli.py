@@ -126,6 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cvloc",
         description="Cross-view vehicle localization against satellite feature maps.")
     sub = parser.add_subparsers(dest="command", required=True)
+    north_star = PerturbBounds()  # the 10 m / 30 deg protocol
 
     p = sub.add_parser("localize", help="refine one scene's pose and emit a JSON record")
     p.add_argument("--scene", required=True, help="CVLS scene file")
@@ -133,9 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--init", help="initial pose 'lat_m,lon_m,yaw_deg'")
     group.add_argument("--perturb-seed", type=_seed, dest="perturb_seed",
                        help="sample the initial pose from the true pose")
-    p.add_argument("--max-shift", type=float, default=10.0,
+    p.add_argument("--max-shift", type=float, default=north_star.max_shift,
                    help="perturbation shift bound in meters (with --perturb-seed)")
-    p.add_argument("--max-yaw", type=float, default=30.0,
+    p.add_argument("--max-yaw", type=float, default=north_star.max_yaw_deg,
                    help="perturbation yaw bound in degrees (with --perturb-seed)")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="output JSON path (stdout if omitted)")
@@ -151,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True,
                    help="CVLS scene file or JSON synth config")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--max-shift", type=float, default=10.0)
-    p.add_argument("--max-yaw", type=float, default=30.0)
+    p.add_argument("--max-shift", type=float, default=north_star.max_shift)
+    p.add_argument("--max-yaw", type=float, default=north_star.max_yaw_deg)
     p.add_argument("--seed", type=_seed, default=0, help="master seed for trial fan-out")
     p.add_argument("--workers", type=int, default=None,
                    help="parallel trials (CVL_WORKERS env overrides)")

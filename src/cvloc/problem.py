@@ -104,9 +104,12 @@ def _compute_ground_level(problem: AlignmentProblem, level: int) -> GroundLevelD
     """
     uv0, visible = project_ground(problem.points, problem.intrinsics)
     uv = uv0 / float(2**level)
-    feats, _, inb_f = bilinear_lookup_many(problem.grd_pyramid.feature(level).data, uv)
-    att, inb_a = attention_lookup_many(problem.grd_pyramid.attention(level), uv)
-    valid = visible & inb_f & inb_a
+    fmap = problem.grd_pyramid.feature(level)
+    # The attention map has the feature map's size: one set of corners serves both.
+    corners = bilinear_weights(fmap.data.shape[:2], uv)
+    feats, _, in_bounds = bilinear_lookup_many(fmap.data, uv, corners)
+    att, _ = attention_lookup_many(problem.grd_pyramid.attention(level), uv, corners)
+    valid = visible & in_bounds
     for arr in (feats, att, valid):
         arr.setflags(write=False)
     return GroundLevelData(features=feats, attention=att, valid=valid)

@@ -179,12 +179,19 @@ class LevelTrace:
 
 @dataclass(frozen=True)
 class OptimReport:
-    """Per-level, per-iteration trace of one refinement run."""
+    """Per-level, per-iteration trace of one refinement run.
+
+    ``converged`` means the finest level stopped by tolerance after a
+    linearization with nonzero H; ``iterations_total`` counts the records.
+    """
 
     levels: tuple
     final_pose: Pose3
     converged: bool
-    iterations_total: int
+
+    @property
+    def iterations_total(self) -> int:
+        return sum(len(lv.iterations) for lv in self.levels)
 
     def to_dict(self) -> dict:
         return {
@@ -337,19 +344,19 @@ def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = N
                 cost: RobustCost | None = None) -> OptimReport:
     """Coarse-to-fine LM refinement of an initial pose.
 
-    A rejected step raises lambda: its candidate raised the cost or left no
-    valid point, or the damped system had no Cholesky factor. Raises
-    DegenerateProblemError (carrying the partial report) if every point is
-    masked at the pose a level starts from.
+    Every iteration takes one path. A damped system with no Cholesky factor
+    leaves ``delta`` None, and a candidate pose with no valid point keeps
+    the candidate cost inf; either way the step is rejected like one that
+    raises the cost. Each iteration then writes one record and scales
+    lambda down on acceptance, up on rejection. Only a solved step can meet
+    the tolerance. Raises DegenerateProblemError (carrying the partial
+    report) if every point is masked at the pose a level starts from.
     """
     cfg = cfg or LMConfig()
     cost = cost or RobustCost()
 
     pose = init
     level_traces = []
-    total_iters = 0
-    finest_tol_stop = False
-    finest_informative = False
 
     for level in range(problem.level_count - 1, -1, -1):
         ground = ground_level_data(problem, level)
@@ -360,72 +367,56 @@ def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = N
 
         ev = evaluate_pose(problem, pose, level=level, ground=ground)
         if not np.any(ev.alignment.valid_mask):
-            raise _degenerate(level, pose, level_traces, total_iters)
+            raise _degenerate(level, pose, level_traces)
         current_cost = weighted_cost(ev.alignment.weights, ev.sq_norms, cost)
 
         hess = None  # relinearize only after accepted steps
         for _ in range(cfg.max_iters_per_level):
-            total_iters += 1
             if hess is None:
                 proj_jac = d_satproj_d_pose_many(ev.pts_sat, pose, georef)
                 w_points = build_weight_matrix(ev.alignment.weights, ev.sq_norms, cost)
                 hess, grad = _normal_equations(ev, proj_jac, w_points)
-                # The translation block is invertible, so J != 0 exactly
-                # when some satellite gradient is nonzero.
-                jac_nonzero = bool(np.any(ev.sat_grads))
-            used_lam = lam
+                # H is zero exactly when no point has both a nonzero
+                # gradient and a nonzero weight: the step then says nothing.
+                informative = bool(np.any(hess))
+            cand_cost = math.inf
             try:
                 delta = lm_step(hess, grad, lam)
             except SingularSystemError:
-                lam *= cfg.lambda_up
-                records.append(IterationRecord(
-                    pose=pose, cost=current_cost, candidate_cost=math.inf,
-                    lam=used_lam, accepted=False, delta=None))
-                continue
-
-            candidate = pose.with_delta(delta)
-            ev_cand = evaluate_pose(problem, candidate, level=level, ground=ground)
-            if np.any(ev_cand.alignment.valid_mask):
-                cand_cost = weighted_cost(ev_cand.alignment.weights, ev_cand.sq_norms,
-                                          cost)
+                delta = None
             else:
-                cand_cost = math.inf
+                candidate = pose.with_delta(delta)
+                ev_cand = evaluate_pose(problem, candidate, level=level, ground=ground)
+                if np.any(ev_cand.alignment.valid_mask):
+                    cand_cost = weighted_cost(ev_cand.alignment.weights, ev_cand.sq_norms,
+                                              cost)
 
             accepted = cand_cost < current_cost
             if accepted:
-                pose = candidate
-                ev = ev_cand
-                current_cost = cand_cost
-                lam *= cfg.lambda_down
+                pose, ev, current_cost = candidate, ev_cand, cand_cost
                 hess = None
-            else:
-                lam *= cfg.lambda_up
-
             records.append(IterationRecord(
-                pose=pose, cost=current_cost, candidate_cost=cand_cost,
-                lam=used_lam, accepted=accepted,
-                delta=(float(delta[0]), float(delta[1]), float(delta[2]))))
+                pose=pose, cost=current_cost, candidate_cost=cand_cost, lam=lam,
+                accepted=accepted,
+                delta=None if delta is None else tuple(float(d) for d in delta)))
+            lam *= cfg.lambda_down if accepted else cfg.lambda_up
 
-            if (abs(delta[0]) < cfg.stop_tol and abs(delta[1]) < cfg.stop_tol
+            if delta is not None and (
+                    abs(delta[0]) < cfg.stop_tol and abs(delta[1]) < cfg.stop_tol
                     and abs(math.degrees(delta[2])) < cfg.stop_tol):
                 stopped_by_tol = True
                 break
 
-        if level == 0:
-            finest_tol_stop = stopped_by_tol
-            finest_informative = jac_nonzero
         level_traces.append(LevelTrace(level=level, iterations=tuple(records),
                                        stopped_by_tolerance=stopped_by_tol))
 
+    # The loop ends on the finest level, so these are its facts.
     return OptimReport(levels=tuple(level_traces), final_pose=pose,
-                       converged=finest_tol_stop and finest_informative,
-                       iterations_total=total_iters)
+                       converged=stopped_by_tol and informative)
 
 
-def _degenerate(level: int, pose: Pose3, traces: list,
-                total_iters: int) -> DegenerateProblemError:
+def _degenerate(level: int, pose: Pose3, traces: list) -> DegenerateProblemError:
     start = LevelTrace(level=level, iterations=(), stopped_by_tolerance=False)
-    report = OptimReport(levels=(*traces, start), final_pose=pose, converged=False,
-                         iterations_total=total_iters)
+    report = OptimReport(levels=(*traces, start), final_pose=pose, converged=False)
     return DegenerateProblemError(
         f"all points masked at pyramid level {level}", pose=pose, report=report)

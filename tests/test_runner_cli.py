@@ -410,6 +410,20 @@ class TestCli:
         assert code == 2
         assert "sigma squared must be finite" in capsys.readouterr().err
 
+    def test_underflowing_sigma_reports_non_convergence(self, tmp_path, capsys):
+        # sigma^2 = 1e-320 is subnormal: every IRLS weight underflows to 0,
+        # H is zero and the pose never moves, so the solve has not converged.
+        scene = tmp_path / "s.cvls"
+        assert main(["synth", "--seed", "1", "--out", str(scene)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cost": {"kind": "geman_mcclure", "sigma": 1e-160}}))
+        capsys.readouterr()
+        assert main(["localize", "--scene", str(scene), "--perturb-seed", "3",
+                     "--config", str(cfg)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["converged"] is False
+        assert record["final_pose"] == record["init_pose"]
+
     def test_zero_distance_at_truth_reports_null_triplet(self, tmp_path, capsys):
         # Constant unit feature maps: the weighted feature distance is 0 at
         # every pose, so the triplet term is undefined, yet the record is

@@ -419,6 +419,22 @@ class TestRefinePose:
         assert report.final_pose.lateral == pytest.approx(0.5)
         assert report.final_pose.longitudinal == pytest.approx(0.5)
 
+    # Zero weights leave H zero though the satellite gradients are not: the
+    # step is zero, the pose cannot move, and the solve has not converged.
+    def test_zero_attention_reports_non_convergence(self):
+        init = Pose3(0.3, -0.2, 0.02)
+        report = refine_pose(tiny_problem(sat_att=np.zeros((16, 16))), init)
+        assert not report.converged
+        assert report.final_pose == init
+
+    def test_underflowing_robust_weights_report_non_convergence(self, small_scene):
+        # sigma^2 = 1e-320 is subnormal, so every w * rho' underflows to 0
+        init = Pose3(1.0, -1.0, 0.05)
+        report = refine_pose(small_scene, init,
+                             cost=RobustCost("geman_mcclure", sigma=1e-160))
+        assert not report.converged
+        assert report.final_pose == init
+
     def test_all_masked_raises_degenerate(self, small_scene):
         init = Pose3(500.0, 500.0, 0.0)
         with pytest.raises(DegenerateProblemError) as err:
