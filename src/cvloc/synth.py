@@ -5,8 +5,9 @@ ground-truth pose: smooth random satellite fields are sampled per level,
 3D points are back-projected from ground pixels aligned to the coarsest
 level's texel grid, and each point's satellite feature (looked up at the
 true pose) is splatted into the ground map so its bilinear lookup
-reproduces it. The space between splats is inpainted smoothly; it never
-enters the objective.
+reproduces it. The ground map is zero away from the points' texels: the
+solver reads the ground view only at the points' own projections, so
+nothing between them enters the objective.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .features import (AttentionMap, FeatureMap, FeaturePyramid,
 from .geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
                        SatelliteGeoref, pose_to_transform, project_ground,
                        project_satellite, transform_points)
-from .problem import AlignmentProblem
+from .problem import AlignmentProblem, ground_level_data
 
 
 @dataclass(frozen=True)
@@ -85,18 +86,18 @@ class PerturbBounds:
                               "at most half the largest float")
 
 
-def _gaussian_filter(data: np.ndarray, sigma, mode: str) -> np.ndarray:
+def _gaussian_filter(data: np.ndarray, sigma) -> np.ndarray:
     # Imported here, not at module level: loading and localizing saved
     # scenes never filter, and importing scipy takes longer than the rest
     # of their start-up.
     from scipy import ndimage
-    return ndimage.gaussian_filter(data, sigma=sigma, mode=mode)
+    return ndimage.gaussian_filter(data, sigma=sigma, mode="wrap")
 
 
 def _smooth_field(rng: np.random.Generator, shape, sigma: float) -> np.ndarray:
     noise = rng.standard_normal(shape)
     spatial = (sigma, sigma) + (0.0,) * (len(shape) - 2)
-    return _gaussian_filter(noise, spatial, "wrap")
+    return _gaussian_filter(noise, spatial)
 
 
 def _attention(rng: np.random.Generator, shape, mode: str, sigma: float) -> AttentionMap:
@@ -177,10 +178,8 @@ def generate_scene(cfg: SynthConfig) -> AlignmentProblem:
     for lvl in range(cfg.levels):
         gh = -(-cfg.grd_height // 2**lvl)
         gw = -(-cfg.grd_width // 2**lvl)
-        base = _smooth_field(rng, (gh, gw, cfg.channels), cfg.feature_smoothness)
-        base /= np.maximum(np.linalg.norm(base, axis=-1, keepdims=True), 1e-12)
-        grd_map = _splat_ground_map(base, uv_grd / float(2**lvl),
-                                    sat_vals_per_level[lvl], step / 2**lvl)
+        grd_map = _splat_ground_map((gh, gw, cfg.channels), uv_grd / float(2**lvl),
+                                    sat_vals_per_level[lvl])
         fmap = FeatureMap(grd_map.astype(np.float32))
         att = _attention(rng, (gh, gw), cfg.attention_mode, cfg.feature_smoothness)
         grd_levels.append((fmap, att))
@@ -190,55 +189,38 @@ def generate_scene(cfg: SynthConfig) -> AlignmentProblem:
         grd_pyramid=FeaturePyramid(tuple(grd_levels)), intrinsics=intrinsics,
         points=points, ctx=ctx, gt_pose=cfg.gt_pose)
 
-    _assert_zero_residual(problem, sat_vals_per_level, uv_grd)
+    _assert_zero_residual(problem, sat_vals_per_level)
     return problem
 
 
-def _splat_ground_map(base: np.ndarray, uv: np.ndarray, targets: np.ndarray,
-                      spacing: float) -> np.ndarray:
+def _splat_ground_map(shape, uv: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Ground feature map whose bilinear lookups at uv equal the targets.
 
-    Inpaints smoothly between splats with a normalized convolution over the
-    base field, then solves each point's dominant texel against the actual
-    interpolation weights so the constraint holds to float precision.
+    The (h, w, c) map is zero away from the points' texels, since the
+    solver never reads there.
+    Each target is written at its nearest texel; the solver looks up at the
+    float32-quantized projection, a hair off that texel, so the dominant
+    corner is then corrected against the actual interpolation weights and
+    the constraint holds to float precision.
     """
-    gh, gw, _ = base.shape
-    tex_u = np.rint(uv[:, 0]).astype(np.intp)
-    tex_v = np.rint(uv[:, 1]).astype(np.intp)
+    out = np.zeros(shape)
+    out[np.rint(uv[:, 1]).astype(np.intp), np.rint(uv[:, 0]).astype(np.intp)] = targets
 
-    splat_val = np.zeros_like(base)
-    splat_w = np.zeros((gh, gw))
-    splat_val[tex_v, tex_u] = targets
-    splat_w[tex_v, tex_u] = 1.0
-
-    sigma = max(1.0, float(spacing))
-    blur_val = _gaussian_filter(splat_val, (sigma, sigma, 0.0), "nearest")
-    blur_w = _gaussian_filter(splat_w, sigma, "nearest")
-    eps = 1e-3
-    out = (blur_val + eps * base) / (blur_w + eps)[..., None]
-    out[tex_v, tex_u] = targets
-
-    # The solver looks up at the float32-quantized projection, a hair off
-    # the integer texel; solve the dominant corner exactly for that spot.
-    idx, weights, _, _, _ = bilinear_weights((gh, gw), uv)
-    flat = out.reshape(gh * gw, -1)  # a view: writes land in out
-    dom = np.argmax(weights, axis=0)
+    corners = bilinear_weights(shape[:2], uv)
+    idx, weights = corners[:2]
+    contrib, _, _ = bilinear_lookup_many(out, uv, corners)
     rows = np.arange(uv.shape[0])
-
-    corner_vals = np.take(flat, idx, axis=0)         # (4, N, c)
-    contrib = np.einsum("kn,knc->nc", weights, corner_vals)
-    dom_w = weights[dom, rows]
-    dom_vals = corner_vals[dom, rows]
-    solved = dom_vals + (targets - contrib) / dom_w[:, None]
-    flat[idx[dom, rows]] = solved
+    dom = np.argmax(weights, axis=0)
+    flat = out.reshape(-1, shape[2])  # a view: writes land in out
+    flat[idx[dom, rows]] += (targets - contrib) / weights[dom, rows][:, None]
     return out
 
 
 def _assert_zero_residual(problem: AlignmentProblem, sat_vals_per_level,
-                          uv_grd: np.ndarray, tol: float = 1e-6) -> None:
+                          tol: float = 1e-6) -> None:
+    """Check the ground lookups the solver will read against the satellite's."""
     for lvl in range(problem.level_count):
-        grd_vals, _, _ = bilinear_lookup_many(
-            problem.grd_pyramid.feature(lvl).data, uv_grd / float(2**lvl))
+        grd_vals = ground_level_data(problem, lvl).features
         worst = float(np.max(np.linalg.norm(sat_vals_per_level[lvl] - grd_vals, axis=1)))
         if worst > tol:
             raise GenerationError(

@@ -186,6 +186,7 @@ class TestGroundLevelData:
     def test_concurrent_first_fills_agree(self, small_scene):
         # more threads than cores race on a cold cache with frequent switches
         problem = dataclasses.replace(small_scene)
+        assert "_ground_levels" not in vars(problem)
         levels = range(problem.level_count)
         start = threading.Barrier(8, timeout=30)
 

@@ -203,15 +203,15 @@ class TestRunLocalize:
 
 # (final lateral m, final longitudinal m, final yaw deg, iterations) of
 # run_eval on small_scene, 6 trials at 10 m / 30 deg, master seed 5.
-# Recorded again when the damped 3x3 Cholesky solve moved to closed form:
-# each value moved by at most 1.3e-15 and no iteration count changed.
+# Recorded again when the synthetic ground map became zero away from the
+# points: each value moved by at most 1.5e-8 and no iteration count changed.
 _RECORDED_EVAL = [
-    (-1.800544321962252e-08, 1.5108428676927181e-09, 1.0720046424823448e-07, 6),
-    (-2.3462885610901897e-09, 7.974327038218811e-10, 1.1089520071705094e-08, 7),
-    (-2.3444748523585895e-09, 7.974002909310989e-10, 1.1078379389093533e-08, 8),
-    (-2.3376896219212692e-09, 7.97098926297332e-10, 1.1036492138987898e-08, 7),
-    (-1.3145865889764686e-07, -5.888711204718537e-09, 7.258751473653009e-07, 8),
-    (-2.0865678682264445e-09, 7.874869687498171e-10, 9.491168106437322e-09, 7),
+    (-1.521482243489088e-08, 9.009738117902793e-11, 9.221616620039541e-08, 6),
+    (4.443708314024938e-10, -6.233144158661892e-10, -3.8950175079987225e-09, 7),
+    (4.4618467366818136e-10, -6.233472138263765e-10, -3.906157182982414e-09, 8),
+    (4.529690241020289e-10, -6.23648430743378e-10, -3.948040240779072e-09, 7),
+    (-1.286756747953564e-07, -7.307807909564562e-09, 7.109393740820679e-07, 8),
+    (7.040873910385442e-10, -6.332597114240906e-10, -5.493344999576716e-09, 7),
 ]
 
 

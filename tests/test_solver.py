@@ -484,7 +484,7 @@ class TestRefinePose:
     # every point, and a damped system with no Cholesky factor once lambda
     # has decayed to 1e-17 with a single point left on the crop.
     @pytest.mark.parametrize("d_lat, d_lon, d_yaw_deg, unsolved", [
-        (0.0, 9.0, 0.0, False), (9.42, -9.77, 12.97, True),
+        (0.0, 9.0, 0.0, False), (9.05, -9.57, 11.62, True),
     ], ids=["all_masked_candidate", "singular_step"])
     def test_unscorable_step_is_rejected(self, small_scene, d_lat, d_lon, d_yaw_deg,
                                          unsolved):
@@ -527,21 +527,25 @@ class TestRefinePose:
 
 # (iteration budget per level, perturbation seed, final lateral m,
 # longitudinal m, yaw rad, total iterations) of refine_pose on small_scene
-# from PerturbBounds(5, 15), recorded before the matmul Jacobian stacking,
-# the per-problem ground lookups and the flat corner gather. The budget-2
-# runs stop mid-trajectory, so they pin the iterates, not only the optimum.
+# from PerturbBounds(5, 15). Recorded again when the synthetic ground map
+# became zero away from the points: the lookups at the points moved by at
+# most 6e-8, each value here by at most 2.8e-9, and no iteration count
+# changed. The budget-2 runs stop mid-trajectory, so they pin the iterates,
+# not only the optimum.
 _GOLDEN_SOLVES = [
-    (20, 900, -2.2122275260431566e-09, 7.909597898822591e-10, 1.7912133624583375e-10, 7),
-    (20, 901, 7.024186963444024e-09, 3.889239269178068e-10, -8.137898506594829e-10, 6),
-    (20, 902, 1.5334714083247102e-10, 7.140891023529033e-10, -7.512967008620422e-11, 6),
-    (2, 900, -0.00044343287041083077, 4.031749384111969e-05, 4.741155043804044e-05, 6),
-    (2, 901, 0.00015536947714310076, -7.069129905598285e-06, -1.6764806669326118e-05, 5),
-    (2, 903, -0.0003032686152101211, 1.798562251741238e-05, 3.278170399598423e-05, 5),
+    (20, 900, 5.784186256861489e-10, -6.297871262968423e-10, -8.240673785547293e-11, 7),
+    (20, 901, 9.814849144167721e-09, -1.0318230509293273e-09, -1.0753196272662303e-09, 6),
+    (20, 902, 2.9439457347743973e-09, -7.066552960858111e-10, -3.3665259792332034e-10, 6),
+    (2, 900, -0.0004434317848735058, 4.0315975586736365e-05, 4.7411485502459006e-05, 6),
+    (2, 901, 0.00015537201713396485, -7.070520908484009e-06, -1.676504362997273e-05, 5),
+    (2, 903, -0.00030326629558176523, 1.79842392833612e-05, 3.278149047626546e-05, 5),
 ]
 
 
 class TestGoldenSolves:
-    @pytest.mark.parametrize("budget,seed,lat,lon,yaw,iters", _GOLDEN_SOLVES)
+    # ids name the run, not the recorded values, so recording again keeps them
+    @pytest.mark.parametrize("budget,seed,lat,lon,yaw,iters", _GOLDEN_SOLVES,
+                             ids=[f"budget{g[0]}-seed{g[1]}" for g in _GOLDEN_SOLVES])
     def test_matches_recorded_solve(self, small_scene, budget, seed, lat, lon, yaw,
                                     iters):
         init = sample_initial_pose(small_scene.gt_pose, PerturbBounds(5.0, 15.0), seed)

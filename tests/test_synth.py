@@ -20,11 +20,22 @@ from conftest import SMALL_SCENE_CFG
 
 
 class TestGenerateScene:
-    def test_zero_residual_at_truth_every_level(self, small_scene):
-        for lvl in range(small_scene.level_count):
-            ev = evaluate_pose(small_scene, small_scene.gt_pose, lvl)
+    @pytest.mark.parametrize("attention_mode", ["uniform", "random_smooth"])
+    def test_zero_residual_at_truth_every_level(self, attention_mode):
+        from dataclasses import replace
+        problem = generate_scene(replace(SMALL_SCENE_CFG, attention_mode=attention_mode))
+        for lvl in range(problem.level_count):
+            ev = evaluate_pose(problem, problem.gt_pose, lvl)
             norms = np.linalg.norm(ev.alignment.residuals, axis=1)
             assert norms.max() < 1e-5
+
+    def test_missed_splat_raises(self, monkeypatch):
+        # a ground map that misses the targets must fail generation, not
+        # hand the solver a scene whose optimum is elsewhere
+        monkeypatch.setattr("cvloc.synth._splat_ground_map",
+                            lambda shape, uv, targets: np.zeros(shape))
+        with pytest.raises(GenerationError, match="level 0"):
+            generate_scene(SMALL_SCENE_CFG)
 
     def test_scene_files_bit_identical_per_seed(self, tmp_path):
         cfg = SMALL_SCENE_CFG
