@@ -2,9 +2,9 @@
 
 Feature maps are stored row-major (height, width, channels); lookup
 coordinates are (u, v) with u along width and v along height. Lookups use
-bilinear interpolation and return the analytic spatial gradient of the
-interpolant, which downstream Jacobians chain with the projection
-geometry.
+bilinear interpolation; ``bilinear_lookup_many`` also returns the analytic
+spatial gradient of the interpolant, which downstream Jacobians chain with
+the projection geometry, and ``bilinear_values_many`` skips it.
 """
 
 from __future__ import annotations
@@ -170,6 +170,39 @@ def bilinear_weights(shape_hw: tuple[int, int], uv: np.ndarray):
     return idx, weights, fu, fv, in_bounds
 
 
+def _corner_sum(data: np.ndarray, uv: np.ndarray, corners):
+    """Corners, float64 corner texels and bilinear values of a lookup.
+
+    The one home of the four-corner sum that value-only and gradient
+    lookups share. Returns (corners, texels (4, N, c), values (N, c)); the
+    values are not yet zeroed outside the map.
+    """
+    h, w, c = data.shape
+    if corners is None:
+        corners = bilinear_weights((h, w), uv)
+    idx, wts = corners[:2]
+    # (4, N, c): all four corners in one gather by flat row index.
+    texels = np.take(data.reshape(h * w, c), idx, axis=0).astype(np.float64)
+    # Each einsum adds its products in k order from +0.0, rounding every
+    # product and every sum as the written-out w0*f00 + w1*f01 + ... does,
+    # but with no temporaries. That holds while numpy's einsum kernels use
+    # no FMA (none in its x86-64-v2 baseline); tests compare the two forms.
+    return corners, texels, np.einsum("kn,knc->nc", wts, texels)
+
+
+def bilinear_values_many(data: np.ndarray, uv: np.ndarray, corners=None):
+    """Bilinear values at uv without gradients: (values (N, c), in_bounds (N,)).
+
+    The values of ``bilinear_lookup_many`` to the bit, for callers that
+    never read the gradients; arguments as there.
+    """
+    corners, _, values = _corner_sum(data, uv, corners)
+    in_bounds = corners[4]
+    if not in_bounds.all():
+        values[~in_bounds] = 0.0
+    return values, in_bounds
+
+
 def bilinear_lookup_many(data: np.ndarray, uv: np.ndarray, corners=None):
     """Vectorized bilinear lookup with analytic spatial gradients.
 
@@ -187,19 +220,10 @@ def bilinear_lookup_many(data: np.ndarray, uv: np.ndarray, corners=None):
             written as one contiguous (N, c) plane.
         in_bounds: (N,) True where uv lies in [0, w-1] x [0, h-1].
     """
-    h, w, c = data.shape
-    if corners is None:
-        corners = bilinear_weights((h, w), uv)
-    idx, wts, fu, fv, in_bounds = corners
-    # (4, N, c): all four corners in one gather by flat row index.
-    texels = np.take(data.reshape(h * w, c), idx, axis=0).astype(np.float64)
-    # Each einsum adds its products in k order from +0.0, rounding every
-    # product and every sum as the written-out w0*f00 + w1*f01 + ... does,
-    # but with no temporaries. That holds while numpy's einsum kernels use
-    # no FMA (none in its x86-64-v2 baseline); tests compare the two forms.
-    values = np.einsum("kn,knc->nc", wts, texels)
+    corners, texels, values = _corner_sum(data, uv, corners)
+    _, _, fu, fv, in_bounds = corners
     # d/du = (1-fv)*(f01-f00) + fv*(f11-f10), d/dv = (1-fu)*(f10-f00) + fu*(f11-f01)
-    planes = np.empty((2, idx.shape[1], c))
+    planes = np.empty((2,) + values.shape)
     np.einsum("kn,knc->nc", (1.0 - fv, fv), texels[1::2] - texels[::2], out=planes[0])
     np.einsum("kn,knc->nc", (1.0 - fu, fu), texels[2:] - texels[:2], out=planes[1])
     grads = planes.transpose(1, 2, 0)

@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import ContractError
 from .features import (AttentionMap, FeatureMap, FeaturePyramid, SparseAlignment,
-                       attention_lookup_many, bilinear_lookup_many, bilinear_weights)
+                       attention_lookup_many, bilinear_lookup_many, bilinear_values_many,
+                       bilinear_weights)
 from .geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
                        SatelliteGeoref, pose_to_transform, project_ground,
                        project_satellite, transform_points)
@@ -107,7 +108,7 @@ def _compute_ground_level(problem: AlignmentProblem, level: int) -> GroundLevelD
     fmap = problem.grd_pyramid.feature(level)
     # The attention map has the feature map's size: one set of corners serves both.
     corners = bilinear_weights(fmap.data.shape[:2], uv)
-    feats, _, in_bounds = bilinear_lookup_many(fmap.data, uv, corners)
+    feats, in_bounds = bilinear_values_many(fmap.data, uv, corners)
     att, _ = attention_lookup_many(problem.grd_pyramid.attention(level), uv, corners)
     valid = visible & in_bounds
     for arr in (feats, att, valid):

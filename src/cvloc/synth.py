@@ -8,18 +8,24 @@ true pose) is splatted into the ground map so its bilinear lookup
 reproduces it. The ground map is zero away from the points' texels: the
 solver reads the ground view only at the points' own projections, so
 nothing between them enters the objective.
+
+The satellite fields are smoothed on a thread pool, one channel block per
+available CPU, while the calling thread draws all random arrays in a fixed
+order; a scene's bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, GenerationError, require_int
 from .features import (AttentionMap, FeatureMap, FeaturePyramid,
-                       bilinear_lookup_many, bilinear_weights, normalize_features)
+                       bilinear_values_many, bilinear_weights, normalize_features)
 from .geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
                        SatelliteGeoref, pose_to_transform, project_ground,
                        project_satellite, transform_points)
@@ -57,6 +63,12 @@ class SynthConfig:
             raise DomainError(f"unknown attention mode {self.attention_mode!r}")
         if not 0 < self.feature_smoothness < math.inf:
             raise DomainError("feature_smoothness must be finite and > 0")
+        if 4 * self.feature_smoothness > self.sat_size:
+            # The filter's kernel reaches 4 sigma each way. Past the crop's
+            # width it only wraps round, at a time and memory cost that
+            # grows with sigma without bound.
+            raise DomainError(f"feature_smoothness {self.feature_smoothness} exceeds "
+                              f"sat_size / 4 = {self.sat_size / 4}")
         self._geometry()  # a bad gamma, camera or height fails here
 
     def _geometry(self) -> tuple[SatelliteGeoref, CameraIntrinsics, PoseContext]:
@@ -86,26 +98,102 @@ class PerturbBounds:
                               "at most half the largest float")
 
 
-def _gaussian_filter(data: np.ndarray, sigma) -> np.ndarray:
+def _ndimage():
     # Imported here, not at module level: loading and localizing saved
     # scenes never filter, and importing scipy takes longer than the rest
     # of their start-up.
     from scipy import ndimage
-    return ndimage.gaussian_filter(data, sigma=sigma, mode="wrap")
+    return ndimage
+
+
+def _gaussian_filter(data: np.ndarray, sigma, output=None) -> np.ndarray:
+    return _ndimage().gaussian_filter(data, sigma=sigma, mode="wrap", output=output)
+
+
+def _spatial_sigma(ndim: int, sigma: float) -> tuple:
+    """Smooth the two spatial axes only, never across channels."""
+    return (sigma, sigma) + (0.0,) * (ndim - 2)
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _smooth_block(field: np.ndarray, sigma: float, out: np.ndarray | None) -> None:
+    # In place, as scipy already filters every axis after the first; so
+    # the pool's threads allocate no field-sized buffer, which their malloc
+    # arenas would keep after the call.
+    _gaussian_filter(field, _spatial_sigma(field.ndim, sigma), output=field)
+    if out is not None:
+        out[...] = field
+
+
+def _submit_smoothing(pool: ThreadPoolExecutor, field: np.ndarray, sigma: float,
+                      blocks: int, out: np.ndarray | None = None) -> list[Future]:
+    """Smooth ``field`` in place on ``pool``, in up to ``blocks`` channel blocks.
+
+    A (h, w) field is one block. The filter runs along the spatial axes
+    line by line, so each block's values equal those of one call on the
+    whole field, to the bit. With ``out`` (say float32), each block is
+    also cast into it as ``astype`` would. Returns the blocks' futures.
+    """
+    if field.ndim == 2:
+        return [pool.submit(_smooth_block, field, sigma, out)]
+    c = field.shape[2]
+    count = min(blocks, c)
+    edges = [i * c // count for i in range(count + 1)]
+    return [pool.submit(_smooth_block, field[..., a:b], sigma,
+                        None if out is None else out[..., a:b])
+            for a, b in zip(edges, edges[1:])]
 
 
 def _smooth_field(rng: np.random.Generator, shape, sigma: float) -> np.ndarray:
-    noise = rng.standard_normal(shape)
-    spatial = (sigma, sigma) + (0.0,) * (len(shape) - 2)
-    return _gaussian_filter(noise, spatial)
+    return _gaussian_filter(rng.standard_normal(shape), _spatial_sigma(len(shape), sigma))
 
 
-def _attention(rng: np.random.Generator, shape, mode: str, sigma: float) -> AttentionMap:
-    if mode == "uniform":
+def _attention(shape, smooth: np.ndarray | None) -> AttentionMap:
+    """Uniform attention, or a smooth field squashed into (0, 1) by a sigmoid."""
+    if smooth is None:
         return AttentionMap(np.ones(shape, dtype=np.float32))
-    a = _smooth_field(rng, shape, sigma)
-    a = (a - a.mean()) / max(a.std(), 1e-12)
+    a = (smooth - smooth.mean()) / max(smooth.std(), 1e-12)
     return AttentionMap((1.0 / (1.0 + np.exp(-a))).astype(np.float32))
+
+
+def _satellite_levels(cfg: SynthConfig, rng: np.random.Generator) -> list[tuple]:
+    """The satellite pyramid: an independent smooth unit-norm field per level.
+
+    This thread draws every random array in the order of a serial run
+    (features, then attention, level by level), so the scene does not
+    depend on the CPU count. The smoothing runs on a pool with one
+    channel block per available CPU, and each level is normalized while
+    the later levels are still filtering. The pool is joined on return.
+    """
+    _ndimage()  # the first import runs here, not raced by the pool's threads
+    blocks = min(_available_cpus(), cfg.channels)
+    sigma = cfg.feature_smoothness
+    random_att = cfg.attention_mode == "random_smooth"
+    with ThreadPoolExecutor(max_workers=blocks) as pool:
+        pending = []
+        for size in _sat_level_sizes(cfg):
+            feat = np.empty((size, size, cfg.channels), dtype=np.float32)
+            tasks = _submit_smoothing(pool, rng.standard_normal(feat.shape), sigma,
+                                      blocks, out=feat)
+            att = None
+            if random_att:
+                att = rng.standard_normal((size, size))
+                tasks += _submit_smoothing(pool, att, sigma, 1)
+            pending.append((feat, att, tasks))
+        levels = []
+        while pending:  # popped, so a built level's raw buffers are freed
+            feat, att, tasks = pending.pop(0)
+            for task in tasks:
+                task.result()
+            levels.append((normalize_features(FeatureMap(feat)),
+                           _attention(feat.shape[:2], att)))
+    return levels
 
 
 def _sat_level_sizes(cfg: SynthConfig) -> list[int]:
@@ -146,13 +234,7 @@ def generate_scene(cfg: SynthConfig) -> AlignmentProblem:
     ], axis=1).astype(np.float32)
     points = PointSet(pts.astype(np.float64))
 
-    # Satellite pyramid: independent smooth unit-norm field per level.
-    sat_levels = []
-    for size in _sat_level_sizes(cfg):
-        feat = _smooth_field(rng, (size, size, cfg.channels), cfg.feature_smoothness)
-        fmap = normalize_features(FeatureMap(feat.astype(np.float32)))
-        att = _attention(rng, (size, size), cfg.attention_mode, cfg.feature_smoothness)
-        sat_levels.append((fmap, att))
+    sat_levels = _satellite_levels(cfg, rng)
 
     # True-pose lookups; points must be ground-visible and land inside the
     # satellite crop at every level.
@@ -162,7 +244,7 @@ def generate_scene(cfg: SynthConfig) -> AlignmentProblem:
     sat_vals_per_level = []
     for lvl, (fmap, _) in enumerate(sat_levels):
         uv = project_satellite(pts_sat, georef.coarsened(lvl))
-        vals, _, inb = bilinear_lookup_many(fmap.data, uv)
+        vals, inb = bilinear_values_many(fmap.data, uv)
         sat_vals_per_level.append(vals)
         valid &= inb
 
@@ -181,7 +263,9 @@ def generate_scene(cfg: SynthConfig) -> AlignmentProblem:
         grd_map = _splat_ground_map((gh, gw, cfg.channels), uv_grd / float(2**lvl),
                                     sat_vals_per_level[lvl])
         fmap = FeatureMap(grd_map.astype(np.float32))
-        att = _attention(rng, (gh, gw), cfg.attention_mode, cfg.feature_smoothness)
+        smooth = (_smooth_field(rng, (gh, gw), cfg.feature_smoothness)
+                  if cfg.attention_mode == "random_smooth" else None)
+        att = _attention((gh, gw), smooth)
         grd_levels.append((fmap, att))
 
     problem = AlignmentProblem(
@@ -208,7 +292,7 @@ def _splat_ground_map(shape, uv: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
     corners = bilinear_weights(shape[:2], uv)
     idx, weights = corners[:2]
-    contrib, _, _ = bilinear_lookup_many(out, uv, corners)
+    contrib, _ = bilinear_values_many(out, uv, corners)
     rows = np.arange(uv.shape[0])
     dom = np.argmax(weights, axis=0)
     flat = out.reshape(-1, shape[2])  # a view: writes land in out

@@ -368,8 +368,9 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["synth", "eval"])
     @pytest.mark.parametrize("synth", [{"gamma": -0.2}, {"grd_focal": -5},
-                                       {"grd_width": 0}],
-                             ids=["gamma", "focal", "width"])
+                                       {"grd_width": 0}, {"feature_smoothness": 1e6},
+                                       {"feature_smoothness": 1e9}],
+                             ids=["gamma", "focal", "width", "smoothness", "huge-smoothness"])
     def test_unbuildable_synth_geometry_exits_2(self, tmp_path, command, synth, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"synth": synth}))

@@ -1,11 +1,16 @@
 """Synthetic scenes: zero-residual construction, determinism, perturbations."""
 
+import hashlib
 import math
+import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import ndimage, stats
 
 from cvloc.cvls import save_scene
 from cvloc.errors import DomainError, GenerationError
@@ -14,7 +19,8 @@ from cvloc.harness.runner import perturbation_sweep
 from cvloc.problem import evaluate_pose
 from cvloc.losses import weighted_distance
 from cvloc.solver import RobustCost
-from cvloc.synth import PerturbBounds, SynthConfig, generate_scene, sample_initial_pose
+from cvloc.synth import (PerturbBounds, SynthConfig, _submit_smoothing, generate_scene,
+                         sample_initial_pose)
 
 from conftest import SMALL_SCENE_CFG
 
@@ -22,7 +28,6 @@ from conftest import SMALL_SCENE_CFG
 class TestGenerateScene:
     @pytest.mark.parametrize("attention_mode", ["uniform", "random_smooth"])
     def test_zero_residual_at_truth_every_level(self, attention_mode):
-        from dataclasses import replace
         problem = generate_scene(replace(SMALL_SCENE_CFG, attention_mode=attention_mode))
         for lvl in range(problem.level_count):
             ev = evaluate_pose(problem, problem.gt_pose, lvl)
@@ -45,7 +50,6 @@ class TestGenerateScene:
         assert a.read_bytes() == b.read_bytes()
 
     def test_different_seed_different_scene(self, tmp_path):
-        from dataclasses import replace
         a, b = tmp_path / "a.cvls", tmp_path / "b.cvls"
         save_scene(a, generate_scene(SMALL_SCENE_CFG))
         save_scene(b, generate_scene(replace(SMALL_SCENE_CFG, seed=12)))
@@ -58,7 +62,6 @@ class TestGenerateScene:
             assert np.abs(norms - 1.0).max() < 1e-6
 
     def test_attention_in_range_random_smooth(self):
-        from dataclasses import replace
         cfg = replace(SMALL_SCENE_CFG, attention_mode="random_smooth")
         problem = generate_scene(cfg)
         for lvl in range(problem.level_count):
@@ -70,7 +73,6 @@ class TestGenerateScene:
         assert norms.max() < 1e-5  # construction unaffected by attention
 
     def test_gt_pose_offset_from_center(self):
-        from dataclasses import replace
         cfg = replace(SMALL_SCENE_CFG, gt_pose=Pose3(2.0, -3.0, math.radians(20.0)))
         problem = generate_scene(cfg)
         ev = evaluate_pose(problem, problem.gt_pose, 0)
@@ -78,16 +80,24 @@ class TestGenerateScene:
         assert norms.max() < 1e-5
 
     def test_too_many_points_rejected(self):
-        from dataclasses import replace
         cfg = replace(SMALL_SCENE_CFG, point_count=100_000)
         with pytest.raises(GenerationError):
             generate_scene(cfg)
 
     def test_off_map_truth_rejected(self):
-        from dataclasses import replace
         cfg = replace(SMALL_SCENE_CFG, gt_pose=Pose3(10_000.0, 0.0, 0.0))
         with pytest.raises(GenerationError):
             generate_scene(cfg)
+
+    def test_feature_smoothness_bounded_by_sat_size(self):
+        # the filter's kernel reaches 4 sigma: a wider one only costs time and memory
+        SynthConfig(feature_smoothness=128.0)
+        SynthConfig(sat_size=64, feature_smoothness=16.0)
+        for sigma in (128.5, 1e6, 1e9):
+            with pytest.raises(DomainError, match="feature_smoothness"):
+                SynthConfig(feature_smoothness=sigma)
+        with pytest.raises(DomainError, match="feature_smoothness"):
+            SynthConfig(sat_size=64, feature_smoothness=16.5)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -109,6 +119,59 @@ class TestGenerateScene:
             for value in (2.5, float(getattr(SynthConfig(), name)), True):
                 with pytest.raises(DomainError, match=f"{name} must be an integer"):
                     SynthConfig(**{name: value})
+
+
+def _scene_sha256(cfg, path) -> str:
+    save_scene(path, generate_scene(cfg))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+#: SHA-256 of the ``save_scene`` bytes of generated scenes, recorded when
+#: the satellite pyramid was smoothed serially. The random-attention scene
+#: has 3 channels: uneven channel blocks on any CPU count above 1.
+_SCENE_SHA256 = {
+    "default-seed-42": (SynthConfig(seed=42),
+                        "de2aa876c0a86f7b7f3895d86d3eeb727f941a8eb10bb703b1f24bb0bd594ee3"),
+    "random-smooth-c3": (replace(SMALL_SCENE_CFG, attention_mode="random_smooth", channels=3),
+                         "b3a7b8d01864592aebdab6fea1c308703187a838592f3496d8e8fd5301efafd0"),
+}
+
+
+class TestParallelSmoothing:
+    """Smoothing on a thread pool leaves the scene bytes as they were."""
+
+    @pytest.mark.parametrize("name", sorted(_SCENE_SHA256))
+    def test_scene_bytes_pinned(self, name, tmp_path):
+        cfg, digest = _SCENE_SHA256[name]
+        assert _scene_sha256(cfg, tmp_path / "s.cvls") == digest
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("name", sorted(_SCENE_SHA256))
+    def test_bytes_do_not_depend_on_cpu_count(self, name, cpus, tmp_path, monkeypatch):
+        cfg, _ = _SCENE_SHA256[name]
+        default = _scene_sha256(cfg, tmp_path / "default.cvls")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert _scene_sha256(cfg, tmp_path / "pinned.cvls") == default
+
+    def test_no_thread_outlives_generation(self):
+        before = set(threading.enumerate())
+        generate_scene(replace(SMALL_SCENE_CFG, attention_mode="random_smooth"))
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 5])
+    @pytest.mark.parametrize("shape", [(37, 41, 1), (37, 41, 3), (37, 41, 8), (37, 41)])
+    def test_blocks_equal_one_filter_call(self, shape, blocks):
+        noise = np.random.default_rng(len(shape) + shape[-1]).standard_normal(shape)
+        sigma = 4.0
+        whole = ndimage.gaussian_filter(noise, (sigma, sigma) + (0.0,) * (len(shape) - 2),
+                                        mode="wrap")
+        as_float32 = np.empty(shape, dtype=np.float32)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for task in _submit_smoothing(pool, noise, sigma, blocks, out=as_float32):
+                task.result()
+        assert np.array_equal(noise, whole)
+        assert np.array_equal(as_float32, whole.astype(np.float32))
 
 
 class TestGridOracle:
