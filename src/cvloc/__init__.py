@@ -14,11 +14,11 @@ from .geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
                        RigidTransform, SatelliteGeoref, meters_per_pixel,
                        pose_to_transform, project_ground, project_satellite,
                        transform_points)
-from .losses import LossConfig, pab_weight, reprojection_error, total_loss, triplet_loss, weighted_distance
 from .metrics import MetricsSummary, PoseError, pose_error, summarize
 from .problem import AlignmentProblem
 from .solver import (LMConfig, OptimReport, RobustCost, build_jacobian,
-                     build_weight_matrix, lm_step, normal_equations, refine_pose)
+                     build_weight_matrix, lm_step, normal_equations, refine_pose,
+                     weighted_distance)
 from .synth import PerturbBounds, SynthConfig, generate_scene, sample_initial_pose
 
 __version__ = "0.1.0"

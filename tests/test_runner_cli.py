@@ -9,18 +9,18 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from cvloc import solver
 from cvloc.cvls import MAGIC, VERSION, load_scene, save_scene
-from cvloc.errors import ConfigError, SingularSystemError
+from cvloc.errors import (ConfigError, ContractError, CvlocError, DomainError,
+                          SingularSystemError)
 from cvloc.geometry import Pose3
 from cvloc.harness import runner
 from cvloc.harness.cli import main
 from cvloc.synth import PerturbBounds, generate_scene
 
-from conftest import SMALL_SCENE_CFG, tiny_problem
+from conftest import SMALL_SCENE_CFG
 
 
 @pytest.fixture(scope="module")
@@ -46,27 +46,25 @@ class TestConfig:
         assert cfg.solver.max_iters_per_level == 20
         assert cfg.solver.stop_tol == 0.01
         assert cfg.cost.kind == "huber"
-        assert cfg.loss.alpha == 10.0
 
     def test_round_trip_sections(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "solver": {"max_iters_per_level": 5, "lambda_init": 0.5},
             "cost": {"kind": "geman_mcclure", "sigma": 2.0},
-            "loss": {"alpha": 4.0},
             "synth": {"seed": 9, "gt_pose": {"lateral_m": 1.0, "yaw_deg": 15.0}},
         }))
         cfg = runner.load_config(path)
         assert cfg.solver.max_iters_per_level == 5
         assert cfg.cost.sigma == 2.0
-        assert cfg.loss.alpha == 4.0
         assert cfg.synth.gt_pose.yaw == pytest.approx(math.radians(15.0))
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"sovler": {}}))
-        with pytest.raises(ConfigError):
-            runner.load_config(path)
+        for data in ({"sovler": {}}, {"loss": {}}):
+            path.write_text(json.dumps(data))
+            with pytest.raises(ConfigError, match="unknown config sections"):
+                runner.load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -88,11 +86,10 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         for data in ({"solver": {"lambda_down": 2.0}},
                      {"solver": {"max_iters_per_level": 2.5}},
-                     {"loss": {"dis_level": 0.5}},
                      {"synth": {"seed": 1.5}},
                      {"synth": {"levels": True}},
                      # numeric keys take JSON numbers: no booleans, no strings
-                     {"loss": {"alpha": True}},
+                     {"synth": {"gamma": True}},
                      {"cost": {"delta": "0.5"}},
                      {"solver": {"stop_tol": "0.5"}},
                      {"synth": {"cam_height_m": "x"}},
@@ -124,8 +121,6 @@ class TestConfig:
         '{"solver": {"lambda_init": 1e400}}',
         '{"solver": {"lambda_up": 1e400}}',
         '{"cost": {"delta": 1e400}}',
-        '{"loss": {"alpha": 1e400}}',
-        '{"loss": {"beta_hi": 1e400}}',
         '{"synth": {"feature_smoothness": 1e400}}',
         '{"synth": {"depth_max": 1e400}}',
         '{"synth": {"grd_focal": 1e400}}',
@@ -134,7 +129,7 @@ class TestConfig:
         '{"cost": {"sigma": 1%s}}' % ("0" * 400),
         '{"synth": {"sat_size": 1%s}}' % ("0" * 400),
         '{"solver": {"max_iters_per_level": 1%s}}' % ("0" * 5000),
-    ], ids=["stop_tol", "lambda_init", "lambda_up", "delta", "alpha", "beta_hi",
+    ], ids=["stop_tol", "lambda_init", "lambda_up", "delta",
             "smoothness", "depth_max", "focal", "cam_height", "gt_yaw", "sigma_int",
             "sat_size_int", "iters_digits"])
     def test_out_of_range_number_rejected(self, tmp_path, text):
@@ -184,7 +179,7 @@ class TestRunLocalize:
         assert record["error"]["longitudinal_m"] < 0.01
         assert record["error"]["yaw_deg"] < 0.01
         assert record["converged"]
-        assert record["loss"]["total"] >= 0.0
+        assert "loss" not in record
         assert record["trace"]
 
     def test_perturb_seed_deterministic(self, scene_path):
@@ -369,8 +364,11 @@ class TestCli:
     @pytest.mark.parametrize("command", ["synth", "eval"])
     @pytest.mark.parametrize("synth", [{"gamma": -0.2}, {"grd_focal": -5},
                                        {"grd_width": 0}, {"feature_smoothness": 1e6},
-                                       {"feature_smoothness": 1e9}],
-                             ids=["gamma", "focal", "width", "smoothness", "huge-smoothness"])
+                                       {"feature_smoothness": 1e9},
+                                       {"depth_min": 1, "depth_max": 1e300},
+                                       {"levels": 8}],
+                             ids=["gamma", "focal", "width", "smoothness", "huge-smoothness",
+                                  "depth-overflow", "levels"])
     def test_unbuildable_synth_geometry_exits_2(self, tmp_path, command, synth, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"synth": synth}))
@@ -380,7 +378,9 @@ class TestCli:
             argv = ["eval", "--scene", str(cfg), "--trials", "1",
                     "--out-dir", str(tmp_path / "eval")]
         assert main(argv) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
 
     def test_degenerate_init_exits_4(self, tmp_path, synth_cfg_file, capsys):
         scene = tmp_path / "scene.cvls"
@@ -396,6 +396,18 @@ class TestCli:
         code = main(["localize", "--scene", str(scene_path), "--init", "0,0,0"])
         assert code == 4
         assert "singular system" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [DomainError, ContractError, CvlocError])
+    def test_remaining_library_errors_exit_2(self, scene_path, monkeypatch, capsys, error):
+        def fail(*args, **kwargs):
+            raise error("rejected input")
+
+        monkeypatch.setattr(runner, "refine_pose", fail)
+        code = main(["localize", "--scene", str(scene_path), "--init", "0,0,0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "invalid input: rejected input\n"
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("init", ["nan,0,0", "0,inf,0"])
     def test_non_finite_init_exits_2(self, scene_path, init, capsys):
@@ -424,31 +436,6 @@ class TestCli:
         record = json.loads(capsys.readouterr().out)
         assert record["converged"] is False
         assert record["final_pose"] == record["init_pose"]
-
-    def test_zero_distance_at_truth_reports_null_triplet(self, tmp_path, capsys):
-        # Constant unit feature maps: the weighted feature distance is 0 at
-        # every pose, so the triplet term is undefined, yet the record is
-        # written. The 3 m start opens the gate (3 points, 3 px each).
-        flat = np.ones((16, 16, 2), dtype=np.float32)
-        scene = tmp_path / "flat.cvls"
-        save_scene(scene, tiny_problem(sat_data=flat, grd_data=np.ones((17, 17, 2),
-                                                                       dtype=np.float32)))
-        assert main(["localize", "--scene", str(scene), "--init", "3,0,0"]) == 0
-        loss = json.loads(capsys.readouterr().out)["loss"]
-        assert loss["beta"] > 0
-        assert loss["dis_gt"] == 0.0
-        assert loss["triplet"] is None
-        assert loss["total"] == loss["reprojection_pre"]
-
-    def test_dis_level_beyond_scene_exits_2(self, scene_path, tmp_path, capsys):
-        # beta_lo 0 opens the triplet gate, which evaluates at dis_level
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"loss": {"dis_level": 7, "beta_lo": 0}}))
-        code = main(["localize", "--scene", str(scene_path), "--perturb-seed", "3",
-                     "--config", str(cfg)])
-        assert code == 2
-        assert "loss.dis_level 7 is out of range: the scene has 3 pyramid levels" \
-            in capsys.readouterr().err
 
     def test_bad_config_exits_2(self, tmp_path, synth_cfg_file, capsys):
         cfg = tmp_path / "cfg.json"

@@ -5,17 +5,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvloc import solver
 from cvloc.errors import ContractError, DegenerateProblemError, DomainError, SingularSystemError
 from cvloc.features import FeatureMap, FeaturePyramid
-from cvloc.geometry import Pose3, d_satproj_d_pose_many, translate_pose_east_south
+from cvloc.geometry import PointSet, Pose3, d_satproj_d_pose_many, translate_pose_east_south
 from cvloc.harness.runner import _trial_seed
 from cvloc.problem import AlignmentProblem, evaluate_pose, ground_level_data
 from cvloc.solver import (LMConfig, RobustCost, build_jacobian, build_weight_matrix,
-                          lm_step, normal_equations, refine_pose, weighted_cost)
+                          lm_step, normal_equations, refine_pose, weighted_cost,
+                          weighted_distance)
 from cvloc.synth import SynthConfig, generate_scene, sample_initial_pose, PerturbBounds
 from cvloc.metrics import pose_error
 
@@ -228,11 +229,53 @@ class TestLMStep:
 _unit = st.floats(-1.0, 1.0)
 
 
+class TestWeightedDistance:
+    def test_vanishes_at_ground_truth(self, small_scene):
+        dis = weighted_distance(small_scene, small_scene.gt_pose, RobustCost())
+        assert dis < 1e-8
+
+    def test_single_contributing_point(self):
+        # constant maps give every point the same residual; ground attention
+        # selects exactly one point (its lookup texel is (8, 8)).
+        sat = np.zeros((16, 16, 2))
+        sat[:, :] = [0.5, 0.5]
+        grd = np.zeros((17, 17, 2))
+        delta = math.sqrt(0.15)
+        grd[:, :] = [0.5 - delta, 0.5 - delta]  # ||r||^2 = 2*0.15 = 0.3
+        att_g = np.zeros((17, 17))
+        att_g[8, 8] = 1.0
+        problem = tiny_problem(sat_data=sat, grd_data=grd, grd_att=att_g,
+                               normalize=False)
+        dis = weighted_distance(problem, problem.gt_pose, RobustCost("squared"))
+        assert dis == pytest.approx(0.3, rel=1e-12)
+
+    def test_permutation_invariant(self):
+        problem = tiny_problem()
+        shuffled = tiny_problem(points=PointSet(problem.points.points[::-1]))
+        cost = RobustCost()
+        assert weighted_distance(problem, Pose3(0.3, -0.2, 0.05), cost) == \
+            pytest.approx(weighted_distance(shuffled, Pose3(0.3, -0.2, 0.05), cost),
+                          rel=1e-12)
+
+    def test_degenerate_when_no_valid_points(self, small_scene):
+        with pytest.raises(DegenerateProblemError):
+            weighted_distance(small_scene, Pose3(500.0, 0.0, 0.0), RobustCost())
+
+    @pytest.mark.parametrize("level", [-1, 3], ids=["negative", "level_count"])
+    def test_level_outside_pyramid_rejected(self, small_scene, level):
+        # -1 used to pair the coarsest features with a mis-scaled georef
+        assert small_scene.level_count == 3
+        with pytest.raises(ContractError, match="level"):
+            weighted_distance(small_scene, small_scene.gt_pose, RobustCost(),
+                              level=level)
+
+
 class TestClosedFormCholesky:
     @given(m=st.lists(_unit, min_size=9, max_size=9), b=st.lists(_unit, min_size=3, max_size=3),
            shift=st.floats(0.5, 2.0), lam=st.just(0.0) | st.floats(1e-6, 1e3),
            upper=st.lists(st.floats(), min_size=3, max_size=3))
     @settings(max_examples=200, deadline=None)
+    @example(m=[0.0] * 9, b=[0.0, 0.0, 5e-324], shift=0.5, lam=0.0, upper=[0.0] * 3)
     def test_matches_dense_solve(self, m, b, shift, lam, upper):
         # well-conditioned SPD: M M^T + shift * I, then damped as lm_step does
         m = np.array(m).reshape(3, 3)
@@ -240,8 +283,11 @@ class TestClosedFormCholesky:
         a += lam * np.diag(np.diag(a))
         x = solver.cho_solve(solver.cho_factor(a), np.array(b))
         expect = np.linalg.solve(a, b)
+        # floored at the smallest normal float: a subnormal solution differs
+        # from the dense one by a subnormal step, where 1e-12 * norm is 0
         np.testing.assert_allclose(x, expect, rtol=1e-12,
-                                   atol=1e-12 * np.linalg.norm(expect))
+                                   atol=max(1e-12 * np.linalg.norm(expect),
+                                            np.finfo(float).tiny))
         # only the lower triangle is read
         junk = a.copy()
         junk[np.triu_indices(3, 1)] = upper

@@ -17,8 +17,7 @@ from cvloc.errors import DomainError, GenerationError
 from cvloc.geometry import Pose3
 from cvloc.harness.runner import perturbation_sweep
 from cvloc.problem import evaluate_pose
-from cvloc.losses import weighted_distance
-from cvloc.solver import RobustCost
+from cvloc.solver import RobustCost, weighted_distance
 from cvloc.synth import (PerturbBounds, SynthConfig, _submit_smoothing, generate_scene,
                          sample_initial_pose)
 
@@ -98,6 +97,27 @@ class TestGenerateScene:
                 SynthConfig(feature_smoothness=sigma)
         with pytest.raises(DomainError, match="feature_smoothness"):
             SynthConfig(sat_size=64, feature_smoothness=16.5)
+
+    def test_levels_bounded_by_ground_image(self):
+        # generate_scene keeps a 2**levels px margin on each side, so the
+        # coarsest ground grid needs 4 * 2**(levels - 1) < the shorter side
+        SynthConfig(levels=6)  # 128 < 256
+        SynthConfig(levels=2, grd_width=9, grd_height=9)
+        for bad in ({"levels": 7}, {"levels": 8}, {"levels": 20}, {"levels": 10**30},
+                    {"levels": 2, "grd_width": 8}, {"levels": 1, "grd_height": 4}):
+            with pytest.raises(DomainError, match="levels"):
+                SynthConfig(**bad)
+
+    def test_depth_range_within_float32(self):
+        # the farthest point is depth_max times the widest ray slope,
+        # (832 - 1) / (2 * 400) here, and points are float32
+        f32_max = float(np.finfo(np.float32).max)
+        slope = 831 / 800
+        SynthConfig(point_depth_range=(1.0, f32_max / slope * (1 - 1e-6)))
+        SynthConfig(point_depth_range=(1.0, f32_max * 0.99), grd_focal=1e4)
+        for hi in (f32_max / slope * (1 + 1e-6), f32_max, 1e300):
+            with pytest.raises(DomainError, match="float32"):
+                SynthConfig(point_depth_range=(1.0, hi))
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
