@@ -60,10 +60,9 @@ def _cmd_synth(args) -> int:
 def _cmd_eval(args) -> int:
     config = runner.load_config(args.config)
     problem = runner.load_problem(args.scene)
-    workers = runner.resolve_workers(args.workers)
     bounds = _bounds(args.max_shift, args.max_yaw)
     summary, rows, failures = runner.run_eval(problem, args.trials, bounds,
-                                              workers=workers,
+                                              workers=args.workers,
                                               master_seed=args.seed, config=config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -156,8 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-shift", type=float, default=north_star.max_shift)
     p.add_argument("--max-yaw", type=float, default=north_star.max_yaw_deg)
     p.add_argument("--seed", type=_seed, default=0, help="master seed for trial fan-out")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel trials (CVL_WORKERS env overrides)")
+    p.add_argument("--workers", type=int, default=1, help="parallel trials")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.set_defaults(func=_cmd_eval)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -139,20 +138,6 @@ def load_problem(source) -> AlignmentProblem:
         return load_scene(path)
     cfg = load_config(path)
     return generate_scene(cfg.synth)
-
-
-def resolve_workers(cli_value=None) -> int:
-    """Worker count: CVL_WORKERS env var wins over the CLI flag.
-
-    Only parses; ``run_eval`` checks that the count is >= 1.
-    """
-    env = os.environ.get("CVL_WORKERS")
-    if env is None:
-        return cli_value if cli_value is not None else 1
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ConfigError(f"CVL_WORKERS must be an integer, got {env!r}") from exc
 
 
 def parse_init_pose(text: str) -> Pose3:

@@ -31,6 +31,11 @@ from .geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
                        project_satellite, transform_points)
 from .problem import AlignmentProblem, ground_level_data
 
+# The size budget of a scene's arrays, checked before anything is allocated.
+# Each satellite and ground texel of every level holds a float64 draw and a
+# float32 copy (12 bytes) of each channel and of the attention.
+MAX_SCENE_BYTES = 2**31
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -65,6 +70,15 @@ class SynthConfig:
             raise DomainError(f"levels {self.levels} leaves the coarsest ground grid "
                               f"no point slot: need 4 * 2**(levels - 1) < "
                               f"min(grd_width, grd_height) = {short_side}")
+        # Python ints: a size from a config file cannot overflow here
+        texels = sum(size**2 for size in _sat_level_sizes(self)) + sum(
+            -(-self.grd_width // 2**lvl) * -(-self.grd_height // 2**lvl)
+            for lvl in range(self.levels))
+        if 12 * (self.channels + 1) * texels > MAX_SCENE_BYTES:
+            raise DomainError(f"sat_size {self.sat_size}, levels {self.levels}, channels "
+                              f"{self.channels} and a {self.grd_width}x{self.grd_height} "
+                              f"ground image exceed the {MAX_SCENE_BYTES >> 30} GiB "
+                              f"scene size budget")
         lo, hi = self.point_depth_range
         if not (0 < lo < hi < math.inf):
             raise DomainError(f"depth range must be 0 < min < max < inf, got {lo}, {hi}")

@@ -9,17 +9,15 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from cvloc.cvls import load_scene, save_scene
-from cvloc.geometry import (Pose3, d_satproj_d_pose_many, meters_per_pixel,
-                            pose_to_transform, project_satellite, transform_points)
+from cvloc.geometry import Pose3, PoseContext, SatelliteGeoref, meters_per_pixel
+from cvloc.harness.checks import (fd_scene, lm_step_error, projection_jacobian_error,
+                                  residual_jacobian_error)
 from cvloc.harness.runner import perturbation_sweep
 from cvloc.metrics import pose_error, summarize
-from cvloc.problem import evaluate_pose, ground_level_data
-from cvloc.solver import (RobustCost, build_jacobian, lm_step, normal_equations, refine_pose,
-                          weighted_cost, weighted_distance)
-from cvloc.synth import PerturbBounds, SynthConfig, generate_scene, sample_initial_pose
+from cvloc.solver import RobustCost, refine_pose, weighted_distance
+from cvloc.synth import PerturbBounds, generate_scene, sample_initial_pose
 
 from conftest import SMALL_SCENE_CFG
 
@@ -29,63 +27,30 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _small_cfg(seed: int) -> SynthConfig:
-    return SynthConfig(seed=seed, sat_size=64, levels=1, channels=4,
-                       point_count=48, grd_width=128, grd_height=64,
-                       grd_focal=60.0, point_depth_range=(2.5, 5.5),
-                       feature_smoothness=4.0)
-
-
 class TestAcceptance:
     def test_jacobian_fidelity(self):
         """Residual Jacobian vs finite differences on 100 seeded scenes."""
         start = time.perf_counter()
-        h = 1e-5
         rng = np.random.default_rng(100)
         worst = 0.0
         checked = 0
         for i in range(100):
-            problem = generate_scene(_small_cfg(seed=10_000 + i))
             pose = Pose3(float(rng.uniform(-0.4, 0.4)), float(rng.uniform(-0.4, 0.4)),
                          float(rng.uniform(-0.08, 0.08)))
-            ground = ground_level_data(problem, 0)
-            jac = build_jacobian(problem, pose, 0)
-            n = problem.points.count
-            c = problem.sat_pyramid.feature(0).channels
-
-            fd = np.empty((n * c, 3))
-            for axis in range(3):
-                step = np.zeros(3)
-                step[axis] = h
-                rp = evaluate_pose(problem, pose.with_delta(step), 0,
-                                   ground=ground).alignment.residuals
-                rm = evaluate_pose(problem, pose.with_delta(-step), 0,
-                                   ground=ground).alignment.residuals
-                fd[:, axis] = ((rp - rm) / (2 * h)).reshape(-1)
-
-            safe = _interior_cells(problem, pose, 0, h)
-            if not np.any(safe):
-                continue
-            blocks_a = jac.reshape(n, c, 3)[safe]
-            blocks_f = fd.reshape(n, c, 3)[safe]
-            scale = np.maximum(np.abs(blocks_f).max(axis=(1, 2)), 1e-6)
-            rel = np.abs(blocks_a - blocks_f).max(axis=(1, 2)) / scale
-            worst = max(worst, float(rel.max()))
-            checked += int(safe.sum())
+            error, n = residual_jacobian_error(fd_scene(10_000 + i), pose)
+            worst, checked = max(worst, error), checked + n
         elapsed = time.perf_counter() - start
-        ok = worst < 1e-3 and elapsed < 30.0
+        # more than half of the 100 scenes' 4800 points must be FD-safe
+        ok = worst < 1e-3 and checked > 2400 and elapsed < 30.0
         _report("jacobian_fidelity", ok,
                 f"max rel err {worst:.2e} over {checked} point blocks "
-                f"(tol 1e-3), {elapsed:.1f}s (< 30s)")
+                f"(tol 1e-3, > 2400 blocks), {elapsed:.1f}s (< 30s)")
 
     def test_projection_jacobian_fidelity(self):
         """Analytic projection Jacobian vs finite differences, 100 draws."""
-        from cvloc.geometry import PoseContext, SatelliteGeoref
-
         rng = np.random.default_rng(7)
         georef = SatelliteGeoref(255.5, 0.2)
         ctx = PoseContext(height=-1.6)
-        h = 1e-4
         worst_fd = 0.0
         worst_block = 0.0
         for _ in range(100):
@@ -93,22 +58,9 @@ class TestAcceptance:
                          float(rng.uniform(-math.pi, math.pi)))
             pts = np.column_stack([rng.uniform(-30, 30, 5), rng.uniform(-5, 5, 5),
                                    rng.uniform(2, 40, 5)])
-            jac = d_satproj_d_pose_many(
-                transform_points(pts, pose_to_transform(pose, ctx)), pose, georef)
-            fd = np.empty_like(jac)
-            for axis in range(3):
-                step = np.zeros(3)
-                step[axis] = h
-                up = project_satellite(transform_points(
-                    pts, pose_to_transform(pose.with_delta(step), ctx)), georef)
-                dn = project_satellite(transform_points(
-                    pts, pose_to_transform(pose.with_delta(-step), ctx)), georef)
-                fd[:, :, axis] = (up - dn) / (2 * h)
-            scale = max(float(np.abs(fd).max()), 1e-9)
-            worst_fd = max(worst_fd, float(np.abs(jac - fd).max()) / scale)
-            norms = np.linalg.norm(jac[:, :, :2], axis=1)
-            worst_block = max(worst_block,
-                              float(np.abs(norms * georef.gamma - 1.0).max()))
+            column_error, block_error, _ = projection_jacobian_error(pts, pose, ctx, georef)
+            worst_fd = max(worst_fd, float(column_error.max()))
+            worst_block = max(worst_block, block_error)
         ok = worst_fd < 1e-4 and worst_block < 1e-12
         _report("projection_jacobian_fidelity", ok,
                 f"FD rel err {worst_fd:.2e} (tol 1e-4), translation-block "
@@ -121,17 +73,11 @@ class TestAcceptance:
         ladder_ok = True
         for _ in range(50):
             m = int(rng.integers(8, 100))
-            jac = rng.standard_normal((m, 3))
-            w = rng.uniform(0.05, 2.0, m)
-            res = rng.standard_normal(m)
-            hess, grad = normal_equations(jac, w, res)
-            delta = lm_step(hess, grad, 0.0)
-            sw = np.sqrt(w)
-            oracle, *_ = np.linalg.lstsq(jac * sw[:, None], -res * sw, rcond=None)
-            worst = max(worst, float(np.abs(delta - oracle).max()))
-            norms = [float(np.linalg.norm(lm_step(hess, grad, lam)))
-                     for lam in np.logspace(-4, 4, 10)]
-            ladder_ok &= all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
+            deviation, monotone = lm_step_error(rng.standard_normal((m, 3)),
+                                                rng.uniform(0.05, 2.0, m),
+                                                rng.standard_normal(m))
+            worst = max(worst, deviation)
+            ladder_ok &= monotone
         ok = worst < 1e-8 and ladder_ok
         _report("lm_exactness", ok,
                 f"max dev from dense solve {worst:.2e} (tol 1e-8), "
@@ -184,33 +130,19 @@ class TestAcceptance:
         shifts = np.linspace(-5.0, 5.0, 21)
         yaws = np.radians(np.linspace(-15.0, 15.0, 11))
         all_ok = True
-        margins = []
         for i in range(10):
             cfg = replace(SMALL_SCENE_CFG, seed=300 + i,
                           gt_pose=Pose3(0.0, 0.0, 0.0))
             problem = generate_scene(cfg)
-            ground = ground_level_data(problem, 0)
-
-            def dis(pose):
-                ev = evaluate_pose(problem, pose, 0, ground=ground)
-                if not np.any(ev.alignment.valid_mask):
-                    return np.inf
-                return weighted_cost(ev.alignment.weights, ev.sq_norms, cost)
-
-            # the cached evaluation path must agree with the public quantity
-            assert dis(problem.gt_pose) == pytest.approx(
-                weighted_distance(problem, problem.gt_pose, cost), abs=1e-12)
 
             values = np.empty((21, 21, 11))
             for a, dl in enumerate(shifts):
                 for b, dn in enumerate(shifts):
                     for g, dy in enumerate(yaws):
-                        values[a, b, g] = dis(problem.gt_pose.with_delta((dl, dn, dy)))
+                        values[a, b, g] = weighted_distance(
+                            problem, problem.gt_pose.with_delta((dl, dn, dy)), cost)
             min_idx = np.unravel_index(np.argmin(values), values.shape)
             all_ok &= min_idx == (10, 10, 5)
-            others = np.delete(values.reshape(-1), np.ravel_multi_index(min_idx,
-                                                                        values.shape))
-            margins.append(float(others.min() / max(values[min_idx], 1e-300)))
         elapsed = time.perf_counter() - start
         ok = all_ok and elapsed < 300.0
         _report("grid_oracle_optimality", ok,
@@ -249,20 +181,3 @@ class TestAcceptance:
                 f"payload bit-exact {arrays_ok}, file stable {bytes_ok}, "
                 f"CSV worker-invariant {csv_ok}")
 
-
-def _interior_cells(problem, pose, level, h):
-    """Points whose satellite lookups stay inside one cell under FD probes."""
-    _, _, georef = problem.satellite_level(level)
-    pts = transform_points(problem.points, pose_to_transform(pose, problem.ctx))
-    from cvloc.geometry import project_satellite as proj
-
-    uv = proj(pts, georef)
-    radius = np.linalg.norm(pts[:, :2], axis=1)
-    motion = h * np.maximum(1.0, radius) / georef.gamma + 1e-4
-    frac = uv - np.floor(uv)
-    fmap = problem.sat_pyramid.feature(level)
-    ok = np.all((frac > motion[:, None]) & (frac < 1 - motion[:, None]), axis=1)
-    ok &= (uv[:, 0] > 1) & (uv[:, 0] < fmap.width - 2)
-    ok &= (uv[:, 1] > 1) & (uv[:, 1] < fmap.height - 2)
-    ok &= evaluate_pose(problem, pose, level).alignment.valid_mask
-    return ok

@@ -1,5 +1,7 @@
 """Numeric self-check battery, including fault injection."""
 
+import numpy as np
+
 from cvloc import solver
 from cvloc.geometry import d_satproj_d_pose_many
 from cvloc.harness import checks
@@ -24,6 +26,7 @@ class TestCheckNumerics:
         assert "normal_equations/planes_vs_dense" in names
         for r in report.results:
             assert r.max_error >= 0.0
+            assert f"over {r.compared} " in r.line() and r.compared > 0
             assert r.line().startswith("[PASS]") or r.line().startswith("[FAIL]")
         text = report.as_text()
         assert "all checks passed" in text
@@ -58,6 +61,12 @@ class TestCheckNumerics:
                    if line.startswith("[FAIL]")]
         assert len(failing) == 1 and "normal_equations/planes_vs_dense" in failing[0]
 
-    def test_report_serializable(self):
-        import json
-        json.dumps(check_numerics(seed=2).to_dict())
+    def test_empty_fd_safe_mask_exits_5(self, monkeypatch, capsys):
+        # an oracle that compares nothing fails instead of reporting error 0
+        monkeypatch.setattr(checks, "_fd_safe_points",
+                            lambda problem, pts_sat, level: np.zeros(len(pts_sat), bool))
+        assert main(["check-numerics"]) == 5
+        failing = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("[FAIL]")]
+        assert len(failing) == 1 and "residual_jacobian" in failing[0]
+        assert "over 0 interior-cell points" in failing[0]

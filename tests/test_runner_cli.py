@@ -147,18 +147,6 @@ class TestConfig:
         path.write_text(block.group(1))
         assert runner.load_config(path) == runner.load_config(None)
 
-    def test_workers_env_override(self, monkeypatch):
-        monkeypatch.setenv("CVL_WORKERS", "3")
-        assert runner.resolve_workers(8) == 3
-        monkeypatch.delenv("CVL_WORKERS")
-        assert runner.resolve_workers(8) == 8
-        assert runner.resolve_workers(None) == 1
-
-    def test_bad_workers_env(self, monkeypatch):
-        monkeypatch.setenv("CVL_WORKERS", "many")
-        with pytest.raises(ConfigError):
-            runner.resolve_workers(2)
-
     def test_parse_init_pose(self):
         p = runner.parse_init_pose("1.5,-2.0,90")
         assert p.lateral == 1.5
@@ -366,9 +354,12 @@ class TestCli:
                                        {"grd_width": 0}, {"feature_smoothness": 1e6},
                                        {"feature_smoothness": 1e9},
                                        {"depth_min": 1, "depth_max": 1e300},
-                                       {"levels": 8}],
+                                       {"levels": 8}, {"sat_size": 1000000},
+                                       {"channels": 100000},
+                                       {"grd_width": 1000000, "grd_height": 1000000}],
                              ids=["gamma", "focal", "width", "smoothness", "huge-smoothness",
-                                  "depth-overflow", "levels"])
+                                  "depth-overflow", "levels", "oversize-sat",
+                                  "oversize-channels", "oversize-ground"])
     def test_unbuildable_synth_geometry_exits_2(self, tmp_path, command, synth, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"synth": synth}))
@@ -469,17 +460,12 @@ class TestCli:
         assert code == 2
         assert "unknown solver keys ['level_order']" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("env, flag", [(None, "0"), ("0", "2")], ids=["flag", "env"])
-    def test_zero_workers_exit_2(self, scene_path, tmp_path, monkeypatch, env, flag,
-                                 capsys):
-        if env is None:
-            monkeypatch.delenv("CVL_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("CVL_WORKERS", env)
+    @pytest.mark.parametrize("flag", ["0", "-2"], ids=["flag", "negative_flag"])
+    def test_zero_workers_exit_2(self, scene_path, tmp_path, flag, capsys):
         code = main(["eval", "--scene", str(scene_path), "--trials", "1",
                      "--workers", flag, "--out-dir", str(tmp_path / "eval")])
         assert code == 2
-        assert "worker count must be >= 1, got 0" in capsys.readouterr().err
+        assert f"worker count must be >= 1, got {flag}" in capsys.readouterr().err
 
     def test_eval_from_synth_config(self, tmp_path, synth_cfg_file, capsys):
         out_dir = tmp_path / "eval"

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from cvloc import solver
 from cvloc.errors import ContractError, DegenerateProblemError, DomainError, SingularSystemError
 from cvloc.features import FeatureMap, FeaturePyramid
-from cvloc.geometry import PointSet, Pose3, d_satproj_d_pose_many, translate_pose_east_south
+from cvloc.geometry import PointSet, Pose3, translate_pose_east_south
+from cvloc.harness.checks import lm_step_error, normal_equations_error, residual_jacobian_error
 from cvloc.harness.runner import _trial_seed
-from cvloc.problem import AlignmentProblem, evaluate_pose, ground_level_data
+from cvloc.problem import AlignmentProblem, evaluate_pose
 from cvloc.solver import (LMConfig, RobustCost, build_jacobian, build_weight_matrix,
                           lm_step, normal_equations, refine_pose, weighted_cost,
                           weighted_distance)
@@ -155,17 +156,12 @@ class TestLMStep:
         assert np.allclose(delta, 0.0)
 
     def test_matches_dense_least_squares(self):
-        # independent oracle: weighted lstsq on the scaled system
         rng = np.random.default_rng(1)
         for _ in range(25):
             m = int(rng.integers(6, 80))
-            jac = rng.standard_normal((m, 3))
-            w = rng.uniform(0.05, 3.0, m)
-            res = rng.standard_normal(m)
-            delta = _solve(jac, w, res, 0.0)
-            sw = np.sqrt(w)
-            expect, *_ = np.linalg.lstsq(jac * sw[:, None], -res * sw, rcond=None)
-            assert np.allclose(delta, expect, atol=1e-8)
+            deviation, _ = lm_step_error(rng.standard_normal((m, 3)),
+                                         rng.uniform(0.05, 3.0, m), rng.standard_normal(m))
+            assert deviation <= 1e-8
 
     def test_damping_shrinks_step(self):
         rng = np.random.default_rng(2)
@@ -315,18 +311,10 @@ class TestNormalEquations:
     def test_planes_equal_dense_assembly(self, small_scene, pose):
         # the solver's assembly from the gradient planes is H and g of the
         # formed Jacobian, on every level, masked points included
-        cost = RobustCost()
         for level in range(small_scene.level_count):
-            ev = evaluate_pose(small_scene, pose, level)
-            assert 0 < ev.alignment.valid_mask.sum() < small_scene.points.count
-            _, _, georef = small_scene.satellite_level(level)
-            proj_jac = d_satproj_d_pose_many(ev.pts_sat, pose, georef)
-            w = build_weight_matrix(ev.alignment.weights, ev.sq_norms, cost)
-            got = solver._normal_equations(ev, proj_jac, w)
-            want = normal_equations(build_jacobian(small_scene, pose, level), w,
-                                    ev.alignment.residuals)
-            for g, e in zip(got, want):
-                assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e))
+            error, valid = normal_equations_error(small_scene, pose, level, RobustCost())
+            assert 0 < valid < small_scene.points.count
+            assert error <= 1e-12
 
     def test_refine_pose_forms_no_jacobian(self, small_scene, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -354,30 +342,9 @@ class TestBuildJacobian:
         assert np.allclose(j2, 2.0 * j1, atol=1e-6)
 
     def test_matches_finite_differences_on_scenes(self, small_scene):
-        h = 1e-5
-        pose = Pose3(0.11, -0.23, 0.015)
-        ground = ground_level_data(small_scene, 0)
-        jac = build_jacobian(small_scene, pose, level=0)
-        n = small_scene.points.count
-        c = small_scene.sat_pyramid.feature(0).channels
-
-        fd = np.empty((n * c, 3))
-        for axis in range(3):
-            step = np.zeros(3)
-            step[axis] = h
-            rp = evaluate_pose(small_scene, pose.with_delta(step), 0,
-                               ground=ground).alignment.residuals
-            rm = evaluate_pose(small_scene, pose.with_delta(-step), 0,
-                               ground=ground).alignment.residuals
-            fd[:, axis] = ((rp - rm) / (2 * h)).reshape(-1)
-
-        safe = _interior_cell_mask(small_scene, pose, 0, h)
-        blocks_a = jac.reshape(n, c, 3)[safe]
-        blocks_f = fd.reshape(n, c, 3)[safe]
-        assert safe.sum() > n // 2
-        scale = np.maximum(np.abs(blocks_f).max(axis=(1, 2)), 1e-6)
-        rel = np.abs(blocks_a - blocks_f).max(axis=(1, 2)) / scale
-        assert rel.max() < 1e-3
+        error, checked = residual_jacobian_error(small_scene, Pose3(0.11, -0.23, 0.015))
+        assert checked > small_scene.points.count // 2
+        assert error < 1e-3
 
     def test_masked_points_zero_blocks(self, small_scene):
         # push the pose so some points leave the crop; their blocks are zero
@@ -389,25 +356,6 @@ class TestBuildJacobian:
         c = small_scene.sat_pyramid.feature(0).channels
         blocks = jac.reshape(-1, c, 3)
         assert np.allclose(blocks[~ev.alignment.valid_mask], 0.0)
-
-
-def _interior_cell_mask(problem, pose, level, h):
-    """Points whose satellite lookups stay strictly inside one cell under
-    the finite-difference probes (independent of the library's helper)."""
-    from cvloc.geometry import pose_to_transform, project_satellite, transform_points
-
-    _, _, georef = problem.satellite_level(level)
-    pts = transform_points(problem.points, pose_to_transform(pose, problem.ctx))
-    uv = project_satellite(pts, georef)
-    radius = np.linalg.norm(pts[:, :2], axis=1)
-    motion = h * np.maximum(1.0, radius) / georef.gamma + 1e-4
-    frac = uv - np.floor(uv)
-    fmap = problem.sat_pyramid.feature(level)
-    ok = np.all((frac > motion[:, None]) & (frac < 1 - motion[:, None]), axis=1)
-    ok &= (uv[:, 0] > 1) & (uv[:, 0] < fmap.width - 2)
-    ok &= (uv[:, 1] > 1) & (uv[:, 1] < fmap.height - 2)
-    ok &= evaluate_pose(problem, pose, level).alignment.valid_mask
-    return ok
 
 
 class TestLMConfig:

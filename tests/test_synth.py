@@ -108,6 +108,15 @@ class TestGenerateScene:
             with pytest.raises(DomainError, match="levels"):
                 SynthConfig(**bad)
 
+    def test_size_budget(self):
+        # 12 bytes per texel for each channel and the attention, summed over
+        # the satellite and ground levels; checked before any allocation
+        SynthConfig(sat_size=2048)  # about 0.6 GiB
+        for bad in ({"sat_size": 1_000_000}, {"channels": 100_000},
+                    {"grd_width": 1_000_000, "grd_height": 1_000_000}, {"sat_size": 4096}):
+            with pytest.raises(DomainError, match="scene size budget"):
+                SynthConfig(**bad)
+
     def test_depth_range_within_float32(self):
         # the farthest point is depth_max times the widest ray slope,
         # (832 - 1) / (2 * 400) here, and points are float32
