@@ -3,13 +3,15 @@
 Each oracle compares an analytic quantity against an independent reference
 (central finite differences, a dense least-squares solve, or normal
 equations from the formed Jacobian) on the inputs it is given, and returns
-the worst error with the number of items compared. The battery runs each
-oracle over random draws and reports the worst error against a fixed
-tolerance; a check that compared nothing fails.
+the worst error with the number of items compared. The grid-argmin oracle
+compares the cost at the true pose with a brute-force grid around it. The
+battery runs each other oracle over random draws and reports the worst
+error against a fixed tolerance; a check that compared nothing fails.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +24,7 @@ from ..geometry import (Pose3, PoseContext, SatelliteGeoref,
                         project_satellite, transform_points)
 from ..problem import AlignmentProblem, evaluate_pose
 from ..solver import (RobustCost, build_jacobian, build_weight_matrix, lm_step,
-                      normal_equations)
+                      normal_equations, weighted_distance)
 from ..synth import SynthConfig, generate_scene
 
 _FD_STEP = 1e-4
@@ -192,6 +194,18 @@ def normal_equations_error(problem: AlignmentProblem, pose: Pose3, level: int,
                 / max(float(np.max(np.abs(want))), np.finfo(float).tiny)
                 for got, want in zip(from_planes, dense))
     return worst, int(ev.alignment.valid_mask.sum())
+
+
+def grid_argmin_margin(problem: AlignmentProblem, cost: RobustCost, lateral,
+                       longitudinal, yaw) -> tuple[float, int]:
+    """The smallest weighted distance over the poses offset from the truth by
+    each (lateral m, longitudinal m, yaw rad) triple of the axes but (0, 0, 0),
+    minus the distance at the truth, and the number of those cells. The
+    margin is positive when the truth is the grid's strict minimum."""
+    gt = problem.gt_pose
+    off_truth = [weighted_distance(problem, gt.with_delta(step), cost)
+                 for step in itertools.product(lateral, longitudinal, yaw) if any(step)]
+    return min(off_truth) - weighted_distance(problem, gt, cost), len(off_truth)
 
 
 def _random_pose(rng, shift: float, yaw: float) -> Pose3:

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration error (and any other invalid value
-or input a library check rejects), 3 I/O or file-format error, 4 degenerate
-problem or singular or non-finite normal equations (also an eval or sweep
-bound where every trial fails), 5 numeric self-check failure.
+or input a library check rejects, or a run out of memory), 3 I/O or
+file-format error, 4 degenerate problem or singular or non-finite normal
+equations (also an eval or sweep bound where every trial fails), 5 numeric
+self-check failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from ..cvls import save_scene
+from ..cvls import load_scene, save_scene
 from ..errors import (ConfigError, CvlocError, DegenerateProblemError, FormatError,
                       GenerationError, SingularSystemError)
 from ..synth import PerturbBounds, generate_scene
@@ -59,7 +60,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = runner.load_config(args.config)
-    problem = runner.load_problem(args.scene)
+    problem = load_scene(args.scene)
     bounds = _bounds(args.max_shift, args.max_yaw)
     summary, rows, failures = runner.run_eval(problem, args.trials, bounds,
                                               workers=args.workers,
@@ -95,7 +96,7 @@ def _parse_bounds(text: str) -> list[PerturbBounds]:
 
 def _cmd_sweep(args) -> int:
     config = runner.load_config(args.config)
-    problem = runner.load_problem(args.scene)
+    problem = load_scene(args.scene)
     grid = _parse_bounds(args.bounds)
     rows = runner.perturbation_sweep(problem, grid, args.trials, args.seed,
                                      cfg=config.solver, cost=config.cost)
@@ -149,8 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("eval", help="batch evaluation over seeded perturbations")
-    p.add_argument("--scene", required=True,
-                   help="CVLS scene file or JSON synth config")
+    p.add_argument("--scene", required=True, help="CVLS scene file")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--max-shift", type=float, default=north_star.max_shift)
     p.add_argument("--max-yaw", type=float, default=north_star.max_yaw_deg)
@@ -161,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="robustness sweep over perturbation bounds")
-    p.add_argument("--scene", required=True,
-                   help="CVLS scene file or JSON synth config")
+    p.add_argument("--scene", required=True, help="CVLS scene file")
     p.add_argument("--bounds", required=True,
                    help="comma list of shift_m:yaw_deg, e.g. '5:15,10:30,20:60'")
     p.add_argument("--trials", type=int, required=True, help="trials per bound")
@@ -202,6 +201,9 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
     except CvlocError as exc:  # DomainError, ContractError or the base class
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # sizes under the scene budget, over the process limit
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

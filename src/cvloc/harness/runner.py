@@ -8,19 +8,18 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
-from ..cvls import MAGIC, load_scene
+from ..cvls import load_scene
 from ..errors import ConfigError, DegenerateProblemError, require_number
 from ..geometry import Pose3
 from ..metrics import (SHIFT_THRESHOLDS_M, YAW_THRESHOLDS_DEG, MetricsSummary, PoseError,
                        pose_error, summarize)
 from ..problem import AlignmentProblem
 from ..solver import LMConfig, RobustCost, refine_pose
-from ..synth import PerturbBounds, SynthConfig, generate_scene, sample_initial_pose
+from ..synth import PerturbBounds, SynthConfig, sample_initial_pose
 
 _TRIAL_CSV_COLUMNS = [
     "trial", "seed",
@@ -127,17 +126,6 @@ def load_config(path=None) -> RunConfig:
         except (OverflowError, ValueError) as exc:
             raise ConfigError(f"section {name!r}: {exc}") from exc
     return RunConfig(**built)
-
-
-def load_problem(source) -> AlignmentProblem:
-    """Load a CVLS scene file, or generate one from a synth config file."""
-    path = Path(source)
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == MAGIC:
-        return load_scene(path)
-    cfg = load_config(path)
-    return generate_scene(cfg.synth)
 
 
 def parse_init_pose(text: str) -> Pose3:

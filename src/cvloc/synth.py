@@ -32,8 +32,9 @@ from .geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
 from .problem import AlignmentProblem, ground_level_data
 
 # The size budget of a scene's arrays, checked before anything is allocated.
-# Each satellite and ground texel of every level holds a float64 draw and a
-# float32 copy (12 bytes) of each channel and of the attention.
+# Each satellite and ground texel of every level holds a float64 field and a
+# float32 copy (12 bytes) of each channel; the attention plane, float32 ones,
+# is counted like a channel, which overestimates it.
 MAX_SCENE_BYTES = 2**31
 
 
@@ -49,7 +50,6 @@ class SynthConfig:
     point_count: int = 5000
     point_depth_range: tuple = (3.0, 25.0)
     feature_smoothness: float = 8.0
-    attention_mode: str = "uniform"
     gt_pose: Pose3 = field(default_factory=lambda: Pose3(0.0, 0.0, 0.0))
     grd_width: int = 832
     grd_height: int = 256
@@ -82,8 +82,6 @@ class SynthConfig:
         lo, hi = self.point_depth_range
         if not (0 < lo < hi < math.inf):
             raise DomainError(f"depth range must be 0 < min < max < inf, got {lo}, {hi}")
-        if self.attention_mode not in ("uniform", "random_smooth"):
-            raise DomainError(f"unknown attention mode {self.attention_mode!r}")
         if not 0 < self.feature_smoothness < math.inf:
             raise DomainError("feature_smoothness must be finite and > 0")
         if 4 * self.feature_smoothness > self.sat_size:
@@ -136,15 +134,6 @@ def _ndimage():
     return ndimage
 
 
-def _gaussian_filter(data: np.ndarray, sigma, output=None) -> np.ndarray:
-    return _ndimage().gaussian_filter(data, sigma=sigma, mode="wrap", output=output)
-
-
-def _spatial_sigma(ndim: int, sigma: float) -> tuple:
-    """Smooth the two spatial axes only, never across channels."""
-    return (sigma, sigma) + (0.0,) * (ndim - 2)
-
-
 def _available_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -152,77 +141,55 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _smooth_block(field: np.ndarray, sigma: float, out: np.ndarray | None) -> None:
+def _smooth_block(field: np.ndarray, sigma: float, out: np.ndarray) -> None:
     # In place, as scipy already filters every axis after the first; so
     # the pool's threads allocate no field-sized buffer, which their malloc
     # arenas would keep after the call.
-    _gaussian_filter(field, _spatial_sigma(field.ndim, sigma), output=field)
-    if out is not None:
-        out[...] = field
+    _ndimage().gaussian_filter(field, sigma=(sigma, sigma, 0.0), mode="wrap", output=field)
+    out[...] = field
 
 
 def _submit_smoothing(pool: ThreadPoolExecutor, field: np.ndarray, sigma: float,
-                      blocks: int, out: np.ndarray | None = None) -> list[Future]:
-    """Smooth ``field`` in place on ``pool``, in up to ``blocks`` channel blocks.
+                      blocks: int, out: np.ndarray) -> list[Future]:
+    """Smooth the (h, w, c) ``field`` in place on ``pool``, in up to ``blocks``
+    channel blocks, and cast each block into ``out`` as ``astype`` would.
 
-    A (h, w) field is one block. The filter runs along the spatial axes
-    line by line, so each block's values equal those of one call on the
-    whole field, to the bit. With ``out`` (say float32), each block is
-    also cast into it as ``astype`` would. Returns the blocks' futures.
+    The filter runs along the two spatial axes line by line, never across
+    channels, so each block's values equal those of one call on the whole
+    field, to the bit. Returns the blocks' futures.
     """
-    if field.ndim == 2:
-        return [pool.submit(_smooth_block, field, sigma, out)]
     c = field.shape[2]
     count = min(blocks, c)
     edges = [i * c // count for i in range(count + 1)]
-    return [pool.submit(_smooth_block, field[..., a:b], sigma,
-                        None if out is None else out[..., a:b])
+    return [pool.submit(_smooth_block, field[..., a:b], sigma, out[..., a:b])
             for a, b in zip(edges, edges[1:])]
-
-
-def _smooth_field(rng: np.random.Generator, shape, sigma: float) -> np.ndarray:
-    return _gaussian_filter(rng.standard_normal(shape), _spatial_sigma(len(shape), sigma))
-
-
-def _attention(shape, smooth: np.ndarray | None) -> AttentionMap:
-    """Uniform attention, or a smooth field squashed into (0, 1) by a sigmoid."""
-    if smooth is None:
-        return AttentionMap(np.ones(shape, dtype=np.float32))
-    a = (smooth - smooth.mean()) / max(smooth.std(), 1e-12)
-    return AttentionMap((1.0 / (1.0 + np.exp(-a))).astype(np.float32))
 
 
 def _satellite_levels(cfg: SynthConfig, rng: np.random.Generator) -> list[tuple]:
     """The satellite pyramid: an independent smooth unit-norm field per level.
 
-    This thread draws every random array in the order of a serial run
-    (features, then attention, level by level), so the scene does not
-    depend on the CPU count. The smoothing runs on a pool with one
-    channel block per available CPU, and each level is normalized while
-    the later levels are still filtering. The pool is joined on return.
+    This thread draws each level's random array in turn, so the scene does
+    not depend on the CPU count. The smoothing runs on a pool with one
+    channel block per available CPU, and each level is normalized while the
+    later levels are still filtering. The pool is joined on return.
     """
     _ndimage()  # the first import runs here, not raced by the pool's threads
     blocks = min(_available_cpus(), cfg.channels)
     sigma = cfg.feature_smoothness
-    random_att = cfg.attention_mode == "random_smooth"
     with ThreadPoolExecutor(max_workers=blocks) as pool:
         pending = []
         for size in _sat_level_sizes(cfg):
             feat = np.empty((size, size, cfg.channels), dtype=np.float32)
             tasks = _submit_smoothing(pool, rng.standard_normal(feat.shape), sigma,
                                       blocks, out=feat)
-            att = None
-            if random_att:
-                att = rng.standard_normal((size, size))
-                tasks += _submit_smoothing(pool, att, sigma, 1)
-            pending.append((feat, att, tasks))
+            pending.append((feat, tasks))
         levels = []
         while pending:  # popped, so a built level's raw buffers are freed
-            feat, att, tasks = pending.pop(0)
+            feat, tasks = pending.pop(0)
             for task in tasks:
                 task.result()
             levels.append((normalize_features(FeatureMap(feat)),
-                           _attention(feat.shape[:2], att)))
+                           AttentionMap(np.ones(feat.shape[:2], dtype=np.float32))))
     return levels
 
 
@@ -292,11 +259,8 @@ def generate_scene(cfg: SynthConfig) -> AlignmentProblem:
         gw = -(-cfg.grd_width // 2**lvl)
         grd_map = _splat_ground_map((gh, gw, cfg.channels), uv_grd / float(2**lvl),
                                     sat_vals_per_level[lvl])
-        fmap = FeatureMap(grd_map.astype(np.float32))
-        smooth = (_smooth_field(rng, (gh, gw), cfg.feature_smoothness)
-                  if cfg.attention_mode == "random_smooth" else None)
-        att = _attention((gh, gw), smooth)
-        grd_levels.append((fmap, att))
+        grd_levels.append((FeatureMap(grd_map.astype(np.float32)),
+                           AttentionMap(np.ones((gh, gw), dtype=np.float32))))
 
     problem = AlignmentProblem(
         sat_pyramid=FeaturePyramid(tuple(sat_levels)), georef=georef,

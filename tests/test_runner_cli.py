@@ -16,7 +16,7 @@ from cvloc.cvls import MAGIC, VERSION, load_scene, save_scene
 from cvloc.errors import (ConfigError, ContractError, CvlocError, DomainError,
                           SingularSystemError)
 from cvloc.geometry import Pose3
-from cvloc.harness import runner
+from cvloc.harness import cli, runner
 from cvloc.harness.cli import main
 from cvloc.synth import PerturbBounds, generate_scene
 
@@ -360,13 +360,15 @@ class TestCli:
                              ids=["gamma", "focal", "width", "smoothness", "huge-smoothness",
                                   "depth-overflow", "levels", "oversize-sat",
                                   "oversize-channels", "oversize-ground"])
-    def test_unbuildable_synth_geometry_exits_2(self, tmp_path, command, synth, capsys):
+    def test_unbuildable_synth_geometry_exits_2(self, scene_path, tmp_path, command, synth,
+                                                capsys):
+        # eval reads the whole config file, its synth section included
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"synth": synth}))
         if command == "synth":
             argv = ["synth", "--config", str(cfg), "--out", str(tmp_path / "s.cvls")]
         else:
-            argv = ["eval", "--scene", str(cfg), "--trials", "1",
+            argv = ["eval", "--scene", str(scene_path), "--config", str(cfg), "--trials", "1",
                     "--out-dir", str(tmp_path / "eval")]
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -443,10 +445,10 @@ class TestCli:
         '{"solver": {"stop_tol": NaN}}',
         '{"cost": {"delta": NaN}}',
     ], ids=["cam_height_str", "smoothness_nan", "stop_tol_nan", "delta_nan"])
-    def test_bad_config_number_exits_2(self, tmp_path, text, capsys):
+    def test_bad_config_number_exits_2(self, scene_path, tmp_path, text, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
-        code = main(["eval", "--scene", str(cfg), "--trials", "1",
+        code = main(["eval", "--scene", str(scene_path), "--config", str(cfg), "--trials", "1",
                      "--out-dir", str(tmp_path / "eval")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
@@ -468,8 +470,10 @@ class TestCli:
         assert f"worker count must be >= 1, got {flag}" in capsys.readouterr().err
 
     def test_eval_from_synth_config(self, tmp_path, synth_cfg_file, capsys):
+        scene = tmp_path / "scene.cvls"
+        assert main(["synth", "--config", str(synth_cfg_file), "--out", str(scene)]) == 0
         out_dir = tmp_path / "eval"
-        code = main(["eval", "--scene", str(synth_cfg_file), "--trials", "2",
+        code = main(["eval", "--scene", str(scene), "--trials", "2",
                      "--max-shift", "1", "--max-yaw", "3",
                      "--out-dir", str(out_dir)])
         assert code == 0
@@ -479,9 +483,9 @@ class TestCli:
         recalls = summary["recall_pct"]["lateral"]
         assert set(recalls) == {"0.25", "0.5", "1.0", "2.0"}
 
-    def test_sweep_csv_shape(self, tmp_path, synth_cfg_file, capsys):
+    def test_sweep_csv_shape(self, tmp_path, scene_path, capsys):
         out = tmp_path / "sweep.csv"
-        code = main(["sweep", "--scene", str(synth_cfg_file),
+        code = main(["sweep", "--scene", str(scene_path),
                      "--bounds", "0:0,1:3", "--trials", "2", "--out", str(out)])
         assert code == 0
         lines = out.read_text().strip().splitlines()
@@ -554,10 +558,44 @@ class TestCli:
     def test_negative_config_seed_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"synth": {"seed": -4}}))
-        code = main(["eval", "--scene", str(cfg), "--trials", "1",
-                     "--out-dir", str(tmp_path / "eval")])
+        code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s.cvls")])
         assert code == 2
         assert "seed must be >= 0, got -4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--trials", "1", "--out-dir", "eval"],
+        ["sweep", "--bounds", "1:3", "--trials", "1", "--out", "sweep.csv"],
+    ], ids=["eval", "sweep"])
+    def test_config_as_scene_exits_3(self, synth_cfg_file, argv, tmp_path, monkeypatch,
+                                     capsys):
+        # only synth generates scenes: --scene reads CVLS files alone
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], "--scene", str(synth_cfg_file), *argv[1:]]) == 3
+        err = capsys.readouterr().err
+        assert "format error" in err and "magic" in err
+        assert "Traceback" not in err
+
+    def test_attention_mode_key_exits_2(self, tmp_path, capsys):
+        # generated attention is uniform; the key that chose it is gone
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"attention_mode": "uniform"}}))
+        code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s.cvls")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown synth keys ['attention_mode']" in err
+        assert "Traceback" not in err
+
+    def test_out_of_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a size under the scene budget can still exceed the process's memory
+        def out_of_memory(cfg):
+            raise MemoryError("Unable to allocate 479. MiB for an array")
+
+        monkeypatch.setattr(cli, "generate_scene", out_of_memory)
+        code = main(["synth", "--out", str(tmp_path / "s.cvls")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "out of memory: Unable to allocate 479. MiB for an array\n"
+        assert "Traceback" not in err
 
     def test_check_numerics_command(self, capsys):
         assert main(["check-numerics"]) == 0

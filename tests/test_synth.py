@@ -15,9 +15,10 @@ from scipy import ndimage, stats
 from cvloc.cvls import save_scene
 from cvloc.errors import DomainError, GenerationError
 from cvloc.geometry import Pose3
+from cvloc.harness.checks import grid_argmin_margin
 from cvloc.harness.runner import perturbation_sweep
 from cvloc.problem import evaluate_pose
-from cvloc.solver import RobustCost, weighted_distance
+from cvloc.solver import RobustCost
 from cvloc.synth import (PerturbBounds, SynthConfig, _submit_smoothing, generate_scene,
                          sample_initial_pose)
 
@@ -25,11 +26,9 @@ from conftest import SMALL_SCENE_CFG
 
 
 class TestGenerateScene:
-    @pytest.mark.parametrize("attention_mode", ["uniform", "random_smooth"])
-    def test_zero_residual_at_truth_every_level(self, attention_mode):
-        problem = generate_scene(replace(SMALL_SCENE_CFG, attention_mode=attention_mode))
-        for lvl in range(problem.level_count):
-            ev = evaluate_pose(problem, problem.gt_pose, lvl)
+    def test_zero_residual_at_truth_every_level(self, small_scene):
+        for lvl in range(small_scene.level_count):
+            ev = evaluate_pose(small_scene, small_scene.gt_pose, lvl)
             norms = np.linalg.norm(ev.alignment.residuals, axis=1)
             assert norms.max() < 1e-5
 
@@ -59,17 +58,6 @@ class TestGenerateScene:
             fmap = small_scene.sat_pyramid.feature(lvl)
             norms = np.linalg.norm(fmap.data.astype(np.float64), axis=-1)
             assert np.abs(norms - 1.0).max() < 1e-6
-
-    def test_attention_in_range_random_smooth(self):
-        cfg = replace(SMALL_SCENE_CFG, attention_mode="random_smooth")
-        problem = generate_scene(cfg)
-        for lvl in range(problem.level_count):
-            att = problem.sat_pyramid.attention(lvl).data
-            assert att.min() >= 0.0 and att.max() <= 1.0
-            assert att.std() > 0.0  # actually varies
-        ev = evaluate_pose(problem, problem.gt_pose, 0)
-        norms = np.linalg.norm(ev.alignment.residuals, axis=1)
-        assert norms.max() < 1e-5  # construction unaffected by attention
 
     def test_gt_pose_offset_from_center(self):
         cfg = replace(SMALL_SCENE_CFG, gt_pose=Pose3(2.0, -3.0, math.radians(20.0)))
@@ -135,8 +123,6 @@ class TestGenerateScene:
             SynthConfig(point_count=5)
         with pytest.raises(DomainError):
             SynthConfig(point_depth_range=(10.0, 3.0))
-        with pytest.raises(DomainError):
-            SynthConfig(attention_mode="learned")
         # geometry that generate_scene could not build
         for bad in ({"gamma": 0.0}, {"gamma": -0.2}, {"grd_focal": -5.0},
                     {"grd_width": 0}, {"grd_height": 0}):
@@ -155,14 +141,15 @@ def _scene_sha256(cfg, path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-#: SHA-256 of the ``save_scene`` bytes of generated scenes, recorded when
-#: the satellite pyramid was smoothed serially. The random-attention scene
-#: has 3 channels: uneven channel blocks on any CPU count above 1.
+#: SHA-256 of the ``save_scene`` bytes of generated scenes. The default
+#: scene's was recorded when the satellite pyramid was smoothed serially.
+#: The small scene has 3 channels: uneven channel blocks on any CPU count
+#: above 1.
 _SCENE_SHA256 = {
     "default-seed-42": (SynthConfig(seed=42),
                         "de2aa876c0a86f7b7f3895d86d3eeb727f941a8eb10bb703b1f24bb0bd594ee3"),
-    "random-smooth-c3": (replace(SMALL_SCENE_CFG, attention_mode="random_smooth", channels=3),
-                         "b3a7b8d01864592aebdab6fea1c308703187a838592f3496d8e8fd5301efafd0"),
+    "small-c3": (replace(SMALL_SCENE_CFG, channels=3),
+                 "6e00683ddf73c0581ecef0a3fb964f0d8d783cd370f799d6674f246e293cdefc"),
 }
 
 
@@ -185,16 +172,15 @@ class TestParallelSmoothing:
 
     def test_no_thread_outlives_generation(self):
         before = set(threading.enumerate())
-        generate_scene(replace(SMALL_SCENE_CFG, attention_mode="random_smooth"))
+        generate_scene(SMALL_SCENE_CFG)
         assert set(threading.enumerate()) == before
 
     @pytest.mark.parametrize("blocks", [1, 2, 3, 5])
-    @pytest.mark.parametrize("shape", [(37, 41, 1), (37, 41, 3), (37, 41, 8), (37, 41)])
+    @pytest.mark.parametrize("shape", [(37, 41, 1), (37, 41, 3), (37, 41, 8)])
     def test_blocks_equal_one_filter_call(self, shape, blocks):
         noise = np.random.default_rng(len(shape) + shape[-1]).standard_normal(shape)
         sigma = 4.0
-        whole = ndimage.gaussian_filter(noise, (sigma, sigma) + (0.0,) * (len(shape) - 2),
-                                        mode="wrap")
+        whole = ndimage.gaussian_filter(noise, (sigma, sigma, 0.0), mode="wrap")
         as_float32 = np.empty(shape, dtype=np.float32)
         with ThreadPoolExecutor(max_workers=2) as pool:
             for task in _submit_smoothing(pool, noise, sigma, blocks, out=as_float32):
@@ -206,21 +192,13 @@ class TestParallelSmoothing:
 class TestGridOracle:
     def test_weighted_distance_minimum_at_truth_cell(self, small_scene):
         # brute-force: the gt cell must beat every other cell on the grid
-        cost = RobustCost()
-        gt = small_scene.gt_pose
-        best = None
         shifts = np.linspace(-5.0, 5.0, 21)
         yaws = np.radians(np.linspace(-15.0, 15.0, 11))
-        dis_gt = weighted_distance(small_scene, gt, cost)
-        for dl in shifts:
-            for dn in shifts[::4]:  # thinned longitudinal axis keeps this fast
-                for dy in yaws:
-                    if dl == 0 and dn == 0 and dy == 0:
-                        continue
-                    pose = gt.with_delta((dl, dn, dy))
-                    d = weighted_distance(small_scene, pose, cost)
-                    best = d if best is None else min(best, d)
-        assert dis_gt < best
+        # thinned longitudinal axis keeps this fast; it holds no zero offset
+        margin, cells = grid_argmin_margin(small_scene, RobustCost(), shifts,
+                                           shifts[::4], yaws)
+        assert cells == 21 * 6 * 11
+        assert margin > 0
 
 
 class TestSampleInitialPose:
