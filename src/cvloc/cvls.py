@@ -7,9 +7,10 @@ Layout (little-endian throughout):
     metadata_len    u32
     metadata        UTF-8 JSON (georef, intrinsics, pose_context, gt_pose,
                     level table per view, point_count, level_order); the
-                    georef holds center_px and gamma, and the latitude_deg,
-                    zoom and scale keys that older files also carry are
-                    ignored
+                    georef holds center_px and gamma, the pose_context
+                    roll_deg, pitch_deg and cam_to_gps; the georef's
+                    latitude_deg, zoom and scale keys and the pose_context's
+                    height_m key, which older files also carry, are ignored
     payload         per view (satellite first, then ground), per level
                     (finest first): feature float32 row-major (h, w, c),
                     attention float32 row-major (h, w); finally points
@@ -61,7 +62,6 @@ def _metadata(problem: AlignmentProblem) -> dict:
         "pose_context": {
             "roll_deg": math.degrees(ctx.roll),
             "pitch_deg": math.degrees(ctx.pitch),
-            "height_m": ctx.height,
             "cam_to_gps": [float(x) for x in cam.reshape(-1)],
         },
         "gt_pose": problem.gt_pose.to_dict(),
@@ -191,7 +191,6 @@ def load_scene(path) -> AlignmentProblem:
         ctx = PoseContext(
             roll=math.radians(_require(pc, "roll_deg", "pose_context", require_number)),
             pitch=math.radians(_require(pc, "pitch_deg", "pose_context", require_number)),
-            height=_require(pc, "height_m", "pose_context", require_number),
             cam_to_gps=RigidTransform(cam[:, :3], cam[:, 3]))
         gt_pose = Pose3(
             lateral=_require(gt, "lateral_m", "gt_pose", require_number),

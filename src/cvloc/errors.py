@@ -6,7 +6,11 @@ import numbers
 
 
 class CvlocError(Exception):
-    """Base class for all cvloc errors."""
+    """Base class for all cvloc errors. Each class carries the CLI's exit
+    code for it and the label that starts the CLI's one-line message."""
+
+    exit_code = 2
+    label = "invalid input"
 
 
 class DomainError(CvlocError, ValueError):
@@ -23,6 +27,9 @@ class FormatError(CvlocError):
     ``field`` names the offending part of the file when known.
     """
 
+    exit_code = 3
+    label = "format error"
+
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message if field is None else f"{field}: {message}")
         self.field = field
@@ -31,6 +38,9 @@ class FormatError(CvlocError):
 class SingularSystemError(CvlocError):
     """A damped normal-equation system has a non-finite entry, or its
     Cholesky factorization met a pivot that is not > 0."""
+
+    exit_code = 4
+    label = "singular system"
 
     def __init__(self, message: str, hessian=None):
         super().__init__(message)
@@ -45,6 +55,9 @@ class DegenerateProblemError(CvlocError):
     (``converged`` is False).
     """
 
+    exit_code = 4
+    label = "degenerate problem"
+
     def __init__(self, message: str, pose=None, report=None):
         super().__init__(message)
         self.pose = pose
@@ -54,9 +67,14 @@ class DegenerateProblemError(CvlocError):
 class GenerationError(CvlocError):
     """Synthetic scene generation could not produce a usable scene."""
 
+    exit_code = 4
+    label = "scene generation error"
+
 
 class ConfigError(CvlocError):
     """A configuration file or value is invalid."""
+
+    label = "config error"
 
 
 def require_int(name: str, value, minimum: int) -> int:

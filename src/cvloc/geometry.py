@@ -23,7 +23,8 @@ Pose convention:
         position = R(yaw) @ (lateral, -longitudinal).
 
     Roll and pitch are applied before yaw (roll, then pitch, then yaw) and
-    stay fixed during optimization, as does the height translation.
+    stay fixed during optimization. The vehicle sits at z = 0: the
+    satellite projection discards z, so a camera height changes no result.
 
 Angles are radians internally; degrees appear only at CLI and file
 boundaries.
@@ -178,19 +179,17 @@ class Pose3:
 class PoseContext:
     """Frozen attitude and mounting context for one solve.
 
-    roll/pitch in radians, height is the satellite-frame z translation in
-    meters (z points down), ``cam_to_gps`` maps camera to vehicle body
+    roll/pitch in radians, ``cam_to_gps`` maps camera to vehicle body
     coordinates.
     """
 
     roll: float = 0.0
     pitch: float = 0.0
-    height: float = 0.0
     cam_to_gps: RigidTransform = field(default_factory=RigidTransform.identity)
 
     def __post_init__(self):
-        if not all(math.isfinite(x) for x in (self.roll, self.pitch, self.height)):
-            raise DomainError("roll, pitch and height must be finite")
+        if not all(math.isfinite(x) for x in (self.roll, self.pitch)):
+            raise DomainError("roll and pitch must be finite")
 
 
 @dataclass(frozen=True)
@@ -235,13 +234,13 @@ _BODY_TO_SAT = np.array([
 ])
 
 
-def pose_translation(pose: Pose3, height: float) -> np.ndarray:
-    """Vehicle position in the satellite frame for a given pose."""
+def pose_translation(pose: Pose3) -> np.ndarray:
+    """Vehicle position in the satellite frame for a given pose, at z = 0."""
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     return np.array([
         pose.lateral * c + pose.longitudinal * s,
         pose.lateral * s - pose.longitudinal * c,
-        height,
+        0.0,
     ])
 
 
@@ -257,8 +256,7 @@ def pose_to_transform(pose: Pose3, ctx: PoseContext) -> RigidTransform:
     # Body-to-satellite after camera-to-body, validated once on the result.
     mount = ctx.cam_to_gps
     return RigidTransform(rot_body_to_sat @ mount.rotation,
-                          rot_body_to_sat @ mount.translation
-                          + pose_translation(pose, ctx.height))
+                          rot_body_to_sat @ mount.translation + pose_translation(pose))
 
 
 def transform_points(points, transform: RigidTransform) -> np.ndarray:

@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 configuration error (and any other invalid value
 or input a library check rejects, or a run out of memory), 3 I/O or
 file-format error, 4 degenerate problem or singular or non-finite normal
 equations (also an eval or sweep bound where every trial fails), 5 numeric
-self-check failure.
+self-check failure; each ``CvlocError`` class carries its own.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from ..cvls import load_scene, save_scene
-from ..errors import (ConfigError, CvlocError, DegenerateProblemError, FormatError,
-                      GenerationError, SingularSystemError)
+from ..errors import ConfigError, CvlocError
 from ..synth import PerturbBounds, generate_scene
 from . import runner
 from .checks import check_numerics
@@ -25,7 +24,6 @@ from .checks import check_numerics
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
-EXIT_DEGENERATE = 4
 EXIT_CHECK_FAILED = 5
 
 
@@ -181,27 +179,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FormatError as exc:
-        print(f"format error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except CvlocError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except GenerationError as exc:
-        print(f"scene generation error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except DegenerateProblemError as exc:
-        print(f"degenerate problem: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except SingularSystemError as exc:
-        print(f"singular system: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except CvlocError as exc:  # DomainError, ContractError or the base class
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except MemoryError as exc:  # sizes under the scene budget, over the process limit
         print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG

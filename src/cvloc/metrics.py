@@ -29,7 +29,7 @@ class PoseError:
 
 def pose_error(est: Pose3, gt: Pose3) -> PoseError:
     """Decompose the estimate-minus-truth offset in the truth's heading frame."""
-    d = pose_translation(est, 0.0)[:2] - pose_translation(gt, 0.0)[:2]
+    d = pose_translation(est)[:2] - pose_translation(gt)[:2]
     c, s = math.cos(gt.yaw), math.sin(gt.yaw)
     heading = np.array([s, -c])    # vehicle forward in (east, south)
     right = np.array([c, s])       # heading rotated +90 deg

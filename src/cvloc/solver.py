@@ -50,6 +50,12 @@ from .problem import AlignmentProblem, PoseEvaluation, evaluate_pose, ground_lev
 #: Floor applied to Hessian diagonal entries before damping.
 DIAG_FLOOR = 1e-12
 
+#: Marquardt damping: the first lambda of each level, and its factor after a
+#: rejected and after an accepted step.
+LAMBDA_INIT = 0.1
+LAMBDA_UP = 10.0
+LAMBDA_DOWN = 0.1
+
 
 @dataclass(frozen=True)
 class RobustCost:
@@ -114,7 +120,7 @@ def _drho(cost: RobustCost, s) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LMConfig:
-    """Solver schedule: iteration budget, stopping rule, damping.
+    """Solver schedule: iteration budget and stopping rule.
 
     ``stop_tol`` applies per degree of freedom to the proposed update,
     in meters for the shifts and degrees for yaw.
@@ -122,20 +128,11 @@ class LMConfig:
 
     max_iters_per_level: int = 20
     stop_tol: float = 0.01
-    lambda_init: float = 0.1
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
 
     def __post_init__(self):
         require_int("max_iters_per_level", self.max_iters_per_level, 1)
         if not 0 < self.stop_tol < math.inf:
             raise DomainError("stop_tol must be finite and > 0")
-        if not 0 < self.lambda_init < math.inf:
-            raise DomainError("lambda_init must be finite and > 0")
-        if not 1 < self.lambda_up < math.inf:
-            raise DomainError("lambda_up must be finite and > 1")
-        if not 0 < self.lambda_down < 1:
-            raise DomainError("lambda_down must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -375,7 +372,7 @@ def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = N
     for level in range(problem.level_count - 1, -1, -1):
         ground = ground_level_data(problem, level)
         _, _, georef = problem.satellite_level(level)
-        lam = cfg.lambda_init
+        lam = LAMBDA_INIT
         records = []
         stopped_by_tol = False
 
@@ -413,7 +410,7 @@ def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = N
                 pose=pose, cost=current_cost, candidate_cost=cand_cost, lam=lam,
                 accepted=accepted,
                 delta=None if delta is None else tuple(float(d) for d in delta)))
-            lam *= cfg.lambda_down if accepted else cfg.lambda_up
+            lam *= LAMBDA_DOWN if accepted else LAMBDA_UP
 
             if delta is not None and (
                     abs(delta[0]) < cfg.stop_tol and abs(delta[1]) < cfg.stop_tol

@@ -54,7 +54,6 @@ class SynthConfig:
     grd_width: int = 832
     grd_height: int = 256
     grd_focal: float = 400.0
-    cam_height_m: float = -1.65
 
     def __post_init__(self):
         for name, minimum in (("seed", 0), ("sat_size", 64), ("point_count", 10),
@@ -90,7 +89,7 @@ class SynthConfig:
             # grows with sigma without bound.
             raise DomainError(f"feature_smoothness {self.feature_smoothness} exceeds "
                               f"sat_size / 4 = {self.sat_size / 4}")
-        self._geometry()  # a bad gamma, camera or height fails here
+        self._geometry()  # a bad gamma or camera fails here
         # The farthest point lies depth_max times the image's widest ray
         # slope away, and points are stored as float32.
         reach = hi * max(1.0, (self.grd_width - 1) / (2 * self.grd_focal),
@@ -106,7 +105,7 @@ class SynthConfig:
             fx=self.grd_focal, fy=self.grd_focal,
             cx=(self.grd_width - 1) / 2.0, cy=(self.grd_height - 1) / 2.0,
             width=self.grd_width, height=self.grd_height)
-        return georef, intrinsics, PoseContext(height=self.cam_height_m)
+        return georef, intrinsics, PoseContext()
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ def tiny_problem(sat_data=None, grd_data=None, sat_att=None, grd_att=None,
         grd_pyramid=FeaturePyramid(((fmap_g, att_g),)),
         intrinsics=intr,
         points=points,
-        ctx=PoseContext(height=-1.5),
+        ctx=PoseContext(),
         gt_pose=gt_pose or Pose3(0.0, 0.0, 0.0),
     )
 

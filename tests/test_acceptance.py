@@ -50,7 +50,7 @@ class TestAcceptance:
         """Analytic projection Jacobian vs finite differences, 100 draws."""
         rng = np.random.default_rng(7)
         georef = SatelliteGeoref(255.5, 0.2)
-        ctx = PoseContext(height=-1.6)
+        ctx = PoseContext()
         worst_fd = 0.0
         worst_block = 0.0
         for _ in range(100):

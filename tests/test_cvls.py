@@ -69,7 +69,6 @@ class TestRoundTrip:
         assert loaded.gt_pose.lateral == problem.gt_pose.lateral
         assert loaded.gt_pose.longitudinal == problem.gt_pose.longitudinal
         assert loaded.gt_pose.yaw == pytest.approx(problem.gt_pose.yaw, abs=1e-15)
-        assert loaded.ctx.height == problem.ctx.height
         assert np.allclose(loaded.ctx.cam_to_gps.rotation,
                            problem.ctx.cam_to_gps.rotation)
 
@@ -81,18 +80,23 @@ class TestRoundTrip:
         assert path.read_bytes() == second.read_bytes()
 
     # Files written before the georef became (center_px, gamma) also carry
-    # the tile fields; they are ignored, whatever their values.
-    @pytest.mark.parametrize("old_keys", [
-        {"latitude_deg": 65.25, "zoom": 15, "scale": 2},
-        {"latitude_deg": 65.25, "zoom": 18.7, "scale": 2},
-        {"latitude_deg": 65.25, "zoom": True, "scale": 2},
-        {"latitude_deg": 65.25, "zoom": 15, "scale": 2.0},
-    ], ids=["tile_keys", "zoom_fraction", "zoom_bool", "scale_float"])
-    def test_old_georef_keys_ignored(self, scene_file, tmp_path, old_keys):
+    # the tile fields, and files written before the camera height went carry
+    # pose_context.height_m; they are ignored, whatever their values.
+    @pytest.mark.parametrize("section, old_keys", [
+        ("georef", {"latitude_deg": 65.25, "zoom": 15, "scale": 2}),
+        ("georef", {"latitude_deg": 65.25, "zoom": 18.7, "scale": 2}),
+        ("georef", {"latitude_deg": 65.25, "zoom": True, "scale": 2}),
+        ("georef", {"latitude_deg": 65.25, "zoom": 15, "scale": 2.0}),
+        ("pose_context", {"height_m": None}),
+        ("pose_context", {"height_m": "x"}),
+        ("pose_context", {"height_m": float("-inf")}),
+    ], ids=["tile_keys", "zoom_fraction", "zoom_bool", "scale_float",
+            "height_null", "height_str", "height_inf"])
+    def test_old_georef_keys_ignored(self, scene_file, tmp_path, section, old_keys):
         path, problem = scene_file
         old = tmp_path / "old.cvls"
         old.write_bytes(_rewrite_meta(path.read_bytes(),
-                                      lambda meta: meta["georef"].update(old_keys)))
+                                      lambda meta: meta[section].update(old_keys)))
         loaded = load_scene(old)
         assert loaded.georef == problem.georef
         again = tmp_path / "again.cvls"
@@ -234,14 +238,13 @@ class TestValidation:
     @pytest.mark.parametrize("edit, field", [
         (lambda meta: meta["georef"].update(gamma="0.2"), "georef.gamma"),
         (lambda meta: meta["intrinsics"].update(fx=True), "intrinsics.fx"),
-        (lambda meta: meta["pose_context"].update(height_m=None), "pose_context.height_m"),
         (lambda meta: meta["gt_pose"].update(yaw_deg=[0.0]), "gt_pose.yaw_deg"),
         (lambda meta: meta["georef"].update(center_px=10**400), "georef.center_px"),
         (lambda meta: meta["pose_context"]["cam_to_gps"].__setitem__(0, "1"),
          "pose_context.cam_to_gps"),
         (lambda meta: meta["pose_context"]["cam_to_gps"].__setitem__(5, True),
          "pose_context.cam_to_gps"),
-    ], ids=["gamma_str", "fx_bool", "height_null", "yaw_list", "center_overflow",
+    ], ids=["gamma_str", "fx_bool", "yaw_list", "center_overflow",
             "cam_str", "cam_bool"])
     def test_non_number_metadata_field(self, scene_file, tmp_path, edit, field):
         path, _ = scene_file
@@ -256,8 +259,7 @@ class TestValidation:
         lambda meta: meta["georef"].update(gamma=float("inf")),
         lambda meta: meta["intrinsics"].update(fy=float("inf")),
         lambda meta: meta["pose_context"].update(roll_deg=float("nan")),
-        lambda meta: meta["pose_context"].update(height_m=float("-inf")),
-    ], ids=["center_nan", "gamma_inf", "fy_inf", "roll_nan", "height_inf"])
+    ], ids=["center_nan", "gamma_inf", "fy_inf", "roll_nan"])
     def test_non_finite_metadata_value(self, scene_file, tmp_path, edit):
         path, _ = scene_file
         bad = tmp_path / "bad.cvls"

@@ -174,14 +174,14 @@ class TestTransformPoints:
 
 
 class TestPoseToTransform:
-    CTX = PoseContext(height=-1.5)
+    CTX = PoseContext()
 
     def test_identity_pose_axis_permutation(self):
         t = pose_to_transform(Pose3(0.0, 0.0, 0.0), self.CTX)
         # camera x (right) -> east, y (down) -> down, z (forward) -> north
         expect = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
         assert np.allclose(t.rotation, expect, atol=1e-15)
-        assert np.allclose(t.translation, [0.0, 0.0, -1.5])
+        assert np.allclose(t.translation, [0.0, 0.0, 0.0])
 
     def test_yaw_periodicity(self):
         p1 = pose_to_transform(Pose3(1.0, 2.0, 0.4), self.CTX)
@@ -196,7 +196,7 @@ class TestPoseToTransform:
         yaw = math.pi / 2
         heading_east_south = np.array([math.sin(yaw), -math.cos(yaw)])
         assert np.allclose(ahead[:2], 10.0 * heading_east_south, atol=1e-12)
-        assert ahead[2] == pytest.approx(-1.5)
+        assert ahead[2] == pytest.approx(0.0)
 
     def test_lateral_axis_is_vehicle_right(self):
         # Heading north (yaw 0): +lateral should move the vehicle east.
@@ -209,21 +209,21 @@ class TestPoseToTransform:
     def test_cam_to_gps_composition(self):
         rng = np.random.default_rng(3)
         mount = RigidTransform(_random_rotation(rng), rng.uniform(-1, 1, 3))
-        ctx = PoseContext(height=-1.5, cam_to_gps=mount)
+        ctx = PoseContext(cam_to_gps=mount)
         pose = Pose3(1.0, -2.0, 0.3)
         pts = rng.uniform(-5, 5, (10, 3))
         direct = transform_points(pts, pose_to_transform(pose, ctx))
         chained = transform_points(
             transform_points(pts, mount),
-            pose_to_transform(pose, PoseContext(height=-1.5)))
+            pose_to_transform(pose, PoseContext()))
         assert np.allclose(direct, chained, atol=1e-12)
 
     def test_mount_composed_like_rigid_transform_compose(self):
         # to the bit: the composition's products, pose after mount, written out
         rng = np.random.default_rng(4)
         mount = RigidTransform(_random_rotation(rng), rng.uniform(-1, 1, 3))
-        bare = PoseContext(roll=0.02, pitch=-0.05, height=-1.5)
-        mounted = PoseContext(roll=0.02, pitch=-0.05, height=-1.5, cam_to_gps=mount)
+        bare = PoseContext(roll=0.02, pitch=-0.05)
+        mounted = PoseContext(roll=0.02, pitch=-0.05, cam_to_gps=mount)
         for pose in (Pose3(1.0, -2.0, 0.3), Pose3(-7.5, 4.25, -2.9)):
             direct = pose_to_transform(pose, mounted)
             outer = pose_to_transform(pose, bare)
@@ -235,7 +235,7 @@ class TestPoseToTransform:
 class TestProjectionConsistency:
     def test_east_south_shift_moves_pixels_exactly(self):
         georef = SatelliteGeoref(255.5, 0.2)
-        ctx = PoseContext(height=-1.5)
+        ctx = PoseContext()
         rng = np.random.default_rng(8)
         pts = rng.uniform(-10, 10, size=(40, 3))
         pts[:, 2] = rng.uniform(3, 30, 40)
@@ -249,7 +249,7 @@ class TestProjectionConsistency:
 
 class TestSatProjJacobian:
     GEOREF = SatelliteGeoref(255.5, 0.2)
-    CTX = PoseContext(height=-1.5)
+    CTX = PoseContext()
 
     def _jac(self, pts_cam, pose):
         pts_sat = transform_points(pts_cam, pose_to_transform(pose, self.CTX))

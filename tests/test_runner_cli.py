@@ -1,5 +1,6 @@
 """Runner and CLI: commands, exit codes, report formats, determinism."""
 
+import inspect
 import json
 import math
 import os
@@ -11,16 +12,32 @@ from pathlib import Path
 
 import pytest
 
-from cvloc import solver
+from cvloc import errors, solver
 from cvloc.cvls import MAGIC, VERSION, load_scene, save_scene
-from cvloc.errors import (ConfigError, ContractError, CvlocError, DomainError,
-                          SingularSystemError)
+from cvloc.errors import ConfigError, CvlocError, SingularSystemError
 from cvloc.geometry import Pose3
 from cvloc.harness import cli, runner
 from cvloc.harness.cli import main
 from cvloc.synth import PerturbBounds, generate_scene
 
 from conftest import SMALL_SCENE_CFG
+
+
+# The CLI's exit code and message label for each error class.
+_EXIT_CODES = {
+    "CvlocError": (2, "invalid input"),
+    "DomainError": (2, "invalid input"),
+    "ContractError": (2, "invalid input"),
+    "ConfigError": (2, "config error"),
+    "FormatError": (3, "format error"),
+    "GenerationError": (4, "scene generation error"),
+    "DegenerateProblemError": (4, "degenerate problem"),
+    "SingularSystemError": (4, "singular system"),
+}
+
+#: Every exception class that ``cvloc.errors`` defines.
+_ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                  if issubclass(cls, CvlocError)]
 
 
 @pytest.fixture(scope="module")
@@ -50,12 +67,13 @@ class TestConfig:
     def test_round_trip_sections(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
-            "solver": {"max_iters_per_level": 5, "lambda_init": 0.5},
+            "solver": {"max_iters_per_level": 5, "stop_tol": 0.5},
             "cost": {"kind": "geman_mcclure", "sigma": 2.0},
             "synth": {"seed": 9, "gt_pose": {"lateral_m": 1.0, "yaw_deg": 15.0}},
         }))
         cfg = runner.load_config(path)
         assert cfg.solver.max_iters_per_level == 5
+        assert cfg.solver.stop_tol == 0.5
         assert cfg.cost.sigma == 2.0
         assert cfg.synth.gt_pose.yaw == pytest.approx(math.radians(15.0))
 
@@ -84,7 +102,7 @@ class TestConfig:
 
     def test_invalid_value_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
-        for data in ({"solver": {"lambda_down": 2.0}},
+        for data in ({"solver": {"stop_tol": -1.0}},
                      {"solver": {"max_iters_per_level": 2.5}},
                      {"synth": {"seed": 1.5}},
                      {"synth": {"levels": True}},
@@ -92,7 +110,7 @@ class TestConfig:
                      {"synth": {"gamma": True}},
                      {"cost": {"delta": "0.5"}},
                      {"solver": {"stop_tol": "0.5"}},
-                     {"synth": {"cam_height_m": "x"}},
+                     {"synth": {"grd_focal": "x"}},
                      {"synth": {"depth_min": "3"}},
                      {"synth": {"depth_max": False}},
                      {"synth": {"gt_pose": {"yaw_deg": True}}},
@@ -107,9 +125,9 @@ class TestConfig:
         '{"solver": {"stop_tol": NaN}}',
         '{"cost": {"delta": NaN}}',
         '{"synth": {"feature_smoothness": NaN}}',
-        '{"solver": {"lambda_init": Infinity}}',
+        '{"synth": {"gamma": Infinity}}',
         '{"synth": {"gt_pose": {"lateral_m": -Infinity}}}',
-    ], ids=["stop_tol", "delta", "smoothness", "lambda_init", "gt_lateral"])
+    ], ids=["stop_tol", "delta", "smoothness", "gamma", "gt_lateral"])
     def test_non_finite_constant_rejected(self, tmp_path, text):
         path = tmp_path / "cfg.json"
         path.write_text(text)
@@ -118,19 +136,19 @@ class TestConfig:
 
     @pytest.mark.parametrize("text", [
         '{"solver": {"stop_tol": 1e400}}',
-        '{"solver": {"lambda_init": 1e400}}',
-        '{"solver": {"lambda_up": 1e400}}',
+        '{"cost": {"sigma": 1e400}}',
+        '{"synth": {"gamma": 1e400}}',
         '{"cost": {"delta": 1e400}}',
         '{"synth": {"feature_smoothness": 1e400}}',
         '{"synth": {"depth_max": 1e400}}',
         '{"synth": {"grd_focal": 1e400}}',
-        '{"synth": {"cam_height_m": -1e400}}',
+        '{"synth": {"depth_min": -1e400}}',
         '{"synth": {"gt_pose": {"yaw_deg": 1e400}}}',
         '{"cost": {"sigma": 1%s}}' % ("0" * 400),
         '{"synth": {"sat_size": 1%s}}' % ("0" * 400),
         '{"solver": {"max_iters_per_level": 1%s}}' % ("0" * 5000),
-    ], ids=["stop_tol", "lambda_init", "lambda_up", "delta",
-            "smoothness", "depth_max", "focal", "cam_height", "gt_yaw", "sigma_int",
+    ], ids=["stop_tol", "sigma", "gamma", "delta",
+            "smoothness", "depth_max", "focal", "depth_min", "gt_yaw", "sigma_int",
             "sat_size_int", "iters_digits"])
     def test_out_of_range_number_rejected(self, tmp_path, text):
         """Numbers that overflow to inf, or integers beyond what a float or
@@ -381,25 +399,17 @@ class TestCli:
         code = main(["localize", "--scene", str(scene), "--init", "5000,0,0"])
         assert code == 4
 
-    def test_singular_system_exits_4(self, scene_path, monkeypatch, capsys):
-        def singular(*args, **kwargs):
-            raise SingularSystemError("Cholesky factorization failed (lambda=0.0)")
+    @pytest.mark.parametrize("error", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_error_class_exit_code(self, scene_path, monkeypatch, capsys, error):
+        code, label = _EXIT_CODES[error.__name__]
 
-        monkeypatch.setattr(runner, "refine_pose", singular)
-        code = main(["localize", "--scene", str(scene_path), "--init", "0,0,0"])
-        assert code == 4
-        assert "singular system" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("error", [DomainError, ContractError, CvlocError])
-    def test_remaining_library_errors_exit_2(self, scene_path, monkeypatch, capsys, error):
         def fail(*args, **kwargs):
             raise error("rejected input")
 
         monkeypatch.setattr(runner, "refine_pose", fail)
-        code = main(["localize", "--scene", str(scene_path), "--init", "0,0,0"])
-        assert code == 2
+        assert main(["localize", "--scene", str(scene_path), "--init", "0,0,0"]) == code
         err = capsys.readouterr().err
-        assert err == "invalid input: rejected input\n"
+        assert err == f"{label}: rejected input\n"
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("init", ["nan,0,0", "0,inf,0"])
@@ -440,11 +450,11 @@ class TestCli:
         assert code == 2
 
     @pytest.mark.parametrize("text", [
-        '{"synth": {"cam_height_m": "x"}}',
+        '{"synth": {"gamma": "x"}}',
         '{"synth": {"feature_smoothness": NaN}}',
         '{"solver": {"stop_tol": NaN}}',
         '{"cost": {"delta": NaN}}',
-    ], ids=["cam_height_str", "smoothness_nan", "stop_tol_nan", "delta_nan"])
+    ], ids=["gamma_str", "smoothness_nan", "stop_tol_nan", "delta_nan"])
     def test_bad_config_number_exits_2(self, scene_path, tmp_path, text, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -583,6 +593,23 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "unknown synth keys ['attention_mode']" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "lambda_init", 0.1),
+        ("solver", "lambda_up", 10.0),
+        ("solver", "lambda_down", 0.1),
+        ("synth", "cam_height_m", -1.65),
+    ])
+    def test_deleted_key_exits_2(self, tmp_path, capsys, section, key, value):
+        # the damping schedule is fixed, and the satellite projection discards
+        # the camera height; even the old defaults are unknown keys
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s.cvls")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"unknown {section} keys ['{key}']" in err
         assert "Traceback" not in err
 
     def test_out_of_memory_exits_2(self, tmp_path, monkeypatch, capsys):

@@ -362,9 +362,9 @@ class TestLMConfig:
     @pytest.mark.parametrize("kwargs", [
         {"max_iters_per_level": 0},
         {"stop_tol": 0.0},
-        {"lambda_init": -1.0},
-        {"lambda_up": 1.0},
-        {"lambda_down": 1.5},
+        {"stop_tol": -1.0},
+        {"stop_tol": math.inf},
+        {"stop_tol": math.nan},
         {"max_iters_per_level": 2.5},
         {"max_iters_per_level": 3.0},
         {"max_iters_per_level": True},
@@ -494,7 +494,7 @@ class TestRefinePose:
         for i in unscored:
             assert not level1[i].accepted
             if i + 1 < len(level1):
-                assert level1[i + 1].lam == level1[i].lam * LMConfig().lambda_up
+                assert level1[i + 1].lam == level1[i].lam * solver.LAMBDA_UP
         assert any(level1[i].delta is None for i in unscored) == unsolved
         # written as null, never as the non-standard Infinity
         trace = report.levels[1].to_dict()["iterations"]
