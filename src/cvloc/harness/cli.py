@@ -1,9 +1,11 @@
-"""Command-line interface.
+"""Command-line interface: ``localize`` one pose, ``synth`` a scene,
+``eval`` seeded trials at one or more perturbation bounds (``--bounds``,
+every bound through ``runner.run_bounds``), and ``check-numerics``.
 
 Exit codes: 0 success, 2 configuration error (and any other invalid value
 or input a library check rejects, or a run out of memory), 3 I/O or
 file-format error, 4 degenerate problem or singular or non-finite normal
-equations (also an eval or sweep bound where every trial fails), 5 numeric
+equations (also an eval bound where every trial fails), 5 numeric
 self-check failure; each ``CvlocError`` class carries its own.
 """
 
@@ -58,18 +60,19 @@ def _cmd_synth(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = runner.load_config(args.config)
+    grid = [PerturbBounds()] if args.bounds is None else _parse_bounds(args.bounds)
     problem = load_scene(args.scene)
-    bounds = _bounds(args.max_shift, args.max_yaw)
-    summary, rows, failures = runner.run_eval(problem, args.trials, bounds,
-                                              workers=args.workers,
-                                              master_seed=args.seed, config=config)
+    results, rows = runner.run_bounds(problem, args.trials, grid, workers=args.workers,
+                                      master_seed=args.seed, config=config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     runner.write_trials_csv(out_dir / "trials.csv", rows)
-    runner.write_eval_summary(out_dir / "summary.json", summary, failures,
-                              bounds, args.seed)
-    print(f"{args.trials} trials ({failures} failures) -> {out_dir}")
-    print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
+    text = json.dumps(runner.eval_summary(results, args.trials, args.seed),
+                      indent=2, sort_keys=True)
+    (out_dir / "summary.json").write_text(text + "\n", encoding="utf-8")
+    failures = sum(failed for _, _, failed in results)
+    print(f"{len(grid)} bounds x {args.trials} trials ({failures} failures) -> {out_dir}")
+    print(text)
     return EXIT_OK
 
 
@@ -87,20 +90,7 @@ def _parse_bounds(text: str) -> list[PerturbBounds]:
         if len(parts) != 2:
             raise ConfigError(f"--bounds expects 'shift:yaw,...', got {piece!r}")
         out.append(_bounds(*parts))
-    if not out:
-        raise ConfigError("--bounds is empty")
     return out
-
-
-def _cmd_sweep(args) -> int:
-    config = runner.load_config(args.config)
-    problem = load_scene(args.scene)
-    grid = _parse_bounds(args.bounds)
-    rows = runner.perturbation_sweep(problem, grid, args.trials, args.seed,
-                                     cfg=config.solver, cost=config.cost)
-    runner.write_sweep_csv(args.out, rows)
-    print(f"swept {len(grid)} bounds x {args.trials} trials -> {args.out}")
-    return EXIT_OK
 
 
 def _cmd_check_numerics(args) -> int:
@@ -147,26 +137,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CVLS path")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("eval", help="batch evaluation over seeded perturbations")
+    p = sub.add_parser("eval",
+                       help="batch evaluation over seeded perturbations at each bound")
     p.add_argument("--scene", required=True, help="CVLS scene file")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--max-shift", type=float, default=north_star.max_shift)
-    p.add_argument("--max-yaw", type=float, default=north_star.max_yaw_deg)
+    p.add_argument("--bounds",
+                   help="comma list of perturbation bounds shift_m:yaw_deg, e.g. "
+                        f"'5:15,10:30,20:60' (default {north_star.max_shift:g}:"
+                        f"{north_star.max_yaw_deg:g})")
+    p.add_argument("--trials", type=int, required=True, help="trials per bound")
     p.add_argument("--seed", type=_seed, default=0, help="master seed for trial fan-out")
     p.add_argument("--workers", type=int, default=1, help="parallel trials")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("sweep", help="robustness sweep over perturbation bounds")
-    p.add_argument("--scene", required=True, help="CVLS scene file")
-    p.add_argument("--bounds", required=True,
-                   help="comma list of shift_m:yaw_deg, e.g. '5:15,10:30,20:60'")
-    p.add_argument("--trials", type=int, required=True, help="trials per bound")
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("check-numerics", help="run the numeric self-check battery")
     p.add_argument("--seed", type=_seed, default=0)

@@ -1,4 +1,10 @@
-"""Config parsing, single-run localization, batch evaluation and sweeps."""
+"""Config parsing, single-run localization and batch evaluation.
+
+One trial driver, ``run_bounds``, serves every batch run: the trials of all
+perturbation bounds go through one serial loop or one thread pool, and
+result row ``r = bound index * trials + trial`` draws its initial pose from
+``SeedSequence((master seed, r))``. ``run_eval`` is its one-bound case.
+"""
 
 from __future__ import annotations
 
@@ -15,27 +21,17 @@ import numpy as np
 from ..cvls import load_scene
 from ..errors import ConfigError, DegenerateProblemError, require_number
 from ..geometry import Pose3
-from ..metrics import (SHIFT_THRESHOLDS_M, YAW_THRESHOLDS_DEG, MetricsSummary, PoseError,
-                       pose_error, summarize)
+from ..metrics import MetricsSummary, PoseError, pose_error, summarize
 from ..problem import AlignmentProblem
 from ..solver import LMConfig, RobustCost, refine_pose
 from ..synth import PerturbBounds, SynthConfig, sample_initial_pose
 
 _TRIAL_CSV_COLUMNS = [
-    "trial", "seed",
+    "trial", "seed", "max_shift_m", "max_yaw_deg",
     "init_lateral_m", "init_longitudinal_m", "init_yaw_deg",
     "final_lateral_m", "final_longitudinal_m", "final_yaw_deg",
     "err_lateral_m", "err_longitudinal_m", "err_yaw_deg",
     "converged", "iterations", "status",
-]
-
-_SWEEP_CSV_COLUMNS = [
-    "max_shift_m", "max_yaw_deg",
-    "median_lateral_m", "median_longitudinal_m", "median_yaw_deg",
-    *[f"recall_lateral_{t:g}m" for t in SHIFT_THRESHOLDS_M],
-    *[f"recall_longitudinal_{t:g}m" for t in SHIFT_THRESHOLDS_M],
-    *[f"recall_yaw_{t:g}deg" for t in YAW_THRESHOLDS_DEG],
-    "trials", "failures",
 ]
 
 
@@ -177,19 +173,22 @@ def run_localize(scene_path, init_pose: Pose3 | None = None,
     }
 
 
-def _trial_seed(key: tuple, trial: int) -> int:
-    """Seed of one trial: eval keys are (master,), sweep keys (master, bound index)."""
-    return int(np.random.SeedSequence((*key, trial)).generate_state(1)[0])
+def _trial_seed(master: int, trial: int) -> int:
+    """Seed of trial id ``trial``: bound index * trials per bound + the
+    trial's index at its bound."""
+    return int(np.random.SeedSequence((master, trial)).generate_state(1)[0])
 
 
-def _eval_trial(problem: AlignmentProblem, trial: int, key: tuple,
+def _eval_trial(problem: AlignmentProblem, trial: int, master: int,
                 bounds: PerturbBounds, solver: LMConfig | None,
                 cost: RobustCost | None) -> dict:
-    seed = _trial_seed(key, trial)
+    seed = _trial_seed(master, trial)
     init = sample_initial_pose(problem.gt_pose, bounds, seed)
     row = {
         "trial": trial,
         "seed": seed,
+        "max_shift_m": bounds.max_shift,
+        "max_yaw_deg": bounds.max_yaw_deg,
         "init_lateral_m": init.lateral,
         "init_longitudinal_m": init.longitudinal,
         "init_yaw_deg": math.degrees(init.yaw),
@@ -218,78 +217,59 @@ def _eval_trial(problem: AlignmentProblem, trial: int, key: tuple,
     return row
 
 
-def _run_trials(problem: AlignmentProblem, trials: int, bounds: PerturbBounds,
-                key: tuple, solver: LMConfig | None, cost: RobustCost | None,
-                workers: int = 1) -> tuple[MetricsSummary, list, int]:
-    """Seeded trials at one bound; returns (summary, rows, failure count).
+def run_bounds(problem: AlignmentProblem, trials: int, bound_grid, workers: int = 1,
+               master_seed: int = 0, config: RunConfig | None = None
+               ) -> tuple[list[tuple[PerturbBounds, MetricsSummary, int]], list]:
+    """Seeded trials at each bound of ``bound_grid``, ``trials`` per bound.
 
-    Raises DegenerateProblemError when every trial fails, since no error
-    is left to summarize.
+    Returns ((bounds, summary, failure count) per bound, all rows in row
+    order). Row ``r = bound index * trials + trial`` is seeded by
+    (master_seed, r) alone, so the output is identical for any worker
+    count. Failed trials (degenerate problems) count as misses in the
+    recalls. Raises DegenerateProblemError, naming the bound, if every
+    trial at some bound fails.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise ConfigError(f"worker count must be >= 1, got {workers}")
+    config = config or load_config(None)
+    grid = list(bound_grid)
+    jobs = [(b * trials + t, bounds) for b, bounds in enumerate(grid)
+            for t in range(trials)]
 
-    def one(trial: int) -> dict:
-        return _eval_trial(problem, trial, key, bounds, solver, cost)
+    def one(job: tuple) -> dict:
+        trial, bounds = job
+        return _eval_trial(problem, trial, master_seed, bounds, config.solver, config.cost)
 
     if workers == 1:
-        rows = [one(t) for t in range(trials)]
+        rows = [one(job) for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(trials)))
+            rows = list(pool.map(one, jobs))
 
-    errors = [PoseError(row["err_lateral_m"], row["err_longitudinal_m"],
-                        row["err_yaw_deg"])
-              for row in rows if row["status"] == "ok"]
-    if not errors:
-        raise DegenerateProblemError(
-            f"all {trials} trials failed at max shift {bounds.max_shift} m, "
-            f"max yaw {bounds.max_yaw_deg} deg")
-    summary = summarize(errors, trial_count=trials)
-    return summary, rows, trials - len(errors)
+    results = []
+    for b, bounds in enumerate(grid):
+        errors = [PoseError(row["err_lateral_m"], row["err_longitudinal_m"],
+                            row["err_yaw_deg"])
+                  for row in rows[b * trials:(b + 1) * trials] if row["status"] == "ok"]
+        if not errors:
+            raise DegenerateProblemError(
+                f"all {trials} trials failed at max shift {bounds.max_shift} m, "
+                f"max yaw {bounds.max_yaw_deg} deg")
+        results.append((bounds, summarize(errors, trial_count=trials),
+                        trials - len(errors)))
+    return results, rows
 
 
 def run_eval(problem: AlignmentProblem, trials: int, bounds: PerturbBounds,
              workers: int = 1, master_seed: int = 0,
              config: RunConfig | None = None) -> tuple[MetricsSummary, list, int]:
-    """Seeded trial fan-out over one scene.
-
-    Returns (summary, per-trial rows, failure count). Trial seeds depend
-    only on (master_seed, trial index), so the aggregate is identical for
-    any worker count. Raises DegenerateProblemError if every trial fails.
-    """
-    config = config or load_config(None)
-    return _run_trials(problem, trials, bounds, (master_seed,), config.solver,
-                       config.cost, workers)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    bounds: PerturbBounds
-    summary: MetricsSummary
-    trials: int
-    failures: int
-
-
-def perturbation_sweep(problem: AlignmentProblem, bound_grid, trials_per_bound: int,
-                       seed: int, cfg: LMConfig | None = None,
-                       cost: RobustCost | None = None) -> list[SweepRow]:
-    """Refine from seeded perturbations at each bound and aggregate metrics.
-
-    Runs serially; trial seeds depend on (seed, bound index, trial index).
-    Failed trials (degenerate problems) count as misses in the recalls and
-    are reported in the row's failure count; a bound at which every trial
-    fails raises DegenerateProblemError.
-    """
-    rows = []
-    for bi, bounds in enumerate(bound_grid):
-        summary, _, failures = _run_trials(problem, trials_per_bound, bounds,
-                                           (seed, bi), cfg, cost)
-        rows.append(SweepRow(bounds=bounds, summary=summary,
-                             trials=trials_per_bound, failures=failures))
-    return rows
+    """``run_bounds`` at one bound: returns (summary, per-trial rows, failure
+    count). Trial t is seeded by (master_seed, t)."""
+    [(_, summary, failures)], rows = run_bounds(problem, trials, [bounds], workers,
+                                                master_seed, config)
+    return summary, rows, failures
 
 
 def write_trials_csv(path, rows) -> None:
@@ -300,29 +280,13 @@ def write_trials_csv(path, rows) -> None:
             writer.writerow(row)
 
 
-def write_eval_summary(path, summary: MetricsSummary, failures: int,
-                       bounds: PerturbBounds, master_seed: int) -> None:
-    payload = summary.to_dict()
-    payload["failures"] = failures
-    payload["bounds"] = {"max_shift_m": bounds.max_shift,
-                         "max_yaw_deg": bounds.max_yaw_deg}
-    payload["master_seed"] = master_seed
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_sweep_csv(path, sweep_rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SWEEP_CSV_COLUMNS)
-        for row in sweep_rows:
-            s = row.summary
-            writer.writerow([
-                row.bounds.max_shift, row.bounds.max_yaw_deg,
-                s.median_lateral, s.median_longitudinal, s.median_yaw_deg,
-                *[s.recall_lateral[t] for t in SHIFT_THRESHOLDS_M],
-                *[s.recall_longitudinal[t] for t in SHIFT_THRESHOLDS_M],
-                *[s.recall_yaw[t] for t in YAW_THRESHOLDS_DEG],
-                row.trials, row.failures,
-            ])
+def eval_summary(results, trials: int, master_seed: int) -> dict:
+    """The ``summary.json`` payload of a ``run_bounds`` result."""
+    return {
+        "master_seed": master_seed,
+        "trials_per_bound": trials,
+        "results": [{"bounds": {"max_shift_m": bounds.max_shift,
+                                "max_yaw_deg": bounds.max_yaw_deg},
+                     "failures": failures, "summary": summary.to_dict()}
+                    for bounds, summary, failures in results],
+    }

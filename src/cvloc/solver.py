@@ -98,7 +98,8 @@ def _rho(cost: RobustCost, s) -> np.ndarray:
     if cost.kind == "huber":
         d = cost.delta
         above = s_arr > d
-        safe = np.where(above, s_arr, d)
+        # 0 where the branch is discarded, so d * safe cannot overflow there
+        safe = np.where(above, s_arr, 0.0)
         return np.where(above, 2.0 * np.sqrt(d * safe) - d, s_arr)
     sig2 = cost.sigma**2  # geman_mcclure
     return sig2 * s_arr / (sig2 + s_arr)

@@ -97,6 +97,14 @@ class SynthConfig:
         if not reach < float(np.finfo(np.float32).max):
             raise DomainError(f"depth_max {hi} puts points beyond the float32 range "
                               f"(farthest coordinate {reach:.3g} m)")
+        # At the true pose every point lies within this many meters of the
+        # satellite origin on each axis, and projects to x / gamma + center.
+        extent = (abs(self.gt_pose.lateral) + abs(self.gt_pose.longitudinal)
+                  + math.sqrt(3.0) * reach)
+        if not extent / self.gamma + self.sat_size < float(np.finfo(np.float64).max):
+            raise DomainError(f"gamma {self.gamma} and gt_pose put satellite pixel "
+                              f"coordinates beyond the float range (points up to "
+                              f"{extent:.3g} m from the origin)")
 
     def _geometry(self) -> tuple[SatelliteGeoref, CameraIntrinsics, PoseContext]:
         """Satellite georeference, ground camera and pose context of the scene."""

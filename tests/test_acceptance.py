@@ -14,7 +14,7 @@ from cvloc.cvls import load_scene, save_scene
 from cvloc.geometry import Pose3, PoseContext, SatelliteGeoref, meters_per_pixel
 from cvloc.harness.checks import (fd_scene, grid_argmin_margin, lm_step_error,
                                   projection_jacobian_error, residual_jacobian_error)
-from cvloc.harness.runner import perturbation_sweep
+from cvloc.harness.runner import run_bounds
 from cvloc.metrics import pose_error, summarize
 from cvloc.solver import RobustCost, refine_pose
 from cvloc.synth import PerturbBounds, generate_scene, sample_initial_pose
@@ -109,9 +109,9 @@ class TestAcceptance:
         """recall@1m monotone non-increasing over widening bounds."""
         grid = [PerturbBounds(5, 15), PerturbBounds(10, 30),
                 PerturbBounds(15, 45), PerturbBounds(20, 60)]
-        rows = perturbation_sweep(default_scene, grid, trials_per_bound=100, seed=77)
-        recalls = [min(r.summary.recall_lateral[1.0],
-                       r.summary.recall_longitudinal[1.0]) for r in rows]
+        results, _ = run_bounds(default_scene, 100, grid, workers=2, master_seed=77)
+        recalls = [min(s.recall_lateral[1.0], s.recall_longitudinal[1.0])
+                   for _, s, _ in results]
         ok = all(b <= a + 2.0 for a, b in zip(recalls, recalls[1:]))
         _report("robustness_curve", ok,
                 "recall@1m per bound " + ", ".join(f"{r:.0f}" for r in recalls)

@@ -1,5 +1,6 @@
 """Runner and CLI: commands, exit codes, report formats, determinism."""
 
+import csv
 import inspect
 import json
 import math
@@ -483,52 +484,109 @@ class TestCli:
         scene = tmp_path / "scene.cvls"
         assert main(["synth", "--config", str(synth_cfg_file), "--out", str(scene)]) == 0
         out_dir = tmp_path / "eval"
-        code = main(["eval", "--scene", str(scene), "--trials", "2",
-                     "--max-shift", "1", "--max-yaw", "3",
+        code = main(["eval", "--scene", str(scene), "--trials", "2", "--bounds", "1:3",
                      "--out-dir", str(out_dir)])
         assert code == 0
         assert (out_dir / "trials.csv").exists()
         summary = json.loads((out_dir / "summary.json").read_text())
-        assert summary["trial_count"] == 2
-        recalls = summary["recall_pct"]["lateral"]
+        assert summary["master_seed"] == 0 and summary["trials_per_bound"] == 2
+        [entry] = summary["results"]
+        assert entry["bounds"] == {"max_shift_m": 1.0, "max_yaw_deg": 3.0}
+        assert entry["failures"] == 0
+        assert entry["summary"]["trial_count"] == 2
+        recalls = entry["summary"]["recall_pct"]["lateral"]
         assert set(recalls) == {"0.25", "0.5", "1.0", "2.0"}
 
+    def test_eval_default_bound_is_the_north_star(self, tmp_path, scene_path,
+                                                  monkeypatch, capsys):
+        grids = []
+
+        def record(problem, trials, grid, **kwargs):
+            grids.append(grid)
+            raise ConfigError("stop")
+
+        monkeypatch.setattr(runner, "run_bounds", record)
+        assert main(["eval", "--scene", str(scene_path), "--trials", "1",
+                     "--out-dir", str(tmp_path / "eval")]) == 2
+        assert grids == [[PerturbBounds(10.0, 30.0)]]
+
     def test_sweep_csv_shape(self, tmp_path, scene_path, capsys):
-        out = tmp_path / "sweep.csv"
-        code = main(["sweep", "--scene", str(scene_path),
-                     "--bounds", "0:0,1:3", "--trials", "2", "--out", str(out)])
+        """A sweep over two bounds: one row per trial, trial ids unique
+        across bounds, and one summary entry per bound."""
+        out_dir = tmp_path / "eval"
+        code = main(["eval", "--scene", str(scene_path), "--bounds", "0:0,1:3",
+                     "--trials", "2", "--out-dir", str(out_dir)])
         assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 3  # header + 2 bounds
-        header = lines[0].split(",")
-        assert "recall_lateral_1m" in header
-        assert "failures" in header
+        with open(out_dir / "trials.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["trial"] for r in rows] == ["0", "1", "2", "3"]
+        assert [(r["max_shift_m"], r["max_yaw_deg"]) for r in rows] == [
+            ("0.0", "0.0"), ("0.0", "0.0"), ("1.0", "3.0"), ("1.0", "3.0")]
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert [e["bounds"]["max_shift_m"] for e in summary["results"]] == [0.0, 1.0]
+        assert all(e["summary"]["trial_count"] == 2 and e["failures"] == 0
+                   for e in summary["results"])
+
+    def test_eval_bounds_outputs_ignore_worker_count(self, tmp_path, scene_path, capsys):
+        outs = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"w{workers}"
+            assert main(["eval", "--scene", str(scene_path), "--bounds", "2:6,5:15",
+                         "--trials", "3", "--seed", "4", "--workers", workers,
+                         "--out-dir", str(out_dir)]) == 0
+            outs.append([(out_dir / name).read_bytes()
+                         for name in ("trials.csv", "summary.json")])
+        assert outs[0] == outs[1]
 
     def test_eval_all_trials_failed_exits_4(self, tmp_path, scene_path, capsys):
         code = main(["eval", "--scene", str(scene_path), "--trials", "2",
-                     "--max-shift", "500", "--max-yaw", "0",
-                     "--out-dir", str(tmp_path / "eval")])
+                     "--bounds", "500:0", "--out-dir", str(tmp_path / "eval")])
         assert code == 4
         assert "max shift 500.0 m" in capsys.readouterr().err
 
     def test_sweep_all_trials_failed_exits_4(self, tmp_path, scene_path, capsys):
-        code = main(["sweep", "--scene", str(scene_path), "--bounds", "0:0,500:0",
-                     "--trials", "2", "--out", str(tmp_path / "sweep.csv")])
+        """A later bound at which every trial fails exits 4 and names it."""
+        code = main(["eval", "--scene", str(scene_path), "--bounds", "0:0,500:0",
+                     "--trials", "2", "--out-dir", str(tmp_path / "eval")])
         assert code == 4
-        assert "max shift 500.0 m" in capsys.readouterr().err
+        assert "all 2 trials failed at max shift 500.0 m, max yaw 0.0 deg" in \
+            capsys.readouterr().err
 
     def test_sweep_zero_trials_exits_2(self, tmp_path, scene_path, capsys):
-        code = main(["sweep", "--scene", str(scene_path), "--bounds", "1:3",
-                     "--trials", "0", "--out", str(tmp_path / "sweep.csv")])
+        code = main(["eval", "--scene", str(scene_path), "--bounds", "1:3,2:6",
+                     "--trials", "0", "--out-dir", str(tmp_path / "eval")])
         assert code == 2
+        assert "trials must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--trials", "1", "--max-shift", "1", "--out-dir", "unused"],
+        ["eval", "--trials", "1", "--max-yaw", "3", "--out-dir", "unused"],
+        ["sweep", "--bounds", "1:3", "--trials", "1", "--out", "unused.csv"],
+    ], ids=["eval-max-shift", "eval-max-yaw", "sweep"])
+    def test_removed_options_exit_2(self, scene_path, argv, tmp_path, monkeypatch, capsys):
+        # eval takes its bounds from --bounds alone, and sweep is gone
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--scene", str(scene_path), *argv[1:]])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("bounds", ["1:3:4", "10", "x:3", "1:3,", ""])
+    def test_malformed_bounds_exit_2(self, scene_path, bounds, tmp_path, capsys):
+        code = main(["eval", "--scene", str(scene_path), "--bounds", bounds,
+                     "--trials", "1", "--out-dir", str(tmp_path / "eval")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("argv", [
         ["localize", "--perturb-seed", "1", "--max-shift", "-1"],
-        ["eval", "--trials", "1", "--max-shift", "-1", "--out-dir", "unused"],
-        ["eval", "--trials", "1", "--max-yaw", "-1", "--out-dir", "unused"],
-        ["eval", "--trials", "1", "--max-shift", "nan", "--out-dir", "unused"],
-        ["sweep", "--bounds", "1:3,-1:3", "--trials", "1", "--out", "unused.csv"],
-    ], ids=["localize", "eval-shift", "eval-yaw", "eval-nan", "sweep"])
+        ["eval", "--trials", "1", "--bounds=-1:30", "--out-dir", "unused"],
+        ["eval", "--trials", "1", "--bounds", "10:-1", "--out-dir", "unused"],
+        ["eval", "--trials", "1", "--bounds", "nan:30", "--out-dir", "unused"],
+        ["eval", "--bounds", "1:3,-1:3", "--trials", "1", "--out-dir", "unused"],
+    ], ids=["localize", "eval-shift", "eval-yaw", "eval-nan", "eval-list"])
     def test_bad_bounds_exit_2(self, scene_path, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         code = main([argv[0], "--scene", str(scene_path), *argv[1:]])
@@ -537,10 +595,10 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["localize", "--perturb-seed", "1", "--max-shift", "1e308"],
-        ["eval", "--trials", "1", "--max-yaw", "1e308", "--out-dir", "unused"],
-        ["sweep", "--bounds", "1e308:30", "--trials", "1", "--out", "unused.csv"],
-        ["eval", "--trials", "1", "--max-shift", "9e307", "--out-dir", "unused"],
-    ], ids=["localize", "eval", "sweep", "eval-9e307"])
+        ["eval", "--trials", "1", "--bounds", "10:1e308", "--out-dir", "unused"],
+        ["eval", "--bounds", "5:15,1e308:30", "--trials", "1", "--out-dir", "unused"],
+        ["eval", "--trials", "1", "--bounds", "9e307:30", "--out-dir", "unused"],
+    ], ids=["localize", "eval", "eval-list", "eval-9e307"])
     def test_overflowing_bound_span_exits_2(self, scene_path, argv, tmp_path, monkeypatch,
                                             capsys):
         # rng.uniform(-b, b) overflows once 2 * b is infinite
@@ -553,10 +611,10 @@ class TestCli:
         ["localize", "--scene", "SCENE", "--perturb-seed", "-1"],
         ["synth", "--seed", "-1", "--out", "s.cvls"],
         ["eval", "--scene", "SCENE", "--trials", "1", "--seed", "-1", "--out-dir", "e"],
-        ["sweep", "--scene", "SCENE", "--bounds", "1:3", "--trials", "1", "--seed", "-3",
-         "--out", "s.csv"],
+        ["eval", "--scene", "SCENE", "--bounds", "1:3,2:6", "--trials", "1", "--seed", "-3",
+         "--out-dir", "e"],
         ["check-numerics", "--seed", "-1"],
-    ], ids=["localize", "synth", "eval", "sweep", "check-numerics"])
+    ], ids=["localize", "synth", "eval", "eval-list", "check-numerics"])
     def test_negative_seed_flag_exits_2(self, scene_path, argv, tmp_path, monkeypatch,
                                         capsys):
         monkeypatch.chdir(tmp_path)
@@ -574,8 +632,8 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--trials", "1", "--out-dir", "eval"],
-        ["sweep", "--bounds", "1:3", "--trials", "1", "--out", "sweep.csv"],
-    ], ids=["eval", "sweep"])
+        ["eval", "--bounds", "1:3,2:6", "--trials", "1", "--out-dir", "eval"],
+    ], ids=["eval", "eval-list"])
     def test_config_as_scene_exits_3(self, synth_cfg_file, argv, tmp_path, monkeypatch,
                                      capsys):
         # only synth generates scenes: --scene reads CVLS files alone

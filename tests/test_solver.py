@@ -637,7 +637,7 @@ def test_north_star_trials_keep_their_steps(default_scene):
     bounds = PerturbBounds(10.0, 30.0)
     got = []
     for trial in range(len(_NORTH_STAR_STEPS)):
-        init = sample_initial_pose(default_scene.gt_pose, bounds, _trial_seed((42,), trial))
+        init = sample_initial_pose(default_scene.gt_pose, bounds, _trial_seed(42, trial))
         report = refine_pose(default_scene, init)
         got.append((report.iterations_total,
                     tuple("".join("1" if it.accepted else "0" for it in lv.iterations)

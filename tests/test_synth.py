@@ -16,7 +16,7 @@ from cvloc.cvls import save_scene
 from cvloc.errors import DomainError, GenerationError
 from cvloc.geometry import Pose3
 from cvloc.harness.checks import grid_argmin_margin
-from cvloc.harness.runner import perturbation_sweep
+from cvloc.harness.runner import run_bounds, run_eval
 from cvloc.problem import evaluate_pose
 from cvloc.solver import RobustCost
 from cvloc.synth import (PerturbBounds, SynthConfig, _submit_smoothing, generate_scene,
@@ -75,6 +75,17 @@ class TestGenerateScene:
         cfg = replace(SMALL_SCENE_CFG, gt_pose=Pose3(10_000.0, 0.0, 0.0))
         with pytest.raises(GenerationError):
             generate_scene(cfg)
+
+    def test_satellite_pixels_within_float_range(self):
+        # x / gamma + center of every point at the true pose must stay finite
+        SynthConfig(gamma=1e-300)
+        SynthConfig(gt_pose=Pose3(1e300, -1e300, 0.0))
+        for bad in ({"gamma": 5e-324}, {"gamma": 1e-307},
+                    {"gt_pose": Pose3(1e308, 0.0, 0.0)},
+                    {"gt_pose": Pose3(0.0, -1e308, 0.0)},
+                    {"gt_pose": Pose3(1e300, 0.0, 0.0), "gamma": 1e-10}):
+            with pytest.raises(DomainError, match="beyond the float range"):
+                SynthConfig(**bad)
 
     def test_feature_smoothness_bounded_by_sat_size(self):
         # the filter's kernel reaches 4 sigma: a wider one only costs time and memory
@@ -246,25 +257,39 @@ class TestSampleInitialPose:
 
 
 class TestPerturbationSweep:
+    """A sweep over widening bounds through the one trial driver."""
+
     def test_zero_bound_row_is_exact(self, small_scene):
-        rows = perturbation_sweep(small_scene, [PerturbBounds(0.0, 0.0)],
-                                  trials_per_bound=3, seed=0)
-        assert len(rows) == 1
-        s = rows[0].summary
+        results, rows = run_bounds(small_scene, 3, [PerturbBounds(0.0, 0.0)])
+        assert len(results) == 1 and len(rows) == 3
+        _, s, failures = results[0]
         assert s.median_lateral < 0.01
         assert s.median_longitudinal < 0.01
         assert s.median_yaw_deg < 0.01
-        assert rows[0].failures == 0
+        assert failures == 0
 
     def test_row_count_matches_grid(self, small_scene):
         grid = [PerturbBounds(0.0, 0.0), PerturbBounds(1.0, 5.0),
                 PerturbBounds(2.0, 10.0)]
-        rows = perturbation_sweep(small_scene, grid, trials_per_bound=2, seed=1)
-        assert len(rows) == len(grid)
-        assert [r.bounds for r in rows] == grid
+        results, rows = run_bounds(small_scene, 2, grid, master_seed=1)
+        assert [bounds for bounds, _, _ in results] == grid
+        assert all(s.trial_count == 2 for _, s, _ in results)
+        # row r = bound index * trials + trial, and carries its bound
+        assert [r["trial"] for r in rows] == list(range(6))
+        assert [(r["max_shift_m"], r["max_yaw_deg"]) for r in rows] == [
+            (b.max_shift, b.max_yaw_deg) for b in grid for _ in range(2)]
 
     def test_deterministic(self, small_scene):
-        grid = [PerturbBounds(2.0, 10.0)]
-        r1 = perturbation_sweep(small_scene, grid, 4, seed=7)
-        r2 = perturbation_sweep(small_scene, grid, 4, seed=7)
+        grid = [PerturbBounds(2.0, 10.0), PerturbBounds(3.0, 10.0)]
+        r1 = run_bounds(small_scene, 4, grid, master_seed=7)
+        r2 = run_bounds(small_scene, 4, grid, master_seed=7)
         assert r1 == r2
+
+    def test_first_bound_is_the_single_bound_eval(self, small_scene):
+        grid = [PerturbBounds(4.0, 12.0), PerturbBounds(8.0, 24.0)]
+        results, rows = run_bounds(small_scene, 3, grid, master_seed=5)
+        summary, single, failures = run_eval(small_scene, 3, grid[0], master_seed=5)
+        assert rows[:3] == single
+        assert results[0] == (grid[0], summary, failures)
+        # the second bound draws new seeds, not the first bound's again
+        assert {r["seed"] for r in rows[3:]}.isdisjoint(r["seed"] for r in single)
