@@ -238,16 +238,10 @@ def bilinear_lookup_many(data: np.ndarray, uv: np.ndarray, corners=None):
 def attention_lookup_many(amap: AttentionMap, uv: np.ndarray, corners=None):
     """Bilinear attention values at uv; returns (values (N,), in_bounds (N,)).
 
-    Sums the four corners with the einsum of ``bilinear_lookup_many``, so a
-    one-channel map gives the same values to the bit, without the
-    gradients. ``corners`` is as there: the ``bilinear_weights`` of a map
-    of the same size, shared with a feature lookup at the same ``uv``.
+    The one-channel case of ``bilinear_values_many``, so a one-channel map
+    gives the same values to the bit. ``corners`` is as there: the
+    ``bilinear_weights`` of a map of the same size, shared with a feature
+    lookup at the same ``uv``.
     """
-    if corners is None:
-        corners = bilinear_weights(amap.data.shape, uv)
-    idx, wts, _, _, in_bounds = corners
-    texels = np.take(amap.data.reshape(-1), idx).astype(np.float64)
-    values = np.einsum("kn,kn->n", wts, texels)
-    if not in_bounds.all():
-        values[~in_bounds] = 0.0
-    return values, in_bounds
+    values, in_bounds = bilinear_values_many(amap.data[:, :, None], uv, corners)
+    return values[:, 0], in_bounds

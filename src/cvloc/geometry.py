@@ -151,7 +151,8 @@ class RigidTransform:
 class Pose3:
     """3-DoF vehicle pose: lateral shift (m), longitudinal shift (m), yaw (rad).
 
-    Yaw is wrapped to (-pi, pi] on construction.
+    The fields are stored as Python floats; yaw is wrapped to (-pi, pi] on
+    construction.
     """
 
     lateral: float
@@ -162,6 +163,8 @@ class Pose3:
         if not (math.isfinite(self.lateral) and math.isfinite(self.longitudinal)
                 and math.isfinite(self.yaw)):
             raise DomainError("pose fields must be finite")
+        object.__setattr__(self, "lateral", float(self.lateral))
+        object.__setattr__(self, "longitudinal", float(self.longitudinal))
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
     def with_delta(self, delta) -> "Pose3":

@@ -7,6 +7,8 @@ the worst error with the number of items compared. The grid-argmin oracle
 compares the cost at the true pose with a brute-force grid around it. The
 battery runs each other oracle over random draws and reports the worst
 error against a fixed tolerance; a check that compared nothing fails.
+It also holds the dense references that the solver never forms:
+``build_jacobian``, ``normal_equations`` and ``weighted_distance``.
 """
 
 from __future__ import annotations
@@ -17,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import solver
+from ..errors import DegenerateProblemError
 from ..features import (AttentionMap, attention_lookup_many, bilinear_lookup_many,
                         bilinear_weights)
 from ..geometry import (Pose3, PoseContext, SatelliteGeoref,
                         d_satproj_d_pose_many, pose_to_transform,
                         project_satellite, transform_points)
 from ..problem import AlignmentProblem, evaluate_pose
-from ..solver import (RobustCost, build_jacobian, build_weight_matrix, lm_step,
-                      normal_equations, weighted_distance)
+from ..solver import RobustCost, build_weight_matrix, lm_step, weighted_cost
 from ..synth import SynthConfig, generate_scene
 
 _FD_STEP = 1e-4
@@ -85,6 +87,57 @@ def _central_differences(f, dims: int) -> np.ndarray:
         step[axis] = _FD_STEP
         columns.append((f(step) - f(-step)) / (2.0 * _FD_STEP))
     return np.stack(columns, axis=-1)
+
+
+def weighted_distance(problem: AlignmentProblem, pose: Pose3, cost: RobustCost,
+                      level: int = 0) -> float:
+    """Weighted robust feature distance sum_i w_i * rho(||r_i||^2) at ``pose``.
+
+    Evaluated at the finest pyramid level by default. Raises
+    DegenerateProblemError when no point is valid there.
+    """
+    ev = evaluate_pose(problem, pose, level=level)
+    if not np.any(ev.alignment.valid_mask):
+        raise DegenerateProblemError(
+            f"no valid points at level {level} for pose {pose}", pose=pose)
+    return weighted_cost(ev.alignment.weights, ev.sq_norms, cost)
+
+
+def build_jacobian(problem: AlignmentProblem, pose: Pose3, level: int = 0) -> np.ndarray:
+    """Stacked (N*c)x3 Jacobian of the residual vector w.r.t. the pose.
+
+    Each point's c rows chain the satellite bilinear gradient with the
+    projection Jacobian; masked points contribute zero blocks. The ground
+    lookups come from the problem's per-level cache. The solver never forms
+    it: it is the input of the finite-difference and dense normal-equation
+    checks.
+    """
+    ev = evaluate_pose(problem, pose, level=level)
+    _, _, georef = problem.satellite_level(level)
+    proj_jac = d_satproj_d_pose_many(ev.pts_sat, pose, georef)
+    return np.matmul(ev.sat_grads, proj_jac).reshape(-1, 3)
+
+
+def normal_equations(jacobian: np.ndarray, weights: np.ndarray,
+                     residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense H = J^T W J and g = J^T W r from a formed Jacobian.
+
+    W holds one weight per point: ``weights[i]`` applies to all k residual
+    rows of point i, with no row broadcast by the caller. A plain (rows, 3)
+    system is the case k = 1. This is the reference that the solver's own
+    assembly from the gradient planes is checked against.
+
+    Args:
+        jacobian: (n, k, 3) per-point blocks, or (n*k, 3) stacked rows.
+        weights: (n,) non-negative per-point weights.
+        residuals: (n, k), or (n,) when k = 1.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    blocks = np.asarray(jacobian, dtype=np.float64).reshape(weights.shape[0], -1, 3)
+    jw = (blocks * weights[:, None, None]).reshape(-1, 3)
+    hess = blocks.reshape(-1, 3).T @ jw
+    grad = jw.T @ np.asarray(residuals, dtype=np.float64).reshape(-1)
+    return hess, grad
 
 
 def projection_jacobian_error(pts_cam, pose: Pose3, ctx: PoseContext,

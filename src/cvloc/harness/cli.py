@@ -62,10 +62,10 @@ def _cmd_eval(args) -> int:
     config = runner.load_config(args.config)
     grid = [PerturbBounds()] if args.bounds is None else _parse_bounds(args.bounds)
     problem = load_scene(args.scene)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable path fails before any trial
     results, rows = runner.run_bounds(problem, args.trials, grid, workers=args.workers,
                                       master_seed=args.seed, config=config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     runner.write_trials_csv(out_dir / "trials.csv", rows)
     text = json.dumps(runner.eval_summary(results, args.trials, args.seed),
                       indent=2, sort_keys=True)

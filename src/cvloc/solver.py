@@ -31,8 +31,6 @@ solve is in closed form on Python floats (``cho_factor``, ``cho_solve``):
 it reads the lower triangle of the damped matrix, and raises
 SingularSystemError on a pivot that is not > 0 or on a non-finite entry
 of H or g.
-``build_jacobian`` and ``normal_equations`` form the dense J and its
-normal equations as references for the numeric self-checks.
 """
 
 from __future__ import annotations
@@ -219,57 +217,6 @@ def build_weight_matrix(weights: np.ndarray, sq_norms: np.ndarray,
 def weighted_cost(weights: np.ndarray, sq_norms: np.ndarray, cost: RobustCost) -> float:
     """Sum of w_i * rho(s_i) over all points, with s_i = ||r_i||^2."""
     return float(np.sum(np.asarray(weights) * _rho(cost, sq_norms)))
-
-
-def weighted_distance(problem: AlignmentProblem, pose: Pose3, cost: RobustCost,
-                      level: int = 0) -> float:
-    """Weighted robust feature distance sum_i w_i * rho(||r_i||^2) at ``pose``.
-
-    Evaluated at the finest pyramid level by default. Raises
-    DegenerateProblemError when no point is valid there.
-    """
-    ev = evaluate_pose(problem, pose, level=level)
-    if not np.any(ev.alignment.valid_mask):
-        raise DegenerateProblemError(
-            f"no valid points at level {level} for pose {pose}", pose=pose)
-    return weighted_cost(ev.alignment.weights, ev.sq_norms, cost)
-
-
-def build_jacobian(problem: AlignmentProblem, pose: Pose3, level: int = 0) -> np.ndarray:
-    """Stacked (N*c)x3 Jacobian of the residual vector w.r.t. the pose.
-
-    Each point's c rows chain the satellite bilinear gradient with the
-    projection Jacobian; masked points contribute zero blocks. The ground
-    lookups come from the problem's per-level cache. The solver never forms
-    it: it is the input of the finite-difference and dense normal-equation
-    checks.
-    """
-    ev = evaluate_pose(problem, pose, level=level)
-    _, _, georef = problem.satellite_level(level)
-    proj_jac = d_satproj_d_pose_many(ev.pts_sat, pose, georef)
-    return np.matmul(ev.sat_grads, proj_jac).reshape(-1, 3)
-
-
-def normal_equations(jacobian: np.ndarray, weights: np.ndarray,
-                     residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense H = J^T W J and g = J^T W r from a formed Jacobian.
-
-    W holds one weight per point: ``weights[i]`` applies to all k residual
-    rows of point i, with no row broadcast by the caller. A plain (rows, 3)
-    system is the case k = 1. This is the reference that the solver's own
-    assembly from the gradient planes is checked against.
-
-    Args:
-        jacobian: (n, k, 3) per-point blocks, or (n*k, 3) stacked rows.
-        weights: (n,) non-negative per-point weights.
-        residuals: (n, k), or (n,) when k = 1.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    blocks = np.asarray(jacobian, dtype=np.float64).reshape(weights.shape[0], -1, 3)
-    jw = (blocks * weights[:, None, None]).reshape(-1, 3)
-    hess = blocks.reshape(-1, 3).T @ jw
-    grad = jw.T @ np.asarray(residuals, dtype=np.float64).reshape(-1)
-    return hess, grad
 
 
 def _normal_equations(ev: PoseEvaluation, proj_jac: np.ndarray,

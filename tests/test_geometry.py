@@ -120,6 +120,12 @@ class TestPose3:
         with pytest.raises(DomainError):
             Pose3(float("nan"), 0.0, 0.0)
 
+    def test_fields_stored_as_python_floats(self):
+        p = Pose3(np.float64(1.5), np.float32(-2.0), np.float64(0.25)).with_delta(
+            np.array([0.5, 0.5, 0.5]))
+        assert [type(v) for v in (p.lateral, p.longitudinal, p.yaw)] == [float] * 3
+        assert repr(p) == "Pose3(lateral=2.0, longitudinal=-1.5, yaw=0.75)"
+
     @given(st.floats(-50.0, 50.0))
     @settings(max_examples=100, deadline=None)
     def test_wrap_angle_range(self, theta):

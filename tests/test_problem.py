@@ -16,8 +16,8 @@ from cvloc.errors import ContractError
 from cvloc.features import attention_lookup_many, bilinear_lookup_many
 from cvloc.geometry import (PointSet, Pose3, pose_to_transform, project_ground,
                             project_satellite, transform_points)
+from cvloc.harness.checks import build_jacobian
 from cvloc.problem import evaluate_pose, ground_level_data
-from cvloc.solver import build_jacobian
 
 from conftest import tiny_problem
 

@@ -510,6 +510,18 @@ class TestCli:
                      "--out-dir", str(tmp_path / "eval")]) == 2
         assert grids == [[PerturbBounds(10.0, 30.0)]]
 
+    def test_unwritable_out_dir_exits_3_before_any_trial(self, tmp_path, scene_path,
+                                                         monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("trials ran before the out-dir was made")
+
+        monkeypatch.setattr(runner, "run_bounds", forbidden)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["eval", "--scene", str(scene_path), "--trials", "1",
+                     "--out-dir", str(blocker / "eval")]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
     def test_sweep_csv_shape(self, tmp_path, scene_path, capsys):
         """A sweep over two bounds: one row per trial, trial ids unique
         across bounds, and one summary entry per bound."""

@@ -12,12 +12,13 @@ from cvloc import solver
 from cvloc.errors import ContractError, DegenerateProblemError, DomainError, SingularSystemError
 from cvloc.features import FeatureMap, FeaturePyramid
 from cvloc.geometry import PointSet, Pose3, translate_pose_east_south
-from cvloc.harness.checks import lm_step_error, normal_equations_error, residual_jacobian_error
+from cvloc.harness.checks import (build_jacobian, lm_step_error, normal_equations,
+                                  normal_equations_error, residual_jacobian_error,
+                                  weighted_distance)
 from cvloc.harness.runner import _trial_seed
 from cvloc.problem import AlignmentProblem, evaluate_pose
-from cvloc.solver import (LMConfig, RobustCost, build_jacobian, build_weight_matrix,
-                          lm_step, normal_equations, refine_pose, weighted_cost,
-                          weighted_distance)
+from cvloc.solver import (LMConfig, RobustCost, build_weight_matrix, lm_step, refine_pose,
+                          weighted_cost)
 from cvloc.synth import SynthConfig, generate_scene, sample_initial_pose, PerturbBounds
 from cvloc.metrics import pose_error
 
