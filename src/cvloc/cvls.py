@@ -5,12 +5,13 @@ Layout (little-endian throughout):
     magic           4 bytes  b"CVLS"
     version         u16      currently 1
     metadata_len    u32
-    metadata        UTF-8 JSON (georef, intrinsics, pose_context, gt_pose,
-                    level table per view, point_count, level_order); the
-                    georef holds center_px and gamma, the pose_context
-                    roll_deg, pitch_deg and cam_to_gps; the georef's
-                    latitude_deg, zoom and scale keys and the pose_context's
-                    height_m key, which older files also carry, are ignored
+    metadata        UTF-8 JSON (georef, intrinsics, gt_pose, level table
+                    per view, point_count, level_order); the georef holds
+                    center_px and gamma. Older files also carry the
+                    georef's latitude_deg, zoom and scale keys, which are
+                    ignored, and a pose_context (roll_deg, pitch_deg,
+                    cam_to_gps, height_m), which loads only at its
+                    defaults: a level vehicle with the camera at its origin
     payload         per view (satellite first, then ground), per level
                     (finest first): feature float32 row-major (h, w, c),
                     attention float32 row-major (h, w); finally points
@@ -29,8 +30,7 @@ import numpy as np
 
 from .errors import CvlocError, DomainError, FormatError, require_int, require_number
 from .features import AttentionMap, FeatureMap, FeaturePyramid
-from .geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
-                       RigidTransform, SatelliteGeoref)
+from .geometry import CameraIntrinsics, PointSet, Pose3, SatelliteGeoref
 from .problem import AlignmentProblem
 
 MAGIC = b"CVLS"
@@ -38,14 +38,17 @@ VERSION = 1
 
 _HEADER = struct.Struct("<4sHI")
 
+#: The pose_context values every scene written with one had: roll and pitch
+#: in degrees, and the row-major 3x4 camera-to-body transform.
+_POSE_CONTEXT_DEFAULTS = {"roll_deg": [0.0], "pitch_deg": [0.0],
+                          "cam_to_gps": np.eye(3, 4).reshape(-1).tolist()}
+
 
 def _level_table(pyramid: FeaturePyramid) -> list[dict]:
     return [{"h": f.height, "w": f.width, "c": f.channels} for f, _ in pyramid.levels]
 
 
 def _metadata(problem: AlignmentProblem) -> dict:
-    ctx = problem.ctx
-    cam = np.hstack([ctx.cam_to_gps.rotation, ctx.cam_to_gps.translation[:, None]])
     return {
         "georef": {
             "center_px": problem.georef.center_px,
@@ -58,11 +61,6 @@ def _metadata(problem: AlignmentProblem) -> dict:
             "cy": problem.intrinsics.cy,
             "width": problem.intrinsics.width,
             "height": problem.intrinsics.height,
-        },
-        "pose_context": {
-            "roll_deg": math.degrees(ctx.roll),
-            "pitch_deg": math.degrees(ctx.pitch),
-            "cam_to_gps": [float(x) for x in cam.reshape(-1)],
         },
         "gt_pose": problem.gt_pose.to_dict(),
         "levels": {
@@ -103,6 +101,28 @@ def _require(meta: dict, key: str, section: str, check=None, *args,
         return check(key, meta[key], *args)
     except (DomainError, OverflowError) as exc:
         raise FormatError(str(exc), field=field or f"{section}.{key}") from exc
+
+
+def _check_pose_context(pc) -> None:
+    """Raise unless an older file's ``pose_context`` holds its defaults; its
+    ``height_m`` is ignored. A non-finite number raises DomainError, any
+    other bad value FormatError naming its key."""
+    for key, default in _POSE_CONTEXT_DEFAULTS.items():
+        field = f"pose_context.{key}"
+        value = _require(pc, key, "pose_context")
+        values = value if key == "cam_to_gps" else [value]
+        if not (isinstance(values, list) and len(values) == len(default)):
+            raise FormatError(f"{key} must hold {len(default)} numbers", field=field)
+        try:
+            values = [require_number(key, x) for x in values]
+        except (DomainError, OverflowError) as exc:
+            raise FormatError(str(exc), field=field) from exc
+        if not all(math.isfinite(x) for x in values):
+            raise DomainError(f"{key} must be finite, got {value}")
+        if values != default:
+            raise FormatError(f"got {value}, but only a level vehicle with the camera at "
+                              f"its origin is modelled (roll and pitch 0, the identity "
+                              f"mount)", field=field)
 
 
 def _take(buffer: bytes, offset: int, shape: tuple, what: str, cls):
@@ -160,7 +180,6 @@ def load_scene(path) -> AlignmentProblem:
 
     g = _require(meta, "georef", "metadata")
     k = _require(meta, "intrinsics", "metadata")
-    pc = _require(meta, "pose_context", "metadata")
     gt = _require(meta, "gt_pose", "metadata")
     tables = _require(meta, "levels", "metadata")
     point_count = _require(meta, "point_count", "metadata", require_int, 1,
@@ -180,18 +199,8 @@ def load_scene(path) -> AlignmentProblem:
             cy=_require(k, "cy", "intrinsics", require_number),
             width=_require(k, "width", "intrinsics", require_int, 1),
             height=_require(k, "height", "intrinsics", require_int, 1))
-        cam = _require(pc, "cam_to_gps", "pose_context")
-        if not (isinstance(cam, list) and len(cam) == 12):
-            raise FormatError("cam_to_gps must hold 12 numbers",
-                              field="pose_context.cam_to_gps")
-        try:
-            cam = np.reshape([require_number("cam_to_gps", x) for x in cam], (3, 4))
-        except (DomainError, OverflowError) as exc:
-            raise FormatError(str(exc), field="pose_context.cam_to_gps") from exc
-        ctx = PoseContext(
-            roll=math.radians(_require(pc, "roll_deg", "pose_context", require_number)),
-            pitch=math.radians(_require(pc, "pitch_deg", "pose_context", require_number)),
-            cam_to_gps=RigidTransform(cam[:, :3], cam[:, 3]))
+        if "pose_context" in meta:
+            _check_pose_context(meta["pose_context"])
         gt_pose = Pose3(
             lateral=_require(gt, "lateral_m", "gt_pose", require_number),
             longitudinal=_require(gt, "longitudinal_m", "gt_pose", require_number),
@@ -214,6 +223,6 @@ def load_scene(path) -> AlignmentProblem:
     try:
         return AlignmentProblem(
             sat_pyramid=sat_pyr, georef=georef, grd_pyramid=grd_pyr,
-            intrinsics=intrinsics, points=points, ctx=ctx, gt_pose=gt_pose)
+            intrinsics=intrinsics, points=points, gt_pose=gt_pose)
     except CvlocError as exc:
         raise FormatError(f"inconsistent scene: {exc}", field="payload") from exc

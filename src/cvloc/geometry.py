@@ -8,9 +8,8 @@ Frame conventions used throughout the package:
         u = x / gamma + center, v = y / gamma + center; depth is discarded.
     Ground camera frame (standard computer vision):
       - x: right, y: down, z: forward along the optical axis.
-    Vehicle (GPS) body frame:
-      - Coincides with the ground camera frame when ``cam_to_gps`` is the
-        identity; otherwise ``cam_to_gps`` maps camera to body coordinates.
+      - It is also the vehicle body frame: the camera is mounted at the
+        vehicle origin, looking along the heading.
 
 Pose convention:
     yaw = 0 points the vehicle north (satellite -y); positive yaw rotates
@@ -22,8 +21,7 @@ Pose convention:
 
         position = R(yaw) @ (lateral, -longitudinal).
 
-    Roll and pitch are applied before yaw (roll, then pitch, then yaw) and
-    stay fixed during optimization. The vehicle sits at z = 0: the
+    The vehicle is level (roll and pitch are zero) and sits at z = 0: the
     satellite projection discards z, so a camera height changes no result.
 
 Angles are radians internally; degrees appear only at CLI and file
@@ -33,7 +31,7 @@ boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,34 +118,6 @@ class CameraIntrinsics:
 
 
 @dataclass(frozen=True)
-class RigidTransform:
-    """Proper rigid transform: p -> rotation @ p + translation."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        rot = np.array(self.rotation, dtype=np.float64)
-        tr = np.array(self.translation, dtype=np.float64).reshape(3)
-        if rot.shape != (3, 3):
-            raise ContractError(f"rotation must be 3x3, got {rot.shape}")
-        if not np.all(np.isfinite(rot)) or not np.all(np.isfinite(tr)):
-            raise DomainError("transform contains non-finite values")
-        if np.max(np.abs(rot.T @ rot - np.eye(3))) > 1e-9:
-            raise DomainError("rotation is not orthonormal within 1e-9")
-        if abs(np.linalg.det(rot) - 1.0) > 1e-9:
-            raise DomainError("rotation determinant must be +1 within 1e-9")
-        rot.setflags(write=False)
-        tr.setflags(write=False)
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", tr)
-
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
-
-@dataclass(frozen=True)
 class Pose3:
     """3-DoF vehicle pose: lateral shift (m), longitudinal shift (m), yaw (rad).
 
@@ -179,23 +149,6 @@ class Pose3:
 
 
 @dataclass(frozen=True)
-class PoseContext:
-    """Frozen attitude and mounting context for one solve.
-
-    roll/pitch in radians, ``cam_to_gps`` maps camera to vehicle body
-    coordinates.
-    """
-
-    roll: float = 0.0
-    pitch: float = 0.0
-    cam_to_gps: RigidTransform = field(default_factory=RigidTransform.identity)
-
-    def __post_init__(self):
-        if not all(math.isfinite(x) for x in (self.roll, self.pitch)):
-            raise DomainError("roll and pitch must be finite")
-
-
-@dataclass(frozen=True)
 class PointSet:
     """N 3D points in the ground-camera frame, meters."""
 
@@ -222,13 +175,8 @@ def _rot_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _rot_x(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
 # Body axes (x right, y down, z forward) expressed in satellite axes
-# (east, south, down) at zero attitude: right->east, down->down,
+# (east, south, down) at zero yaw: right->east, down->down,
 # forward->north.
 _BODY_TO_SAT = np.array([
     [1.0, 0.0, 0.0],
@@ -247,25 +195,20 @@ def pose_translation(pose: Pose3) -> np.ndarray:
     ])
 
 
-def pose_to_transform(pose: Pose3, ctx: PoseContext) -> RigidTransform:
-    """Rigid transform from the ground-camera frame to the satellite 3D frame.
+def pose_to_transform(pose: Pose3) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation and translation from the ground-camera frame to the satellite 3D frame.
 
-    Composes the body-to-satellite attitude (roll, then pitch, then yaw,
-    with only yaw taken from the pose) and the vehicle translation with the
-    camera-to-body mounting transform.
+    The rotation turns the camera axes to the satellite axes at the pose's
+    yaw; the translation is the vehicle position, :func:`pose_translation`.
     """
-    rot_body_to_sat = (_rot_z(pose.yaw) @ _BODY_TO_SAT
-                       @ _rot_x(ctx.pitch) @ _rot_z(ctx.roll))
-    # Body-to-satellite after camera-to-body, validated once on the result.
-    mount = ctx.cam_to_gps
-    return RigidTransform(rot_body_to_sat @ mount.rotation,
-                          rot_body_to_sat @ mount.translation + pose_translation(pose))
+    return _rot_z(pose.yaw) @ _BODY_TO_SAT, pose_translation(pose)
 
 
-def transform_points(points, transform: RigidTransform) -> np.ndarray:
-    """Apply a rigid transform to an Nx3 array or a PointSet row-wise."""
+def transform_points(points, transform: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Apply a (rotation, translation) pair to an Nx3 array or a PointSet row-wise."""
+    rotation, translation = transform
     pts = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=np.float64)
-    return pts @ transform.rotation.T + transform.translation
+    return pts @ rotation.T + translation
 
 
 def project_satellite(points_sat: np.ndarray, georef: SatelliteGeoref) -> np.ndarray:

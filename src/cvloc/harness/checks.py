@@ -22,9 +22,8 @@ from .. import solver
 from ..errors import DegenerateProblemError
 from ..features import (AttentionMap, attention_lookup_many, bilinear_lookup_many,
                         bilinear_weights)
-from ..geometry import (Pose3, PoseContext, SatelliteGeoref,
-                        d_satproj_d_pose_many, pose_to_transform,
-                        project_satellite, transform_points)
+from ..geometry import (Pose3, SatelliteGeoref, d_satproj_d_pose_many,
+                        pose_to_transform, project_satellite, transform_points)
 from ..problem import AlignmentProblem, evaluate_pose
 from ..solver import RobustCost, build_weight_matrix, lm_step, weighted_cost
 from ..synth import SynthConfig, generate_scene
@@ -140,8 +139,8 @@ def normal_equations(jacobian: np.ndarray, weights: np.ndarray,
     return hess, grad
 
 
-def projection_jacobian_error(pts_cam, pose: Pose3, ctx: PoseContext,
-                              georef: SatelliteGeoref) -> tuple[np.ndarray, float, int]:
+def projection_jacobian_error(pts_cam, pose: Pose3, georef: SatelliteGeoref
+                              ) -> tuple[np.ndarray, float, int]:
     """The satellite projection Jacobian at ``pts_cam`` against central differences.
 
     Returns each pose column's worst error relative to that column's
@@ -150,10 +149,10 @@ def projection_jacobian_error(pts_cam, pose: Pose3, ctx: PoseContext,
     """
     def project(step):
         return project_satellite(
-            transform_points(pts_cam, pose_to_transform(pose.with_delta(step), ctx)), georef)
+            transform_points(pts_cam, pose_to_transform(pose.with_delta(step))), georef)
 
     jac = d_satproj_d_pose_many(
-        transform_points(pts_cam, pose_to_transform(pose, ctx)), pose, georef)
+        transform_points(pts_cam, pose_to_transform(pose)), pose, georef)
     fd = _central_differences(project, 3)
     scale = np.maximum(np.abs(fd).max(axis=(0, 1)), 1e-6)
     column_error = np.abs(jac - fd).max(axis=(0, 1)) / scale
@@ -275,7 +274,7 @@ def _check_projection_jacobian(rng, draws=100):
         pose = _random_pose(rng, 20.0, np.pi)
         pts = rng.uniform(-30, 30, size=(8, 3))
         pts[:, 2] = rng.uniform(2, 40, size=8)
-        column_error, block_error, n = projection_jacobian_error(pts, pose, PoseContext(), georef)
+        column_error, block_error, n = projection_jacobian_error(pts, pose, georef)
         column_worst = np.maximum(column_worst, column_error)
         block_worst = max(block_worst, block_error)
         points += n

@@ -146,7 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{north_star.max_yaw_deg:g})")
     p.add_argument("--trials", type=int, required=True, help="trials per bound")
     p.add_argument("--seed", type=_seed, default=0, help="master seed for trial fan-out")
-    p.add_argument("--workers", type=int, default=1, help="parallel trials")
+    p.add_argument("--workers", type=int, default=1,
+                   help="most trials run in parallel; capped at the trial count "
+                        "and the available CPUs")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.set_defaults(func=_cmd_eval)

@@ -24,7 +24,7 @@ from ..geometry import Pose3
 from ..metrics import MetricsSummary, PoseError, pose_error, summarize
 from ..problem import AlignmentProblem
 from ..solver import LMConfig, RobustCost, refine_pose
-from ..synth import PerturbBounds, SynthConfig, sample_initial_pose
+from ..synth import PerturbBounds, SynthConfig, available_cpus, sample_initial_pose
 
 _TRIAL_CSV_COLUMNS = [
     "trial", "seed", "max_shift_m", "max_yaw_deg",
@@ -225,8 +225,9 @@ def run_bounds(problem: AlignmentProblem, trials: int, bound_grid, workers: int 
     Returns ((bounds, summary, failure count) per bound, all rows in row
     order). Row ``r = bound index * trials + trial`` is seeded by
     (master_seed, r) alone, so the output is identical for any worker
-    count. Failed trials (degenerate problems) count as misses in the
-    recalls. Raises DegenerateProblemError, naming the bound, if every
+    count. ``workers`` is an upper bound: at most one thread runs per row
+    and per available CPU. Failed trials (degenerate problems) count as
+    misses in the recalls. Raises DegenerateProblemError, naming the bound, if every
     trial at some bound fails.
     """
     if trials < 1:
@@ -242,10 +243,11 @@ def run_bounds(problem: AlignmentProblem, trials: int, bound_grid, workers: int 
         trial, bounds = job
         return _eval_trial(problem, trial, master_seed, bounds, config.solver, config.cost)
 
-    if workers == 1:
+    threads = min(workers, len(jobs), available_cpus())
+    if threads == 1:
         rows = [one(job) for job in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(one, jobs))
 
     results = []

@@ -11,9 +11,9 @@ from .errors import ContractError
 from .features import (AttentionMap, FeatureMap, FeaturePyramid, SparseAlignment,
                        attention_lookup_many, bilinear_lookup_many, bilinear_values_many,
                        bilinear_weights)
-from .geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
-                       SatelliteGeoref, pose_to_transform, project_ground,
-                       project_satellite, transform_points)
+from .geometry import (CameraIntrinsics, PointSet, Pose3, SatelliteGeoref,
+                       pose_to_transform, project_ground, project_satellite,
+                       transform_points)
 
 
 def _check_halving(name: str, pyramid: FeaturePyramid) -> None:
@@ -36,7 +36,6 @@ class AlignmentProblem:
     grd_pyramid: FeaturePyramid
     intrinsics: CameraIntrinsics
     points: PointSet
-    ctx: PoseContext
     gt_pose: Pose3
 
     def __post_init__(self):
@@ -138,7 +137,7 @@ def evaluate_pose(problem: AlignmentProblem, pose: Pose3, level: int = 0,
     if ground is None:
         ground = ground_level_data(problem, level)
 
-    pts_sat = transform_points(problem.points, pose_to_transform(pose, problem.ctx))
+    pts_sat = transform_points(problem.points, pose_to_transform(pose))
     uv_sat = project_satellite(pts_sat, georef)
 
     # One set of corners serves both lookups: the attention map has the

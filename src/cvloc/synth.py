@@ -26,9 +26,9 @@ import numpy as np
 from .errors import DomainError, GenerationError, require_int
 from .features import (AttentionMap, FeatureMap, FeaturePyramid,
                        bilinear_values_many, bilinear_weights, normalize_features)
-from .geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
-                       SatelliteGeoref, pose_to_transform, project_ground,
-                       project_satellite, transform_points)
+from .geometry import (CameraIntrinsics, PointSet, Pose3, SatelliteGeoref,
+                       pose_to_transform, project_ground, project_satellite,
+                       transform_points)
 from .problem import AlignmentProblem, ground_level_data
 
 # The size budget of a scene's arrays, checked before anything is allocated.
@@ -106,14 +106,14 @@ class SynthConfig:
                               f"coordinates beyond the float range (points up to "
                               f"{extent:.3g} m from the origin)")
 
-    def _geometry(self) -> tuple[SatelliteGeoref, CameraIntrinsics, PoseContext]:
-        """Satellite georeference, ground camera and pose context of the scene."""
+    def _geometry(self) -> tuple[SatelliteGeoref, CameraIntrinsics]:
+        """Satellite georeference and ground camera of the scene."""
         georef = SatelliteGeoref((self.sat_size - 1) / 2.0, self.gamma)
         intrinsics = CameraIntrinsics(
             fx=self.grd_focal, fy=self.grd_focal,
             cx=(self.grd_width - 1) / 2.0, cy=(self.grd_height - 1) / 2.0,
             width=self.grd_width, height=self.grd_height)
-        return georef, intrinsics, PoseContext()
+        return georef, intrinsics
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,8 @@ def _ndimage():
     return ndimage
 
 
-def _available_cpus() -> int:
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -181,7 +182,7 @@ def _satellite_levels(cfg: SynthConfig, rng: np.random.Generator) -> list[tuple]
     later levels are still filtering. The pool is joined on return.
     """
     _ndimage()  # the first import runs here, not raced by the pool's threads
-    blocks = min(_available_cpus(), cfg.channels)
+    blocks = min(available_cpus(), cfg.channels)
     sigma = cfg.feature_smoothness
     with ThreadPoolExecutor(max_workers=blocks) as pool:
         pending = []
@@ -214,7 +215,7 @@ def generate_scene(cfg: SynthConfig) -> AlignmentProblem:
     step = 2**(cfg.levels - 1)
     margin = 2 * step
 
-    georef, intrinsics, ctx = cfg._geometry()
+    georef, intrinsics = cfg._geometry()
 
     # Ground pixels on the coarsest level's texel grid, so every pyramid
     # level sees the splats at integer coordinates.
@@ -242,7 +243,7 @@ def generate_scene(cfg: SynthConfig) -> AlignmentProblem:
 
     # True-pose lookups; points must be ground-visible and land inside the
     # satellite crop at every level.
-    pts_sat = transform_points(points, pose_to_transform(cfg.gt_pose, ctx))
+    pts_sat = transform_points(points, pose_to_transform(cfg.gt_pose))
     uv_grd, visible = project_ground(points, intrinsics)
     valid = visible.copy()
     sat_vals_per_level = []
@@ -272,7 +273,7 @@ def generate_scene(cfg: SynthConfig) -> AlignmentProblem:
     problem = AlignmentProblem(
         sat_pyramid=FeaturePyramid(tuple(sat_levels)), georef=georef,
         grd_pyramid=FeaturePyramid(tuple(grd_levels)), intrinsics=intrinsics,
-        points=points, ctx=ctx, gt_pose=cfg.gt_pose)
+        points=points, gt_pose=cfg.gt_pose)
 
     _assert_zero_residual(problem, sat_vals_per_level)
     return problem

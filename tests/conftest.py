@@ -11,8 +11,7 @@ import pytest
 from hypothesis import settings
 
 from cvloc.features import AttentionMap, FeatureMap, FeaturePyramid, normalize_features
-from cvloc.geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
-                            SatelliteGeoref)
+from cvloc.geometry import CameraIntrinsics, PointSet, Pose3, SatelliteGeoref
 from cvloc.problem import AlignmentProblem
 from cvloc.synth import SynthConfig, generate_scene
 
@@ -60,7 +59,6 @@ def tiny_problem(sat_data=None, grd_data=None, sat_att=None, grd_att=None,
         grd_pyramid=FeaturePyramid(((fmap_g, att_g),)),
         intrinsics=intr,
         points=points,
-        ctx=PoseContext(),
         gt_pose=gt_pose or Pose3(0.0, 0.0, 0.0),
     )
 

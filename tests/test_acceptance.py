@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from cvloc.cvls import load_scene, save_scene
-from cvloc.geometry import Pose3, PoseContext, SatelliteGeoref, meters_per_pixel
+from cvloc.geometry import Pose3, SatelliteGeoref, meters_per_pixel
 from cvloc.harness.checks import (fd_scene, grid_argmin_margin, lm_step_error,
                                   projection_jacobian_error, residual_jacobian_error)
 from cvloc.harness.runner import run_bounds
@@ -50,7 +50,6 @@ class TestAcceptance:
         """Analytic projection Jacobian vs finite differences, 100 draws."""
         rng = np.random.default_rng(7)
         georef = SatelliteGeoref(255.5, 0.2)
-        ctx = PoseContext()
         worst_fd = 0.0
         worst_block = 0.0
         for _ in range(100):
@@ -58,7 +57,7 @@ class TestAcceptance:
                          float(rng.uniform(-math.pi, math.pi)))
             pts = np.column_stack([rng.uniform(-30, 30, 5), rng.uniform(-5, 5, 5),
                                    rng.uniform(2, 40, 5)])
-            column_error, block_error, _ = projection_jacobian_error(pts, pose, ctx, georef)
+            column_error, block_error, _ = projection_jacobian_error(pts, pose, georef)
             worst_fd = max(worst_fd, float(column_error.max()))
             worst_block = max(worst_block, block_error)
         ok = worst_fd < 1e-4 and worst_block < 1e-12

@@ -40,6 +40,15 @@ def _with_meta(blob: bytes, meta) -> bytes:
             + blob[_payload_offset(blob):])
 
 
+def _old_pose_context(meta: dict) -> dict:
+    """Give ``meta`` the pose_context that files written while the attitude
+    and camera mount were stored carry, at the defaults every scene had, and
+    return it."""
+    meta["pose_context"] = {"roll_deg": 0.0, "pitch_deg": 0.0, "cam_to_gps": [
+        1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]}
+    return meta["pose_context"]
+
+
 def _rewrite_meta(blob: bytes, edit) -> bytes:
     """The same file with ``edit`` applied to its metadata dict."""
     meta = _meta(blob)
@@ -69,8 +78,7 @@ class TestRoundTrip:
         assert loaded.gt_pose.lateral == problem.gt_pose.lateral
         assert loaded.gt_pose.longitudinal == problem.gt_pose.longitudinal
         assert loaded.gt_pose.yaw == pytest.approx(problem.gt_pose.yaw, abs=1e-15)
-        assert np.allclose(loaded.ctx.cam_to_gps.rotation,
-                           problem.ctx.cam_to_gps.rotation)
+        assert "pose_context" not in _meta(path.read_bytes())
 
     def test_save_load_save_bytes_stable(self, scene_file, tmp_path):
         path, _ = scene_file
@@ -80,23 +88,33 @@ class TestRoundTrip:
         assert path.read_bytes() == second.read_bytes()
 
     # Files written before the georef became (center_px, gamma) also carry
-    # the tile fields, and files written before the camera height went carry
-    # pose_context.height_m; they are ignored, whatever their values.
+    # the tile fields, and older files a pose_context, with the camera
+    # height in files written before it went. The tile fields and the
+    # height are ignored, whatever their values; the pose_context holds
+    # its defaults.
     @pytest.mark.parametrize("section, old_keys", [
         ("georef", {"latitude_deg": 65.25, "zoom": 15, "scale": 2}),
         ("georef", {"latitude_deg": 65.25, "zoom": 18.7, "scale": 2}),
         ("georef", {"latitude_deg": 65.25, "zoom": True, "scale": 2}),
         ("georef", {"latitude_deg": 65.25, "zoom": 15, "scale": 2.0}),
+        ("pose_context", {}),
+        ("pose_context", {"height_m": 1.65}),
         ("pose_context", {"height_m": None}),
         ("pose_context", {"height_m": "x"}),
         ("pose_context", {"height_m": float("-inf")}),
     ], ids=["tile_keys", "zoom_fraction", "zoom_bool", "scale_float",
-            "height_null", "height_str", "height_inf"])
+            "pose_context_default", "height_number", "height_null", "height_str",
+            "height_inf"])
     def test_old_georef_keys_ignored(self, scene_file, tmp_path, section, old_keys):
         path, problem = scene_file
         old = tmp_path / "old.cvls"
-        old.write_bytes(_rewrite_meta(path.read_bytes(),
-                                      lambda meta: meta[section].update(old_keys)))
+
+        def edit(meta):
+            if section == "pose_context":
+                _old_pose_context(meta)
+            meta[section].update(old_keys)
+
+        old.write_bytes(_rewrite_meta(path.read_bytes(), edit))
         loaded = load_scene(old)
         assert loaded.georef == problem.georef
         again = tmp_path / "again.cvls"
@@ -240,12 +258,19 @@ class TestValidation:
         (lambda meta: meta["intrinsics"].update(fx=True), "intrinsics.fx"),
         (lambda meta: meta["gt_pose"].update(yaw_deg=[0.0]), "gt_pose.yaw_deg"),
         (lambda meta: meta["georef"].update(center_px=10**400), "georef.center_px"),
-        (lambda meta: meta["pose_context"]["cam_to_gps"].__setitem__(0, "1"),
+        (lambda meta: _old_pose_context(meta)["cam_to_gps"].__setitem__(0, "1"),
          "pose_context.cam_to_gps"),
-        (lambda meta: meta["pose_context"]["cam_to_gps"].__setitem__(5, True),
+        (lambda meta: _old_pose_context(meta)["cam_to_gps"].__setitem__(5, True),
+         "pose_context.cam_to_gps"),
+        # an older file's pose_context loads only at its defaults
+        (lambda meta: _old_pose_context(meta).update(roll_deg=0.5),
+         "pose_context.roll_deg"),
+        (lambda meta: _old_pose_context(meta).update(pitch_deg=-1),
+         "pose_context.pitch_deg"),
+        (lambda meta: _old_pose_context(meta)["cam_to_gps"].__setitem__(3, 0.25),
          "pose_context.cam_to_gps"),
     ], ids=["gamma_str", "fx_bool", "yaw_list", "center_overflow",
-            "cam_str", "cam_bool"])
+            "cam_str", "cam_bool", "roll_nonzero", "pitch_nonzero", "cam_not_identity"])
     def test_non_number_metadata_field(self, scene_file, tmp_path, edit, field):
         path, _ = scene_file
         bad = tmp_path / "bad.cvls"
@@ -258,7 +283,7 @@ class TestValidation:
         lambda meta: meta["georef"].update(center_px=float("nan")),
         lambda meta: meta["georef"].update(gamma=float("inf")),
         lambda meta: meta["intrinsics"].update(fy=float("inf")),
-        lambda meta: meta["pose_context"].update(roll_deg=float("nan")),
+        lambda meta: _old_pose_context(meta).update(roll_deg=float("nan")),
     ], ids=["center_nan", "gamma_inf", "fy_inf", "roll_nan"])
     def test_non_finite_metadata_value(self, scene_file, tmp_path, edit):
         path, _ = scene_file

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvloc.errors import DomainError
-from cvloc.geometry import (CameraIntrinsics, PointSet, Pose3, PoseContext,
-                            RigidTransform, SatelliteGeoref, d_satproj_d_pose_many,
-                            meters_per_pixel, pose_to_transform, project_ground,
-                            project_satellite, transform_points,
+from cvloc.geometry import (CameraIntrinsics, PointSet, Pose3, SatelliteGeoref,
+                            d_satproj_d_pose_many, meters_per_pixel, pose_to_transform,
+                            project_ground, project_satellite, transform_points,
                             translate_pose_east_south, wrap_angle)
 from cvloc.harness.checks import projection_jacobian_error
 
@@ -136,68 +135,50 @@ class TestPose3:
         assert math.isclose(math.sin(w), math.sin(theta), abs_tol=1e-12)
 
 
-class TestRigidTransform:
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(DomainError):
-            RigidTransform(np.eye(3) * 1.001, np.zeros(3))
-
-    def test_rejects_reflection(self):
-        r = np.diag([1.0, 1.0, -1.0])
-        with pytest.raises(DomainError):
-            RigidTransform(r, np.zeros(3))
-
-    def test_preserves_pairwise_distances(self):
-        rng = np.random.default_rng(6)
-        t = RigidTransform(_random_rotation(rng), rng.uniform(-5, 5, 3))
-        pts = rng.uniform(-10, 10, size=(30, 3))
-        d_before = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
-        moved = transform_points(pts, t)
-        d_after = np.linalg.norm(moved[:, None] - moved[None, :], axis=-1)
-        assert np.allclose(d_after, d_before, rtol=1e-9, atol=1e-12)
-
-
-def _random_rotation(rng) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] *= -1
-    return q
+IDENTITY = (np.eye(3), np.zeros(3))
 
 
 class TestTransformPoints:
     def test_identity(self):
         pts = np.arange(12.0).reshape(4, 3)
-        assert np.array_equal(transform_points(pts, RigidTransform.identity()), pts)
+        assert np.array_equal(transform_points(pts, IDENTITY), pts)
 
     def test_pure_translation(self):
-        t = RigidTransform(np.eye(3), np.array([1.0, 2.0, 3.0]))
         pts = np.zeros((3, 3))
-        assert np.allclose(transform_points(pts, t), [[1, 2, 3]] * 3)
+        assert np.allclose(transform_points(pts, (np.eye(3), np.array([1.0, 2.0, 3.0]))),
+                           [[1, 2, 3]] * 3)
 
     def test_accepts_point_set(self):
         ps = PointSet(np.ones((2, 3)))
-        out = transform_points(ps, RigidTransform.identity())
+        out = transform_points(ps, IDENTITY)
         assert np.array_equal(out, ps.points)
 
 
 class TestPoseToTransform:
-    CTX = PoseContext()
-
     def test_identity_pose_axis_permutation(self):
-        t = pose_to_transform(Pose3(0.0, 0.0, 0.0), self.CTX)
+        rotation, translation = pose_to_transform(Pose3(0.0, 0.0, 0.0))
         # camera x (right) -> east, y (down) -> down, z (forward) -> north
         expect = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-        assert np.allclose(t.rotation, expect, atol=1e-15)
-        assert np.allclose(t.translation, [0.0, 0.0, 0.0])
+        assert np.allclose(rotation, expect, atol=1e-15)
+        assert np.allclose(translation, [0.0, 0.0, 0.0])
+
+    def test_rotation_is_proper(self):
+        rng = np.random.default_rng(12)
+        yaws = [*rng.uniform(-math.pi, math.pi, 500), 0.0, math.pi, -math.pi / 2]
+        for yaw in yaws:
+            rotation, _ = pose_to_transform(Pose3(0.0, 0.0, yaw))
+            assert np.max(np.abs(rotation.T @ rotation - np.eye(3))) <= 1e-12, yaw
+            assert abs(np.linalg.det(rotation) - 1.0) <= 1e-12, yaw
 
     def test_yaw_periodicity(self):
-        p1 = pose_to_transform(Pose3(1.0, 2.0, 0.4), self.CTX)
-        p2 = pose_to_transform(Pose3(1.0, 2.0, 0.4 + 2 * math.pi), self.CTX)
-        assert np.allclose(p1.rotation, p2.rotation, atol=1e-9)
-        assert np.allclose(p1.translation, p2.translation, atol=1e-9)
+        r1, t1 = pose_to_transform(Pose3(1.0, 2.0, 0.4))
+        r2, t2 = pose_to_transform(Pose3(1.0, 2.0, 0.4 + 2 * math.pi))
+        assert np.allclose(r1, r2, atol=1e-9)
+        assert np.allclose(t1, t2, atol=1e-9)
 
     def test_point_ahead_under_quarter_turn(self):
         # Independent oracle: rotate the heading vector by hand.
-        t = pose_to_transform(Pose3(0.0, 0.0, math.pi / 2), self.CTX)
+        t = pose_to_transform(Pose3(0.0, 0.0, math.pi / 2))
         ahead = transform_points(np.array([[0.0, 0.0, 10.0]]), t)[0]
         yaw = math.pi / 2
         heading_east_south = np.array([math.sin(yaw), -math.cos(yaw)])
@@ -206,59 +187,31 @@ class TestPoseToTransform:
 
     def test_lateral_axis_is_vehicle_right(self):
         # Heading north (yaw 0): +lateral should move the vehicle east.
-        t = pose_to_transform(Pose3(2.0, 0.0, 0.0), self.CTX)
-        assert np.allclose(t.translation[:2], [2.0, 0.0])
+        _, translation = pose_to_transform(Pose3(2.0, 0.0, 0.0))
+        assert np.allclose(translation[:2], [2.0, 0.0])
         # +longitudinal at yaw 0 moves north (negative south coordinate).
-        t = pose_to_transform(Pose3(0.0, 3.0, 0.0), self.CTX)
-        assert np.allclose(t.translation[:2], [0.0, -3.0])
-
-    def test_cam_to_gps_composition(self):
-        rng = np.random.default_rng(3)
-        mount = RigidTransform(_random_rotation(rng), rng.uniform(-1, 1, 3))
-        ctx = PoseContext(cam_to_gps=mount)
-        pose = Pose3(1.0, -2.0, 0.3)
-        pts = rng.uniform(-5, 5, (10, 3))
-        direct = transform_points(pts, pose_to_transform(pose, ctx))
-        chained = transform_points(
-            transform_points(pts, mount),
-            pose_to_transform(pose, PoseContext()))
-        assert np.allclose(direct, chained, atol=1e-12)
-
-    def test_mount_composed_like_rigid_transform_compose(self):
-        # to the bit: the composition's products, pose after mount, written out
-        rng = np.random.default_rng(4)
-        mount = RigidTransform(_random_rotation(rng), rng.uniform(-1, 1, 3))
-        bare = PoseContext(roll=0.02, pitch=-0.05)
-        mounted = PoseContext(roll=0.02, pitch=-0.05, cam_to_gps=mount)
-        for pose in (Pose3(1.0, -2.0, 0.3), Pose3(-7.5, 4.25, -2.9)):
-            direct = pose_to_transform(pose, mounted)
-            outer = pose_to_transform(pose, bare)
-            assert np.array_equal(direct.rotation, outer.rotation @ mount.rotation)
-            assert np.array_equal(direct.translation,
-                                  outer.rotation @ mount.translation + outer.translation)
-
+        _, translation = pose_to_transform(Pose3(0.0, 3.0, 0.0))
+        assert np.allclose(translation[:2], [0.0, -3.0])
 
 class TestProjectionConsistency:
     def test_east_south_shift_moves_pixels_exactly(self):
         georef = SatelliteGeoref(255.5, 0.2)
-        ctx = PoseContext()
         rng = np.random.default_rng(8)
         pts = rng.uniform(-10, 10, size=(40, 3))
         pts[:, 2] = rng.uniform(3, 30, 40)
         pose = Pose3(1.5, -2.0, 0.7)
         de, ds = 3.2, -1.7
         shifted = translate_pose_east_south(pose, de, ds)
-        uv0 = project_satellite(transform_points(pts, pose_to_transform(pose, ctx)), georef)
-        uv1 = project_satellite(transform_points(pts, pose_to_transform(shifted, ctx)), georef)
+        uv0 = project_satellite(transform_points(pts, pose_to_transform(pose)), georef)
+        uv1 = project_satellite(transform_points(pts, pose_to_transform(shifted)), georef)
         assert np.allclose(uv1 - uv0, [de / 0.2, ds / 0.2], atol=1e-9)
 
 
 class TestSatProjJacobian:
     GEOREF = SatelliteGeoref(255.5, 0.2)
-    CTX = PoseContext()
 
     def _jac(self, pts_cam, pose):
-        pts_sat = transform_points(pts_cam, pose_to_transform(pose, self.CTX))
+        pts_sat = transform_points(pts_cam, pose_to_transform(pose))
         return d_satproj_d_pose_many(pts_sat, pose, self.GEOREF)
 
     def test_translation_block_magnitude(self):
@@ -276,7 +229,7 @@ class TestSatProjJacobian:
             pose = Pose3(float(rng.uniform(-20, 20)), float(rng.uniform(-20, 20)),
                          float(rng.uniform(-math.pi, math.pi)))
             pt = np.array([[rng.uniform(-30, 30), rng.uniform(-5, 5), rng.uniform(2, 40)]])
-            column_error, _, _ = projection_jacobian_error(pt, pose, self.CTX, self.GEOREF)
+            column_error, _, _ = projection_jacobian_error(pt, pose, self.GEOREF)
             assert column_error.max() < 1e-4
 
     def test_yaw_column_zero_at_rotation_center(self):
@@ -292,7 +245,7 @@ class TestSatProjJacobian:
         pts = np.column_stack([rng.uniform(-30, 30, 50), rng.uniform(-5, 5, 50),
                                rng.uniform(2, 40, 50)])
         pose = Pose3(1.5, -2.0, 0.7)
-        pts_sat = transform_points(pts, pose_to_transform(pose, self.CTX))
+        pts_sat = transform_points(pts, pose_to_transform(pose))
         jac = d_satproj_d_pose_many(pts_sat, pose, self.GEOREF)
         assert jac.shape == (50, 2, 3)
         assert jac.transpose(2, 1, 0).flags.c_contiguous

@@ -80,7 +80,7 @@ def _unfused_evaluation(problem, pose, level):
     f_sat, a_sat, georef = problem.satellite_level(level)
     ground = ground_level_data(problem, level)
     uv = project_satellite(
-        transform_points(problem.points, pose_to_transform(pose, problem.ctx)), georef)
+        transform_points(problem.points, pose_to_transform(pose)), georef)
     vals, grads, inb = bilinear_lookup_many(f_sat.data, uv)
     att, _ = attention_lookup_many(a_sat, uv)
     valid = ground.valid & inb

@@ -248,6 +248,39 @@ class TestRunEval:
         runner.write_trials_csv(p4, rows4)
         assert p1.read_bytes() == p4.read_bytes()
 
+    @pytest.mark.parametrize("workers, trials, cpus, threads", [
+        (64, 3, 8, 3), (64, 3, 2, 2), (2, 3, 8, 2), (10**9, 2, 10**9, 2),
+        (1, 3, 8, None), (64, 1, 8, None), (64, 3, 1, None),
+    ])
+    def test_pool_capped_at_rows_and_cpus(self, small_scene, monkeypatch, workers, trials,
+                                          cpus, threads):
+        # a fake pool records its size and maps serially; no thread starts
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        bounds = PerturbBounds(1.0, 3.0)
+        _, serial, _ = runner.run_eval(small_scene, trials, bounds, master_seed=5)
+        monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingPool)
+        # a range has a length but allocates no set
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cpus),
+                            raising=False)
+        _, rows, _ = runner.run_eval(small_scene, trials, bounds, workers=workers,
+                                     master_seed=5)
+        assert sizes == ([] if threads is None else [threads])
+        assert rows == serial
+
     def test_zero_workers_rejected(self, small_scene):
         with pytest.raises(ConfigError, match="worker count must be >= 1, got 0"):
             runner.run_eval(small_scene, 2, PerturbBounds(1.0, 3.0), workers=0)

@@ -574,7 +574,7 @@ class TestGaugeConsistency:
         shifted = AlignmentProblem(
             sat_pyramid=FeaturePyramid(tuple(rolled)), georef=problem.georef,
             grd_pyramid=problem.grd_pyramid, intrinsics=problem.intrinsics,
-            points=problem.points, ctx=problem.ctx,
+            points=problem.points,
             gt_pose=translate_pose_east_south(problem.gt_pose, de, 0.0))
         return problem, shifted, de
 

@@ -153,14 +153,15 @@ def _scene_sha256(cfg, path) -> str:
 
 
 #: SHA-256 of the ``save_scene`` bytes of generated scenes. The default
-#: scene's was recorded when the satellite pyramid was smoothed serially.
-#: The small scene has 3 channels: uneven channel blocks on any CPU count
-#: above 1.
+#: scene's payload was recorded when the satellite pyramid was smoothed
+#: serially; both digests were re-recorded when the metadata lost its
+#: pose_context, with the payload bytes unchanged. The small scene has 3
+#: channels: uneven channel blocks on any CPU count above 1.
 _SCENE_SHA256 = {
     "default-seed-42": (SynthConfig(seed=42),
-                        "3edcce8922119aa766f934d6cf7098ee6a024a1f38e8ad92811649da8f6d554f"),
+                        "0c94df0aef29c93df07eee37c9ddd7b17a96881d8dcd260ebf55570d04c1f094"),
     "small-c3": (replace(SMALL_SCENE_CFG, channels=3),
-                 "36e4fbd5b09a9e8ff144a655dba71a942d64846bba0a26c923dabd0b5f9336c6"),
+                 "01cbd411169e8c9b3648ab62f0aa40f0eb2e6c3da345dbd3e23ded14b6daf485"),
 }
 
 
