@@ -36,32 +36,23 @@ class FormatError(CvlocError):
 
 
 class SingularSystemError(CvlocError):
-    """A damped normal-equation system has a non-finite entry, or its
-    Cholesky factorization met a pivot that is not > 0."""
+    """A damped normal-equation system that cannot be solved. No cvloc code
+    raises it: ``solver.lm_step`` returns None instead. It stays because
+    the benchmark's tests (``bench/tests/test_run.py``) raise it by name."""
 
     exit_code = 4
     label = "singular system"
-
-    def __init__(self, message: str, hessian=None):
-        super().__init__(message)
-        self.hessian = hessian
 
 
 class DegenerateProblemError(CvlocError):
     """No valid points remain, so the alignment objective is undefined.
 
-    When raised from the pose solver, ``pose`` holds the pose the level
-    started from and ``report`` the partial optimization trace
-    (``converged`` is False).
+    Raised for a ``localize`` report that reads ``degenerate``, an ``eval``
+    bound whose every trial does, and by ``checks.weighted_distance``.
     """
 
     exit_code = 4
     label = "degenerate problem"
-
-    def __init__(self, message: str, pose=None, report=None):
-        super().__init__(message)
-        self.pose = pose
-        self.report = report
 
 
 class GenerationError(CvlocError):

@@ -215,10 +215,23 @@ def project_satellite(points_sat: np.ndarray, georef: SatelliteGeoref) -> np.nda
     """Parallel projection of satellite-frame points onto the satellite image.
 
     Returns Nx2 pixel coordinates (u, v); the z (down) component is
-    discarded. Out-of-image coordinates are returned as-is.
+    discarded. Out-of-image coordinates are returned as-is, and one beyond
+    the float range as inf, which is off the map too.
     """
     pts = np.asarray(points_sat, dtype=np.float64)
-    return pts[..., :2] / georef.gamma + georef.center_px
+    with np.errstate(over="ignore"):
+        return pts[..., :2] / georef.gamma + georef.center_px
+
+
+def satellite_pixels_finite(georef: SatelliteGeoref, pose: Pose3, reach: float) -> bool:
+    """Whether ``project_satellite`` keeps u and v finite at ``pose`` for
+    every point whose coordinates are at most ``reach`` m in absolute value.
+
+    Such a point lies within |lateral| + |longitudinal| + sqrt(3) * reach
+    meters of the map origin on each axis.
+    """
+    extent = abs(pose.lateral) + abs(pose.longitudinal) + math.sqrt(3.0) * reach
+    return math.isfinite(extent / georef.gamma + abs(georef.center_px))
 
 
 def project_ground(points_cam, intrinsics: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
@@ -238,6 +251,16 @@ def project_ground(points_cam, intrinsics: CameraIntrinsics) -> tuple[np.ndarray
                & (u >= 0) & (u < intrinsics.width)
                & (v >= 0) & (v < intrinsics.height))
     return np.stack([u, v], axis=1), visible
+
+
+def ground_pixels_finite(intrinsics: CameraIntrinsics, reach_x: float,
+                         reach_y: float) -> bool:
+    """Whether ``project_ground`` keeps u and v finite for every point with
+    |x| at most ``reach_x`` and |y| at most ``reach_y`` m, whatever its
+    depth: the depth divides after its clamp to ``DEPTH_MIN``.
+    """
+    return math.isfinite(max(intrinsics.fx * reach_x, intrinsics.fy * reach_y) / DEPTH_MIN
+                         + max(intrinsics.cx, intrinsics.cy))
 
 
 def d_satproj_d_pose_many(pts_sat: np.ndarray, pose: Pose3,

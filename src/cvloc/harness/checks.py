@@ -14,6 +14,7 @@ It also holds the dense references that the solver never forms:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +98,7 @@ def weighted_distance(problem: AlignmentProblem, pose: Pose3, cost: RobustCost,
     """
     ev = evaluate_pose(problem, pose, level=level)
     if not np.any(ev.alignment.valid_mask):
-        raise DegenerateProblemError(
-            f"no valid points at level {level} for pose {pose}", pose=pose)
+        raise DegenerateProblemError(f"no valid points at level {level} for pose {pose}")
     return weighted_cost(ev.alignment.weights, ev.sq_norms, cost)
 
 
@@ -178,15 +178,18 @@ def lm_step_error(jac: np.ndarray, w: np.ndarray, res: np.ndarray) -> tuple[floa
     """The LM step of the weighted system (jac, w, res) against dense least squares.
 
     Returns the worst deviation of the undamped step from the ``lstsq``
-    solution, and whether the step norm is non-increasing over a 10-point
-    lambda ladder from 1e-4 to 1e4.
+    solution (inf when unsolved), and whether the step norm is
+    non-increasing over a 10-point lambda ladder from 1e-4 to 1e4 (False
+    when a step is unsolved).
     """
     hess, grad = normal_equations(jac, w, res)
     sqrt_w = np.sqrt(w)
     ref, *_ = np.linalg.lstsq(jac * sqrt_w[:, None], -res * sqrt_w, rcond=None)
-    deviation = float(np.max(np.abs(lm_step(hess, grad, 0.0) - ref)))
-    norms = [float(np.linalg.norm(lm_step(hess, grad, lam)))
-             for lam in np.logspace(-4, 4, 10)]
+    step = lm_step(hess, grad, 0.0)
+    deviation = math.inf if step is None else float(np.max(np.abs(step - ref)))
+    # an unsolved step's norm is NaN, which fails every comparison below
+    norms = [math.nan if s is None else float(np.linalg.norm(s))
+             for s in (lm_step(hess, grad, lam) for lam in np.logspace(-4, 4, 10))]
     return deviation, all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
 

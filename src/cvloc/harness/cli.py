@@ -1,12 +1,14 @@
 """Command-line interface: ``localize`` one pose, ``synth`` a scene,
 ``eval`` seeded trials at one or more perturbation bounds (``--bounds``,
 every bound through ``runner.run_bounds``), and ``check-numerics``.
+``localize --bounds`` takes the same ``shift:yaw`` syntax, one bound.
 
 Exit codes: 0 success, 2 configuration error (and any other invalid value
 or input a library check rejects, or a run out of memory), 3 I/O or
-file-format error, 4 degenerate problem or singular or non-finite normal
-equations (also an eval bound where every trial fails), 5 numeric
-self-check failure; each ``CvlocError`` class carries its own.
+file-format error, 4 degenerate problem (a solve whose report reads
+``degenerate``, or an eval bound where every trial fails), 5 numeric
+self-check failure (an LM step the self-check cannot solve included);
+each ``CvlocError`` class carries its own.
 """
 
 from __future__ import annotations
@@ -36,9 +38,11 @@ def _cmd_localize(args) -> int:
                                      init_pose=runner.parse_init_pose(args.init),
                                      config=config)
     else:
-        bounds = _bounds(args.max_shift, args.max_yaw)
+        grid = _parse_bounds(args.bounds)
+        if len(grid) != 1:
+            raise ConfigError(f"localize takes one --bounds item, got {args.bounds!r}")
         record = runner.run_localize(args.scene, perturb_seed=args.perturb_seed,
-                                     bounds=bounds, config=config)
+                                     bounds=grid[0], config=config)
     text = json.dumps(record, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -60,7 +64,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = runner.load_config(args.config)
-    grid = [PerturbBounds()] if args.bounds is None else _parse_bounds(args.bounds)
+    grid = _parse_bounds(args.bounds)
     problem = load_scene(args.scene)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable path fails before any trial
@@ -76,20 +80,17 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _bounds(max_shift, max_yaw) -> PerturbBounds:
-    try:
-        return PerturbBounds(max_shift=float(max_shift), max_yaw_deg=float(max_yaw))
-    except ValueError as exc:
-        raise ConfigError(f"bad bound {max_shift}:{max_yaw}: {exc}") from exc
-
-
 def _parse_bounds(text: str) -> list[PerturbBounds]:
+    """The bounds of a ``--bounds`` list, 'shift_m:yaw_deg,...'."""
     out = []
     for piece in text.split(","):
         parts = piece.split(":")
         if len(parts) != 2:
             raise ConfigError(f"--bounds expects 'shift:yaw,...', got {piece!r}")
-        out.append(_bounds(*parts))
+        try:
+            out.append(PerturbBounds(*(float(part) for part in parts)))
+        except ValueError as exc:
+            raise ConfigError(f"bad bound {piece}: {exc}") from exc
     return out
 
 
@@ -116,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cross-view vehicle localization against satellite feature maps.")
     sub = parser.add_subparsers(dest="command", required=True)
     north_star = PerturbBounds()  # the 10 m / 30 deg protocol
+    default_bounds = f"{north_star.max_shift:g}:{north_star.max_yaw_deg:g}"
 
     p = sub.add_parser("localize", help="refine one scene's pose and emit a JSON record")
     p.add_argument("--scene", required=True, help="CVLS scene file")
@@ -123,10 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--init", help="initial pose 'lat_m,lon_m,yaw_deg'")
     group.add_argument("--perturb-seed", type=_seed, dest="perturb_seed",
                        help="sample the initial pose from the true pose")
-    p.add_argument("--max-shift", type=float, default=north_star.max_shift,
-                   help="perturbation shift bound in meters (with --perturb-seed)")
-    p.add_argument("--max-yaw", type=float, default=north_star.max_yaw_deg,
-                   help="perturbation yaw bound in degrees (with --perturb-seed)")
+    p.add_argument("--bounds", default=default_bounds,
+                   help="perturbation bound shift_m:yaw_deg (with --perturb-seed; "
+                        f"default {default_bounds})")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="output JSON path (stdout if omitted)")
     p.set_defaults(func=_cmd_localize)
@@ -140,10 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval",
                        help="batch evaluation over seeded perturbations at each bound")
     p.add_argument("--scene", required=True, help="CVLS scene file")
-    p.add_argument("--bounds",
+    p.add_argument("--bounds", default=default_bounds,
                    help="comma list of perturbation bounds shift_m:yaw_deg, e.g. "
-                        f"'5:15,10:30,20:60' (default {north_star.max_shift:g}:"
-                        f"{north_star.max_yaw_deg:g})")
+                        f"'5:15,10:30,20:60' (default {default_bounds})")
     p.add_argument("--trials", type=int, required=True, help="trials per bound")
     p.add_argument("--seed", type=_seed, default=0, help="master seed for trial fan-out")
     p.add_argument("--workers", type=int, default=1,

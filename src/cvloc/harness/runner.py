@@ -23,7 +23,7 @@ from ..errors import ConfigError, DegenerateProblemError, require_number
 from ..geometry import Pose3
 from ..metrics import MetricsSummary, PoseError, pose_error, summarize
 from ..problem import AlignmentProblem
-from ..solver import LMConfig, RobustCost, refine_pose
+from ..solver import LMConfig, OptimReport, RobustCost, refine_pose
 from ..synth import PerturbBounds, SynthConfig, available_cpus, sample_initial_pose
 
 _TRIAL_CSV_COLUMNS = [
@@ -144,7 +144,8 @@ def run_localize(scene_path, init_pose: Pose3 | None = None,
     """Localize one scene and return the full machine-readable run record.
 
     The initial pose is either given explicitly or sampled from the scene's
-    true pose under ``bounds`` with ``perturb_seed``.
+    true pose under ``bounds`` with ``perturb_seed``. Raises
+    DegenerateProblemError when the solve's report reads ``degenerate``.
     """
     config = config or load_config(None)
     problem = load_scene(scene_path)
@@ -157,6 +158,8 @@ def run_localize(scene_path, init_pose: Pose3 | None = None,
     start = time.perf_counter()
     report = refine_pose(problem, init_pose, config.solver, config.cost)
     wall = time.perf_counter() - start
+    if report.degenerate:
+        raise DegenerateProblemError(_masked_level(report))
 
     err = pose_error(report.final_pose, problem.gt_pose)
     return {
@@ -171,6 +174,10 @@ def run_localize(scene_path, init_pose: Pose3 | None = None,
         "trace": report.to_dict()["levels"],
         "wall_time_s": wall,
     }
+
+
+def _masked_level(report: OptimReport) -> str:
+    return f"all points masked at pyramid level {report.levels[-1].level}"
 
 
 def _trial_seed(master: int, trial: int) -> int:
@@ -193,13 +200,13 @@ def _eval_trial(problem: AlignmentProblem, trial: int, master: int,
         "init_longitudinal_m": init.longitudinal,
         "init_yaw_deg": math.degrees(init.yaw),
     }
-    try:
-        report = refine_pose(problem, init, solver, cost)
-    except DegenerateProblemError as exc:
+    report = refine_pose(problem, init, solver, cost)
+    if report.degenerate:
         row.update({
             "final_lateral_m": "", "final_longitudinal_m": "", "final_yaw_deg": "",
             "err_lateral_m": "", "err_longitudinal_m": "", "err_yaw_deg": "",
-            "converged": "", "iterations": "", "status": f"degenerate: {exc}",
+            "converged": "", "iterations": "",
+            "status": f"degenerate: {_masked_level(report)}",
         })
         return row
     err = pose_error(report.final_pose, problem.gt_pose)

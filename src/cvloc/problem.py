@@ -12,8 +12,8 @@ from .features import (AttentionMap, FeatureMap, FeaturePyramid, SparseAlignment
                        attention_lookup_many, bilinear_lookup_many, bilinear_values_many,
                        bilinear_weights)
 from .geometry import (CameraIntrinsics, PointSet, Pose3, SatelliteGeoref,
-                       pose_to_transform, project_ground, project_satellite,
-                       transform_points)
+                       ground_pixels_finite, pose_to_transform, project_ground,
+                       project_satellite, satellite_pixels_finite, transform_points)
 
 
 def _check_halving(name: str, pyramid: FeaturePyramid) -> None:
@@ -50,6 +50,15 @@ class AlignmentProblem:
                 raise ContractError(f"level {lvl}: channel mismatch {cs} vs {cg}")
         _check_halving("satellite", self.sat_pyramid)
         _check_halving("ground", self.grd_pyramid)
+        # The points' largest coordinates bound their pixel coordinates: on
+        # the map at the true pose, and in the ground image.
+        reach = np.abs(self.points.points).max(axis=0).tolist()
+        if not satellite_pixels_finite(self.georef, self.gt_pose, max(reach)):
+            raise ContractError(f"gamma {self.georef.gamma} and the true pose put "
+                                "satellite pixel coordinates beyond the float range")
+        if not ground_pixels_finite(self.intrinsics, reach[0], reach[1]):
+            raise ContractError("the camera intrinsics put ground pixel coordinates "
+                                "beyond the float range")
 
     @property
     def level_count(self) -> int:

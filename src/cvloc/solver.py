@@ -28,9 +28,10 @@ and one yaw row give J^T as a (3, N*c) array, and one GEMM and one GEMV
 give H and g. No (N, c, 3) Jacobian is formed. A rejected step reuses H
 and g, and ``lm_step`` is the damped 3x3 Cholesky solve alone. That
 solve is in closed form on Python floats (``cho_factor``, ``cho_solve``):
-it reads the lower triangle of the damped matrix, and raises
-SingularSystemError on a pivot that is not > 0 or on a non-finite entry
-of H or g.
+it reads the lower triangle of the damped matrix, and returns None (a
+rejected step with no ``delta``) on a pivot that is not > 0 or on a
+non-finite entry of H or g. A level whose start leaves no valid point
+ends the solve, and the report reads ``degenerate``.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ContractError, DegenerateProblemError, DomainError,
-                     SingularSystemError, require_int)
+from .errors import ContractError, DomainError, require_int
 from .geometry import Pose3, d_satproj_d_pose_many
 from .problem import AlignmentProblem, PoseEvaluation, evaluate_pose, ground_level_data
 
@@ -179,6 +179,8 @@ class OptimReport:
 
     ``converged`` means the finest level stopped by tolerance after a
     linearization with nonzero H; ``iterations_total`` counts the records.
+    ``degenerate`` means the last level traced has no iteration: no point
+    was valid at the pose it started from, so the solve stopped there.
     """
 
     levels: tuple
@@ -188,6 +190,10 @@ class OptimReport:
     @property
     def iterations_total(self) -> int:
         return sum(len(lv.iterations) for lv in self.levels)
+
+    @property
+    def degenerate(self) -> bool:
+        return not self.levels[-1].iterations
 
     def to_dict(self) -> dict:
         return {
@@ -240,28 +246,28 @@ def _normal_equations(ev: PoseEvaluation, proj_jac: np.ndarray,
     return weighted @ jac_t.T, weighted @ ev.alignment.residuals.reshape(-1)
 
 
-def cho_factor(a) -> tuple[float, ...]:
+def cho_factor(a) -> tuple[float, ...] | None:
     """Lower Cholesky factor L of a 3x3 matrix A = L L^T, in closed form.
 
     Reads only the lower triangle of ``a``, so the strict upper triangle
     never changes the result. Returns L's six lower entries row by row,
-    (l00, l10, l11, l20, l21, l22). Raises SingularSystemError carrying
-    ``a`` when a pivot is not > 0.
+    (l00, l10, l11, l20, l21, l22), or None when a pivot is not > 0 (NaN
+    included).
     """
     (a00, _, _), (a10, a11, _), (a20, a21, a22) = np.asarray(a, dtype=np.float64).tolist()
-    l00 = _pivot_root(a00, 0, a)
+    if not a00 > 0:
+        return None
+    l00 = math.sqrt(a00)
     l10, l20 = a10 / l00, a20 / l00
-    l11 = _pivot_root(a11 - l10 * l10, 1, a)
+    pivot1 = a11 - l10 * l10
+    if not pivot1 > 0:
+        return None
+    l11 = math.sqrt(pivot1)
     l21 = (a21 - l20 * l10) / l11
-    l22 = _pivot_root(a22 - l20 * l20 - l21 * l21, 2, a)
-    return l00, l10, l11, l20, l21, l22
-
-
-def _pivot_root(pivot: float, k: int, a) -> float:
-    if not pivot > 0:  # NaN fails too
-        raise SingularSystemError(
-            f"Cholesky factorization failed: pivot {k} is {pivot!r}, not > 0", hessian=a)
-    return math.sqrt(pivot)
+    pivot2 = a22 - l20 * l20 - l21 * l21
+    if not pivot2 > 0:
+        return None
+    return l00, l10, l11, l20, l21, math.sqrt(pivot2)
 
 
 def cho_solve(factor: tuple[float, ...], b) -> np.ndarray:
@@ -277,15 +283,14 @@ def cho_solve(factor: tuple[float, ...], b) -> np.ndarray:
     return np.array([x0, x1, x2])
 
 
-def lm_step(hess: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray:
+def lm_step(hess: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray | None:
     """Solve one damped normal-equation step.
 
     delta = -(H + lam * diag(H))^-1 g for H = J^T W J and g = J^T W r,
     solved by Cholesky factorization. Diagonal entries of H are floored at
     ``DIAG_FLOOR`` before damping so any lam > 0 yields a solvable system.
-    Raises SingularSystemError when H or g has a NaN or infinite entry
-    (``hessian`` is then H), or when the damped matrix has a pivot that is
-    not > 0 (``hessian`` is then the damped matrix).
+    Returns None when H or g has a NaN or infinite entry, or when the
+    damped matrix has a pivot that is not > 0.
 
     Args:
         hess: (3, 3) H.
@@ -293,23 +298,24 @@ def lm_step(hess: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray:
         lam: damping factor >= 0.
     """
     if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
-        raise SingularSystemError(
-            f"normal equations are not finite (lambda={lam})", hessian=hess)
+        return None
     damped = hess + lam * np.diag(np.maximum(np.diag(hess), DIAG_FLOOR))
-    return -cho_solve(cho_factor(damped), grad)
+    factor = cho_factor(damped)
+    return None if factor is None else -cho_solve(factor, grad)
 
 
 def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = None,
                 cost: RobustCost | None = None) -> OptimReport:
-    """Coarse-to-fine LM refinement of an initial pose.
+    """Coarse-to-fine LM refinement of an initial pose; returns the report.
 
     Every iteration takes one path. A damped system with no Cholesky factor
     leaves ``delta`` None, and a candidate pose with no valid point keeps
     the candidate cost inf; either way the step is rejected like one that
     raises the cost. Each iteration then writes one record and scales
     lambda down on acceptance, up on rejection. Only a solved step can meet
-    the tolerance. Raises DegenerateProblemError (carrying the partial
-    report) if every point is masked at the pose a level starts from.
+    the tolerance. A level whose start pose has no valid point is traced
+    with no iteration and ends the solve: the report reads ``degenerate``,
+    not ``converged``, and its final pose is that start.
     """
     cfg = cfg or LMConfig()
     cost = cost or RobustCost()
@@ -326,7 +332,9 @@ def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = N
 
         ev = evaluate_pose(problem, pose, level=level, ground=ground)
         if not np.any(ev.alignment.valid_mask):
-            raise _degenerate(level, pose, level_traces)
+            level_traces.append(LevelTrace(level=level, iterations=(),
+                                           stopped_by_tolerance=False))
+            break
         current_cost = weighted_cost(ev.alignment.weights, ev.sq_norms, cost)
 
         hess = None  # relinearize only after accepted steps
@@ -339,11 +347,8 @@ def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = N
                 # gradient and a nonzero weight: the step then says nothing.
                 informative = bool(np.any(hess))
             cand_cost = math.inf
-            try:
-                delta = lm_step(hess, grad, lam)
-            except SingularSystemError:
-                delta = None
-            else:
+            delta = lm_step(hess, grad, lam)
+            if delta is not None:
                 candidate = pose.with_delta(delta)
                 ev_cand = evaluate_pose(problem, candidate, level=level, ground=ground)
                 if np.any(ev_cand.alignment.valid_mask):
@@ -369,13 +374,6 @@ def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = N
         level_traces.append(LevelTrace(level=level, iterations=tuple(records),
                                        stopped_by_tolerance=stopped_by_tol))
 
-    # The loop ends on the finest level, so these are its facts.
+    # The loop ends on the finest level or a degenerate one: these are its facts.
     return OptimReport(levels=tuple(level_traces), final_pose=pose,
                        converged=stopped_by_tol and informative)
-
-
-def _degenerate(level: int, pose: Pose3, traces: list) -> DegenerateProblemError:
-    start = LevelTrace(level=level, iterations=(), stopped_by_tolerance=False)
-    report = OptimReport(levels=(*traces, start), final_pose=pose, converged=False)
-    return DegenerateProblemError(
-        f"all points masked at pyramid level {level}", pose=pose, report=report)

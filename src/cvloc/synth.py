@@ -28,7 +28,7 @@ from .features import (AttentionMap, FeatureMap, FeaturePyramid,
                        bilinear_values_many, bilinear_weights, normalize_features)
 from .geometry import (CameraIntrinsics, PointSet, Pose3, SatelliteGeoref,
                        pose_to_transform, project_ground, project_satellite,
-                       transform_points)
+                       satellite_pixels_finite, transform_points)
 from .problem import AlignmentProblem, ground_level_data
 
 # The size budget of a scene's arrays, checked before anything is allocated.
@@ -89,7 +89,7 @@ class SynthConfig:
             # grows with sigma without bound.
             raise DomainError(f"feature_smoothness {self.feature_smoothness} exceeds "
                               f"sat_size / 4 = {self.sat_size / 4}")
-        self._geometry()  # a bad gamma or camera fails here
+        georef, _ = self._geometry()  # a bad gamma or camera fails here
         # The farthest point lies depth_max times the image's widest ray
         # slope away, and points are stored as float32.
         reach = hi * max(1.0, (self.grd_width - 1) / (2 * self.grd_focal),
@@ -97,14 +97,10 @@ class SynthConfig:
         if not reach < float(np.finfo(np.float32).max):
             raise DomainError(f"depth_max {hi} puts points beyond the float32 range "
                               f"(farthest coordinate {reach:.3g} m)")
-        # At the true pose every point lies within this many meters of the
-        # satellite origin on each axis, and projects to x / gamma + center.
-        extent = (abs(self.gt_pose.lateral) + abs(self.gt_pose.longitudinal)
-                  + math.sqrt(3.0) * reach)
-        if not extent / self.gamma + self.sat_size < float(np.finfo(np.float64).max):
+        if not satellite_pixels_finite(georef, self.gt_pose, reach):
             raise DomainError(f"gamma {self.gamma} and gt_pose put satellite pixel "
-                              f"coordinates beyond the float range (points up to "
-                              f"{extent:.3g} m from the origin)")
+                              f"coordinates beyond the float range (farthest point "
+                              f"coordinate {reach:.3g} m)")
 
     def _geometry(self) -> tuple[SatelliteGeoref, CameraIntrinsics]:
         """Satellite georeference and ground camera of the scene."""

@@ -70,3 +70,14 @@ class TestCheckNumerics:
                    if line.startswith("[FAIL]")]
         assert len(failing) == 1 and "residual_jacobian" in failing[0]
         assert "over 0 interior-cell points" in failing[0]
+
+    def test_unsolved_lm_step_exits_5(self, monkeypatch, capsys):
+        # an LM step the oracle cannot solve is a failed comparison, not an
+        # escaping error
+        monkeypatch.setattr(checks, "lm_step", lambda hess, grad, lam: None)
+        assert main(["check-numerics"]) == 5
+        failing = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("[FAIL]")]
+        assert [line.split(":")[0] for line in failing] == [
+            "[FAIL] lm_step/closed_form", "[FAIL] lm_step/damping_monotonic"]
+        assert "max error inf" in failing[0]

@@ -269,8 +269,12 @@ class TestValidation:
          "pose_context.pitch_deg"),
         (lambda meta: _old_pose_context(meta)["cam_to_gps"].__setitem__(3, 0.25),
          "pose_context.cam_to_gps"),
+        # finite values under which the points' pixel coordinates are not
+        (lambda meta: meta["georef"].update(gamma=1e-320), "payload"),
+        (lambda meta: meta["intrinsics"].update(fx=1e308), "payload"),
     ], ids=["gamma_str", "fx_bool", "yaw_list", "center_overflow",
-            "cam_str", "cam_bool", "roll_nonzero", "pitch_nonzero", "cam_not_identity"])
+            "cam_str", "cam_bool", "roll_nonzero", "pitch_nonzero", "cam_not_identity",
+            "gamma_subnormal", "fx_overflow"])
     def test_non_number_metadata_field(self, scene_file, tmp_path, edit, field):
         path, _ = scene_file
         bad = tmp_path / "bad.cvls"

@@ -15,7 +15,7 @@ import pytest
 
 from cvloc import errors, solver
 from cvloc.cvls import MAGIC, VERSION, load_scene, save_scene
-from cvloc.errors import ConfigError, CvlocError, SingularSystemError
+from cvloc.errors import ConfigError, CvlocError
 from cvloc.geometry import Pose3
 from cvloc.harness import cli, runner
 from cvloc.harness.cli import main
@@ -297,8 +297,8 @@ class TestRunEval:
         assert rows2 == rows1
 
     def test_singular_trial_recorded_not_raised(self, scene_path, monkeypatch):
-        # The first LM step of the first trial cannot be factored: the solve
-        # raises lambda and goes on from the same pose.
+        # The first LM step of the first trial cannot be factored (no step):
+        # the solve raises lambda and goes on from the same pose.
         problem = load_scene(scene_path)
         _, plain, _ = runner.run_eval(problem, 3, PerturbBounds(1.0, 3.0))
         calls = []
@@ -307,7 +307,7 @@ class TestRunEval:
         def first_call_singular(*args, **kwargs):
             calls.append(1)
             if len(calls) == 1:
-                raise SingularSystemError("Cholesky factorization failed")
+                return None
             return step(*args, **kwargs)
 
         monkeypatch.setattr(solver, "lm_step", first_call_singular)
@@ -432,6 +432,14 @@ class TestCli:
         main(["synth", "--config", str(synth_cfg_file), "--out", str(scene)])
         code = main(["localize", "--scene", str(scene), "--init", "5000,0,0"])
         assert code == 4
+
+    def test_overflowing_init_exits_4(self, scene_path, capsys):
+        # x / gamma overflows to inf for every point: off the map, not a
+        # numpy overflow warning
+        code = main(["localize", "--scene", str(scene_path), "--init", "1.7e308,0,0"])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "degenerate problem: all points masked at pyramid level 2\n")
 
     @pytest.mark.parametrize("error", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
     def test_error_class_exit_code(self, scene_path, monkeypatch, capsys, error):
@@ -607,9 +615,12 @@ class TestCli:
         ["eval", "--trials", "1", "--max-shift", "1", "--out-dir", "unused"],
         ["eval", "--trials", "1", "--max-yaw", "3", "--out-dir", "unused"],
         ["sweep", "--bounds", "1:3", "--trials", "1", "--out", "unused.csv"],
-    ], ids=["eval-max-shift", "eval-max-yaw", "sweep"])
+        ["localize", "--perturb-seed", "1", "--max-shift", "1", "--out", "unused.json"],
+        ["localize", "--perturb-seed", "1", "--max-yaw", "3", "--out", "unused.json"],
+    ], ids=["eval-max-shift", "eval-max-yaw", "sweep", "localize-max-shift",
+            "localize-max-yaw"])
     def test_removed_options_exit_2(self, scene_path, argv, tmp_path, monkeypatch, capsys):
-        # eval takes its bounds from --bounds alone, and sweep is gone
+        # eval and localize take their bounds from --bounds alone, and sweep is gone
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main([argv[0], "--scene", str(scene_path), *argv[1:]])
@@ -625,8 +636,16 @@ class TestCli:
         assert err.startswith("config error: ") and "Traceback" not in err
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("bounds", ["5:15,10:30", "x:3"])
+    def test_localize_takes_one_bound(self, scene_path, bounds, capsys):
+        code = main(["localize", "--scene", str(scene_path), "--perturb-seed", "1",
+                     "--bounds", bounds])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
-        ["localize", "--perturb-seed", "1", "--max-shift", "-1"],
+        ["localize", "--perturb-seed", "1", "--bounds=-1:30"],
         ["eval", "--trials", "1", "--bounds=-1:30", "--out-dir", "unused"],
         ["eval", "--trials", "1", "--bounds", "10:-1", "--out-dir", "unused"],
         ["eval", "--trials", "1", "--bounds", "nan:30", "--out-dir", "unused"],
@@ -639,7 +658,7 @@ class TestCli:
         assert "bounds must be finite and >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["localize", "--perturb-seed", "1", "--max-shift", "1e308"],
+        ["localize", "--perturb-seed", "1", "--bounds", "1e308:30"],
         ["eval", "--trials", "1", "--bounds", "10:1e308", "--out-dir", "unused"],
         ["eval", "--bounds", "5:15,1e308:30", "--trials", "1", "--out-dir", "unused"],
         ["eval", "--trials", "1", "--bounds", "9e307:30", "--out-dir", "unused"],
