@@ -76,7 +76,7 @@ def fd_scene(seed: int) -> AlignmentProblem:
     return generate_scene(SynthConfig(
         seed=seed, sat_size=64, levels=1, channels=4, point_count=48,
         grd_width=128, grd_height=64, grd_focal=60.0,
-        point_depth_range=(2.5, 5.5), feature_smoothness=4.0))
+        depth_min=2.5, depth_max=5.5, feature_smoothness=4.0))
 
 
 def _central_differences(f, dims: int) -> np.ndarray:

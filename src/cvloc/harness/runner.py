@@ -47,40 +47,16 @@ _SECTIONS = {name: (cls, get_type_hints(cls))
              for name, cls in get_type_hints(RunConfig).items()}
 
 
-def _section(name: str, data: dict, **translated):
+def _section(name: str, data: dict):
     """The section's dataclass from its keys, each one of the class's fields.
     Keys typed ``float`` must hold JSON numbers; the dataclass supplies every
-    default and checks every value. ``translated`` holds the fields the file
-    spells another way, which it cannot set directly."""
+    default and checks every value."""
     cls, hints = _SECTIONS[name]
-    extra = set(data) - (set(hints) - set(translated))
+    extra = set(data) - set(hints)
     if extra:
         raise ConfigError(f"unknown {name} keys {sorted(extra)}")
-    kwargs = {key: require_number(key, value) if hints[key] is float else value
-              for key, value in data.items()}
-    return cls(**kwargs, **translated)
-
-
-def _synth_from(data: dict) -> SynthConfig:
-    """The file's ``depth_min``/``depth_max`` give ``point_depth_range``, and
-    its ``gt_pose`` object takes the keys of ``Pose3.to_dict``."""
-    data = dict(data)
-    default = SynthConfig()
-    lo, hi = default.point_depth_range
-    depth = (require_number("depth_min", data.pop("depth_min", lo)),
-             require_number("depth_max", data.pop("depth_max", hi)))
-    gt = data.pop("gt_pose", {})
-    if not isinstance(gt, dict):
-        raise ConfigError("synth.gt_pose must be an object")
-    pose = default.gt_pose.to_dict()
-    extra = set(gt) - set(pose)
-    if extra:
-        raise ConfigError(f"unknown synth.gt_pose keys {sorted(extra)}")
-    pose.update((key, require_number(f"gt_pose.{key}", value))
-                for key, value in gt.items())
-    gt_pose = Pose3(pose["lateral_m"], pose["longitudinal_m"],
-                    math.radians(pose["yaw_deg"]))
-    return _section("synth", data, point_depth_range=depth, gt_pose=gt_pose)
+    return cls(**{key: require_number(key, value) if hints[key] is float else value
+                  for key, value in data.items()})
 
 
 def _reject_constant(name: str):
@@ -116,8 +92,7 @@ def load_config(path=None) -> RunConfig:
         if not isinstance(section, dict):
             raise ConfigError(f"section {name!r} must be an object")
         try:
-            built[name] = (_synth_from(section) if name == "synth"
-                           else _section(name, section))
+            built[name] = _section(name, section)
         # DomainError is a ValueError; an integer too large for a float overflows
         except (OverflowError, ValueError) as exc:
             raise ConfigError(f"section {name!r}: {exc}") from exc
@@ -171,7 +146,7 @@ def run_localize(scene_path, init_pose: Pose3 | None = None,
                   "yaw_deg": err.yaw_err_deg},
         "converged": report.converged,
         "iterations_total": report.iterations_total,
-        "trace": report.to_dict()["levels"],
+        "trace": [lv.to_dict() for lv in report.levels],
         "wall_time_s": wall,
     }
 

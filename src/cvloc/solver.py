@@ -195,14 +195,6 @@ class OptimReport:
     def degenerate(self) -> bool:
         return not self.levels[-1].iterations
 
-    def to_dict(self) -> dict:
-        return {
-            "final_pose": self.final_pose.to_dict(),
-            "converged": self.converged,
-            "iterations_total": self.iterations_total,
-            "levels": [lv.to_dict() for lv in self.levels],
-        }
-
 
 def build_weight_matrix(weights: np.ndarray, sq_norms: np.ndarray,
                         cost: RobustCost) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Synthetic alignment scenes with a known global optimum.
 
 Scenes are built so the weighted feature cost vanishes exactly at the
-ground-truth pose: smooth random satellite fields are sampled per level,
-3D points are back-projected from ground pixels aligned to the coarsest
+ground-truth pose, ``GT_POSE``: the map origin, heading north. Only a
+start's offset from the truth enters the objective, so one truth serves
+every scene. Smooth random satellite fields are sampled per level, 3D
+points are back-projected from ground pixels aligned to the coarsest
 level's texel grid, and each point's satellite feature (looked up at the
 true pose) is splatted into the ground map so its bilinear lookup
 reproduces it. The ground map is zero away from the points' texels: the
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +39,9 @@ from .problem import AlignmentProblem, ground_level_data
 # is counted like a channel, which overestimates it.
 MAX_SCENE_BYTES = 2**31
 
+#: The true pose of every generated scene: the map origin, heading north.
+GT_POSE = Pose3(0.0, 0.0, 0.0)
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -48,9 +53,9 @@ class SynthConfig:
     levels: int = 3
     channels: int = 8
     point_count: int = 5000
-    point_depth_range: tuple = (3.0, 25.0)
+    depth_min: float = 3.0
+    depth_max: float = 25.0
     feature_smoothness: float = 8.0
-    gt_pose: Pose3 = field(default_factory=lambda: Pose3(0.0, 0.0, 0.0))
     grd_width: int = 832
     grd_height: int = 256
     grd_focal: float = 400.0
@@ -78,7 +83,7 @@ class SynthConfig:
                               f"{self.channels} and a {self.grd_width}x{self.grd_height} "
                               f"ground image exceed the {MAX_SCENE_BYTES >> 30} GiB "
                               f"scene size budget")
-        lo, hi = self.point_depth_range
+        lo, hi = self.depth_min, self.depth_max
         if not (0 < lo < hi < math.inf):
             raise DomainError(f"depth range must be 0 < min < max < inf, got {lo}, {hi}")
         if not 0 < self.feature_smoothness < math.inf:
@@ -97,8 +102,8 @@ class SynthConfig:
         if not reach < float(np.finfo(np.float32).max):
             raise DomainError(f"depth_max {hi} puts points beyond the float32 range "
                               f"(farthest coordinate {reach:.3g} m)")
-        if not satellite_pixels_finite(georef, self.gt_pose, reach):
-            raise DomainError(f"gamma {self.gamma} and gt_pose put satellite pixel "
+        if not satellite_pixels_finite(georef, GT_POSE, reach):
+            raise DomainError(f"gamma {self.gamma} puts satellite pixel "
                               f"coordinates beyond the float range (farthest point "
                               f"coordinate {reach:.3g} m)")
 
@@ -202,7 +207,7 @@ def _sat_level_sizes(cfg: SynthConfig) -> list[int]:
 
 
 def generate_scene(cfg: SynthConfig) -> AlignmentProblem:
-    """Generate one alignment problem whose optimum sits at ``cfg.gt_pose``.
+    """Generate one alignment problem whose optimum sits at ``GT_POSE``.
 
     Deterministic given the config (including its seed). Raises
     GenerationError if fewer than 10 points survive visibility filtering.
@@ -225,8 +230,7 @@ def generate_scene(cfg: SynthConfig) -> AlignmentProblem:
     chosen = rng.choice(n_slots, size=cfg.point_count, replace=False)
     pix_u = us[chosen % len(us)].astype(np.float64)
     pix_v = vs[chosen // len(us)].astype(np.float64)
-    depth = rng.uniform(cfg.point_depth_range[0], cfg.point_depth_range[1],
-                        cfg.point_count)
+    depth = rng.uniform(cfg.depth_min, cfg.depth_max, cfg.point_count)
 
     pts = np.stack([
         (pix_u - intrinsics.cx) * depth / intrinsics.fx,
@@ -239,7 +243,7 @@ def generate_scene(cfg: SynthConfig) -> AlignmentProblem:
 
     # True-pose lookups; points must be ground-visible and land inside the
     # satellite crop at every level.
-    pts_sat = transform_points(points, pose_to_transform(cfg.gt_pose))
+    pts_sat = transform_points(points, pose_to_transform(GT_POSE))
     uv_grd, visible = project_ground(points, intrinsics)
     valid = visible.copy()
     sat_vals_per_level = []
@@ -269,7 +273,7 @@ def generate_scene(cfg: SynthConfig) -> AlignmentProblem:
     problem = AlignmentProblem(
         sat_pyramid=FeaturePyramid(tuple(sat_levels)), georef=georef,
         grd_pyramid=FeaturePyramid(tuple(grd_levels)), intrinsics=intrinsics,
-        points=points, gt_pose=cfg.gt_pose)
+        points=points, gt_pose=GT_POSE)
 
     _assert_zero_residual(problem, sat_vals_per_level)
     return problem

@@ -65,7 +65,7 @@ def tiny_problem(sat_data=None, grd_data=None, sat_att=None, grd_att=None,
 
 SMALL_SCENE_CFG = SynthConfig(seed=11, sat_size=128, point_count=300,
                               grd_width=256, grd_height=96, grd_focal=120.0,
-                              point_depth_range=(3.0, 14.0))
+                              depth_min=3.0, depth_max=14.0)
 
 
 @functools.cache

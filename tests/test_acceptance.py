@@ -129,8 +129,7 @@ class TestAcceptance:
         yaws = np.radians(np.linspace(-15.0, 15.0, 11))
         margins = []
         for i in range(10):
-            cfg = replace(SMALL_SCENE_CFG, seed=300 + i,
-                          gt_pose=Pose3(0.0, 0.0, 0.0))
+            cfg = replace(SMALL_SCENE_CFG, seed=300 + i)
             margin, cells = grid_argmin_margin(generate_scene(cfg), RobustCost(),
                                                shifts, shifts, yaws)
             assert cells == 21 * 21 * 11 - 1

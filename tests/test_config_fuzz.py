@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from cvloc.cvls import save_scene
 from cvloc.errors import ConfigError
-from cvloc.geometry import Pose3
 from cvloc.harness import runner
 
 from conftest import small_scene_problem
@@ -29,19 +28,10 @@ _VALUES = [0, -0.0, 5e-324, 1e308, -1e308, 2**70, -2**70, True, False, "x", None
 
 
 def _config_keys() -> list[tuple]:
-    """(section, key) for every key of every section, as a file spells it,
-    and (synth, gt_pose, key) for each of gt_pose's keys."""
-    keys = []
-    for section, (_, hints) in runner._SECTIONS.items():
-        for name in hints:
-            if name == "point_depth_range":
-                keys += [(section, "depth_min"), (section, "depth_max")]
-            elif name == "gt_pose":
-                pose_keys = Pose3(0.0, 0.0, 0.0).to_dict()
-                keys += [(section, name)] + [(section, name, key) for key in pose_keys]
-            else:
-                keys.append((section, name))
-    return keys
+    """(section, key) for every key of every section: each is a field of
+    the section's dataclass."""
+    return [(section, name) for section, (_, hints) in runner._SECTIONS.items()
+            for name in hints]
 
 
 _KEYS = _config_keys()
@@ -62,8 +52,7 @@ def _config(base: dict, path: tuple, value) -> dict:
 
 def test_keys_cover_every_section():
     assert {key[0] for key in _KEYS} == set(runner._SECTIONS)
-    assert ("synth", "depth_min") in _KEYS and ("synth", "gt_pose", "yaw_deg") in _KEYS
-    assert ("synth", "point_depth_range") not in _KEYS
+    assert ("synth", "depth_min") in _KEYS and ("synth", "depth_max") in _KEYS
 
 
 @pytest.fixture(scope="module")

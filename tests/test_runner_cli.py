@@ -70,13 +70,13 @@ class TestConfig:
         path.write_text(json.dumps({
             "solver": {"max_iters_per_level": 5, "stop_tol": 0.5},
             "cost": {"kind": "geman_mcclure", "sigma": 2.0},
-            "synth": {"seed": 9, "gt_pose": {"lateral_m": 1.0, "yaw_deg": 15.0}},
+            "synth": {"seed": 9, "depth_min": 4.0},
         }))
         cfg = runner.load_config(path)
         assert cfg.solver.max_iters_per_level == 5
         assert cfg.solver.stop_tol == 0.5
         assert cfg.cost.sigma == 2.0
-        assert cfg.synth.gt_pose.yaw == pytest.approx(math.radians(15.0))
+        assert (cfg.synth.seed, cfg.synth.depth_min, cfg.synth.depth_max) == (9, 4.0, 25.0)
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -87,9 +87,8 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
-        # point_depth_range is spelled depth_min/depth_max in the file
+        # the depth range is the two keys depth_min and depth_max
         for data in ({"solver": {"max_iter": 3}},
-                     {"synth": {"gt_pose": {"lateral": 3.0}}},
                      {"synth": {"point_depth_range": [3.0, 9.0]}}):
             path.write_text(json.dumps(data))
             with pytest.raises(ConfigError, match="unknown"):
@@ -114,8 +113,6 @@ class TestConfig:
                      {"synth": {"grd_focal": "x"}},
                      {"synth": {"depth_min": "3"}},
                      {"synth": {"depth_max": False}},
-                     {"synth": {"gt_pose": {"yaw_deg": True}}},
-                     {"synth": {"gt_pose": {"lateral_m": "1"}}},
                      # every key reaches its dataclass, whatever the cost kind
                      {"cost": {"kind": "squared", "delta": -1.0}}):
             path.write_text(json.dumps(data))
@@ -127,8 +124,7 @@ class TestConfig:
         '{"cost": {"delta": NaN}}',
         '{"synth": {"feature_smoothness": NaN}}',
         '{"synth": {"gamma": Infinity}}',
-        '{"synth": {"gt_pose": {"lateral_m": -Infinity}}}',
-    ], ids=["stop_tol", "delta", "smoothness", "gamma", "gt_lateral"])
+    ], ids=["stop_tol", "delta", "smoothness", "gamma"])
     def test_non_finite_constant_rejected(self, tmp_path, text):
         path = tmp_path / "cfg.json"
         path.write_text(text)
@@ -144,12 +140,11 @@ class TestConfig:
         '{"synth": {"depth_max": 1e400}}',
         '{"synth": {"grd_focal": 1e400}}',
         '{"synth": {"depth_min": -1e400}}',
-        '{"synth": {"gt_pose": {"yaw_deg": 1e400}}}',
         '{"cost": {"sigma": 1%s}}' % ("0" * 400),
         '{"synth": {"sat_size": 1%s}}' % ("0" * 400),
         '{"solver": {"max_iters_per_level": 1%s}}' % ("0" * 5000),
     ], ids=["stop_tol", "sigma", "gamma", "delta",
-            "smoothness", "depth_max", "focal", "depth_min", "gt_yaw", "sigma_int",
+            "smoothness", "depth_max", "focal", "depth_min", "sigma_int",
             "sat_size_int", "iters_digits"])
     def test_out_of_range_number_rejected(self, tmp_path, text):
         """Numbers that overflow to inf, or integers beyond what a float or
@@ -707,25 +702,18 @@ class TestCli:
         assert "format error" in err and "magic" in err
         assert "Traceback" not in err
 
-    def test_attention_mode_key_exits_2(self, tmp_path, capsys):
-        # generated attention is uniform; the key that chose it is gone
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"synth": {"attention_mode": "uniform"}}))
-        code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s.cvls")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "unknown synth keys ['attention_mode']" in err
-        assert "Traceback" not in err
-
     @pytest.mark.parametrize("section, key, value", [
         ("solver", "lambda_init", 0.1),
         ("solver", "lambda_up", 10.0),
         ("solver", "lambda_down", 0.1),
         ("synth", "cam_height_m", -1.65),
+        ("synth", "attention_mode", "uniform"),
+        pytest.param("synth", "gt_pose", {"lateral_m": 0.0}, id="synth-gt_pose-object"),
     ])
     def test_deleted_key_exits_2(self, tmp_path, capsys, section, key, value):
-        # the damping schedule is fixed, and the satellite projection discards
-        # the camera height; even the old defaults are unknown keys
+        # the damping schedule is fixed, the satellite projection discards
+        # the camera height, generated attention is uniform and a generated
+        # scene's truth is the map origin; even the old defaults are unknown keys
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({section: {key: value}}))
         code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "s.cvls")])
@@ -774,7 +762,7 @@ _, rows, failures = run_eval(problem, 2, PerturbBounds(3.0, 10.0), workers=2)
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 generated = generate_scene(SynthConfig(seed=5, sat_size=128, levels=2, channels=2,
                                        point_count=50, grd_width=256, grd_height=96,
-                                       grd_focal=120.0, point_depth_range=(3.0, 14.0)))
+                                       grd_focal=120.0, depth_min=3.0, depth_max=14.0))
 print(json.dumps({"scipy": scipy, "iterations": report.iterations_total,
                   "failures": failures, "points": len(generated.points.points)}))
 """

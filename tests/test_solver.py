@@ -507,7 +507,7 @@ class TestRefinePose:
         # written as null, never as the non-standard Infinity
         trace = report.levels[1].to_dict()["iterations"]
         assert all(trace[i]["candidate_cost"] is None for i in unscored)
-        json.dumps(report.to_dict(), allow_nan=False)
+        json.dumps([lv.to_dict() for lv in report.levels], allow_nan=False)
 
     def test_deterministic_reports(self, small_scene):
         init = Pose3(2.0, 1.0, 0.05)
@@ -524,7 +524,7 @@ class TestRefinePose:
 
     def test_trace_is_json_serializable(self, small_scene):
         report = refine_pose(small_scene, small_scene.gt_pose)
-        json.dumps(report.to_dict())
+        json.dumps([lv.to_dict() for lv in report.levels], allow_nan=False)
 
 
 # (iteration budget per level, perturbation seed, final lateral m,
@@ -569,7 +569,7 @@ class TestGaugeConsistency:
         # gamma = 0.25 so an integer-pixel shift is an exact float shift
         cfg = SynthConfig(seed=23, sat_size=128, gamma=0.25, point_count=200,
                           grd_width=192, grd_height=96, grd_focal=90.0,
-                          point_depth_range=(3.0, 12.0))
+                          depth_min=3.0, depth_max=12.0)
         problem = generate_scene(cfg)
         shift_px = 4  # divisible by 2**(levels-1) so every level rolls evenly
         de = shift_px * cfg.gamma
