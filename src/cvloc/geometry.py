@@ -37,9 +37,6 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 
-# Web-mercator ground resolution at the equator for zoom 0, meters per pixel.
-WEB_MERCATOR_BASE = 156543.03392
-
 _TWO_PI = 2.0 * math.pi
 
 #: Ground-camera depth (m) a point must exceed to be visible.
@@ -54,28 +51,12 @@ def wrap_angle(theta: float) -> float:
     return wrapped
 
 
-def meters_per_pixel(latitude_deg: float, zoom: int, scale: int) -> float:
-    """Ground distance covered by one satellite pixel (meters).
-
-    Follows the web-map tiling model: the equatorial base resolution scaled
-    by cos(latitude) and divided by 2**zoom * scale.
-    """
-    if not abs(latitude_deg) < 90.0:
-        raise DomainError(f"latitude must satisfy |lat| < 90, got {latitude_deg}")
-    if zoom < 0:
-        raise DomainError(f"zoom must be >= 0, got {zoom}")
-    if scale < 1:
-        raise DomainError(f"scale must be >= 1, got {scale}")
-    return WEB_MERCATOR_BASE * math.cos(math.radians(latitude_deg)) / (2**zoom * scale)
-
-
 @dataclass(frozen=True)
 class SatelliteGeoref:
     """Georeference of a square satellite crop.
 
     ``center_px`` is the pixel coordinate of the map origin on both image
-    axes; ``gamma`` is the meters-per-pixel ratio, given directly or
-    computed from web-map tiles with :func:`meters_per_pixel`.
+    axes; ``gamma`` is the meters-per-pixel ratio.
     """
 
     center_px: float

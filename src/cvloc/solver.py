@@ -1,37 +1,25 @@
 """Damped Levenberg-Marquardt pose refinement over a feature pyramid.
 
-The solver iterates from the coarsest pyramid level to the finest, seeding
-each level with the previous level's result. Per iteration it projects the
-3D points into the satellite map at the current pose, forms weighted
-feature residuals, assembles the Jacobian through the bilinear-interpolant
-gradients and the projection geometry, and solves the damped normal
-equations by Cholesky factorization. Steps are accepted only if the
-weighted cost decreases; the damping factor adapts multiplicatively. A
-step whose damped system cannot be factored, or whose candidate pose
-leaves no valid point, is rejected like one that raises the cost.
+``refine_pose`` runs ``_solve_level`` from the coarsest pyramid level to
+the finest, seeding each level with the pose the previous one ended at.
+Each iteration projects the 3D points into the satellite map, forms
+weighted feature residuals and their normal equations, and solves them
+damped by Cholesky. A step is accepted only if the weighted cost
+decreases, and the damping adapts multiplicatively. Each level's
+``LevelTrace`` holds its records, its end pose and ``informative`` (its
+last H was nonzero); ``OptimReport`` reads ``final_pose`` and
+``converged`` off the last level. A level whose start leaves no valid
+point ends the solve, and the report reads ``degenerate``.
 
 Hot path per level: the ground-view lookups come once per problem from
-``ground_level_data``'s cache, since the pose never moves ground pixels.
-Each evaluated pose builds its bilinear corners once, and one feature
-lookup with gradients and one attention lookup without them gather
-through those corners by flat row index. The two gradient components are
-written as contiguous (N, c) planes and read as an (N, c, 2) view; the
-residuals and weights are formed in place, and masked rows are written
-only when some point is masked. The evaluation also keeps the
-satellite-frame points and each point's sum_c r^2, so a candidate pose's
-cost evaluates only rho on those norms. After an accepted step the
-projection Jacobian is built from the kept points, the weights
-w_i * rho'(||r_i||^2) from the kept norms, and ``_normal_equations``
-assembles H = J^T W J and g = J^T W r straight from the gradient planes:
-the 2x2 translation block is shared by every point, so two scaled planes
-and one yaw row give J^T as a (3, N*c) array, and one GEMM and one GEMV
-give H and g. No (N, c, 3) Jacobian is formed. A rejected step reuses H
-and g, and ``lm_step`` is the damped 3x3 Cholesky solve alone. That
-solve is in closed form on Python floats (``cho_factor``, ``cho_solve``):
-it reads the lower triangle of the damped matrix, and returns None (a
-rejected step with no ``delta``) on a pivot that is not > 0 or on a
-non-finite entry of H or g. A level whose start leaves no valid point
-ends the solve, and the report reads ``degenerate``.
+``ground_level_data``'s cache. Each evaluated pose gathers feature values,
+gradient planes and attention through one set of bilinear corners, and
+keeps each point's sum_c r^2, so a candidate's cost evaluates only rho.
+After an accepted step ``_normal_equations`` assembles H and g straight
+from the planes, with no (N, c, 3) Jacobian; a rejected step reuses them.
+``lm_step`` is the damped 3x3 solve alone, by the closed-form Cholesky of
+``cho_factor`` and ``cho_solve``. It returns None (a rejected step with
+no ``delta``) on a pivot that is not > 0 or a non-finite H or g.
 """
 
 from __future__ import annotations
@@ -161,9 +149,16 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class LevelTrace:
+    """One pyramid level's LM run. ``pose`` is where it ended: its start
+    when no point was valid there. ``informative`` says its last
+    linearization had a nonzero H; it is False for such a degenerate level.
+    ``to_dict`` writes neither field."""
+
     level: int
     iterations: tuple
     stopped_by_tolerance: bool
+    pose: Pose3
+    informative: bool
 
     def to_dict(self) -> dict:
         return {
@@ -177,15 +172,22 @@ class LevelTrace:
 class OptimReport:
     """Per-level, per-iteration trace of one refinement run.
 
-    ``converged`` means the finest level stopped by tolerance after a
-    linearization with nonzero H; ``iterations_total`` counts the records.
-    ``degenerate`` means the last level traced has no iteration: no point
-    was valid at the pose it started from, so the solve stopped there.
+    ``iterations_total`` counts every level's records; the other facts are
+    the last level's. ``final_pose`` is where it ended. ``converged`` means
+    it stopped by tolerance after an informative linearization.
+    ``degenerate`` means no point was valid at its start, so it has no
+    iteration. Validity nests across levels: only the coarsest can be so.
     """
 
     levels: tuple
-    final_pose: Pose3
-    converged: bool
+
+    @property
+    def final_pose(self) -> Pose3:
+        return self.levels[-1].pose
+
+    @property
+    def converged(self) -> bool:
+        return self.levels[-1].stopped_by_tolerance and self.levels[-1].informative
 
     @property
     def iterations_total(self) -> int:
@@ -296,76 +298,74 @@ def lm_step(hess: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray | None
     return None if factor is None else -cho_solve(factor, grad)
 
 
+def _solve_level(problem: AlignmentProblem, pose: Pose3, level: int, cfg: LMConfig,
+                 cost: RobustCost) -> LevelTrace:
+    """LM iterations at one pyramid level from ``pose``; returns its trace.
+
+    An unsolved step (``delta`` None) or a candidate with no valid point
+    (cost inf) is rejected like one that raises the cost, and only a solved
+    step can meet the tolerance. A start with no valid point gets no record.
+    """
+    ground = ground_level_data(problem, level)
+    _, _, georef = problem.satellite_level(level)
+    ev = evaluate_pose(problem, pose, level=level, ground=ground)
+    if not np.any(ev.alignment.valid_mask):
+        return LevelTrace(level=level, iterations=(), stopped_by_tolerance=False,
+                          pose=pose, informative=False)
+    current_cost = weighted_cost(ev.alignment.weights, ev.sq_norms, cost)
+
+    lam = LAMBDA_INIT
+    records = []
+    hess = None  # relinearize only after accepted steps
+    for _ in range(cfg.max_iters_per_level):
+        if hess is None:
+            proj_jac = d_satproj_d_pose_many(ev.pts_sat, pose, georef)
+            w_points = build_weight_matrix(ev.alignment.weights, ev.sq_norms, cost)
+            hess, grad = _normal_equations(ev, proj_jac, w_points)
+            # H is zero exactly when no point has both a nonzero
+            # gradient and a nonzero weight: the step then says nothing.
+            informative = bool(np.any(hess))
+        cand_cost = math.inf
+        delta = lm_step(hess, grad, lam)
+        if delta is not None:
+            candidate = pose.with_delta(delta)
+            ev_cand = evaluate_pose(problem, candidate, level=level, ground=ground)
+            if np.any(ev_cand.alignment.valid_mask):
+                cand_cost = weighted_cost(ev_cand.alignment.weights, ev_cand.sq_norms, cost)
+
+        accepted = cand_cost < current_cost
+        if accepted:
+            pose, ev, current_cost = candidate, ev_cand, cand_cost
+            hess = None
+        records.append(IterationRecord(
+            pose=pose, cost=current_cost, candidate_cost=cand_cost, lam=lam,
+            accepted=accepted,
+            delta=None if delta is None else tuple(float(d) for d in delta)))
+        lam *= LAMBDA_DOWN if accepted else LAMBDA_UP
+
+        stopped_by_tol = delta is not None and bool(
+            abs(delta[0]) < cfg.stop_tol and abs(delta[1]) < cfg.stop_tol
+            and abs(math.degrees(delta[2])) < cfg.stop_tol)
+        if stopped_by_tol:
+            break
+
+    return LevelTrace(level=level, iterations=tuple(records),
+                      stopped_by_tolerance=stopped_by_tol, pose=pose, informative=informative)
+
+
 def refine_pose(problem: AlignmentProblem, init: Pose3, cfg: LMConfig | None = None,
                 cost: RobustCost | None = None) -> OptimReport:
     """Coarse-to-fine LM refinement of an initial pose; returns the report.
 
-    Every iteration takes one path. A damped system with no Cholesky factor
-    leaves ``delta`` None, and a candidate pose with no valid point keeps
-    the candidate cost inf; either way the step is rejected like one that
-    raises the cost. Each iteration then writes one record and scales
-    lambda down on acceptance, up on rejection. Only a solved step can meet
-    the tolerance. A level whose start pose has no valid point is traced
-    with no iteration and ends the solve: the report reads ``degenerate``,
-    not ``converged``, and its final pose is that start.
+    A level whose start has no valid point ends the solve: the report
+    reads ``degenerate``, not ``converged``, and its final pose is that start.
     """
     cfg = cfg or LMConfig()
     cost = cost or RobustCost()
-
-    pose = init
-    level_traces = []
-
+    pose, levels = init, []
     for level in range(problem.level_count - 1, -1, -1):
-        ground = ground_level_data(problem, level)
-        _, _, georef = problem.satellite_level(level)
-        lam = LAMBDA_INIT
-        records = []
-        stopped_by_tol = False
-
-        ev = evaluate_pose(problem, pose, level=level, ground=ground)
-        if not np.any(ev.alignment.valid_mask):
-            level_traces.append(LevelTrace(level=level, iterations=(),
-                                           stopped_by_tolerance=False))
+        levels.append(_solve_level(problem, pose, level, cfg, cost))
+        if not levels[-1].iterations:
             break
-        current_cost = weighted_cost(ev.alignment.weights, ev.sq_norms, cost)
-
-        hess = None  # relinearize only after accepted steps
-        for _ in range(cfg.max_iters_per_level):
-            if hess is None:
-                proj_jac = d_satproj_d_pose_many(ev.pts_sat, pose, georef)
-                w_points = build_weight_matrix(ev.alignment.weights, ev.sq_norms, cost)
-                hess, grad = _normal_equations(ev, proj_jac, w_points)
-                # H is zero exactly when no point has both a nonzero
-                # gradient and a nonzero weight: the step then says nothing.
-                informative = bool(np.any(hess))
-            cand_cost = math.inf
-            delta = lm_step(hess, grad, lam)
-            if delta is not None:
-                candidate = pose.with_delta(delta)
-                ev_cand = evaluate_pose(problem, candidate, level=level, ground=ground)
-                if np.any(ev_cand.alignment.valid_mask):
-                    cand_cost = weighted_cost(ev_cand.alignment.weights, ev_cand.sq_norms,
-                                              cost)
-
-            accepted = cand_cost < current_cost
-            if accepted:
-                pose, ev, current_cost = candidate, ev_cand, cand_cost
-                hess = None
-            records.append(IterationRecord(
-                pose=pose, cost=current_cost, candidate_cost=cand_cost, lam=lam,
-                accepted=accepted,
-                delta=None if delta is None else tuple(float(d) for d in delta)))
-            lam *= LAMBDA_DOWN if accepted else LAMBDA_UP
-
-            if delta is not None and (
-                    abs(delta[0]) < cfg.stop_tol and abs(delta[1]) < cfg.stop_tol
-                    and abs(math.degrees(delta[2])) < cfg.stop_tol):
-                stopped_by_tol = True
-                break
-
-        level_traces.append(LevelTrace(level=level, iterations=tuple(records),
-                                       stopped_by_tolerance=stopped_by_tol))
-
-    # The loop ends on the finest level or a degenerate one: these are its facts.
-    return OptimReport(levels=tuple(level_traces), final_pose=pose,
-                       converged=stopped_by_tol and informative)
+        pose = levels[-1].pose
+    return OptimReport(levels=tuple(levels))

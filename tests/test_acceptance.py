@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from cvloc.cvls import load_scene, save_scene
-from cvloc.geometry import Pose3, SatelliteGeoref, meters_per_pixel
+from cvloc.geometry import Pose3, SatelliteGeoref
 from cvloc.harness.checks import (fd_scene, grid_argmin_margin, lm_step_error,
                                   projection_jacobian_error, residual_jacobian_error)
 from cvloc.harness.runner import run_bounds
@@ -115,12 +115,6 @@ class TestAcceptance:
         _report("robustness_curve", ok,
                 "recall@1m per bound " + ", ".join(f"{r:.0f}" for r in recalls)
                 + " (non-increasing within 2pp)")
-
-    def test_meter_per_pixel_reference(self):
-        """Tile resolution at the dataset latitude is about 0.2 m/px."""
-        val = meters_per_pixel(49.0, 18, 2)
-        ok = 0.195 <= val <= 0.197
-        _report("meters_per_pixel_reference", ok, f"{val:.6f} in [0.195, 0.197]")
 
     def test_grid_oracle_optimality(self):
         """Brute-force weighted-distance grid attains its minimum at truth."""

@@ -9,41 +9,10 @@ from hypothesis import strategies as st
 
 from cvloc.errors import DomainError
 from cvloc.geometry import (CameraIntrinsics, PointSet, Pose3, SatelliteGeoref,
-                            d_satproj_d_pose_many, meters_per_pixel, pose_to_transform,
+                            d_satproj_d_pose_many, pose_to_transform,
                             project_ground, project_satellite, transform_points,
                             translate_pose_east_south, wrap_angle)
 from cvloc.harness.checks import projection_jacobian_error
-
-
-class TestMetersPerPixel:
-    def test_equator_zoom18_scale2(self):
-        # hand evaluation: 156543.03392 * cos(0) / (2^18 * 2)
-        assert meters_per_pixel(0.0, 18, 2) == pytest.approx(0.2985820, abs=1e-6)
-
-    def test_mid_latitude_resolution_near_point_two(self):
-        assert 0.195 <= meters_per_pixel(49.0, 18, 2) <= 0.197
-
-    def test_vanishes_toward_pole(self):
-        vals = [meters_per_pixel(lat, 18, 2) for lat in (80.0, 89.0, 89.999)]
-        assert vals[0] > vals[1] > vals[2] > 0
-        assert vals[2] < 1e-5
-
-    def test_monotone_in_zoom_and_latitude(self):
-        zooms = [meters_per_pixel(30.0, z, 2) for z in range(10, 20)]
-        assert all(a > b for a, b in zip(zooms, zooms[1:]))
-        lats = [meters_per_pixel(lat, 18, 2) for lat in (0.0, 20.0, 45.0, 70.0, 89.0)]
-        assert all(a > b for a, b in zip(lats, lats[1:]))
-
-    @pytest.mark.parametrize("lat", [90.0, -90.0, 120.0])
-    def test_out_of_range_latitude(self, lat):
-        with pytest.raises(DomainError):
-            meters_per_pixel(lat, 18, 2)
-
-    def test_bad_zoom_and_scale(self):
-        with pytest.raises(DomainError):
-            meters_per_pixel(0.0, -1, 2)
-        with pytest.raises(DomainError):
-            meters_per_pixel(0.0, 18, 0)
 
 
 class TestSatelliteGeoref:

@@ -1,5 +1,6 @@
 """Solver: robust costs, LM step, Jacobian assembly, multi-level refinement."""
 
+import functools
 import json
 import math
 
@@ -174,7 +175,7 @@ class TestLMStep:
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
         assert norms[-1] < 1e-4 * norms[0]
 
-    def test_singular_undamped_system_raises(self):
+    def test_singular_undamped_system_returns_none(self):
         # an unsolvable system is no step (None), not an exception
         jac = np.zeros((6, 3))
         jac[:, 0] = 1.0  # rank one
@@ -186,7 +187,7 @@ class TestLMStep:
         ("hess", (2, 0), math.nan), ("hess", (0, 2), math.nan),
         ("grad", 1, math.nan), ("hess", (1, 1), math.inf),
     ], ids=["lower_nan", "upper_nan", "grad_nan", "diag_inf"])
-    def test_non_finite_system_raises(self, name, index, value):
+    def test_non_finite_system_returns_none(self, name, index, value):
         # a non-finite entry anywhere, the upper triangle included, is no step
         system = {"hess": np.eye(3), "grad": np.ones(3)}
         system[name][index] = value
@@ -295,7 +296,7 @@ class TestClosedFormCholesky:
            diag=st.lists(st.integers(1, 4), min_size=2, max_size=2),
            k=st.integers(0, 2), pivot=st.integers(-5, 0))
     @settings(max_examples=100, deadline=None)
-    def test_non_positive_pivot_raises(self, lower, diag, k, pivot):
+    def test_non_positive_pivot_leaves_no_factor(self, lower, diag, k, pivot):
         # H = L L^T with pivot k replaced; integer entries keep every pivot
         # exact. A pivot that is not > 0 leaves no factor and no step.
         low = np.zeros((3, 3))
@@ -433,7 +434,7 @@ class TestRefinePose:
         assert not report.converged
         assert report.final_pose == init
 
-    def test_all_masked_raises_degenerate(self, small_scene):
+    def test_all_masked_returns_degenerate_report(self, small_scene):
         # the coarsest level's start leaves no valid point: the solve stops
         # there and returns its report
         init = Pose3(500.0, 500.0, 0.0)
@@ -455,11 +456,12 @@ class TestRefinePose:
         cfg = LMConfig()
         report = refine_pose(problem, init, cfg)
         if report.degenerate:
-            # Near 10 m every point can leave this small crop at the pose a
-            # level starts from; only there does the solve stop, at that pose.
+            # Near 10 m every point can leave this small crop at the start.
+            # Validity nests across levels, so only the coarsest level can
+            # be degenerate, and the solve stops there, at the start.
             assert not report.converged
-            poses = [rec.pose for trace in report.levels for rec in trace.iterations]
-            assert report.final_pose == (poses[-1] if poses else init)
+            assert [t.level for t in report.levels] == [2]
+            assert report.final_pose == init
         else:
             assert [t.level for t in report.levels] == [2, 1, 0]
         for trace in report.levels:
@@ -527,6 +529,53 @@ class TestRefinePose:
         json.dumps([lv.to_dict() for lv in report.levels], allow_nan=False)
 
 
+@functools.cache
+def _odd_scene_problem() -> AlignmentProblem:
+    """Odd sizes: a 129 px crop (65 and 33 px coarser), a 257x97 ground image."""
+    return generate_scene(SynthConfig(seed=11, sat_size=129, point_count=300,
+                                      grd_width=257, grd_height=97, grd_focal=120.0,
+                                      depth_min=3.0, depth_max=14.0))
+
+
+_NESTING_SCENES = {"small": small_scene_problem, "odd": _odd_scene_problem}
+
+
+class TestValidityNests:
+    """At any pose, a point valid at a pyramid level is valid one level
+    finer: pyramids halve by ceiling, ``SatelliteGeoref.coarsened`` scales
+    pixel coordinates by an exact power of 2, and the bilinear bounds shrink
+    with the level. So only the coarsest level can leave no valid point."""
+
+    @pytest.mark.parametrize("scene", sorted(_NESTING_SCENES))
+    @given(lat=st.floats(-15.0, 15.0), lon=st.floats(-15.0, 15.0),
+           yaw_deg=st.floats(-86.0, 86.0))
+    @settings(max_examples=200, deadline=None)
+    def test_valid_at_a_level_is_valid_one_level_finer(self, scene, lat, lon, yaw_deg):
+        problem = _NESTING_SCENES[scene]()
+        pose = Pose3(lat, lon, math.radians(yaw_deg))
+        valid = [evaluate_pose(problem, pose, level=lvl).alignment.valid_mask
+                 for lvl in range(problem.level_count)]
+        for finer, coarser in zip(valid, valid[1:]):
+            assert not np.any(coarser & ~finer)
+
+    @pytest.mark.parametrize("scene", sorted(_NESTING_SCENES))
+    @given(lat=st.floats(-30.0, 30.0), lon=st.floats(-30.0, 30.0),
+           yaw_deg=st.floats(-180.0, 180.0))
+    @example(lat=500.0, lon=500.0, yaw_deg=0.0)
+    @settings(max_examples=100, deadline=None)
+    def test_degenerate_report_has_only_the_coarsest_level(self, scene, lat, lon,
+                                                           yaw_deg):
+        problem = _NESTING_SCENES[scene]()
+        init = Pose3(lat, lon, math.radians(yaw_deg))
+        report = refine_pose(problem, init, LMConfig(max_iters_per_level=2))
+        coarsest = problem.level_count - 1
+        if report.degenerate:
+            assert [t.level for t in report.levels] == [coarsest]
+            assert report.final_pose == init
+        else:
+            assert [t.level for t in report.levels] == list(range(coarsest, -1, -1))
+
+
 # (iteration budget per level, perturbation seed, final lateral m,
 # longitudinal m, yaw rad, total iterations) of refine_pose on small_scene
 # from PerturbBounds(5, 15). Recorded again when the synthetic ground map
@@ -543,6 +592,18 @@ _GOLDEN_SOLVES = [
     (2, 903, -0.00030326629558176523, 1.79842392833612e-05, 3.278149047626546e-05, 5),
 ]
 
+# (budget, seed) of the same runs -> (stopped_by_tolerance per level, coarsest
+# first; converged). A budget-2 run stops on the budget at some levels and
+# still converges when the finest level meets the tolerance.
+_GOLDEN_STOPS = {
+    (20, 900): ((True, True, True), True),
+    (20, 901): ((True, True, True), True),
+    (20, 902): ((True, True, True), True),
+    (2, 900): ((False, False, False), False),
+    (2, 901): ((False, False, True), True),
+    (2, 903): ((False, False, True), True),
+}
+
 
 class TestGoldenSolves:
     # ids name the run, not the recorded values, so recording again keeps them
@@ -557,6 +618,12 @@ class TestGoldenSolves:
         assert abs(pose.lateral - lat) <= 1e-9
         assert abs(pose.longitudinal - lon) <= 1e-9
         assert abs(pose.yaw - yaw) <= 1e-9
+        stops, converged = _GOLDEN_STOPS[budget, seed]
+        assert [t.level for t in report.levels] == [2, 1, 0]
+        # `is`: a JSON record writes Python bools, never numpy ones
+        assert all(t.stopped_by_tolerance is stop
+                   for t, stop in zip(report.levels, stops, strict=True))
+        assert report.converged is converged
 
 
 class TestGaugeConsistency:
