@@ -7,24 +7,24 @@ Layout (little-endian throughout):
     metadata_len    u32
     metadata        UTF-8 JSON (georef, intrinsics, gt_pose, level table
                     per view, point_count, level_order); the georef holds
-                    center_px and gamma. Older files also carry the
-                    georef's latitude_deg, zoom and scale keys, which are
-                    ignored, and a pose_context (roll_deg, pitch_deg,
-                    cam_to_gps, height_m), which loads only at its
-                    defaults: a level vehicle with the camera at its origin
+                    center_px and gamma
     payload         per view (satellite first, then ground), per level
                     (finest first): feature float32 row-major (h, w, c),
                     attention float32 row-major (h, w); finally points
                     float32 (N, 3)
 
-Angles in the metadata are degrees; everything in memory is radians.
+The reader accepts exactly the keys the writer writes: a missing or an
+unknown key, such as one an older file carries, raises FormatError naming
+it. Angles in the metadata are degrees; everything in memory is radians.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
+from typing import get_type_hints
 
 import numpy as np
 
@@ -38,10 +38,15 @@ VERSION = 1
 
 _HEADER = struct.Struct("<4sHI")
 
-#: The pose_context values every scene written with one had: roll and pitch
-#: in degrees, and the row-major 3x4 camera-to-body transform.
-_POSE_CONTEXT_DEFAULTS = {"roll_deg": [0.0], "pitch_deg": [0.0],
-                          "cam_to_gps": np.eye(3, 4).reshape(-1).tolist()}
+#: The keys of each metadata object and the types of their values. An int
+#: is a size or a count, so it must be >= 1.
+_ROOT = {"georef": dict, "intrinsics": dict, "gt_pose": dict, "levels": dict,
+         "point_count": int, "level_order": str}
+_GEOREF = get_type_hints(SatelliteGeoref)
+_INTRINSICS = get_type_hints(CameraIntrinsics)
+_GT_POSE = dict.fromkeys(("lateral_m", "longitudinal_m", "yaw_deg"), float)
+_LEVELS = {"satellite": list, "ground": list}
+_LEVEL = dict.fromkeys("hwc", int)
 
 
 def _level_table(pyramid: FeaturePyramid) -> list[dict]:
@@ -50,18 +55,8 @@ def _level_table(pyramid: FeaturePyramid) -> list[dict]:
 
 def _metadata(problem: AlignmentProblem) -> dict:
     return {
-        "georef": {
-            "center_px": problem.georef.center_px,
-            "gamma": problem.georef.gamma,
-        },
-        "intrinsics": {
-            "fx": problem.intrinsics.fx,
-            "fy": problem.intrinsics.fy,
-            "cx": problem.intrinsics.cx,
-            "cy": problem.intrinsics.cy,
-            "width": problem.intrinsics.width,
-            "height": problem.intrinsics.height,
-        },
+        "georef": dataclasses.asdict(problem.georef),
+        "intrinsics": dataclasses.asdict(problem.intrinsics),
         "gt_pose": problem.gt_pose.to_dict(),
         "levels": {
             "satellite": _level_table(problem.sat_pyramid),
@@ -85,44 +80,29 @@ def save_scene(path, problem: AlignmentProblem) -> None:
         fh.write(np.ascontiguousarray(problem.points.points, dtype="<f4").tobytes())
 
 
-def _require(meta: dict, key: str, section: str, check=None, *args,
-             field: str | None = None):
-    """``meta[key]``, through ``check(key, value, *args)`` if given. A missing
-    key raises FormatError naming ``section.key``, a failed check (for
-    ``require_int``, a float, even 2.0, a boolean or a string) names
-    ``field``, ``section.key`` by default."""
-    if not isinstance(meta, dict):
-        raise FormatError(f"expected an object, got {type(meta).__name__}", field=section)
-    if key not in meta:
-        raise FormatError("missing field", field=f"{section}.{key}")
-    if check is None:
-        return meta[key]
-    try:
-        return check(key, meta[key], *args)
-    except (DomainError, OverflowError) as exc:
-        raise FormatError(str(exc), field=field or f"{section}.{key}") from exc
-
-
-def _check_pose_context(pc) -> None:
-    """Raise unless an older file's ``pose_context`` holds its defaults; its
-    ``height_m`` is ignored. A non-finite number raises DomainError, any
-    other bad value FormatError naming its key."""
-    for key, default in _POSE_CONTEXT_DEFAULTS.items():
-        field = f"pose_context.{key}"
-        value = _require(pc, key, "pose_context")
-        values = value if key == "cam_to_gps" else [value]
-        if not (isinstance(values, list) and len(values) == len(default)):
-            raise FormatError(f"{key} must hold {len(default)} numbers", field=field)
+def _fields(obj, section: str, types: dict, field: str | None = None) -> dict:
+    """The values of ``obj``, an object whose keys must be exactly those of
+    ``types``. A missing or unknown key raises FormatError naming
+    ``section.key``, the bare key at the root (``section`` ""). An ``int``
+    value goes through ``require_int`` and a ``float`` through
+    ``require_number``; a failed check names ``field``, ``section.key`` by
+    default. Other values are returned as they are."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"expected an object, got {type(obj).__name__}",
+                          field=section or "metadata")
+    prefix = f"{section}." if section else ""
+    for key in [*types, *obj]:
+        if (key in types) != (key in obj):
+            raise FormatError(f"{'missing' if key in types else 'unknown'} key; "
+                              "regenerate the scene with `cvloc synth`", field=prefix + key)
+    values = {}
+    for key, kind in types.items():
         try:
-            values = [require_number(key, x) for x in values]
+            values[key] = (require_int(key, obj[key], 1) if kind is int else
+                           require_number(key, obj[key]) if kind is float else obj[key])
         except (DomainError, OverflowError) as exc:
-            raise FormatError(str(exc), field=field) from exc
-        if not all(math.isfinite(x) for x in values):
-            raise DomainError(f"{key} must be finite, got {value}")
-        if values != default:
-            raise FormatError(f"got {value}, but only a level vehicle with the camera at "
-                              f"its origin is modelled (roll and pitch 0, the identity "
-                              f"mount)", field=field)
+            raise FormatError(str(exc), field=field or prefix + key) from exc
+    return values
 
 
 def _take(buffer: bytes, offset: int, shape: tuple, what: str, cls):
@@ -146,8 +126,7 @@ def _read_pyramid(buffer: bytes, offset: int, table: list, view: str):
     levels = []
     for i, entry in enumerate(table):
         field = f"levels.{view}[{i}]"
-        h, w, c = (_require(entry, key, field, require_int, 1, field=field)
-                   for key in "hwc")
+        h, w, c = _fields(entry, field, _LEVEL, field=field).values()
         fmap, offset = _take(buffer, offset, (h, w, c), f"{view} level {i} features",
                              FeatureMap)
         amap, offset = _take(buffer, offset, (h, w), f"{view} level {i} attention",
@@ -175,47 +154,28 @@ def load_scene(path) -> AlignmentProblem:
         raise FormatError("metadata truncated", field="metadata")
     try:
         meta = json.loads(blob[_HEADER.size:_HEADER.size + meta_len].decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8, bad JSON or an overlong integer
+    # bad UTF-8, bad JSON, an overlong integer, or nesting too deep to parse
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"metadata is not valid JSON: {exc}", field="metadata") from exc
 
-    g = _require(meta, "georef", "metadata")
-    k = _require(meta, "intrinsics", "metadata")
-    gt = _require(meta, "gt_pose", "metadata")
-    tables = _require(meta, "levels", "metadata")
-    point_count = _require(meta, "point_count", "metadata", require_int, 1,
-                           field="point_count")
-    order = meta.get("level_order", "finest_first")
-    if order != "finest_first":
-        raise FormatError(f"unsupported level order {order!r}", field="level_order")
-
-    try:
-        georef = SatelliteGeoref(
-            center_px=_require(g, "center_px", "georef", require_number),
-            gamma=_require(g, "gamma", "georef", require_number))
-        intrinsics = CameraIntrinsics(
-            fx=_require(k, "fx", "intrinsics", require_number),
-            fy=_require(k, "fy", "intrinsics", require_number),
-            cx=_require(k, "cx", "intrinsics", require_number),
-            cy=_require(k, "cy", "intrinsics", require_number),
-            width=_require(k, "width", "intrinsics", require_int, 1),
-            height=_require(k, "height", "intrinsics", require_int, 1))
-        if "pose_context" in meta:
-            _check_pose_context(meta["pose_context"])
-        gt_pose = Pose3(
-            lateral=_require(gt, "lateral_m", "gt_pose", require_number),
-            longitudinal=_require(gt, "longitudinal_m", "gt_pose", require_number),
-            yaw=math.radians(_require(gt, "yaw_deg", "gt_pose", require_number)))
-    except FormatError:
-        raise
-    except CvlocError as exc:
+    root = _fields(meta, "", _ROOT)
+    if root["level_order"] != "finest_first":
+        raise FormatError(f"unsupported level order {root['level_order']!r}",
+                          field="level_order")
+    try:  # _fields translates; the value types check the values
+        georef = SatelliteGeoref(**_fields(root["georef"], "georef", _GEOREF))
+        intrinsics = CameraIntrinsics(**_fields(root["intrinsics"], "intrinsics",
+                                                _INTRINSICS))
+        gt = _fields(root["gt_pose"], "gt_pose", _GT_POSE)
+        gt_pose = Pose3(gt["lateral_m"], gt["longitudinal_m"], math.radians(gt["yaw_deg"]))
+    except DomainError as exc:
         raise FormatError(f"invalid metadata value: {exc}", field="metadata") from exc
 
+    tables = _fields(root["levels"], "levels", _LEVELS)
     offset = _HEADER.size + meta_len
-    sat_pyr, offset = _read_pyramid(blob, offset, _require(tables, "satellite", "levels"),
-                                    "satellite")
-    grd_pyr, offset = _read_pyramid(blob, offset, _require(tables, "ground", "levels"),
-                                    "ground")
-    points, offset = _take(blob, offset, (point_count, 3), "points", PointSet)
+    sat_pyr, offset = _read_pyramid(blob, offset, tables["satellite"], "satellite")
+    grd_pyr, offset = _read_pyramid(blob, offset, tables["ground"], "ground")
+    points, offset = _take(blob, offset, (root["point_count"], 3), "points", PointSet)
     if offset != len(blob):
         raise FormatError(f"{len(blob) - offset} trailing bytes after payload",
                           field="payload")

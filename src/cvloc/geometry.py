@@ -94,6 +94,8 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
             raise DomainError("focal lengths must be finite and positive")
+        if self.width < 1 or self.height < 1:
+            raise DomainError(f"image size must be >= 1, got {self.width}x{self.height}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise DomainError("principal point must lie inside the image")
 

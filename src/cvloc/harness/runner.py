@@ -78,7 +78,8 @@ def load_config(path=None) -> RunConfig:
                 data = json.load(fh, parse_constant=_reject_constant)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except ValueError as exc:  # bad UTF-8, bad JSON or an overlong integer
+        # bad UTF-8, bad JSON, an overlong integer, or nesting too deep to parse
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")

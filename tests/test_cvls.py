@@ -40,20 +40,35 @@ def _with_meta(blob: bytes, meta) -> bytes:
             + blob[_payload_offset(blob):])
 
 
-def _old_pose_context(meta: dict) -> dict:
-    """Give ``meta`` the pose_context that files written while the attitude
-    and camera mount were stored carry, at the defaults every scene had, and
-    return it."""
-    meta["pose_context"] = {"roll_deg": 0.0, "pitch_deg": 0.0, "cam_to_gps": [
-        1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]}
-    return meta["pose_context"]
-
-
 def _rewrite_meta(blob: bytes, edit) -> bytes:
     """The same file with ``edit`` applied to its metadata dict."""
     meta = _meta(blob)
     edit(meta)
     return _with_meta(blob, meta)
+
+
+#: Each metadata object of a one-level scene: the path of keys and indices
+#: that reaches it, the prefix of the field that names one of its keys, and
+#: the keys the writer writes.
+_OBJECTS = {
+    "root": ((), "", ["georef", "intrinsics", "gt_pose", "levels", "point_count",
+                      "level_order"]),
+    "georef": (("georef",), "georef.", ["center_px", "gamma"]),
+    "intrinsics": (("intrinsics",), "intrinsics.",
+                   ["fx", "fy", "cx", "cy", "width", "height"]),
+    "gt_pose": (("gt_pose",), "gt_pose.", ["lateral_m", "longitudinal_m", "yaw_deg"]),
+    "levels": (("levels",), "levels.", ["satellite", "ground"]),
+    "satellite_level": (("levels", "satellite", 0), "levels.satellite[0].", ["h", "w", "c"]),
+    "ground_level": (("levels", "ground", 0), "levels.ground[0].", ["h", "w", "c"]),
+}
+
+
+def _object(meta: dict, name: str) -> dict:
+    """The metadata object ``name`` of ``_OBJECTS`` within ``meta``."""
+    obj = meta
+    for step in _OBJECTS[name][0]:
+        obj = obj[step]
+    return obj
 
 
 class TestRoundTrip:
@@ -86,40 +101,6 @@ class TestRoundTrip:
         second = tmp_path / "again.cvls"
         save_scene(second, loaded)
         assert path.read_bytes() == second.read_bytes()
-
-    # Files written before the georef became (center_px, gamma) also carry
-    # the tile fields, and older files a pose_context, with the camera
-    # height in files written before it went. The tile fields and the
-    # height are ignored, whatever their values; the pose_context holds
-    # its defaults.
-    @pytest.mark.parametrize("section, old_keys", [
-        ("georef", {"latitude_deg": 65.25, "zoom": 15, "scale": 2}),
-        ("georef", {"latitude_deg": 65.25, "zoom": 18.7, "scale": 2}),
-        ("georef", {"latitude_deg": 65.25, "zoom": True, "scale": 2}),
-        ("georef", {"latitude_deg": 65.25, "zoom": 15, "scale": 2.0}),
-        ("pose_context", {}),
-        ("pose_context", {"height_m": 1.65}),
-        ("pose_context", {"height_m": None}),
-        ("pose_context", {"height_m": "x"}),
-        ("pose_context", {"height_m": float("-inf")}),
-    ], ids=["tile_keys", "zoom_fraction", "zoom_bool", "scale_float",
-            "pose_context_default", "height_number", "height_null", "height_str",
-            "height_inf"])
-    def test_old_georef_keys_ignored(self, scene_file, tmp_path, section, old_keys):
-        path, problem = scene_file
-        old = tmp_path / "old.cvls"
-
-        def edit(meta):
-            if section == "pose_context":
-                _old_pose_context(meta)
-            meta[section].update(old_keys)
-
-        old.write_bytes(_rewrite_meta(path.read_bytes(), edit))
-        loaded = load_scene(old)
-        assert loaded.georef == problem.georef
-        again = tmp_path / "again.cvls"
-        save_scene(again, loaded)
-        assert again.read_bytes() == path.read_bytes()
 
     def test_georef_has_only_projection_keys(self, scene_file):
         path, _ = scene_file
@@ -204,6 +185,53 @@ class TestValidation:
         with pytest.raises(FormatError, match="georef.gamma"):
             load_scene(bad)
 
+    # Files older than the (center_px, gamma) georef carry the map tile's
+    # keys, and older ones a pose_context, which held height_m before that
+    # went. Such a file, or one with any other extra key, is regenerated.
+    @pytest.mark.parametrize("name, key, value", [
+        ("georef", "latitude_deg", 65.25),
+        ("georef", "zoom", 15),
+        ("georef", "scale", 2),
+        ("root", "pose_context", {"roll_deg": 0.0, "pitch_deg": 0.0, "cam_to_gps": [
+            1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]}),
+        ("root", "pose_context", {"roll_deg": 0.0, "pitch_deg": 0.0, "height_m": 1.65}),
+        *((name, "extra", 0.0) for name in _OBJECTS),
+    ], ids=["latitude_deg", "zoom", "scale", "pose_context", "pose_context_height_m",
+            *(f"unknown_{name}" for name in _OBJECTS)])
+    def test_old_or_unknown_key_names_it(self, scene_file, tmp_path, name, key, value):
+        path, _ = scene_file
+        bad = tmp_path / "bad.cvls"
+        bad.write_bytes(_rewrite_meta(path.read_bytes(),
+                                      lambda meta: _object(meta, name).update({key: value})))
+        with pytest.raises(FormatError, match="unknown key; regenerate the scene with "
+                                               "`cvloc synth`") as err:
+            load_scene(bad)
+        assert err.value.field == _OBJECTS[name][1] + key
+
+    @pytest.mark.parametrize("name, key", [
+        (name, key) for name, (_, _, keys) in _OBJECTS.items() for key in keys])
+    def test_missing_key_names_it(self, scene_file, tmp_path, name, key):
+        path, _ = scene_file
+        bad = tmp_path / "bad.cvls"
+        bad.write_bytes(_rewrite_meta(path.read_bytes(),
+                                      lambda meta: _object(meta, name).pop(key)))
+        with pytest.raises(FormatError, match="missing key; regenerate the scene with "
+                                               "`cvloc synth`") as err:
+            load_scene(bad)
+        assert err.value.field == _OBJECTS[name][1] + key
+
+    def test_deeply_nested_metadata(self, scene_file, tmp_path):
+        # deeper than the JSON parser's recursion limit
+        path, _ = scene_file
+        blob = path.read_bytes()
+        meta = b"[" * 200000 + b"]" * 200000
+        bad = tmp_path / "bad.cvls"
+        bad.write_bytes(struct.pack("<4sHI", MAGIC, 1, len(meta)) + meta
+                        + blob[_payload_offset(blob):])
+        with pytest.raises(FormatError, match="JSON") as err:
+            load_scene(bad)
+        assert err.value.field == "metadata"
+
     @pytest.mark.parametrize("edit, field", [
         (lambda meta: meta.update(point_count="abc"), "point_count"),
         (lambda meta: meta["levels"]["satellite"][0].update(h="x"),
@@ -258,22 +286,10 @@ class TestValidation:
         (lambda meta: meta["intrinsics"].update(fx=True), "intrinsics.fx"),
         (lambda meta: meta["gt_pose"].update(yaw_deg=[0.0]), "gt_pose.yaw_deg"),
         (lambda meta: meta["georef"].update(center_px=10**400), "georef.center_px"),
-        (lambda meta: _old_pose_context(meta)["cam_to_gps"].__setitem__(0, "1"),
-         "pose_context.cam_to_gps"),
-        (lambda meta: _old_pose_context(meta)["cam_to_gps"].__setitem__(5, True),
-         "pose_context.cam_to_gps"),
-        # an older file's pose_context loads only at its defaults
-        (lambda meta: _old_pose_context(meta).update(roll_deg=0.5),
-         "pose_context.roll_deg"),
-        (lambda meta: _old_pose_context(meta).update(pitch_deg=-1),
-         "pose_context.pitch_deg"),
-        (lambda meta: _old_pose_context(meta)["cam_to_gps"].__setitem__(3, 0.25),
-         "pose_context.cam_to_gps"),
         # finite values under which the points' pixel coordinates are not
         (lambda meta: meta["georef"].update(gamma=1e-320), "payload"),
         (lambda meta: meta["intrinsics"].update(fx=1e308), "payload"),
     ], ids=["gamma_str", "fx_bool", "yaw_list", "center_overflow",
-            "cam_str", "cam_bool", "roll_nonzero", "pitch_nonzero", "cam_not_identity",
             "gamma_subnormal", "fx_overflow"])
     def test_non_number_metadata_field(self, scene_file, tmp_path, edit, field):
         path, _ = scene_file
@@ -287,8 +303,7 @@ class TestValidation:
         lambda meta: meta["georef"].update(center_px=float("nan")),
         lambda meta: meta["georef"].update(gamma=float("inf")),
         lambda meta: meta["intrinsics"].update(fy=float("inf")),
-        lambda meta: _old_pose_context(meta).update(roll_deg=float("nan")),
-    ], ids=["center_nan", "gamma_inf", "fy_inf", "roll_nan"])
+    ], ids=["center_nan", "gamma_inf", "fy_inf"])
     def test_non_finite_metadata_value(self, scene_file, tmp_path, edit):
         path, _ = scene_file
         bad = tmp_path / "bad.cvls"
@@ -344,6 +359,39 @@ def test_corrupted_file_loads_or_raises_format_error(tiny_scene_copy, data):
             blob[data.draw(st.integers(lo, hi - 1), label="at")] = data.draw(
                 st.integers(0, 255), label="byte")
     path.write_bytes(bytes(blob))
+    try:
+        load_scene(path)
+    except FormatError:
+        pass
+
+
+#: Any JSON value: NaN, the infinities and integers beyond the float range
+#: included.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**1024, 2**1100)
+    | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=12)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_edited_metadata_loads_or_raises_format_error(tiny_scene_copy, data):
+    """One metadata object loses a key, gains a key, or has a key set to any
+    JSON value: the loader returns a scene or raises FormatError, never
+    another exception."""
+    original, path = tiny_scene_copy
+    meta = _meta(original)
+    obj = _object(meta, data.draw(st.sampled_from(sorted(_OBJECTS)), label="object"))
+    edit = data.draw(st.sampled_from(["delete", "add", "set"]), label="edit")
+    if edit == "delete":
+        del obj[data.draw(st.sampled_from(sorted(obj)), label="key")]
+    else:
+        key = data.draw(st.text(max_size=8) if edit == "add" else st.sampled_from(sorted(obj)),
+                        label="key")
+        obj[key] = data.draw(_JSON_VALUES, label="value")
+    path.write_bytes(_with_meta(original, meta))
     try:
         load_scene(path)
     except FormatError:

@@ -73,6 +73,11 @@ class TestProjectGround:
         uv, vis = project_ground(np.array([[100.0, 0.0, 1.0]]), self.K)
         assert not vis[0]
 
+    @pytest.mark.parametrize("width, height", [(0, 370), (1200, 0), (-5, 370)])
+    def test_empty_image_rejected(self, width, height):
+        with pytest.raises(DomainError, match="image size"):
+            CameraIntrinsics(fx=700.0, fy=700.0, cx=0.0, cy=0.0, width=width, height=height)
+
     def test_depth_floor(self):
         _, vis = project_ground(np.array([[0.0, 0.0, 0.05]]), self.K)
         assert not vis[0]

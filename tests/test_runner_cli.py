@@ -100,6 +100,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             runner.load_config(path)
 
+    def test_deeply_nested_json_rejected(self, tmp_path):
+        # deeper than the JSON parser's recursion limit
+        path = tmp_path / "cfg.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            runner.load_config(path)
+
     def test_invalid_value_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         for data in ({"solver": {"stop_tol": -1.0}},
@@ -291,7 +298,7 @@ class TestRunEval:
                                       master_seed=9)
         assert rows2 == rows1
 
-    def test_singular_trial_recorded_not_raised(self, scene_path, monkeypatch):
+    def test_unsolved_step_recorded_not_raised(self, scene_path, monkeypatch):
         # The first LM step of the first trial cannot be factored (no step):
         # the solve raises lambda and goes on from the same pose.
         problem = load_scene(scene_path)
@@ -345,20 +352,38 @@ class TestCli:
         bad.write_bytes(b"JUNKJUNKJUNK")
         assert main(["localize", "--scene", str(bad), "--init", "0,0,0"]) == 3
 
-    def test_localize_ignores_old_georef_keys(self, scene_path, tmp_path, capsys):
-        # A file written when the georef also held tile fields, one of them
-        # a fractional zoom: the fields are ignored and the scene localizes.
+    def test_localize_old_georef_file_exits_3(self, scene_path, tmp_path, capsys):
+        # A file written when the georef also held the map tile's keys
         blob = scene_path.read_bytes()
         header = struct.calcsize("<4sHI")
         _, _, meta_len = struct.unpack_from("<4sHI", blob)
         meta = json.loads(blob[header:header + meta_len])
-        meta["georef"].update(latitude_deg=47.9, zoom=18.7, scale=2)
+        meta["georef"].update(latitude_deg=47.9, zoom=18, scale=2)
         new_meta = json.dumps(meta, separators=(",", ":")).encode()
         old = tmp_path / "old.cvls"
         old.write_bytes(struct.pack("<4sHI", MAGIC, VERSION, len(new_meta)) + new_meta
                         + blob[header + meta_len:])
-        assert main(["localize", "--scene", str(old), "--init", "0,0,0"]) == 0
-        assert json.loads(capsys.readouterr().out)["converged"] is True
+        assert main(["localize", "--scene", str(old), "--init", "0,0,0"]) == 3
+        err = capsys.readouterr().err
+        assert "georef.latitude_deg" in err and "cvloc synth" in err
+
+    def test_deeply_nested_scene_metadata_exits_3(self, scene_path, tmp_path, capsys):
+        blob = scene_path.read_bytes()
+        header = struct.calcsize("<4sHI")
+        _, _, meta_len = struct.unpack_from("<4sHI", blob)
+        meta = b"[" * 200000 + b"]" * 200000
+        bad = tmp_path / "deep.cvls"
+        bad.write_bytes(struct.pack("<4sHI", MAGIC, VERSION, len(meta)) + meta
+                        + blob[header + meta_len:])
+        assert main(["localize", "--scene", str(bad), "--init", "0,0,0"]) == 3
+        assert "metadata" in capsys.readouterr().err
+
+    def test_deeply_nested_config_exits_2(self, scene_path, tmp_path, capsys):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 200000 + "]" * 200000)
+        assert main(["localize", "--scene", str(scene_path), "--init", "0,0,0",
+                     "--config", str(cfg)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
 
     def test_large_gamma_synthesizes_and_localizes(self, tmp_path, capsys):
         # 0.5 m/px lies beyond every web-map tile at zoom 18, scale 2
@@ -558,7 +583,7 @@ class TestCli:
                      "--out-dir", str(blocker / "eval")]) == 3
         assert capsys.readouterr().err.startswith("i/o error: ")
 
-    def test_sweep_csv_shape(self, tmp_path, scene_path, capsys):
+    def test_multi_bound_csv_shape(self, tmp_path, scene_path, capsys):
         """A sweep over two bounds: one row per trial, trial ids unique
         across bounds, and one summary entry per bound."""
         out_dir = tmp_path / "eval"
@@ -592,7 +617,7 @@ class TestCli:
         assert code == 4
         assert "max shift 500.0 m" in capsys.readouterr().err
 
-    def test_sweep_all_trials_failed_exits_4(self, tmp_path, scene_path, capsys):
+    def test_later_bound_all_trials_failed_exits_4(self, tmp_path, scene_path, capsys):
         """A later bound at which every trial fails exits 4 and names it."""
         code = main(["eval", "--scene", str(scene_path), "--bounds", "0:0,500:0",
                      "--trials", "2", "--out-dir", str(tmp_path / "eval")])
@@ -600,7 +625,7 @@ class TestCli:
         assert "all 2 trials failed at max shift 500.0 m, max yaw 0.0 deg" in \
             capsys.readouterr().err
 
-    def test_sweep_zero_trials_exits_2(self, tmp_path, scene_path, capsys):
+    def test_multi_bound_zero_trials_exits_2(self, tmp_path, scene_path, capsys):
         code = main(["eval", "--scene", str(scene_path), "--bounds", "1:3,2:6",
                      "--trials", "0", "--out-dir", str(tmp_path / "eval")])
         assert code == 2
