@@ -13,6 +13,12 @@ Layout (little-endian throughout):
                     attention float32 row-major (h, w); finally points
                     float32 (N, 3)
 
+The payload starts at byte 10 + metadata_len, which need not be a multiple
+of 4. The reader reads it, without a copy, into a fresh buffer that numpy
+allocates aligned; every section is a whole number of float32 values, so
+every loaded array starts aligned and the lookups never take numpy's
+unaligned path. Each loaded map is a read-only view of that buffer.
+
 The reader accepts exactly the keys the writer writes: a missing or an
 unknown key, such as one an older file carries, raises FormatError naming
 it. Angles in the metadata are degrees; everything in memory is radians.
@@ -23,7 +29,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
+from stat import S_ISREG
 from typing import get_type_hints
 
 import numpy as np
@@ -105,32 +113,33 @@ def _fields(obj, section: str, types: dict, field: str | None = None) -> dict:
     return values
 
 
-def _take(buffer: bytes, offset: int, shape: tuple, what: str, cls):
-    """``cls`` on the float32 array of ``shape`` at ``offset``, and the offset
-    after it; a short payload or the type's CvlocError names ``what``."""
+def _take(payload: np.ndarray, base: int, offset: int, shape: tuple, what: str, cls):
+    """``cls`` on the float32 array of ``shape`` at file offset ``offset``, and
+    the offset after it; ``payload`` holds the file from offset ``base`` on. A
+    short payload or the type's CvlocError names ``what``."""
     count = math.prod(shape)
     nbytes = count * 4
-    if offset + nbytes > len(buffer):
+    if offset + nbytes > base + payload.size:
         raise FormatError(f"payload truncated, need {nbytes} bytes at offset {offset}",
                           field=what)
-    arr = np.frombuffer(buffer, dtype="<f4", count=count, offset=offset)
+    arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset - base)
     try:
         return cls(arr.reshape(shape)), offset + nbytes
     except CvlocError as exc:
         raise FormatError(str(exc), field=what) from exc
 
 
-def _read_pyramid(buffer: bytes, offset: int, table: list, view: str):
+def _read_pyramid(payload: np.ndarray, base: int, offset: int, table: list, view: str):
     if not isinstance(table, list) or not table:
         raise FormatError("expected a non-empty list of levels", field=f"levels.{view}")
     levels = []
     for i, entry in enumerate(table):
         field = f"levels.{view}[{i}]"
         h, w, c = _fields(entry, field, _LEVEL, field=field).values()
-        fmap, offset = _take(buffer, offset, (h, w, c), f"{view} level {i} features",
-                             FeatureMap)
-        amap, offset = _take(buffer, offset, (h, w), f"{view} level {i} attention",
-                             AttentionMap)
+        fmap, offset = _take(payload, base, offset, (h, w, c),
+                             f"{view} level {i} features", FeatureMap)
+        amap, offset = _take(payload, base, offset, (h, w),
+                             f"{view} level {i} attention", AttentionMap)
         levels.append((fmap, amap))
     return FeaturePyramid(tuple(levels)), offset
 
@@ -142,18 +151,29 @@ def load_scene(path) -> AlignmentProblem:
     value ranges; raises :class:`FormatError` naming the offending field.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise FormatError("file shorter than header", field="header")
-    magic, version, meta_len = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}", field="magic")
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}", field="version")
-    if _HEADER.size + meta_len > len(blob):
-        raise FormatError("metadata truncated", field="metadata")
+        info = os.fstat(fh.fileno())
+        if not S_ISREG(info.st_mode):  # a pipe or device has no size to read by
+            raise FormatError(f"{os.fsdecode(path)} is not a regular file")
+        size = info.st_size
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise FormatError("file shorter than header", field="header")
+        magic, version, meta_len = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r}", field="magic")
+        if version != VERSION:
+            raise FormatError(f"unsupported version {version}", field="version")
+        base = _HEADER.size + meta_len
+        if base > size:
+            raise FormatError("metadata truncated", field="metadata")
+        meta_bytes = fh.read(meta_len)
+        # the one copy of the payload, in memory numpy allocates aligned; a
+        # file cut while it is read ends where the read ended
+        payload = np.empty(size - base, dtype=np.uint8)
+        payload = payload[:fh.readinto(payload)]
+    payload.setflags(write=False)
     try:
-        meta = json.loads(blob[_HEADER.size:_HEADER.size + meta_len].decode("utf-8"))
+        meta = json.loads(meta_bytes.decode("utf-8"))
     # bad UTF-8, bad JSON, an overlong integer, or nesting too deep to parse
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"metadata is not valid JSON: {exc}", field="metadata") from exc
@@ -172,12 +192,12 @@ def load_scene(path) -> AlignmentProblem:
         raise FormatError(f"invalid metadata value: {exc}", field="metadata") from exc
 
     tables = _fields(root["levels"], "levels", _LEVELS)
-    offset = _HEADER.size + meta_len
-    sat_pyr, offset = _read_pyramid(blob, offset, tables["satellite"], "satellite")
-    grd_pyr, offset = _read_pyramid(blob, offset, tables["ground"], "ground")
-    points, offset = _take(blob, offset, (root["point_count"], 3), "points", PointSet)
-    if offset != len(blob):
-        raise FormatError(f"{len(blob) - offset} trailing bytes after payload",
+    sat_pyr, offset = _read_pyramid(payload, base, base, tables["satellite"], "satellite")
+    grd_pyr, offset = _read_pyramid(payload, base, offset, tables["ground"], "ground")
+    points, offset = _take(payload, base, offset, (root["point_count"], 3), "points",
+                           PointSet)
+    if offset != base + payload.size:
+        raise FormatError(f"{base + payload.size - offset} trailing bytes after payload",
                           field="payload")
 
     try:

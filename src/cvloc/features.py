@@ -20,7 +20,10 @@ ZERO_NORM_EPS = 1e-12
 
 
 def _map_array(data, what: str, layout: str) -> np.ndarray:
-    """``data`` as a finite, contiguous, read-only float32/float64 array."""
+    """``data`` as a finite float32/float64 array that is C-contiguous,
+    aligned and read-only, the layout every lookup gathers from. An array
+    already laid out so is kept as it is; any other is copied once here, so
+    no evaluation gathers from a misaligned buffer."""
     arr = np.asarray(data)
     if arr.ndim != len(layout.split("x")):
         raise ContractError(f"{what} data must be {layout}, got shape {arr.shape}")
@@ -28,7 +31,7 @@ def _map_array(data, what: str, layout: str) -> np.ndarray:
         arr = arr.astype(np.float64)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what} data contains non-finite values")
-    arr = np.ascontiguousarray(arr)
+    arr = np.require(arr, requirements="CA")
     arr.setflags(write=False)
     return arr
 
@@ -37,8 +40,8 @@ def _map_array(data, what: str, layout: str) -> np.ndarray:
 class FeatureMap:
     """Dense per-pixel feature map, shape (height, width, channels).
 
-    The data must be finite; it is stored contiguous and read-only, as
-    float32 or float64 (other dtypes are cast to float64).
+    The data must be finite; it is stored C-contiguous, aligned and
+    read-only, as float32 or float64 (other dtypes are cast to float64).
     ``normalize_features`` returns a map whose pixels have unit norm.
     """
 
@@ -62,7 +65,8 @@ class FeatureMap:
 
 @dataclass(frozen=True)
 class AttentionMap:
-    """Per-pixel confidence in [0, 1], shape (height, width)."""
+    """Per-pixel confidence in [0, 1], shape (height, width), stored as
+    ``FeatureMap`` stores its data."""
 
     data: np.ndarray
 

@@ -1,6 +1,8 @@
 """CVLS container: round-trips, validation, corruption handling."""
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -114,6 +116,77 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+#: Values of gt_pose.lateral_m whose JSON spellings are 3 to 6 characters
+#: long, so a scene's payload starts at every residue mod 4 across them.
+_LATERALS = (0.0, 0.25, 0.125, 0.0625)
+
+
+def _with_lateral(blob: bytes, lateral: float) -> bytes:
+    return _rewrite_meta(blob, lambda meta: meta["gt_pose"].update(lateral_m=lateral))
+
+
+def _file_maps(blob: bytes) -> list:
+    """The float32 feature and attention arrays the file holds, satellite
+    levels then ground levels, each level's features before its attention."""
+    meta = _meta(blob)
+    offset = _payload_offset(blob)
+    arrays = []
+    for view in ("satellite", "ground"):
+        for level in meta["levels"][view]:
+            for shape in ((level["h"], level["w"], level["c"]), (level["h"], level["w"])):
+                count = math.prod(shape)
+                arrays.append(np.frombuffer(blob, "<f4", count, offset).reshape(shape))
+                offset += 4 * count
+    return arrays
+
+
+class TestPayloadLayout:
+    """The payload starts wherever the metadata ends; the loaded maps are
+    aligned all the same, and the errors name absolute file offsets."""
+
+    def test_maps_aligned_and_read_only_at_every_payload_offset(self, scene_file,
+                                                                tmp_path):
+        path, _ = scene_file
+        residues = set()
+        for i, lateral in enumerate(_LATERALS):
+            blob = _with_lateral(path.read_bytes(), lateral)
+            residues.add(_payload_offset(blob) % 4)
+            copy = tmp_path / f"lateral{i}.cvls"
+            copy.write_bytes(blob)
+            loaded = load_scene(copy)
+            arrays = [m.data for pyramid in (loaded.sat_pyramid, loaded.grd_pyramid)
+                      for level in pyramid.levels for m in level]
+            expected = _file_maps(blob)
+            assert len(arrays) == len(expected) == 4
+            for got, want in zip(arrays, expected):
+                assert got.flags.aligned and not got.flags.writeable
+                assert got.dtype == np.float32
+                assert np.array_equal(got, want)
+        assert residues == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("shift", range(4))
+    def test_cut_inside_payload_names_its_file_offset(self, scene_file, tmp_path, shift):
+        # the tiny scene's payload starts at byte 312 + shift; the ground
+        # features follow 2048 bytes of satellite features and 1024 of attention
+        path, _ = scene_file
+        blob = _with_lateral(path.read_bytes(), _LATERALS[shift])
+        bad = tmp_path / "cut.cvls"
+        bad.write_bytes(blob[:5000 + shift])
+        with pytest.raises(FormatError) as err:
+            load_scene(bad)
+        assert str(err.value) == ("ground level 0 features: payload truncated, "
+                                  f"need 2312 bytes at offset {3384 + shift}")
+
+    @pytest.mark.parametrize("shift", range(4))
+    def test_trailing_bytes_counted(self, scene_file, tmp_path, shift):
+        path, _ = scene_file
+        bad = tmp_path / "tail.cvls"
+        bad.write_bytes(_with_lateral(path.read_bytes(), _LATERALS[shift]) + b"\0" * 7)
+        with pytest.raises(FormatError) as err:
+            load_scene(bad)
+        assert str(err.value) == "payload: 7 trailing bytes after payload"
+
+
 class TestValidation:
     def test_bad_magic(self, scene_file, tmp_path):
         path, _ = scene_file
@@ -140,6 +213,11 @@ class TestValidation:
         bad.write_bytes(blob)
         with pytest.raises(FormatError, match="truncated"):
             load_scene(bad)
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_not_a_regular_file(self):
+        with pytest.raises(FormatError, match="is not a regular file"):
+            load_scene(os.devnull)
 
     def test_truncated_header(self, tmp_path):
         bad = tmp_path / "bad.cvls"

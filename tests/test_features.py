@@ -1,5 +1,7 @@
 """Features: map validation, normalization, bilinear lookup, pyramids."""
 
+import math
+
 import numpy as np
 import pytest
 from cvloc.errors import ContractError, DomainError
@@ -29,6 +31,24 @@ class TestFeatureMapValidation:
             AttentionMap(np.full((2, 2), 1.5))
         with pytest.raises(DomainError):
             AttentionMap(np.full((2, 2), -0.1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cls, shape", [(FeatureMap, (3, 4, 2)), (AttentionMap, (3, 4))])
+    def test_misaligned_buffer_stored_aligned_read_only(self, cls, shape, dtype):
+        values = np.linspace(0.0, 1.0, math.prod(shape), dtype=dtype).reshape(shape)
+        view = np.frombuffer(b"\0\0" + values.tobytes(), dtype=dtype,
+                             offset=2).reshape(shape)
+        assert not view.flags.aligned
+        data = cls(view).data
+        assert data.flags.aligned and data.flags.c_contiguous
+        assert not data.flags.writeable
+        assert np.array_equal(data, values)
+
+    @pytest.mark.parametrize("cls, shape", [(FeatureMap, (3, 4, 2)), (AttentionMap, (3, 4))])
+    def test_aligned_read_only_array_kept_without_copy(self, cls, shape):
+        values = np.linspace(0.0, 1.0, math.prod(shape), dtype=np.float32).reshape(shape)
+        values.setflags(write=False)
+        assert cls(values).data is values
 
 
 class TestNormalizeFeatures:
@@ -245,7 +265,7 @@ def _off_map_alignment(**kwargs):
     return evaluate_pose(problem, Pose3(0.0, 0.0, 0.0)).alignment
 
 
-class TestComputeResiduals:
+class TestEvaluatePoseMasksResiduals:
     def test_out_of_bounds_masks(self):
         al = _off_map_alignment()
         assert not al.valid_mask[_OFF_MAP]
@@ -255,7 +275,7 @@ class TestComputeResiduals:
         assert np.linalg.norm(al.residuals[_IN_MAP]) > 0
 
 
-class TestComputeWeights:
+class TestEvaluatePoseMasksWeights:
     def test_out_of_bounds_zero(self):
         al = _off_map_alignment()
         assert al.weights[_OFF_MAP] == 0.0

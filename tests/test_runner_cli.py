@@ -232,6 +232,18 @@ class TestRunEval:
         assert got == _RECORDED_EVAL
         assert all(r["converged"] and r["status"] == "ok" for r in rows)
 
+    def test_loaded_scene_rows_equal_in_memory_rows(self, small_scene, tmp_path):
+        """A scene read back from its file solves as the scene in memory does,
+        so the rows above hold for the loaded arrays too."""
+        path = tmp_path / "small.cvls"
+        save_scene(path, small_scene)
+        bounds = PerturbBounds(10.0, 30.0)
+        _, loaded, _ = runner.run_eval(load_scene(path), 6, bounds, workers=1,
+                                       master_seed=5)
+        _, in_memory, _ = runner.run_eval(small_scene, 6, bounds, workers=1,
+                                          master_seed=5)
+        assert loaded == in_memory
+
     def test_single_trial_at_zero_bounds(self, scene_path):
         problem = generate_scene(SMALL_SCENE_CFG)
         summary, rows, failures = runner.run_eval(

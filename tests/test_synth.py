@@ -247,7 +247,7 @@ class TestSampleInitialPose:
             assert p > 0.01
 
 
-class TestPerturbationSweep:
+class TestRunBoundsGrid:
     """A sweep over widening bounds through the one trial driver."""
 
     def test_zero_bound_row_is_exact(self, small_scene):
