@@ -23,7 +23,9 @@ def _map_array(data, what: str, layout: str) -> np.ndarray:
     """``data`` as a finite float32/float64 array that is C-contiguous,
     aligned and read-only, the layout every lookup gathers from. An array
     already laid out so is kept as it is; any other is copied once here, so
-    no evaluation gathers from a misaligned buffer."""
+    no evaluation gathers from a misaligned buffer. A writeable array of
+    that layout is frozen through a view, which shares the caller's memory
+    and leaves the caller's array writeable."""
     arr = np.asarray(data)
     if arr.ndim != len(layout.split("x")):
         raise ContractError(f"{what} data must be {layout}, got shape {arr.shape}")
@@ -32,7 +34,9 @@ def _map_array(data, what: str, layout: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what} data contains non-finite values")
     arr = np.require(arr, requirements="CA")
-    arr.setflags(write=False)
+    if arr.flags.writeable:
+        arr = arr.view()
+        arr.setflags(write=False)
     return arr
 
 
@@ -42,6 +46,8 @@ class FeatureMap:
 
     The data must be finite; it is stored C-contiguous, aligned and
     read-only, as float32 or float64 (other dtypes are cast to float64).
+    Data already so laid out is not copied: the map shares the caller's
+    memory, read-only through its own view.
     ``normalize_features`` returns a map whose pixels have unit norm.
     """
 

@@ -304,9 +304,9 @@ def _check_lm_step(rng, systems=20):
     """lam=0 step vs dense weighted least squares; step norm shrinks with lam."""
     worst, bad_ladders = 0.0, 0
     for _ in range(systems):
-        m = int(rng.integers(10, 60))
+        m = int(rng.integers(8, 100))
         deviation, monotone = lm_step_error(rng.standard_normal((m, 3)),
-                                            rng.uniform(0.1, 2.0, size=m),
+                                            rng.uniform(0.05, 2.0, size=m),
                                             rng.standard_normal(m))
         worst = max(worst, deviation)
         bad_ladders += not monotone

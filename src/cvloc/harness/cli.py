@@ -21,7 +21,7 @@ from pathlib import Path
 
 from ..cvls import load_scene, save_scene
 from ..errors import ConfigError, CvlocError
-from ..synth import PerturbBounds, generate_scene
+from ..synth import PerturbBounds, generate_scene, sample_initial_pose
 from . import runner
 from .checks import check_numerics
 
@@ -33,16 +33,20 @@ EXIT_CHECK_FAILED = 5
 
 def _cmd_localize(args) -> int:
     config = runner.load_config(args.config)
-    if args.init is not None:
-        record = runner.run_localize(args.scene,
-                                     init_pose=runner.parse_init_pose(args.init),
-                                     config=config)
-    else:
+    bounds = PerturbBounds()
+    if args.bounds is not None:
+        if args.init is not None:
+            raise ConfigError("--bounds samples the start of --perturb-seed; "
+                              "--init gives the start itself")
         grid = _parse_bounds(args.bounds)
         if len(grid) != 1:
             raise ConfigError(f"localize takes one --bounds item, got {args.bounds!r}")
-        record = runner.run_localize(args.scene, perturb_seed=args.perturb_seed,
-                                     bounds=grid[0], config=config)
+        [bounds] = grid
+    init_pose = None if args.init is None else runner.parse_init_pose(args.init)
+    problem = load_scene(args.scene)
+    if init_pose is None:
+        init_pose = sample_initial_pose(problem.gt_pose, bounds, args.perturb_seed)
+    record = {"scene": args.scene, **runner.run_localize(problem, init_pose, config)}
     text = json.dumps(record, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -125,9 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--init", help="initial pose 'lat_m,lon_m,yaw_deg'")
     group.add_argument("--perturb-seed", type=_seed, dest="perturb_seed",
                        help="sample the initial pose from the true pose")
-    p.add_argument("--bounds", default=default_bounds,
-                   help="perturbation bound shift_m:yaw_deg (with --perturb-seed; "
-                        f"default {default_bounds})")
+    p.add_argument("--bounds",
+                   help="perturbation bound shift_m:yaw_deg (with --perturb-seed "
+                        f"only; default {default_bounds})")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="output JSON path (stdout if omitted)")
     p.set_defaults(func=_cmd_localize)

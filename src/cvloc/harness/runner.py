@@ -18,7 +18,6 @@ from typing import get_type_hints
 
 import numpy as np
 
-from ..cvls import load_scene
 from ..errors import ConfigError, DegenerateProblemError, require_number
 from ..geometry import Pose3
 from ..metrics import MetricsSummary, PoseError, pose_error, summarize
@@ -113,24 +112,14 @@ def parse_init_pose(text: str) -> Pose3:
                           f"{exc}") from exc
 
 
-def run_localize(scene_path, init_pose: Pose3 | None = None,
-                 perturb_seed: int | None = None,
-                 bounds: PerturbBounds | None = None,
+def run_localize(problem: AlignmentProblem, init_pose: Pose3,
                  config: RunConfig | None = None) -> dict:
-    """Localize one scene and return the full machine-readable run record.
-
-    The initial pose is either given explicitly or sampled from the scene's
-    true pose under ``bounds`` with ``perturb_seed``. Raises
-    DegenerateProblemError when the solve's report reads ``degenerate``.
+    """Localize ``problem`` from ``init_pose`` and return the run record's
+    solve fields: poses, error, convergence, per-level trace and wall time.
+    Raises DegenerateProblemError when the solve's report reads
+    ``degenerate``.
     """
     config = config or load_config(None)
-    problem = load_scene(scene_path)
-    if init_pose is None:
-        if perturb_seed is None:
-            raise ConfigError("need either an explicit init pose or a perturb seed")
-        init_pose = sample_initial_pose(problem.gt_pose, bounds or PerturbBounds(),
-                                        perturb_seed)
-
     start = time.perf_counter()
     report = refine_pose(problem, init_pose, config.solver, config.cost)
     wall = time.perf_counter() - start
@@ -139,7 +128,6 @@ def run_localize(scene_path, init_pose: Pose3 | None = None,
 
     err = pose_error(report.final_pose, problem.gt_pose)
     return {
-        "scene": str(scene_path),
         "init_pose": init_pose.to_dict(),
         "gt_pose": problem.gt_pose.to_dict(),
         "final_pose": report.final_pose.to_dict(),
@@ -211,7 +199,7 @@ def run_bounds(problem: AlignmentProblem, trials: int, bound_grid, workers: int 
     count. ``workers`` is an upper bound: at most one thread runs per row
     and per available CPU. Failed trials (degenerate problems) count as
     misses in the recalls. Raises DegenerateProblemError, naming the bound, if every
-    trial at some bound fails.
+    trial at some bound fails, and ConfigError if the grid is empty.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -219,6 +207,8 @@ def run_bounds(problem: AlignmentProblem, trials: int, bound_grid, workers: int 
         raise ConfigError(f"worker count must be >= 1, got {workers}")
     config = config or load_config(None)
     grid = list(bound_grid)
+    if not grid:
+        raise ConfigError("the bound grid is empty; give at least one bound")
     jobs = [(b * trials + t, bounds) for b, bounds in enumerate(grid)
             for t in range(trials)]
 

@@ -1,15 +1,18 @@
-"""Shared fixtures: small handmade and generated scenes, and the Hypothesis
-profile of CI runs."""
+"""Shared fixtures: small handmade and generated scenes, the CVLS header
+rewriters, and the Hypothesis profile of CI runs."""
 
 from __future__ import annotations
 
 import functools
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from cvloc.cvls import MAGIC, VERSION
 from cvloc.features import AttentionMap, FeatureMap, FeaturePyramid, normalize_features
 from cvloc.geometry import CameraIntrinsics, PointSet, Pose3, SatelliteGeoref
 from cvloc.problem import AlignmentProblem
@@ -87,3 +90,34 @@ def small_scene():
 def default_scene():
     """The full-size default scene used by the acceptance suite."""
     return generate_scene(SynthConfig(seed=42))
+
+
+#: A CVLS file's header: magic, format version, metadata length.
+CVLS_HEADER = struct.Struct("<4sHI")
+
+
+def cvls_payload_offset(blob: bytes) -> int:
+    """The offset of a CVLS file's payload, just past its metadata."""
+    _, _, meta_len = CVLS_HEADER.unpack_from(blob)
+    return CVLS_HEADER.size + meta_len
+
+
+def cvls_meta(blob: bytes) -> dict:
+    """A CVLS file's metadata object."""
+    return json.loads(blob[CVLS_HEADER.size:cvls_payload_offset(blob)])
+
+
+def cvls_with_meta(blob: bytes, meta) -> bytes:
+    """The same file with its metadata replaced by ``meta``: raw bytes, or
+    any other value written as compact JSON."""
+    if not isinstance(meta, bytes):
+        meta = json.dumps(meta, separators=(",", ":")).encode()
+    return (CVLS_HEADER.pack(MAGIC, VERSION, len(meta)) + meta
+            + blob[cvls_payload_offset(blob):])
+
+
+def cvls_rewrite_meta(blob: bytes, edit) -> bytes:
+    """The same file with ``edit`` applied to its metadata object."""
+    meta = cvls_meta(blob)
+    edit(meta)
+    return cvls_with_meta(blob, meta)

@@ -1,25 +1,29 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
-Each test prints one [PASS]/[FAIL] line; run with `pytest -s` to see them
-even on success.
+The numeric criteria run ``check-numerics``' own sweeps at acceptance
+sizes, and the convergence and robustness criteria read one ``run_bounds``
+call, so no criterion keeps a loop or seed scheme of its own. Each test
+prints its [PASS]/[FAIL] lines; run with `pytest -s` to see them even on
+success.
 """
 
-import math
 import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from cvloc.cvls import load_scene, save_scene
-from cvloc.geometry import Pose3, SatelliteGeoref
-from cvloc.harness.checks import (fd_scene, grid_argmin_margin, lm_step_error,
-                                  projection_jacobian_error, residual_jacobian_error)
+from cvloc.harness import checks
 from cvloc.harness.runner import run_bounds
-from cvloc.metrics import pose_error, summarize
-from cvloc.solver import RobustCost, refine_pose
-from cvloc.synth import PerturbBounds, generate_scene, sample_initial_pose
+from cvloc.solver import RobustCost
+from cvloc.synth import PerturbBounds, generate_scene
 
 from conftest import SMALL_SCENE_CFG
+
+#: The robustness curve's bounds; the convergence criteria read the 10:30 row.
+_CURVE = [PerturbBounds(5, 15), PerturbBounds(10, 30), PerturbBounds(15, 45),
+          PerturbBounds(20, 60)]
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -27,72 +31,46 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
+def _assert_results(results) -> None:
+    for result in results:
+        print(result.line())
+    assert all(result.passed for result in results), [r.line() for r in results]
+
+
+@pytest.fixture(scope="module")
+def curve(default_scene):
+    """100 seeded trials at each bound of ``_CURVE`` on the default scene,
+    and the call's wall time."""
+    start = time.perf_counter()
+    results, _ = run_bounds(default_scene, 100, _CURVE, workers=2, master_seed=77)
+    return results, time.perf_counter() - start
+
+
 class TestAcceptance:
     def test_jacobian_fidelity(self):
         """Residual Jacobian vs finite differences on 100 seeded scenes."""
         start = time.perf_counter()
-        rng = np.random.default_rng(100)
-        worst = 0.0
-        checked = 0
-        for i in range(100):
-            pose = Pose3(float(rng.uniform(-0.4, 0.4)), float(rng.uniform(-0.4, 0.4)),
-                         float(rng.uniform(-0.08, 0.08)))
-            error, n = residual_jacobian_error(fd_scene(10_000 + i), pose)
-            worst, checked = max(worst, error), checked + n
+        [result] = checks._check_residual_jacobian(np.random.default_rng(100), scenes=100)
         elapsed = time.perf_counter() - start
+        _assert_results([result])
         # more than half of the 100 scenes' 4800 points must be FD-safe
-        ok = worst < 1e-3 and checked > 2400 and elapsed < 30.0
-        _report("jacobian_fidelity", ok,
-                f"max rel err {worst:.2e} over {checked} point blocks "
-                f"(tol 1e-3, > 2400 blocks), {elapsed:.1f}s (< 30s)")
+        assert result.compared > 2400, result.line()
+        assert elapsed < 30.0, f"{elapsed:.1f}s (< 30s)"
 
     def test_projection_jacobian_fidelity(self):
         """Analytic projection Jacobian vs finite differences, 100 draws."""
-        rng = np.random.default_rng(7)
-        georef = SatelliteGeoref(255.5, 0.2)
-        worst_fd = 0.0
-        worst_block = 0.0
-        for _ in range(100):
-            pose = Pose3(float(rng.uniform(-20, 20)), float(rng.uniform(-20, 20)),
-                         float(rng.uniform(-math.pi, math.pi)))
-            pts = np.column_stack([rng.uniform(-30, 30, 5), rng.uniform(-5, 5, 5),
-                                   rng.uniform(2, 40, 5)])
-            column_error, block_error, _ = projection_jacobian_error(pts, pose, georef)
-            worst_fd = max(worst_fd, float(column_error.max()))
-            worst_block = max(worst_block, block_error)
-        ok = worst_fd < 1e-4 and worst_block < 1e-12
-        _report("projection_jacobian_fidelity", ok,
-                f"FD rel err {worst_fd:.2e} (tol 1e-4), translation-block "
-                f"norm dev {worst_block:.2e} (exact)")
+        results = checks._check_projection_jacobian(np.random.default_rng(7), draws=100)
+        assert len(results) == 4
+        _assert_results(results)
 
     def test_lm_exactness(self):
         """lam=0 equals the dense least-squares oracle; damping shrinks steps."""
-        rng = np.random.default_rng(13)
-        worst = 0.0
-        ladder_ok = True
-        for _ in range(50):
-            m = int(rng.integers(8, 100))
-            deviation, monotone = lm_step_error(rng.standard_normal((m, 3)),
-                                                rng.uniform(0.05, 2.0, m),
-                                                rng.standard_normal(m))
-            worst = max(worst, deviation)
-            ladder_ok &= monotone
-        ok = worst < 1e-8 and ladder_ok
-        _report("lm_exactness", ok,
-                f"max dev from dense solve {worst:.2e} (tol 1e-8), "
-                f"10-point lambda ladder monotone: {ladder_ok}")
+        _assert_results(checks._check_lm_step(np.random.default_rng(13), systems=50))
 
-    def test_convergence_suite(self, default_scene):
+    def test_convergence_suite(self, curve):
         """100 seeded trials at the 10 m / 30 deg perturbation protocol."""
-        start = time.perf_counter()
-        bounds = PerturbBounds(10.0, 30.0)
-        errors = []
-        for trial in range(100):
-            init = sample_initial_pose(default_scene.gt_pose, bounds, 20_000 + trial)
-            report = refine_pose(default_scene, init)
-            errors.append(pose_error(report.final_pose, default_scene.gt_pose))
-        elapsed = time.perf_counter() - start
-        s = summarize(errors)
+        results, elapsed = curve
+        _, s, _ = results[_CURVE.index(PerturbBounds(10.0, 30.0))]
         ok = (s.recall_lateral[1.0] >= 90.0 and s.recall_longitudinal[1.0] >= 90.0
               and s.recall_yaw[2.0] >= 90.0
               and s.median_lateral < 0.25 and s.median_longitudinal < 0.25
@@ -102,13 +80,12 @@ class TestAcceptance:
                 f"{s.recall_longitudinal[1.0]:.0f} (>=90), yaw@2deg "
                 f"{s.recall_yaw[2.0]:.0f} (>=90), medians "
                 f"{s.median_lateral:.3f}m/{s.median_longitudinal:.3f}m/"
-                f"{s.median_yaw_deg:.3f}deg, {elapsed:.0f}s (< 600s)")
+                f"{s.median_yaw_deg:.3f}deg, {elapsed:.0f}s for all "
+                f"{len(_CURVE)} bounds (< 600s)")
 
-    def test_robustness_curve(self, default_scene):
+    def test_robustness_curve(self, curve):
         """recall@1m monotone non-increasing over widening bounds."""
-        grid = [PerturbBounds(5, 15), PerturbBounds(10, 30),
-                PerturbBounds(15, 45), PerturbBounds(20, 60)]
-        results, _ = run_bounds(default_scene, 100, grid, workers=2, master_seed=77)
+        results, _ = curve
         recalls = [min(s.recall_lateral[1.0], s.recall_longitudinal[1.0])
                    for _, s, _ in results]
         ok = all(b <= a + 2.0 for a, b in zip(recalls, recalls[1:]))
@@ -121,17 +98,15 @@ class TestAcceptance:
         start = time.perf_counter()
         shifts = np.linspace(-5.0, 5.0, 21)
         yaws = np.radians(np.linspace(-15.0, 15.0, 11))
-        margins = []
-        for i in range(10):
-            cfg = replace(SMALL_SCENE_CFG, seed=300 + i)
-            margin, cells = grid_argmin_margin(generate_scene(cfg), RobustCost(),
-                                               shifts, shifts, yaws)
-            assert cells == 21 * 21 * 11 - 1
-            margins.append(margin)
+        grids = [checks.grid_argmin_margin(
+                     generate_scene(replace(SMALL_SCENE_CFG, seed=300 + i)), RobustCost(),
+                     shifts, shifts, yaws) for i in range(10)]
         elapsed = time.perf_counter() - start
-        ok = min(margins) > 0 and elapsed < 300.0
+        assert {cells for _, cells in grids} == {21 * 21 * 11 - 1}
+        margin = min(margin for margin, _ in grids)
+        ok = margin > 0 and elapsed < 300.0
         _report("grid_oracle_optimality", ok,
-                f"10 scenes, smallest margin of the gt cell {min(margins):.3e} (> 0), "
+                f"10 scenes, smallest margin of the gt cell {margin:.3e} (> 0), "
                 f"{elapsed:.0f}s (< 300s)")
 
     def test_format_and_determinism(self, tmp_path):
@@ -166,4 +141,3 @@ class TestAcceptance:
         _report("format_and_determinism", ok,
                 f"payload bit-exact {arrays_ok}, file stable {bytes_ok}, "
                 f"CSV worker-invariant {csv_ok}")
-

@@ -1,6 +1,5 @@
 """CVLS container: round-trips, validation, corruption handling."""
 
-import json
 import math
 import os
 import struct
@@ -10,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvloc.cvls import MAGIC, load_scene, save_scene
+from cvloc.cvls import load_scene, save_scene
 from cvloc.errors import FormatError
 
-from conftest import tiny_problem
+from conftest import (CVLS_HEADER, cvls_meta, cvls_payload_offset, cvls_rewrite_meta,
+                      cvls_with_meta, tiny_problem)
 
 
 @pytest.fixture()
@@ -22,31 +22,6 @@ def scene_file(tmp_path):
     path = tmp_path / "scene.cvls"
     save_scene(path, problem)
     return path, problem
-
-
-def _payload_offset(blob: bytes) -> int:
-    _, _, meta_len = struct.unpack_from("<4sHI", blob)
-    return struct.calcsize("<4sHI") + meta_len
-
-
-def _meta(blob: bytes) -> dict:
-    header = struct.calcsize("<4sHI")
-    _, _, meta_len = struct.unpack_from("<4sHI", blob)
-    return json.loads(blob[header:header + meta_len])
-
-
-def _with_meta(blob: bytes, meta) -> bytes:
-    """The same file with its metadata replaced by ``meta``."""
-    new_meta = json.dumps(meta, separators=(",", ":")).encode()
-    return (struct.pack("<4sHI", MAGIC, 1, len(new_meta)) + new_meta
-            + blob[_payload_offset(blob):])
-
-
-def _rewrite_meta(blob: bytes, edit) -> bytes:
-    """The same file with ``edit`` applied to its metadata dict."""
-    meta = _meta(blob)
-    edit(meta)
-    return _with_meta(blob, meta)
 
 
 #: Each metadata object of a one-level scene: the path of keys and indices
@@ -95,7 +70,7 @@ class TestRoundTrip:
         assert loaded.gt_pose.lateral == problem.gt_pose.lateral
         assert loaded.gt_pose.longitudinal == problem.gt_pose.longitudinal
         assert loaded.gt_pose.yaw == pytest.approx(problem.gt_pose.yaw, abs=1e-15)
-        assert "pose_context" not in _meta(path.read_bytes())
+        assert "pose_context" not in cvls_meta(path.read_bytes())
 
     def test_save_load_save_bytes_stable(self, scene_file, tmp_path):
         path, _ = scene_file
@@ -106,7 +81,7 @@ class TestRoundTrip:
 
     def test_georef_has_only_projection_keys(self, scene_file):
         path, _ = scene_file
-        assert set(_meta(path.read_bytes())["georef"]) == {"center_px", "gamma"}
+        assert set(cvls_meta(path.read_bytes())["georef"]) == {"center_px", "gamma"}
 
     def test_save_deterministic(self, tmp_path):
         problem = tiny_problem()
@@ -122,14 +97,14 @@ _LATERALS = (0.0, 0.25, 0.125, 0.0625)
 
 
 def _with_lateral(blob: bytes, lateral: float) -> bytes:
-    return _rewrite_meta(blob, lambda meta: meta["gt_pose"].update(lateral_m=lateral))
+    return cvls_rewrite_meta(blob, lambda meta: meta["gt_pose"].update(lateral_m=lateral))
 
 
 def _file_maps(blob: bytes) -> list:
     """The float32 feature and attention arrays the file holds, satellite
     levels then ground levels, each level's features before its attention."""
-    meta = _meta(blob)
-    offset = _payload_offset(blob)
+    meta = cvls_meta(blob)
+    offset = cvls_payload_offset(blob)
     arrays = []
     for view in ("satellite", "ground"):
         for level in meta["levels"][view]:
@@ -150,7 +125,7 @@ class TestPayloadLayout:
         residues = set()
         for i, lateral in enumerate(_LATERALS):
             blob = _with_lateral(path.read_bytes(), lateral)
-            residues.add(_payload_offset(blob) % 4)
+            residues.add(cvls_payload_offset(blob) % 4)
             copy = tmp_path / f"lateral{i}.cvls"
             copy.write_bytes(blob)
             loaded = load_scene(copy)
@@ -229,7 +204,7 @@ class TestValidation:
         path, problem = scene_file
         blob = bytearray(path.read_bytes())
         fmap = problem.sat_pyramid.feature(0)
-        att_offset = _payload_offset(bytes(blob)) + fmap.data.size * 4
+        att_offset = cvls_payload_offset(bytes(blob)) + fmap.data.size * 4
         struct.pack_into("<f", blob, att_offset, 1.5)
         bad = tmp_path / "bad.cvls"
         bad.write_bytes(bytes(blob))
@@ -239,7 +214,7 @@ class TestValidation:
     def test_nan_in_features(self, scene_file, tmp_path):
         path, _ = scene_file
         blob = bytearray(path.read_bytes())
-        struct.pack_into("<f", blob, _payload_offset(bytes(blob)), float("nan"))
+        struct.pack_into("<f", blob, cvls_payload_offset(bytes(blob)), float("nan"))
         bad = tmp_path / "bad.cvls"
         bad.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="non-finite"):
@@ -248,8 +223,7 @@ class TestValidation:
     def test_garbage_metadata(self, scene_file, tmp_path):
         path, _ = scene_file
         blob = bytearray(path.read_bytes())
-        header = struct.calcsize("<4sHI")
-        blob[header:header + 2] = b"{{"
+        blob[CVLS_HEADER.size:CVLS_HEADER.size + 2] = b"{{"
         bad = tmp_path / "bad.cvls"
         bad.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="JSON"):
@@ -258,8 +232,8 @@ class TestValidation:
     def test_missing_metadata_field(self, scene_file, tmp_path):
         path, _ = scene_file
         bad = tmp_path / "bad.cvls"
-        bad.write_bytes(_rewrite_meta(path.read_bytes(),
-                                      lambda meta: meta["georef"].pop("gamma")))
+        bad.write_bytes(cvls_rewrite_meta(path.read_bytes(),
+                                          lambda meta: meta["georef"].pop("gamma")))
         with pytest.raises(FormatError, match="georef.gamma"):
             load_scene(bad)
 
@@ -279,8 +253,8 @@ class TestValidation:
     def test_old_or_unknown_key_names_it(self, scene_file, tmp_path, name, key, value):
         path, _ = scene_file
         bad = tmp_path / "bad.cvls"
-        bad.write_bytes(_rewrite_meta(path.read_bytes(),
-                                      lambda meta: _object(meta, name).update({key: value})))
+        bad.write_bytes(cvls_rewrite_meta(
+            path.read_bytes(), lambda meta: _object(meta, name).update({key: value})))
         with pytest.raises(FormatError, match="unknown key; regenerate the scene with "
                                                "`cvloc synth`") as err:
             load_scene(bad)
@@ -291,8 +265,8 @@ class TestValidation:
     def test_missing_key_names_it(self, scene_file, tmp_path, name, key):
         path, _ = scene_file
         bad = tmp_path / "bad.cvls"
-        bad.write_bytes(_rewrite_meta(path.read_bytes(),
-                                      lambda meta: _object(meta, name).pop(key)))
+        bad.write_bytes(cvls_rewrite_meta(path.read_bytes(),
+                                          lambda meta: _object(meta, name).pop(key)))
         with pytest.raises(FormatError, match="missing key; regenerate the scene with "
                                                "`cvloc synth`") as err:
             load_scene(bad)
@@ -301,11 +275,8 @@ class TestValidation:
     def test_deeply_nested_metadata(self, scene_file, tmp_path):
         # deeper than the JSON parser's recursion limit
         path, _ = scene_file
-        blob = path.read_bytes()
-        meta = b"[" * 200000 + b"]" * 200000
         bad = tmp_path / "bad.cvls"
-        bad.write_bytes(struct.pack("<4sHI", MAGIC, 1, len(meta)) + meta
-                        + blob[_payload_offset(blob):])
+        bad.write_bytes(cvls_with_meta(path.read_bytes(), b"[" * 200000 + b"]" * 200000))
         with pytest.raises(FormatError, match="JSON") as err:
             load_scene(bad)
         assert err.value.field == "metadata"
@@ -327,7 +298,7 @@ class TestValidation:
     def test_non_integer_metadata_field(self, scene_file, tmp_path, edit, field):
         path, _ = scene_file
         bad = tmp_path / "bad.cvls"
-        bad.write_bytes(_rewrite_meta(path.read_bytes(), edit))
+        bad.write_bytes(cvls_rewrite_meta(path.read_bytes(), edit))
         with pytest.raises(FormatError) as err:
             load_scene(bad)
         assert err.value.field == field
@@ -344,7 +315,7 @@ class TestValidation:
         path, _ = scene_file
         blob = path.read_bytes()
         bad = tmp_path / "bad.cvls"
-        bad.write_bytes(_with_meta(blob, replace(_meta(blob))))
+        bad.write_bytes(cvls_with_meta(blob, replace(cvls_meta(blob))))
         with pytest.raises(FormatError) as err:
             load_scene(bad)
         assert err.value.field == field
@@ -372,7 +343,7 @@ class TestValidation:
     def test_non_number_metadata_field(self, scene_file, tmp_path, edit, field):
         path, _ = scene_file
         bad = tmp_path / "bad.cvls"
-        bad.write_bytes(_rewrite_meta(path.read_bytes(), edit))
+        bad.write_bytes(cvls_rewrite_meta(path.read_bytes(), edit))
         with pytest.raises(FormatError) as err:
             load_scene(bad)
         assert err.value.field == field
@@ -385,7 +356,7 @@ class TestValidation:
     def test_non_finite_metadata_value(self, scene_file, tmp_path, edit):
         path, _ = scene_file
         bad = tmp_path / "bad.cvls"
-        bad.write_bytes(_rewrite_meta(path.read_bytes(), edit))
+        bad.write_bytes(cvls_rewrite_meta(path.read_bytes(), edit))
         with pytest.raises(FormatError, match="finite") as err:
             load_scene(bad)
         assert err.value.field == "metadata"
@@ -400,7 +371,7 @@ class TestValidation:
         sat_att = problem.sat_pyramid.attention(0).data.size * 4
         skip = sat_feat if array == "satellite attention" else sat_feat + sat_att
         blob = bytearray(path.read_bytes())
-        struct.pack_into("<f", blob, _payload_offset(bytes(blob)) + skip, float("nan"))
+        struct.pack_into("<f", blob, cvls_payload_offset(bytes(blob)) + skip, float("nan"))
         bad = tmp_path / "bad.cvls"
         bad.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="non-finite") as err:
@@ -423,8 +394,9 @@ def test_corrupted_file_loads_or_raises_format_error(tiny_scene_copy, data):
     returns a scene or raises FormatError, never another exception."""
     original, path = tiny_scene_copy
     blob = bytearray(original)
-    payload = _payload_offset(original)
-    sections = {"header": (0, 10), "metadata": (10, payload),
+    payload = cvls_payload_offset(original)
+    sections = {"header": (0, CVLS_HEADER.size),
+                "metadata": (CVLS_HEADER.size, payload),
                 "payload": (payload, len(blob))}
     kind = data.draw(st.sampled_from([*sections, "cut", "tail"]), label="kind")
     if kind == "cut":
@@ -460,7 +432,7 @@ def test_edited_metadata_loads_or_raises_format_error(tiny_scene_copy, data):
     JSON value: the loader returns a scene or raises FormatError, never
     another exception."""
     original, path = tiny_scene_copy
-    meta = _meta(original)
+    meta = cvls_meta(original)
     obj = _object(meta, data.draw(st.sampled_from(sorted(_OBJECTS)), label="object"))
     edit = data.draw(st.sampled_from(["delete", "add", "set"]), label="edit")
     if edit == "delete":
@@ -469,7 +441,7 @@ def test_edited_metadata_loads_or_raises_format_error(tiny_scene_copy, data):
         key = data.draw(st.text(max_size=8) if edit == "add" else st.sampled_from(sorted(obj)),
                         label="key")
         obj[key] = data.draw(_JSON_VALUES, label="value")
-    path.write_bytes(_with_meta(original, meta))
+    path.write_bytes(cvls_with_meta(original, meta))
     try:
         load_scene(path)
     except FormatError:

@@ -50,6 +50,13 @@ class TestFeatureMapValidation:
         values.setflags(write=False)
         assert cls(values).data is values
 
+    @pytest.mark.parametrize("cls, shape", [(FeatureMap, (2, 2, 1)), (AttentionMap, (2, 2))])
+    def test_callers_array_stays_writeable(self, cls, shape):
+        values = np.zeros(shape)
+        data = cls(values).data
+        assert values.flags.writeable and not data.flags.writeable
+        assert np.shares_memory(data, values)
+
 
 class TestNormalizeFeatures:
     def test_hand_example_three_four(self):

@@ -6,7 +6,6 @@ import json
 import math
 import os
 import re
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,14 +13,14 @@ from pathlib import Path
 import pytest
 
 from cvloc import errors, solver
-from cvloc.cvls import MAGIC, VERSION, load_scene, save_scene
+from cvloc.cvls import load_scene, save_scene
 from cvloc.errors import ConfigError, CvlocError
 from cvloc.geometry import Pose3
 from cvloc.harness import cli, runner
 from cvloc.harness.cli import main
 from cvloc.synth import PerturbBounds, generate_scene
 
-from conftest import SMALL_SCENE_CFG
+from conftest import SMALL_SCENE_CFG, cvls_meta, cvls_rewrite_meta, cvls_with_meta
 
 
 # The CLI's exit code and message label for each error class.
@@ -182,8 +181,8 @@ class TestConfig:
 
 
 class TestRunLocalize:
-    def test_init_at_truth(self, scene_path):
-        record = runner.run_localize(scene_path, init_pose=Pose3(0, 0, 0))
+    def test_init_at_truth(self, small_scene):
+        record = runner.run_localize(small_scene, Pose3(0, 0, 0))
         assert record["error"]["lateral_m"] < 0.01
         assert record["error"]["longitudinal_m"] < 0.01
         assert record["error"]["yaw_deg"] < 0.01
@@ -191,17 +190,17 @@ class TestRunLocalize:
         assert "loss" not in record
         assert record["trace"]
 
-    def test_perturb_seed_deterministic(self, scene_path):
-        r1 = runner.run_localize(scene_path, perturb_seed=4,
-                                 bounds=PerturbBounds(5, 15))
-        r2 = runner.run_localize(scene_path, perturb_seed=4,
-                                 bounds=PerturbBounds(5, 15))
-        r1.pop("wall_time_s")
-        r2.pop("wall_time_s")
-        assert r1 == r2
+    def test_perturb_seed_deterministic(self, scene_path, capsys):
+        records = []
+        for _ in range(2):
+            assert main(["localize", "--scene", str(scene_path), "--perturb-seed", "4",
+                         "--bounds", "5:15"]) == 0
+            records.append(json.loads(capsys.readouterr().out))
+            records[-1].pop("wall_time_s")
+        assert records[0] == records[1]
 
-    def test_record_is_json_serializable(self, scene_path):
-        record = runner.run_localize(scene_path, init_pose=Pose3(1, 1, 0.1))
+    def test_record_is_json_serializable(self, small_scene):
+        record = runner.run_localize(small_scene, Pose3(1, 1, 0.1))
         json.dumps(record)
 
 
@@ -366,27 +365,18 @@ class TestCli:
 
     def test_localize_old_georef_file_exits_3(self, scene_path, tmp_path, capsys):
         # A file written when the georef also held the map tile's keys
-        blob = scene_path.read_bytes()
-        header = struct.calcsize("<4sHI")
-        _, _, meta_len = struct.unpack_from("<4sHI", blob)
-        meta = json.loads(blob[header:header + meta_len])
-        meta["georef"].update(latitude_deg=47.9, zoom=18, scale=2)
-        new_meta = json.dumps(meta, separators=(",", ":")).encode()
         old = tmp_path / "old.cvls"
-        old.write_bytes(struct.pack("<4sHI", MAGIC, VERSION, len(new_meta)) + new_meta
-                        + blob[header + meta_len:])
+        old.write_bytes(cvls_rewrite_meta(
+            scene_path.read_bytes(),
+            lambda meta: meta["georef"].update(latitude_deg=47.9, zoom=18, scale=2)))
         assert main(["localize", "--scene", str(old), "--init", "0,0,0"]) == 3
         err = capsys.readouterr().err
         assert "georef.latitude_deg" in err and "cvloc synth" in err
 
     def test_deeply_nested_scene_metadata_exits_3(self, scene_path, tmp_path, capsys):
-        blob = scene_path.read_bytes()
-        header = struct.calcsize("<4sHI")
-        _, _, meta_len = struct.unpack_from("<4sHI", blob)
-        meta = b"[" * 200000 + b"]" * 200000
         bad = tmp_path / "deep.cvls"
-        bad.write_bytes(struct.pack("<4sHI", MAGIC, VERSION, len(meta)) + meta
-                        + blob[header + meta_len:])
+        bad.write_bytes(cvls_with_meta(scene_path.read_bytes(),
+                                       b"[" * 200000 + b"]" * 200000))
         assert main(["localize", "--scene", str(bad), "--init", "0,0,0"]) == 3
         assert "metadata" in capsys.readouterr().err
 
@@ -417,18 +407,13 @@ class TestCli:
     def test_localize_dropped_ground_level_exits_3(self, scene_path, tmp_path, capsys):
         # The ground level table and payload lose the coarsest level, so the
         # file parses but its two pyramids disagree on the level count.
-        blob = scene_path.read_bytes()
-        header = struct.calcsize("<4sHI")
-        _, _, meta_len = struct.unpack_from("<4sHI", blob)
-        meta = json.loads(blob[header:header + meta_len])
+        meta = cvls_meta(scene_path.read_bytes())
         dropped = meta["levels"]["ground"].pop()
         level_bytes = 4 * dropped["h"] * dropped["w"] * (dropped["c"] + 1)
+        blob = cvls_with_meta(scene_path.read_bytes(), meta)
         points_at = len(blob) - 12 * meta["point_count"]
-        new_meta = json.dumps(meta, separators=(",", ":")).encode()
         bad = tmp_path / "dropped.cvls"
-        bad.write_bytes(struct.pack("<4sHI", MAGIC, VERSION, len(new_meta)) + new_meta
-                        + blob[header + meta_len:points_at - level_bytes]
-                        + blob[points_at:])
+        bad.write_bytes(blob[:points_at - level_bytes] + blob[points_at:])
         code = main(["localize", "--scene", str(bad), "--init", "0,0,0"])
         assert code == 3
         assert "level counts differ" in capsys.readouterr().err
@@ -667,6 +652,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("bounds", ["garbage", "-5:30", "10:30"])
+    def test_localize_init_with_bounds_exits_2(self, scene_path, bounds, capsys):
+        # --bounds samples the start of --perturb-seed; with --init it is an error
+        code = main(["localize", "--scene", str(scene_path), "--init", "0,0,0",
+                     f"--bounds={bounds}"])
+        assert code == 2
+        assert "--bounds" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bounds", ["5:15,10:30", "x:3"])
     def test_localize_takes_one_bound(self, scene_path, bounds, capsys):

@@ -16,7 +16,7 @@ from cvloc.geometry import PointSet, Pose3, translate_pose_east_south
 from cvloc.harness.checks import (build_jacobian, lm_step_error, normal_equations,
                                   normal_equations_error, residual_jacobian_error,
                                   weighted_distance)
-from cvloc.harness.runner import _trial_seed
+from cvloc.harness.runner import _trial_seed, run_eval
 from cvloc.problem import AlignmentProblem, evaluate_pose
 from cvloc.solver import (LMConfig, RobustCost, build_weight_matrix, lm_step, refine_pose,
                           weighted_cost)
@@ -399,14 +399,10 @@ class TestRefinePose:
         assert err.yaw_err_deg < 0.5
 
     def test_convergence_rate_from_moderate_offsets(self, small_scene):
-        bounds = PerturbBounds(3.0, 10.0)
-        hits = 0
-        for trial in range(100):
-            init = sample_initial_pose(small_scene.gt_pose, bounds, 40_000 + trial)
-            report = refine_pose(small_scene, init)
-            err = pose_error(report.final_pose, small_scene.gt_pose)
-            hits += (err.lateral_err < 0.25 and err.longitudinal_err < 0.25
-                     and err.yaw_err_deg < 0.5)
+        _, rows, _ = run_eval(small_scene, 100, PerturbBounds(3.0, 10.0))
+        hits = sum(row["status"] == "ok" and row["err_lateral_m"] < 0.25
+                   and row["err_longitudinal_m"] < 0.25 and row["err_yaw_deg"] < 0.5
+                   for row in rows)
         assert hits >= 95
 
     def test_constant_satellite_reports_non_convergence(self):

@@ -13,12 +13,10 @@ import pytest
 from scipy import ndimage, stats
 
 from cvloc.cvls import save_scene
-from cvloc.errors import DomainError, GenerationError
+from cvloc.errors import ConfigError, DomainError, GenerationError
 from cvloc.geometry import Pose3
-from cvloc.harness.checks import grid_argmin_margin
 from cvloc.harness.runner import run_bounds, run_eval
 from cvloc.problem import evaluate_pose
-from cvloc.solver import RobustCost
 from cvloc.synth import (PerturbBounds, SynthConfig, _submit_smoothing, generate_scene,
                          sample_initial_pose)
 
@@ -191,19 +189,6 @@ class TestParallelSmoothing:
         assert np.array_equal(as_float32, whole.astype(np.float32))
 
 
-class TestGridOracle:
-    def test_weighted_distance_minimum_at_truth_cell(self, small_scene):
-        # brute-force: the gt cell must beat every other cell on the grid
-        shifts = np.linspace(-5.0, 5.0, 21)
-        yaws = np.radians(np.linspace(-15.0, 15.0, 11))
-        # a thinned longitudinal axis keeps this fast; it keeps the zero
-        # offset, so the cells next to the truth are compared
-        margin, cells = grid_argmin_margin(small_scene, RobustCost(), shifts,
-                                           shifts[::5], yaws)
-        assert cells == 21 * 5 * 11 - 1
-        assert margin > 0
-
-
 class TestSampleInitialPose:
     def test_zero_bounds_returns_truth(self):
         gt = Pose3(1.0, -2.0, 0.3)
@@ -284,3 +269,8 @@ class TestRunBoundsGrid:
         assert results[0] == (grid[0], summary, failures)
         # the second bound draws new seeds, not the first bound's again
         assert {r["seed"] for r in rows[3:]}.isdisjoint(r["seed"] for r in single)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_grid_rejected(self, small_scene, workers):
+        with pytest.raises(ConfigError, match="bound grid is empty"):
+            run_bounds(small_scene, 3, [], workers=workers)
