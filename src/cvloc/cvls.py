@@ -6,8 +6,8 @@ Layout (little-endian throughout):
     version         u16      currently 1
     metadata_len    u32
     metadata        UTF-8 JSON (georef, intrinsics, gt_pose, level table
-                    per view, point_count, level_order); the georef holds
-                    center_px and gamma
+                    per view, point_count); the georef holds center_px
+                    and gamma
     payload         per view (satellite first, then ground), per level
                     (finest first): feature float32 row-major (h, w, c),
                     attention float32 row-major (h, w); finally points
@@ -49,7 +49,7 @@ _HEADER = struct.Struct("<4sHI")
 #: The keys of each metadata object and the types of their values. An int
 #: is a size or a count, so it must be >= 1.
 _ROOT = {"georef": dict, "intrinsics": dict, "gt_pose": dict, "levels": dict,
-         "point_count": int, "level_order": str}
+         "point_count": int}
 _GEOREF = get_type_hints(SatelliteGeoref)
 _INTRINSICS = get_type_hints(CameraIntrinsics)
 _GT_POSE = dict.fromkeys(("lateral_m", "longitudinal_m", "yaw_deg"), float)
@@ -71,7 +71,6 @@ def _metadata(problem: AlignmentProblem) -> dict:
             "ground": _level_table(problem.grd_pyramid),
         },
         "point_count": problem.points.count,
-        "level_order": "finest_first",
     }
 
 
@@ -179,9 +178,6 @@ def load_scene(path) -> AlignmentProblem:
         raise FormatError(f"metadata is not valid JSON: {exc}", field="metadata") from exc
 
     root = _fields(meta, "", _ROOT)
-    if root["level_order"] != "finest_first":
-        raise FormatError(f"unsupported level order {root['level_order']!r}",
-                          field="level_order")
     try:  # _fields translates; the value types check the values
         georef = SatelliteGeoref(**_fields(root["georef"], "georef", _GEOREF))
         intrinsics = CameraIntrinsics(**_fields(root["intrinsics"], "intrinsics",

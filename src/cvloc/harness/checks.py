@@ -358,13 +358,16 @@ def _check_normal_equations(rng, scenes=8):
 
 
 def check_numerics(seed: int = 0) -> NumericsReport:
-    """Run the full self-check battery."""
-    rng = np.random.default_rng(seed)
+    """Run the full self-check battery.
+
+    Each check draws from its own child of ``SeedSequence(seed)``, so a
+    change to one check's draws leaves every other check's inputs as they
+    were.
+    """
+    checks = (_check_projection_jacobian, _check_bilinear_gradient, _check_lm_step,
+              _check_residual_jacobian, _check_shared_corners, _check_normal_equations)
+    children = np.random.SeedSequence(seed).spawn(len(checks))
     results = []
-    results += _check_projection_jacobian(rng)
-    results += _check_bilinear_gradient(rng)
-    results += _check_lm_step(rng)
-    results += _check_residual_jacobian(rng)
-    results += _check_shared_corners(rng)
-    results += _check_normal_equations(rng)
+    for check, child in zip(checks, children):
+        results += check(np.random.default_rng(child))
     return NumericsReport(results=tuple(results))

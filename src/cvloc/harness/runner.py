@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from ..geometry import Pose3
 from ..metrics import MetricsSummary, PoseError, pose_error, summarize
 from ..problem import AlignmentProblem
 from ..solver import LMConfig, OptimReport, RobustCost, refine_pose
-from ..synth import PerturbBounds, SynthConfig, available_cpus, sample_initial_pose
+from ..synth import PerturbBounds, SynthConfig, sample_initial_pose
 
 _TRIAL_CSV_COLUMNS = [
     "trial", "seed", "max_shift_m", "max_yaw_deg",
@@ -186,6 +187,14 @@ def _eval_trial(problem: AlignmentProblem, trial: int, master: int,
         "status": "ok",
     })
     return row
+
+
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def run_bounds(problem: AlignmentProblem, trials: int, bound_grid, workers: int = 1,

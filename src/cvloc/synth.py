@@ -10,17 +10,11 @@ true pose) is splatted into the ground map so its bilinear lookup
 reproduces it. The ground map is zero away from the points' texels: the
 solver reads the ground view only at the points' own projections, so
 nothing between them enters the objective.
-
-The satellite fields are smoothed on a thread pool, one channel block per
-available CPU, while the calling thread draws all random arrays in a fixed
-order; a scene's bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +83,8 @@ class SynthConfig:
         if not 0 < self.feature_smoothness < math.inf:
             raise DomainError("feature_smoothness must be finite and > 0")
         if 4 * self.feature_smoothness > self.sat_size:
-            # The filter's kernel reaches 4 sigma each way. Past the crop's
-            # width it only wraps round, at a time and memory cost that
-            # grows with sigma without bound.
+            # A field smoothed past a quarter of the crop is almost
+            # constant across it.
             raise DomainError(f"feature_smoothness {self.feature_smoothness} exceeds "
                               f"sat_size / 4 = {self.sat_size / 4}")
         georef, _ = self._geometry()  # a bad gamma or camera fails here
@@ -134,71 +127,30 @@ class PerturbBounds:
                               "at most half the largest float")
 
 
-def _ndimage():
-    # Imported here, not at module level: loading and localizing saved
-    # scenes never filter, and importing scipy takes longer than the rest
-    # of their start-up.
-    from scipy import ndimage
-    return ndimage
+def _smooth_periodic(noise: np.ndarray, sigma: float) -> np.ndarray:
+    """The (h, w, c) ``noise`` convolved with a periodic Gaussian of ``sigma``
+    texels, channel by channel, as float32.
 
-
-def available_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _smooth_block(field: np.ndarray, sigma: float, out: np.ndarray) -> None:
-    # In place, as scipy already filters every axis after the first; so
-    # the pool's threads allocate no field-sized buffer, which their malloc
-    # arenas would keep after the call.
-    _ndimage().gaussian_filter(field, sigma=(sigma, sigma, 0.0), mode="wrap", output=field)
-    out[...] = field
-
-
-def _submit_smoothing(pool: ThreadPoolExecutor, field: np.ndarray, sigma: float,
-                      blocks: int, out: np.ndarray) -> list[Future]:
-    """Smooth the (h, w, c) ``field`` in place on ``pool``, in up to ``blocks``
-    channel blocks, and cast each block into ``out`` as ``astype`` would.
-
-    The filter runs along the two spatial axes line by line, never across
-    channels, so each block's values equal those of one call on the whole
-    field, to the bit. Returns the blocks' futures.
+    The filter is applied as its transfer function exp(-2 pi^2 sigma^2 |k|^2),
+    with k in cycles per texel, on one channel's spectrum at a time.
     """
-    c = field.shape[2]
-    count = min(blocks, c)
-    edges = [i * c // count for i in range(count + 1)]
-    return [pool.submit(_smooth_block, field[..., a:b], sigma, out[..., a:b])
-            for a, b in zip(edges, edges[1:])]
+    h, w, channels = noise.shape
+    fy, fx = np.fft.fftfreq(h), np.fft.rfftfreq(w)
+    transfer = np.exp(-2.0 * math.pi**2 * sigma**2 * (fy[:, None]**2 + fx**2))
+    out = np.empty(noise.shape, dtype=np.float32)
+    for ch in range(channels):
+        out[..., ch] = np.fft.irfft2(np.fft.rfft2(noise[..., ch]) * transfer, s=(h, w))
+    return out
 
 
 def _satellite_levels(cfg: SynthConfig, rng: np.random.Generator) -> list[tuple]:
-    """The satellite pyramid: an independent smooth unit-norm field per level.
-
-    This thread draws each level's random array in turn, so the scene does
-    not depend on the CPU count. The smoothing runs on a pool with one
-    channel block per available CPU, and each level is normalized while the
-    later levels are still filtering. The pool is joined on return.
-    """
-    _ndimage()  # the first import runs here, not raced by the pool's threads
-    blocks = min(available_cpus(), cfg.channels)
-    sigma = cfg.feature_smoothness
-    with ThreadPoolExecutor(max_workers=blocks) as pool:
-        pending = []
-        for size in _sat_level_sizes(cfg):
-            feat = np.empty((size, size, cfg.channels), dtype=np.float32)
-            tasks = _submit_smoothing(pool, rng.standard_normal(feat.shape), sigma,
-                                      blocks, out=feat)
-            pending.append((feat, tasks))
-        levels = []
-        while pending:  # popped, so a built level's raw buffers are freed
-            feat, tasks = pending.pop(0)
-            for task in tasks:
-                task.result()
-            levels.append((normalize_features(FeatureMap(feat)),
-                           AttentionMap(np.ones(feat.shape[:2], dtype=np.float32))))
+    """The satellite pyramid: an independent smooth unit-norm field per level."""
+    levels = []
+    for size in _sat_level_sizes(cfg):
+        feat = _smooth_periodic(rng.standard_normal((size, size, cfg.channels)),
+                                cfg.feature_smoothness)
+        levels.append((normalize_features(FeatureMap(feat)),
+                       AttentionMap(np.ones((size, size), dtype=np.float32))))
     return levels
 
 

@@ -28,8 +28,7 @@ def scene_file(tmp_path):
 #: that reaches it, the prefix of the field that names one of its keys, and
 #: the keys the writer writes.
 _OBJECTS = {
-    "root": ((), "", ["georef", "intrinsics", "gt_pose", "levels", "point_count",
-                      "level_order"]),
+    "root": ((), "", ["georef", "intrinsics", "gt_pose", "levels", "point_count"]),
     "georef": (("georef",), "georef.", ["center_px", "gamma"]),
     "intrinsics": (("intrinsics",), "intrinsics.",
                    ["fx", "fy", "cx", "cy", "width", "height"]),
@@ -141,7 +140,7 @@ class TestPayloadLayout:
 
     @pytest.mark.parametrize("shift", range(4))
     def test_cut_inside_payload_names_its_file_offset(self, scene_file, tmp_path, shift):
-        # the tiny scene's payload starts at byte 312 + shift; the ground
+        # the tiny scene's payload starts at byte 283 + shift; the ground
         # features follow 2048 bytes of satellite features and 1024 of attention
         path, _ = scene_file
         blob = _with_lateral(path.read_bytes(), _LATERALS[shift])
@@ -150,7 +149,7 @@ class TestPayloadLayout:
         with pytest.raises(FormatError) as err:
             load_scene(bad)
         assert str(err.value) == ("ground level 0 features: payload truncated, "
-                                  f"need 2312 bytes at offset {3384 + shift}")
+                                  f"need 2312 bytes at offset {3355 + shift}")
 
     @pytest.mark.parametrize("shift", range(4))
     def test_trailing_bytes_counted(self, scene_file, tmp_path, shift):
@@ -239,7 +238,9 @@ class TestValidation:
 
     # Files older than the (center_px, gamma) georef carry the map tile's
     # keys, and older ones a pose_context, which held height_m before that
-    # went. Such a file, or one with any other extra key, is regenerated.
+    # went. Every older file carries level_order, whose one value was
+    # finest_first. Such a file, or one with any other extra key, is
+    # regenerated.
     @pytest.mark.parametrize("name, key, value", [
         ("georef", "latitude_deg", 65.25),
         ("georef", "zoom", 15),
@@ -247,9 +248,10 @@ class TestValidation:
         ("root", "pose_context", {"roll_deg": 0.0, "pitch_deg": 0.0, "cam_to_gps": [
             1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]}),
         ("root", "pose_context", {"roll_deg": 0.0, "pitch_deg": 0.0, "height_m": 1.65}),
+        ("root", "level_order", "finest_first"),
         *((name, "extra", 0.0) for name in _OBJECTS),
     ], ids=["latitude_deg", "zoom", "scale", "pose_context", "pose_context_height_m",
-            *(f"unknown_{name}" for name in _OBJECTS)])
+            "level_order", *(f"unknown_{name}" for name in _OBJECTS)])
     def test_old_or_unknown_key_names_it(self, scene_file, tmp_path, name, key, value):
         path, _ = scene_file
         bad = tmp_path / "bad.cvls"

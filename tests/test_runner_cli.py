@@ -206,15 +206,16 @@ class TestRunLocalize:
 
 # (final lateral m, final longitudinal m, final yaw deg, iterations) of
 # run_eval on small_scene, 6 trials at 10 m / 30 deg, master seed 5.
-# Recorded again when the synthetic ground map became zero away from the
-# points: each value moved by at most 1.5e-8 and no iteration count changed.
+# Recorded again when the satellite fields came to be smoothed in the
+# Fourier domain from the same noise draws: each value moved by at most
+# 3.4e-8 and no iteration count changed.
 _RECORDED_EVAL = [
-    (-1.521482243489088e-08, 9.009738117902793e-11, 9.221616620039541e-08, 6),
-    (4.443708314024938e-10, -6.233144158661892e-10, -3.8950175079987225e-09, 7),
-    (4.4618467366818136e-10, -6.233472138263765e-10, -3.906157182982414e-09, 8),
-    (4.529690241020289e-10, -6.23648430743378e-10, -3.948040240779072e-09, 7),
-    (-1.286756747953564e-07, -7.307807909564562e-09, 7.109393740820679e-07, 8),
-    (7.040873910385442e-10, -6.332597114240906e-10, -5.493344999576716e-09, 7),
+    (-1.4722801056436632e-08, 1.2017625401766696e-09, 1.0259742877803335e-07, 6),
+    (9.48993968241008e-10, 4.870754677706682e-10, 6.406518630656628e-09, 7),
+    (9.508405746577852e-10, 4.870407419998603e-10, 6.3951760595495944e-09, 8),
+    (9.574305299045576e-10, 4.867469288733579e-10, 6.35448961770343e-09, 7),
+    (-1.3193148436649117e-07, -6.1184460236464654e-09, 7.443641668466086e-07, 8),
+    (1.210649569942016e-09, 4.770521867124505e-10, 4.796267171031201e-09, 7),
 ]
 
 
@@ -774,9 +775,8 @@ class TestCli:
         assert exc.value.code == 2
 
 
-# Loads a saved scene, solves and evaluates on 2 workers, and prints the
-# scipy modules loaded by then; then generates a scene, which imports
-# scipy.ndimage on demand.
+# Loads a saved scene, solves and evaluates on 2 workers, generates a scene,
+# and prints the scipy modules loaded by then: none, on any of these paths.
 _STARTUP_SCRIPT = """
 import json, sys
 import cvloc, cvloc.harness.cli
@@ -789,10 +789,10 @@ from cvloc.synth import PerturbBounds, SynthConfig, generate_scene
 problem = load_scene(sys.argv[1])
 report = refine_pose(problem, Pose3(0.5, -0.3, 0.02))
 _, rows, failures = run_eval(problem, 2, PerturbBounds(3.0, 10.0), workers=2)
-scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 generated = generate_scene(SynthConfig(seed=5, sat_size=128, levels=2, channels=2,
                                        point_count=50, grd_width=256, grd_height=96,
                                        grd_focal=120.0, depth_min=3.0, depth_max=14.0))
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"scipy": scipy, "iterations": report.iterations_total,
                   "failures": failures, "points": len(generated.points.points)}))
 """

@@ -5,7 +5,6 @@ import math
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +16,7 @@ from cvloc.errors import ConfigError, DomainError, GenerationError
 from cvloc.geometry import Pose3
 from cvloc.harness.runner import run_bounds, run_eval
 from cvloc.problem import evaluate_pose
-from cvloc.synth import (PerturbBounds, SynthConfig, _submit_smoothing, generate_scene,
+from cvloc.synth import (PerturbBounds, SynthConfig, _smooth_periodic, generate_scene,
                          sample_initial_pose)
 
 from conftest import SMALL_SCENE_CFG
@@ -76,7 +75,7 @@ class TestGenerateScene:
                 SynthConfig(gamma=gamma)
 
     def test_feature_smoothness_bounded_by_sat_size(self):
-        # the filter's kernel reaches 4 sigma: a wider one only costs time and memory
+        # a field smoothed past a quarter of the crop is almost constant across it
         SynthConfig(feature_smoothness=128.0)
         SynthConfig(sat_size=64, feature_smoothness=16.0)
         for sigma in (128.5, 1e6, 1e9):
@@ -140,21 +139,20 @@ def _scene_sha256(cfg, path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-#: SHA-256 of the ``save_scene`` bytes of generated scenes. The default
-#: scene's payload was recorded when the satellite pyramid was smoothed
-#: serially; both digests were re-recorded when the metadata lost its
-#: pose_context, with the payload bytes unchanged. The small scene has 3
-#: channels: uneven channel blocks on any CPU count above 1.
+#: SHA-256 of the ``save_scene`` bytes of generated scenes, recorded when
+#: the satellite fields came to be smoothed in the Fourier domain and the
+#: metadata lost its level_order. The small scene has 3 channels, an odd
+#: count.
 _SCENE_SHA256 = {
     "default-seed-42": (SynthConfig(seed=42),
-                        "0c94df0aef29c93df07eee37c9ddd7b17a96881d8dcd260ebf55570d04c1f094"),
+                        "874366ed1cef420f7835e737b17d2b58cf72b20e904e8afbad406b717d5ebc1c"),
     "small-c3": (replace(SMALL_SCENE_CFG, channels=3),
-                 "01cbd411169e8c9b3648ab62f0aa40f0eb2e6c3da345dbd3e23ded14b6daf485"),
+                 "912d40b153d97879753db40bb7028aa95d18651b9b32acbe63c861868a690b12"),
 }
 
 
 class TestParallelSmoothing:
-    """Smoothing on a thread pool leaves the scene bytes as they were."""
+    """A scene's bytes are pinned, and do not depend on the CPU count."""
 
     @pytest.mark.parametrize("name", sorted(_SCENE_SHA256))
     def test_scene_bytes_pinned(self, name, tmp_path):
@@ -175,18 +173,17 @@ class TestParallelSmoothing:
         generate_scene(SMALL_SCENE_CFG)
         assert set(threading.enumerate()) == before
 
-    @pytest.mark.parametrize("blocks", [1, 2, 3, 5])
-    @pytest.mark.parametrize("shape", [(37, 41, 1), (37, 41, 3), (37, 41, 8)])
-    def test_blocks_equal_one_filter_call(self, shape, blocks):
-        noise = np.random.default_rng(len(shape) + shape[-1]).standard_normal(shape)
-        sigma = 4.0
-        whole = ndimage.gaussian_filter(noise, (sigma, sigma, 0.0), mode="wrap")
-        as_float32 = np.empty(shape, dtype=np.float32)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            for task in _submit_smoothing(pool, noise, sigma, blocks, out=as_float32):
-                task.result()
-        assert np.array_equal(noise, whole)
-        assert np.array_equal(as_float32, whole.astype(np.float32))
+
+class TestSpectralSmoothing:
+    """The satellite fields are smoothed by a periodic Gaussian whose sigma
+    is in texels: it matches the sampled kernel of a spatial filter."""
+
+    @pytest.mark.parametrize("size, sigma", [(64, 4.0), (37, 4.0), (128, 8.0)])
+    def test_matches_wrapped_gaussian_filter(self, size, sigma):
+        noise = np.random.default_rng(size).standard_normal((size, size))
+        reference = ndimage.gaussian_filter(noise, sigma, mode="wrap")
+        smoothed = _smooth_periodic(noise[..., None], sigma)[..., 0]
+        assert np.abs(smoothed - reference).max() < 2e-3 * reference.std()
 
 
 class TestSampleInitialPose:
