@@ -222,7 +222,7 @@ def residual_jacobian_error(problem: AlignmentProblem, pose: Pose3,
     safe = _fd_safe_points(problem, ev.pts_sat, level) & ev.alignment.valid_mask
     if not safe.any():
         return 0.0, 0
-    n = problem.points.count
+    n = len(ev.pts_sat)
     analytic = build_jacobian(problem, pose, level).reshape(n, -1, 3)[safe]
     fd = _central_differences(lambda step: evaluate_pose(
         problem, pose.with_delta(step), level).alignment.residuals, 3)[safe]

@@ -2,6 +2,9 @@
 ``eval`` seeded trials at one or more perturbation bounds (``--bounds``,
 every bound through ``runner.run_bounds``), and ``check-numerics``.
 ``localize --bounds`` takes the same ``shift:yaw`` syntax, one bound.
+``eval --baseline DIR`` pairs the run's rows with those of an earlier
+``eval`` output directory (``runner.paired_hits``) and adds the counts to
+``summary.json`` as its ``paired`` block.
 
 Exit codes: 0 success, 2 configuration error (and any other invalid value
 or input a library check rejects, or a run out of memory), 3 I/O or
@@ -14,6 +17,7 @@ each ``CvlocError`` class carries its own.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import replace
@@ -69,19 +73,45 @@ def _cmd_synth(args) -> int:
 def _cmd_eval(args) -> int:
     config = runner.load_config(args.config)
     grid = _parse_bounds(args.bounds)
+    baseline = (None if args.baseline is None
+                else _read_baseline(Path(args.baseline), args.seed, args.trials, grid))
     problem = load_scene(args.scene)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable path fails before any trial
     results, rows = runner.run_bounds(problem, args.trials, grid, workers=args.workers,
                                       master_seed=args.seed, config=config)
     runner.write_trials_csv(out_dir / "trials.csv", rows)
-    text = json.dumps(runner.eval_summary(results, args.trials, args.seed),
-                      indent=2, sort_keys=True)
+    summary = runner.eval_summary(results, args.trials, args.seed)
+    if baseline is not None:
+        summary["paired"] = {"baseline": args.baseline,
+                             "results": runner.paired_hits(rows, baseline, args.trials)}
+    text = json.dumps(summary, indent=2, sort_keys=True)
     (out_dir / "summary.json").write_text(text + "\n", encoding="utf-8")
     failures = sum(failed for _, _, failed in results)
     print(f"{len(grid)} bounds x {args.trials} trials ({failures} failures) -> {out_dir}")
     print(text)
     return EXIT_OK
+
+
+def _read_baseline(path: Path, seed: int, trials: int, grid) -> list[dict]:
+    """The trial rows of an earlier ``eval`` output directory, which must
+    have run the same master seed, trial count and bound grid."""
+    try:
+        summary = json.loads((path / "summary.json").read_text(encoding="utf-8"))
+        ran = (summary["master_seed"], summary["trials_per_bound"],
+               [(e["bounds"]["max_shift_m"], e["bounds"]["max_yaw_deg"])
+                for e in summary["results"]])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"--baseline {path} holds no eval summary: {exc!r}") from exc
+    want = (seed, trials, [(b.max_shift, b.max_yaw_deg) for b in grid])
+    diffs = [f"{name} {here} here, {there} in the baseline"
+             for name, here, there in zip(("master seed", "trials per bound", "bound grid"),
+                                          want, ran) if here != there]
+    if diffs:
+        raise ConfigError(f"--baseline {path} is not paired with this run: "
+                          + "; ".join(diffs))
+    with open(path / "trials.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 def _parse_bounds(text: str) -> list[PerturbBounds]:
@@ -155,6 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "and the available CPUs")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out-dir", required=True, dest="out_dir")
+    p.add_argument("--baseline",
+                   help="an earlier eval output directory of the same --seed, --trials "
+                        "and --bounds: adds its row-paired hit counts to summary.json")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("check-numerics", help="run the numeric self-check battery")

@@ -4,6 +4,8 @@ One trial driver, ``run_bounds``, serves every batch run: the trials of all
 perturbation bounds go through one serial loop or one thread pool, and
 result row ``r = bound index * trials + trial`` draws its initial pose from
 ``SeedSequence((master seed, r))``. ``run_eval`` is its one-bound case.
+So two runs from the same master seed and bound grid start row ``r`` at
+the same pose, and ``paired_hits`` compares them row by row.
 """
 
 from __future__ import annotations
@@ -274,3 +276,58 @@ def eval_summary(results, trials: int, master_seed: int) -> dict:
                      "failures": failures, "summary": summary.to_dict()}
                     for bounds, summary, failures in results],
     }
+
+
+#: A paired hit: |lateral| and |longitudinal| error both below this, in meters.
+PAIRED_HIT_M = 1.0
+
+
+def _row_key(row: dict) -> tuple:
+    # rows from run_bounds hold numbers, rows read back from trials.csv strings
+    return (int(row["trial"]), int(row["seed"]), float(row["max_shift_m"]),
+            float(row["max_yaw_deg"]))
+
+
+def _is_hit(row: dict) -> bool:
+    return (row["status"] == "ok" and abs(float(row["err_lateral_m"])) < PAIRED_HIT_M
+            and abs(float(row["err_longitudinal_m"])) < PAIRED_HIT_M)
+
+
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value of ``wins`` against ``losses``
+    discordant pairs, each side equally likely under the null; 1 for none."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2.0 * tail / 2**n)
+
+
+def paired_hits(rows: list, baseline: list, trials: int) -> list[dict]:
+    """Hits of two ``run_bounds`` row lists paired row by row, per bound.
+
+    Both lists must come from the same master seed, trial count and bound
+    grid, so row ``r`` starts at the same pose in both; ConfigError
+    otherwise. A hit is |lateral| and |longitudinal| < ``PAIRED_HIT_M``; a
+    failed trial is a miss. Per bound (``trials`` rows each, in row order)
+    returns the bound, both hit counts, the rows hit only here and only in
+    the baseline, and the exact two-sided sign-test p of those two counts.
+    """
+    if trials < 1 or len(rows) != len(baseline) or len(rows) % trials:
+        raise ConfigError(f"the baseline has {len(baseline)} rows and this run "
+                          f"{len(rows)}, at {trials} trials per bound")
+    for row, base in zip(rows, baseline):
+        if _row_key(row) != _row_key(base):
+            raise ConfigError(f"baseline row {base['trial']} has another seed or bound: "
+                              "give it the same --seed, --trials and --bounds")
+    out = []
+    for b in range(0, len(rows), trials):
+        pairs = [(_is_hit(row), _is_hit(base))
+                 for row, base in zip(rows[b:b + trials], baseline[b:b + trials])]
+        only_here = sum(here and not base for here, base in pairs)
+        only_baseline = sum(base and not here for here, base in pairs)
+        out.append({"bounds": {"max_shift_m": float(rows[b]["max_shift_m"]),
+                               "max_yaw_deg": float(rows[b]["max_yaw_deg"])},
+                    "hits": sum(here for here, _ in pairs),
+                    "baseline_hits": sum(base for _, base in pairs),
+                    "hits_only_here": only_here, "hits_only_baseline": only_baseline,
+                    "sign_test_p": sign_test_p(only_here, only_baseline)})
+    return out

@@ -82,17 +82,30 @@ class AlignmentProblem:
         return tuple(_compute_ground_level(self, lvl) for lvl in range(self.level_count))
 
 
+#: The coarsest level of a problem with more than one level solves on every
+#: ``COARSEST_STRIDE``-th point, in stored order; every other level keeps
+#: every point. The coarse levels only have to bring the start into the
+#: finest level's basin, and the finest level reaches the full-data optimum.
+COARSEST_STRIDE = 4
+
+
 @dataclass(frozen=True)
 class GroundLevelData:
     """Pose-independent ground-view lookups for one pyramid level.
 
-    Sampled at the points' ground-image projections scaled to the level;
-    the arrays are read-only.
+    ``rows`` selects the level's points from ``problem.points``: every
+    ``COARSEST_STRIDE``-th one at the coarsest level of a multi-level
+    problem, all of them elsewhere. So the coarsest level's rows are a
+    subset of every finer level's. ``points`` holds those rows as a
+    contiguous array, and the lookups are sampled at their ground-image
+    projections scaled to the level. The arrays are read-only.
     """
 
-    features: np.ndarray   # (N, c)
-    attention: np.ndarray  # (N,)
-    valid: np.ndarray      # (N,) ground-visible and in level bounds
+    rows: slice
+    points: np.ndarray     # (N_l, 3)
+    features: np.ndarray   # (N_l, c)
+    attention: np.ndarray  # (N_l,)
+    valid: np.ndarray      # (N_l,) ground-visible and in level bounds
 
 
 def ground_level_data(problem: AlignmentProblem, level: int) -> GroundLevelData:
@@ -106,12 +119,17 @@ def ground_level_data(problem: AlignmentProblem, level: int) -> GroundLevelData:
 
 
 def _compute_ground_level(problem: AlignmentProblem, level: int) -> GroundLevelData:
-    """Project points into the ground view and sample that level's maps.
+    """Select the level's rows, project them into the ground view and sample
+    that level's maps.
 
     Coordinates are projected at full resolution and scaled by 2**-level
     for coarser maps.
     """
-    uv0, visible = project_ground(problem.points, problem.intrinsics)
+    coarsest = problem.level_count > 1 and level == problem.level_count - 1
+    rows = slice(None, None, COARSEST_STRIDE if coarsest else 1)
+    # a view of the point set's own array where every row is kept
+    points = np.ascontiguousarray(problem.points.points[rows])
+    uv0, visible = project_ground(points, problem.intrinsics)
     uv = uv0 / float(2**level)
     fmap = problem.grd_pyramid.feature(level)
     # The attention map has the feature map's size: one set of corners serves both.
@@ -119,9 +137,10 @@ def _compute_ground_level(problem: AlignmentProblem, level: int) -> GroundLevelD
     feats, in_bounds = bilinear_values_many(fmap.data, uv, corners)
     att, _ = attention_lookup_many(problem.grd_pyramid.attention(level), uv, corners)
     valid = visible & in_bounds
-    for arr in (feats, att, valid):
+    for arr in (points, feats, att, valid):
         arr.setflags(write=False)
-    return GroundLevelData(features=feats, attention=att, valid=valid)
+    return GroundLevelData(rows=rows, points=points, features=feats, attention=att,
+                           valid=valid)
 
 
 @dataclass(frozen=True)
@@ -129,14 +148,15 @@ class PoseEvaluation:
     """Sparse alignment at one pose and level, plus solver-side extras."""
 
     alignment: SparseAlignment
-    sat_grads: np.ndarray  # (N, c, 2) satellite feature gradients, zero where masked
-    pts_sat: np.ndarray    # (N, 3) points in the satellite frame at the pose
-    sq_norms: np.ndarray   # (N,) squared residual norms sum_c r^2, zero where masked
+    sat_grads: np.ndarray  # (N_l, c, 2) satellite feature gradients, zero where masked
+    pts_sat: np.ndarray    # (N_l, 3) the level's points in the satellite frame at the pose
+    sq_norms: np.ndarray   # (N_l,) squared residual norms sum_c r^2, zero where masked
 
 
 def evaluate_pose(problem: AlignmentProblem, pose: Pose3, level: int = 0,
                   ground: GroundLevelData | None = None) -> PoseEvaluation:
-    """Residuals, weights and satellite gradients of the alignment at ``pose``.
+    """Residuals, weights and satellite gradients of the alignment at ``pose``,
+    one row per point of the level (``GroundLevelData.rows``).
 
     Also keeps the satellite-frame points and each point's squared residual
     norm, the one home of sum_c r^2 for the robust cost and the weights.
@@ -146,7 +166,7 @@ def evaluate_pose(problem: AlignmentProblem, pose: Pose3, level: int = 0,
     if ground is None:
         ground = ground_level_data(problem, level)
 
-    pts_sat = transform_points(problem.points, pose_to_transform(pose))
+    pts_sat = transform_points(ground.points, pose_to_transform(pose))
     uv_sat = project_satellite(pts_sat, georef)
 
     # One set of corners serves both lookups: the attention map has the

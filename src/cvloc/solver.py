@@ -2,6 +2,10 @@
 
 ``refine_pose`` runs ``_solve_level`` from the coarsest pyramid level to
 the finest, seeding each level with the pose the previous one ended at.
+The coarsest level of a multi-level problem solves on every 4th point
+(``problem.COARSEST_STRIDE``), enough to bring the start into the finer
+levels' basin; every finer level solves on all of them, so the finest
+level ends at the full-data optimum.
 Each iteration projects the 3D points into the satellite map, forms
 weighted feature residuals and their normal equations, and solves them
 damped by Cholesky. A step is accepted only if the weighted cost
@@ -9,7 +13,8 @@ decreases, and the damping adapts multiplicatively. Each level's
 ``LevelTrace`` holds its records, its end pose and ``informative`` (its
 last H was nonzero); ``OptimReport`` reads ``final_pose`` and
 ``converged`` off the last level. A level whose start leaves no valid
-point ends the solve, and the report reads ``degenerate``.
+point ends the solve, and the report reads ``degenerate``; only the
+coarsest level can.
 
 Hot path per level: the ground-view lookups come once per problem from
 ``ground_level_data``'s cache. Each evaluated pose gathers feature values,
@@ -175,8 +180,10 @@ class OptimReport:
     ``iterations_total`` counts every level's records; the other facts are
     the last level's. ``final_pose`` is where it ended. ``converged`` means
     it stopped by tolerance after an informative linearization.
-    ``degenerate`` means no point was valid at its start, so it has no
-    iteration. Validity nests across levels: only the coarsest can be so.
+    ``degenerate`` means no point of its level was valid at its start, so
+    it has no iteration. The coarsest level's points are a subset of every
+    finer level's, and a point valid at one level is valid at every finer
+    one: only the coarsest can be so.
     """
 
     levels: tuple

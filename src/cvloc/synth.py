@@ -256,10 +256,12 @@ def _splat_ground_map(shape, uv: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def _assert_zero_residual(problem: AlignmentProblem, sat_vals_per_level,
                           tol: float = 1e-6) -> None:
-    """Check the ground lookups the solver will read against the satellite's."""
+    """Check the ground lookups the solver will read against the satellite's,
+    on each level's own rows."""
     for lvl in range(problem.level_count):
-        grd_vals = ground_level_data(problem, lvl).features
-        worst = float(np.max(np.linalg.norm(sat_vals_per_level[lvl] - grd_vals, axis=1)))
+        ground = ground_level_data(problem, lvl)
+        worst = float(np.max(np.linalg.norm(
+            sat_vals_per_level[lvl][ground.rows] - ground.features, axis=1)))
         if worst > tol:
             raise GenerationError(
                 f"splat construction failed at level {lvl}: residual {worst:.2e}")

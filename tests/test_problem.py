@@ -80,7 +80,8 @@ def _unfused_evaluation(problem, pose, level):
     f_sat, a_sat, georef = problem.satellite_level(level)
     ground = ground_level_data(problem, level)
     uv = project_satellite(
-        transform_points(problem.points, pose_to_transform(pose)), georef)
+        transform_points(problem.points.points[ground.rows], pose_to_transform(pose)),
+        georef)
     vals, grads, inb = bilinear_lookup_many(f_sat.data, uv)
     att, _ = attention_lookup_many(a_sat, uv)
     valid = ground.valid & inb
@@ -121,8 +122,11 @@ class TestFusedEvaluation:
         assert valid.any() and not valid.all()
 
     def test_generated_scene_every_level(self, small_scene):
+        n = small_scene.points.count
         for level in range(small_scene.level_count):
-            _assert_matches_unfused(small_scene, Pose3(2.5, -1.5, 0.08), level)
+            valid = _assert_matches_unfused(small_scene, Pose3(2.5, -1.5, 0.08), level)
+            # the coarsest level evaluates every 4th point, the others all
+            assert len(valid) == (-(-n // 4) if level == 2 else n)
 
     def test_one_corner_build_per_evaluation(self, small_scene, monkeypatch):
         ground = ground_level_data(small_scene, 0)  # filled before counting
@@ -160,15 +164,19 @@ class TestAlignmentProblem:
 
 class TestGroundLevelData:
     def test_cached_read_only_and_equal_to_fresh_lookups(self, small_scene):
+        n = small_scene.points.count
         for level in range(small_scene.level_count):
             first = ground_level_data(small_scene, level)
             assert ground_level_data(small_scene, level) is first
-            uv0, visible = project_ground(small_scene.points, small_scene.intrinsics)
+            # ceil(N / 4) rows at the coarsest level, every row elsewhere
+            points = small_scene.points.points[::4 if level == 2 else 1]
+            assert len(points) == (-(-n // 4) if level == 2 else n)
+            uv0, visible = project_ground(points, small_scene.intrinsics)
             uv = uv0 / float(2**level)
             feats, _, inb_f = bilinear_lookup_many(
                 small_scene.grd_pyramid.feature(level).data, uv)
             att, inb_a = attention_lookup_many(small_scene.grd_pyramid.attention(level), uv)
-            fresh = {"features": feats, "attention": att,
+            fresh = {"points": points, "features": feats, "attention": att,
                      "valid": visible & inb_f & inb_a}
             for name, expect in fresh.items():
                 arr = getattr(first, name)
@@ -206,5 +214,5 @@ class TestGroundLevelData:
             kept = ground_level_data(problem, lvl)
             assert ground_level_data(problem, lvl) is kept
             for got in results:
-                for name in ("features", "attention", "valid"):
+                for name in ("points", "features", "attention", "valid"):
                     assert np.array_equal(getattr(got[lvl], name), getattr(kept, name))

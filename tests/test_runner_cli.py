@@ -206,16 +206,16 @@ class TestRunLocalize:
 
 # (final lateral m, final longitudinal m, final yaw deg, iterations) of
 # run_eval on small_scene, 6 trials at 10 m / 30 deg, master seed 5.
-# Recorded again when the satellite fields came to be smoothed in the
-# Fourier domain from the same noise draws: each value moved by at most
-# 3.4e-8 and no iteration count changed.
+# Recorded again when the coarsest level came to solve on every 4th point:
+# each value moved by at most 7.4e-7 (row 4's yaw, in degrees), and three
+# iteration counts moved by one (rows 1 and 3: 7 -> 6; row 4: 8 -> 9).
 _RECORDED_EVAL = [
-    (-1.4722801056436632e-08, 1.2017625401766696e-09, 1.0259742877803335e-07, 6),
-    (9.48993968241008e-10, 4.870754677706682e-10, 6.406518630656628e-09, 7),
-    (9.508405746577852e-10, 4.870407419998603e-10, 6.3951760595495944e-09, 8),
-    (9.574305299045576e-10, 4.867469288733579e-10, 6.35448961770343e-09, 7),
-    (-1.3193148436649117e-07, -6.1184460236464654e-09, 7.443641668466086e-07, 8),
-    (1.210649569942016e-09, 4.770521867124505e-10, 4.796267171031201e-09, 7),
+    (-8.878366420367956e-09, 1.01967551059531e-09, 6.666164502026225e-08, 6),
+    (-7.158737560276027e-08, 5.837854741438713e-09, 4.5662329401660344e-07, 6),
+    (2.2978436196106076e-10, 6.013698883954393e-10, 1.089021025185841e-08, 8),
+    (-1.0779486810774821e-08, 7.88274546343719e-09, 1.0022818668414314e-07, 6),
+    (2.340602227820595e-10, 6.014635568370257e-10, 1.0864250854467791e-08, 9),
+    (2.389891838715377e-10, 6.016492832448286e-10, 1.0834726452335886e-08, 7),
 ]
 
 
@@ -340,6 +340,95 @@ class TestRunEval:
         runner.write_trials_csv(path, rows)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 5  # header + 4 trials
+
+
+def _row(trial, lat, lon=0.0, status="ok", bounds=(10.0, 30.0)):
+    """A hand-built trial row: only the fields ``paired_hits`` reads."""
+    return {"trial": trial, "seed": 1000 + trial, "max_shift_m": bounds[0],
+            "max_yaw_deg": bounds[1], "err_lateral_m": lat, "err_longitudinal_m": lon,
+            "status": status}
+
+
+class TestPairedHits:
+    @pytest.mark.parametrize("wins, losses, p", [
+        (0, 0, 1.0), (2, 1, 1.0), (0, 6, 0.03125), (6, 0, 0.03125),
+        (1, 9, 22 / 1024), (5, 5, 1.0),
+    ])
+    def test_sign_test_p(self, wins, losses, p):
+        assert runner.sign_test_p(wins, losses) == pytest.approx(p, rel=1e-12)
+
+    def test_hand_built_rows(self):
+        # bound 10:30: the baseline misses rows 0-5 (1 m itself is a miss)
+        here = [_row(t, 0.5) for t in range(10)]
+        base = [_row(t, 1.0 if t < 6 else 0.0) for t in range(10)]
+        # bound 20:60: a failed trial and a 2 m error miss here, a 3 m
+        # longitudinal error misses in the baseline
+        wide = (20.0, 60.0)
+        here += [_row(10, "", "", "degenerate: all points masked", wide),
+                 _row(11, -2.0, bounds=wide), _row(12, 0.1, bounds=wide),
+                 _row(13, 0.1, bounds=wide), _row(14, 0.1, bounds=wide)]
+        base += [_row(10, 0.2, bounds=wide), _row(11, 0.2, bounds=wide),
+                 _row(12, 0.2, -3.0, bounds=wide), _row(13, 0.2, bounds=wide),
+                 _row(14, 0.2, bounds=wide)]
+        got = runner.paired_hits(here[:10], base[:10], 10)
+        assert got == [{"bounds": {"max_shift_m": 10.0, "max_yaw_deg": 30.0},
+                        "hits": 10, "baseline_hits": 4, "hits_only_here": 6,
+                        "hits_only_baseline": 0, "sign_test_p": 0.03125}]
+        [got] = runner.paired_hits(here[10:], base[10:], 5)
+        assert (got["hits"], got["baseline_hits"], got["hits_only_here"],
+                got["hits_only_baseline"], got["sign_test_p"]) == (3, 4, 1, 2, 1.0)
+
+    def test_two_runs_of_one_configuration_agree(self, small_scene):
+        grid = [PerturbBounds(5.0, 15.0), PerturbBounds(20.0, 60.0)]
+        _, rows = runner.run_bounds(small_scene, 8, grid, workers=1, master_seed=3)
+        _, again = runner.run_bounds(small_scene, 8, grid, workers=2, master_seed=3)
+        got = runner.paired_hits(rows, again, 8)
+        assert [g["bounds"]["max_shift_m"] for g in got] == [5.0, 20.0]
+        for g in got:
+            assert g["hits"] == g["baseline_hits"] > 0
+            assert g["hits_only_here"] == g["hits_only_baseline"] == 0
+            assert g["sign_test_p"] == 1.0
+
+    def test_unpaired_rows_rejected(self, small_scene):
+        grid = [PerturbBounds(5.0, 15.0)]
+        _, rows = runner.run_bounds(small_scene, 4, grid, master_seed=3)
+        _, other_seed = runner.run_bounds(small_scene, 4, grid, master_seed=4)
+        with pytest.raises(ConfigError, match="another seed or bound"):
+            runner.paired_hits(rows, other_seed, 4)
+        with pytest.raises(ConfigError, match="3 rows"):
+            runner.paired_hits(rows, rows[:3], 4)
+        with pytest.raises(ConfigError, match="at 0 trials per bound"):
+            runner.paired_hits(rows, rows, 0)
+
+    def test_eval_baseline_adds_paired_block(self, tmp_path, scene_path, capsys):
+        argv = ["eval", "--scene", str(scene_path), "--bounds", "2:6,5:15", "--trials", "3",
+                "--seed", "4"]
+        assert main(argv + ["--out-dir", str(tmp_path / "base")]) == 0
+        assert main(argv + ["--workers", "2", "--baseline", str(tmp_path / "base"),
+                            "--out-dir", str(tmp_path / "run")]) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        paired = summary.pop("paired")
+        assert summary == json.loads((tmp_path / "base" / "summary.json").read_text())
+        assert paired["baseline"] == str(tmp_path / "base")
+        assert [(r["hits_only_here"], r["hits_only_baseline"], r["sign_test_p"])
+                for r in paired["results"]] == [(0, 0, 1.0), (0, 0, 1.0)]
+
+    @pytest.mark.parametrize("flags, what", [
+        (["--seed", "5"], "master seed 5 here, 4 in the baseline"),
+        (["--seed", "4", "--trials", "2"], "trials per bound 2 here, 3"),
+        (["--seed", "4", "--bounds", "2:6"], "bound grid [(2.0, 6.0)] here"),
+    ], ids=["seed", "trials", "bounds"])
+    def test_unpaired_baseline_exits_2(self, tmp_path, scene_path, flags, what, capsys):
+        base = tmp_path / "base"
+        assert main(["eval", "--scene", str(scene_path), "--bounds", "2:6,5:15",
+                     "--trials", "3", "--seed", "4", "--out-dir", str(base)]) == 0
+        argv = ["eval", "--scene", str(scene_path), "--bounds", "2:6,5:15", "--trials", "3",
+                *flags, "--baseline", str(base), "--out-dir", str(tmp_path / "run")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --baseline") and what in err
+        assert not (tmp_path / "run").exists()  # rejected before any trial
 
 
 class TestCli:
