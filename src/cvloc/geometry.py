@@ -2,27 +2,30 @@
 
 Frame conventions used throughout the package:
 
-    Satellite 3D frame (right-handed):
-      - x: east, y: south, z: vertically down.
-      - The satellite image is a parallel (orthographic) projection:
-        u = x / gamma + center, v = y / gamma + center; depth is discarded.
+    Map plane:
+      - x: east, y: south, meters from the map origin.
+      - The satellite image is a parallel (orthographic) projection of it:
+        u = x / gamma + center, v = y / gamma + center.
     Ground camera frame (standard computer vision):
       - x: right, y: down, z: forward along the optical axis.
       - It is also the vehicle body frame: the camera is mounted at the
         vehicle origin, looking along the heading.
 
 Pose convention:
-    yaw = 0 points the vehicle north (satellite -y); positive yaw rotates
-    the heading toward east, which is clockwise in image coordinates.
-    The lateral / longitudinal translations live in the vehicle frame at
-    the current yaw: longitudinal along the heading, lateral along the
-    heading rotated +90 degrees (the vehicle's right side). The vehicle's
-    planar position in the satellite frame is therefore
+    yaw = 0 points the vehicle north (map -y); positive yaw rotates the
+    heading toward east, which is clockwise in image coordinates. The
+    lateral / longitudinal translations live in the vehicle frame at the
+    current yaw: longitudinal along the heading, lateral along the heading
+    rotated +90 degrees (the vehicle's right side). With (c, s) the cosine
+    and sine of yaw, the vehicle's map position is
 
-        position = R(yaw) @ (lateral, -longitudinal).
+        (east, south) = (c * lateral + s * longitudinal,
+                         s * lateral - c * longitudinal),
 
-    The vehicle is level (roll and pitch are zero) and sits at z = 0: the
-    satellite projection discards z, so a camera height changes no result.
+    and a camera point (x, y, z) lands at (c*x + s*z + east,
+    s*x - c*z + south). The vehicle is level (roll and pitch are zero), and
+    the overhead projection drops the height y: no vertical coordinate is
+    ever computed, so a camera height changes no result.
 
 Angles are radians internally; degrees appear only at CLI and file
 boundaries.
@@ -153,57 +156,43 @@ class PointSet:
         return self.points.shape[0]
 
 
-def _rot_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def pose_to_transform(pose: Pose3) -> tuple[float, float, float, float]:
+    """The map-plane transform of a pose: (c, s, east, south).
 
-
-# Body axes (x right, y down, z forward) expressed in satellite axes
-# (east, south, down) at zero yaw: right->east, down->down,
-# forward->north.
-_BODY_TO_SAT = np.array([
-    [1.0, 0.0, 0.0],
-    [0.0, 0.0, -1.0],
-    [0.0, 1.0, 0.0],
-])
-
-
-def pose_translation(pose: Pose3) -> np.ndarray:
-    """Vehicle position in the satellite frame for a given pose, at z = 0."""
+    (c, s) is the cosine and sine of yaw and (east, south) the vehicle's
+    map position, the one home of that formula. :func:`transform_points`
+    applies it to camera-frame points.
+    """
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    return np.array([
-        pose.lateral * c + pose.longitudinal * s,
-        pose.lateral * s - pose.longitudinal * c,
-        0.0,
-    ])
+    return (c, s, pose.lateral * c + pose.longitudinal * s,
+            pose.lateral * s - pose.longitudinal * c)
 
 
-def pose_to_transform(pose: Pose3) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation and translation from the ground-camera frame to the satellite 3D frame.
+def transform_points(points: np.ndarray, transform: tuple[float, float, float, float]
+                     ) -> np.ndarray:
+    """Map positions (east, south), (N, 2), of (N, 3) camera-frame points.
 
-    The rotation turns the camera axes to the satellite axes at the pose's
-    yaw; the translation is the vehicle position, :func:`pose_translation`.
+    A point (x, y, z) maps to (c*x + s*z + east, s*x - c*z + south); its
+    height y is dropped. The arithmetic is element-wise, with no BLAS call,
+    so the result is the same on every CPU.
     """
-    return _rot_z(pose.yaw) @ _BODY_TO_SAT, pose_translation(pose)
+    c, s, east, south = transform
+    pts = np.asarray(points, dtype=np.float64)
+    x, z = pts[:, 0], pts[:, 2]
+    return np.stack([c * x + s * z + east, s * x - c * z + south], axis=1)
 
 
-def transform_points(points, transform: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Apply a (rotation, translation) pair to an Nx3 array or a PointSet row-wise."""
-    rotation, translation = transform
-    pts = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=np.float64)
-    return pts @ rotation.T + translation
+def project_satellite(points_map: np.ndarray, georef: SatelliteGeoref) -> np.ndarray:
+    """Parallel projection of map positions onto the satellite image.
 
-
-def project_satellite(points_sat: np.ndarray, georef: SatelliteGeoref) -> np.ndarray:
-    """Parallel projection of satellite-frame points onto the satellite image.
-
-    Returns Nx2 pixel coordinates (u, v); the z (down) component is
-    discarded. Out-of-image coordinates are returned as-is, and one beyond
-    the float range as inf, which is off the map too.
+    ``points_map`` is (N, 2) (east, south) positions, as from
+    :func:`transform_points`. Returns Nx2 pixel coordinates (u, v).
+    Out-of-image coordinates are returned as-is, and one beyond the float
+    range as inf, which is off the map too.
     """
-    pts = np.asarray(points_sat, dtype=np.float64)
+    pts = np.asarray(points_map, dtype=np.float64)
     with np.errstate(over="ignore"):
-        return pts[..., :2] / georef.gamma + georef.center_px
+        return pts / georef.gamma + georef.center_px
 
 
 def satellite_pixels_finite(georef: SatelliteGeoref, pose: Pose3, reach: float) -> bool:
@@ -225,7 +214,7 @@ def project_ground(points_cam, intrinsics: CameraIntrinsics) -> tuple[np.ndarray
     [0, width) x [0, height). Coordinates of invisible points are computed
     with the depth clamped to ``DEPTH_MIN`` so the output stays finite.
     """
-    pts = points_cam.points if isinstance(points_cam, PointSet) else np.asarray(points_cam, dtype=np.float64)
+    pts = np.asarray(points_cam, dtype=np.float64)
     z = pts[:, 2]
     safe_z = np.maximum(z, DEPTH_MIN)
     u = intrinsics.fx * pts[:, 0] / safe_z + intrinsics.cx
@@ -250,11 +239,12 @@ def d_satproj_d_pose_many(pts_sat: np.ndarray, pose: Pose3,
                           georef: SatelliteGeoref) -> np.ndarray:
     """Analytic Jacobians of satellite pixel coordinates w.r.t. the pose.
 
-    ``pts_sat`` is the (N, 3) points already transformed into the satellite
-    frame at ``pose``. Returns an Nx2x3 array: for each point, d(u, v) /
-    d(lateral, longitudinal, yaw). The translation columns are constant
-    across points (each with norm 1/gamma); the yaw column is the rotation
-    derivative (-v_m, u_m)/gamma of the point's planar map position.
+    ``pts_sat`` is the (N, 2) map positions (east, south) of the points at
+    ``pose``, as from :func:`transform_points`. Returns an Nx2x3 array: for
+    each point, d(u, v) / d(lateral, longitudinal, yaw). The translation
+    columns are constant across points (each with norm 1/gamma); the yaw
+    column is the rotation derivative (-south, east)/gamma of the point's
+    map position.
 
     The result is the transposed view of one (3, 2, N) buffer, so the 2x2
     translation block is four scalar fills and the yaw column's two rows

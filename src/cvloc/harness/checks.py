@@ -201,7 +201,7 @@ def _fd_safe_points(problem: AlignmentProblem, pts_sat: np.ndarray, level: int) 
     fmap = problem.sat_pyramid.feature(level)
     # Worst-case pixel motion over the probes: shifts move pixels by
     # h/gamma, yaw by r*h/gamma with r the planar radius.
-    radius = np.linalg.norm(pts_sat[:, :2], axis=1)
+    radius = np.linalg.norm(pts_sat, axis=1)
     move = _FD_STEP * np.maximum(1.0, radius) / georef.gamma + 1e-3
     frac = uv - np.floor(uv)
     interior = np.all((frac > move[:, None]) & (frac < 1.0 - move[:, None]), axis=1)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .geometry import Pose3, pose_translation, wrap_angle
+from .geometry import Pose3, pose_to_transform, wrap_angle
 
 SHIFT_THRESHOLDS_M = (0.25, 0.5, 1.0, 2.0)
 YAW_THRESHOLDS_DEG = (1.0, 2.0, 4.0)
@@ -29,13 +29,13 @@ class PoseError:
 
 def pose_error(est: Pose3, gt: Pose3) -> PoseError:
     """Decompose the estimate-minus-truth offset in the truth's heading frame."""
-    d = pose_translation(est)[:2] - pose_translation(gt)[:2]
-    c, s = math.cos(gt.yaw), math.sin(gt.yaw)
-    heading = np.array([s, -c])    # vehicle forward in (east, south)
-    right = np.array([c, s])       # heading rotated +90 deg
+    _, _, east, south = pose_to_transform(est)
+    c, s, gt_east, gt_south = pose_to_transform(gt)
+    d_east, d_south = east - gt_east, south - gt_south
+    # projected on the vehicle's right, (c, s), and its heading, (s, -c)
     return PoseError(
-        lateral_err=abs(float(d @ right)),
-        longitudinal_err=abs(float(d @ heading)),
+        lateral_err=abs(d_east * c + d_south * s),
+        longitudinal_err=abs(d_east * s - d_south * c),
         yaw_err_deg=abs(math.degrees(wrap_angle(est.yaw - gt.yaw))),
     )
 

@@ -149,7 +149,7 @@ class PoseEvaluation:
 
     alignment: SparseAlignment
     sat_grads: np.ndarray  # (N_l, c, 2) satellite feature gradients, zero where masked
-    pts_sat: np.ndarray    # (N_l, 3) the level's points in the satellite frame at the pose
+    pts_sat: np.ndarray    # (N_l, 2) the level's map positions (east, south) at the pose
     sq_norms: np.ndarray   # (N_l,) squared residual norms sum_c r^2, zero where masked
 
 
@@ -158,7 +158,7 @@ def evaluate_pose(problem: AlignmentProblem, pose: Pose3, level: int = 0,
     """Residuals, weights and satellite gradients of the alignment at ``pose``,
     one row per point of the level (``GroundLevelData.rows``).
 
-    Also keeps the satellite-frame points and each point's squared residual
+    Also keeps the points' map positions and each point's squared residual
     norm, the one home of sum_c r^2 for the robust cost and the weights.
     ``ground`` may carry precomputed ground-view lookups for the level.
     """

@@ -236,15 +236,18 @@ def _normal_equations(ev: PoseEvaluation, proj_jac: np.ndarray,
     translation columns are the planes scaled by its four entries; the yaw
     column combines the planes with the point's two yaw entries repeated
     over its c rows, and W repeats the point weights the same way.
+    Every product is an ``einsum``, not BLAS, whose kernel (and so its
+    rounding) depends on the CPU.
     """
     n, c, _ = ev.sat_grads.shape
     planes = ev.sat_grads.transpose(2, 0, 1).reshape(2, n * c)
     jac_t = np.empty((3, n * c))
-    np.dot(proj_jac[0, :, :2].T, planes, out=jac_t[:2])
+    np.einsum("kj,kn->jn", proj_jac[0, :, :2], planes, out=jac_t[:2])
     yaw_rows = np.repeat(proj_jac[:, :, 2].T, c, axis=1)
     np.einsum("kn,kn->n", yaw_rows, planes, out=jac_t[2])
     weighted = jac_t * np.repeat(w_points, c)
-    return weighted @ jac_t.T, weighted @ ev.alignment.residuals.reshape(-1)
+    return (np.einsum("in,jn->ij", weighted, jac_t),
+            np.einsum("in,n->i", weighted, ev.alignment.residuals.reshape(-1)))
 
 
 def cho_factor(a) -> tuple[float, ...] | None:

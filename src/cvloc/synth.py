@@ -195,8 +195,8 @@ def generate_scene(cfg: SynthConfig) -> AlignmentProblem:
 
     # True-pose lookups; points must be ground-visible and land inside the
     # satellite crop at every level.
-    pts_sat = transform_points(points, pose_to_transform(GT_POSE))
-    uv_grd, visible = project_ground(points, intrinsics)
+    pts_sat = transform_points(points.points, pose_to_transform(GT_POSE))
+    uv_grd, visible = project_ground(points.points, intrinsics)
     valid = visible.copy()
     sat_vals_per_level = []
     for lvl, (fmap, _) in enumerate(sat_levels):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvloc.errors import DomainError
-from cvloc.geometry import (CameraIntrinsics, PointSet, Pose3, SatelliteGeoref,
+from cvloc.geometry import (CameraIntrinsics, Pose3, SatelliteGeoref,
                             d_satproj_d_pose_many, pose_to_transform,
                             project_ground, project_satellite, transform_points,
                             translate_pose_east_south, wrap_angle)
@@ -36,15 +36,15 @@ class TestProjectSatellite:
     GEOREF = SatelliteGeoref(640.0, 0.2)
 
     def test_image_center_identity(self):
-        uv = project_satellite(np.array([[0.0, 0.0, -5.0]]), self.GEOREF)
+        uv = project_satellite(np.array([[0.0, 0.0]]), self.GEOREF)
         assert np.allclose(uv, [[640.0, 640.0]])
 
     def test_hand_evaluated_offset(self):
-        uv = project_satellite(np.array([[2.0, -1.0, 0.0]]), self.GEOREF)
+        uv = project_satellite(np.array([[2.0, -1.0]]), self.GEOREF)
         assert np.allclose(uv, [[650.0, 635.0]])
 
     def test_doubling_gamma_halves_pixel_offset(self):
-        pts = np.random.default_rng(1).uniform(-30, 30, size=(20, 3))
+        pts = np.random.default_rng(1).uniform(-30, 30, size=(20, 2))
         g2 = SatelliteGeoref(640.0, 0.4)
         off1 = project_satellite(pts, self.GEOREF) - 640.0
         off2 = project_satellite(pts, g2) - 640.0
@@ -109,45 +109,43 @@ class TestPose3:
         assert math.isclose(math.sin(w), math.sin(theta), abs_tol=1e-12)
 
 
-IDENTITY = (np.eye(3), np.zeros(3))
+def _composition_oracle(points, pose):
+    """Map positions by the 3-D composition Rz(yaw) @ body-to-map plus the
+    vehicle position, with body axes (right, down, forward) turned to
+    (east, down, north) at zero yaw; the down row is discarded."""
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    rot_z = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    body_to_map = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    position = rot_z[:2, :2] @ [pose.lateral, -pose.longitudinal]
+    return (points @ (rot_z @ body_to_map).T)[:, :2] + position
 
 
 class TestTransformPoints:
     def test_identity(self):
+        # the identity pose maps (x, y, z) to (x, -z): right is east,
+        # forward is north, and the height is dropped
         pts = np.arange(12.0).reshape(4, 3)
-        assert np.array_equal(transform_points(pts, IDENTITY), pts)
+        out = transform_points(pts, pose_to_transform(Pose3(0.0, 0.0, 0.0)))
+        assert out.shape == (4, 2)
+        assert np.array_equal(out, np.column_stack([pts[:, 0], -pts[:, 2]]))
 
     def test_pure_translation(self):
+        # the vehicle position is added to every point
         pts = np.zeros((3, 3))
-        assert np.allclose(transform_points(pts, (np.eye(3), np.array([1.0, 2.0, 3.0]))),
-                           [[1, 2, 3]] * 3)
-
-    def test_accepts_point_set(self):
-        ps = PointSet(np.ones((2, 3)))
-        out = transform_points(ps, IDENTITY)
-        assert np.array_equal(out, ps.points)
+        out = transform_points(pts, (1.0, 0.0, 2.5, -4.0))
+        assert np.array_equal(out, [[2.5, -4.0]] * 3)
 
 
 class TestPoseToTransform:
     def test_identity_pose_axis_permutation(self):
-        rotation, translation = pose_to_transform(Pose3(0.0, 0.0, 0.0))
-        # camera x (right) -> east, y (down) -> down, z (forward) -> north
-        expect = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-        assert np.allclose(rotation, expect, atol=1e-15)
-        assert np.allclose(translation, [0.0, 0.0, 0.0])
-
-    def test_rotation_is_proper(self):
-        rng = np.random.default_rng(12)
-        yaws = [*rng.uniform(-math.pi, math.pi, 500), 0.0, math.pi, -math.pi / 2]
-        for yaw in yaws:
-            rotation, _ = pose_to_transform(Pose3(0.0, 0.0, yaw))
-            assert np.max(np.abs(rotation.T @ rotation - np.eye(3))) <= 1e-12, yaw
-            assert abs(np.linalg.det(rotation) - 1.0) <= 1e-12, yaw
+        assert pose_to_transform(Pose3(0.0, 0.0, 0.0)) == (1.0, 0.0, 0.0, 0.0)
+        # camera x (right) -> east, z (forward) -> north; y (down) is dropped
+        out = transform_points(np.eye(3), pose_to_transform(Pose3(0.0, 0.0, 0.0)))
+        assert np.array_equal(out, [[1.0, 0.0], [0.0, 0.0], [0.0, -1.0]])
 
     def test_yaw_periodicity(self):
-        r1, t1 = pose_to_transform(Pose3(1.0, 2.0, 0.4))
-        r2, t2 = pose_to_transform(Pose3(1.0, 2.0, 0.4 + 2 * math.pi))
-        assert np.allclose(r1, r2, atol=1e-9)
+        t1 = pose_to_transform(Pose3(1.0, 2.0, 0.4))
+        t2 = pose_to_transform(Pose3(1.0, 2.0, 0.4 + 2 * math.pi))
         assert np.allclose(t1, t2, atol=1e-9)
 
     def test_point_ahead_under_quarter_turn(self):
@@ -156,16 +154,25 @@ class TestPoseToTransform:
         ahead = transform_points(np.array([[0.0, 0.0, 10.0]]), t)[0]
         yaw = math.pi / 2
         heading_east_south = np.array([math.sin(yaw), -math.cos(yaw)])
-        assert np.allclose(ahead[:2], 10.0 * heading_east_south, atol=1e-12)
-        assert ahead[2] == pytest.approx(0.0)
+        assert np.allclose(ahead, 10.0 * heading_east_south, atol=1e-12)
 
     def test_lateral_axis_is_vehicle_right(self):
-        # Heading north (yaw 0): +lateral should move the vehicle east.
-        _, translation = pose_to_transform(Pose3(2.0, 0.0, 0.0))
-        assert np.allclose(translation[:2], [2.0, 0.0])
+        # Heading north (yaw 0): +lateral moves the vehicle east.
+        assert pose_to_transform(Pose3(2.0, 0.0, 0.0))[2:] == (2.0, 0.0)
         # +longitudinal at yaw 0 moves north (negative south coordinate).
-        _, translation = pose_to_transform(Pose3(0.0, 3.0, 0.0))
-        assert np.allclose(translation[:2], [0.0, -3.0])
+        assert pose_to_transform(Pose3(0.0, 3.0, 0.0))[2:] == (0.0, -3.0)
+        # after a quarter turn the vehicle heads east, and its right is south
+        _, _, east, south = pose_to_transform(Pose3(2.0, 0.0, math.pi / 2))
+        assert (east, south) == pytest.approx((0.0, 2.0), abs=1e-12)
+
+    def test_matches_rotation_composition(self):
+        rng = np.random.default_rng(12)
+        for yaw in [*rng.uniform(-math.pi, math.pi, 200), 0.0, math.pi, -math.pi / 2]:
+            pose = Pose3(float(rng.uniform(-20, 20)), float(rng.uniform(-20, 20)), yaw)
+            pts = rng.uniform(-30, 30, size=(25, 3))
+            got = transform_points(pts, pose_to_transform(pose))
+            assert np.max(np.abs(got - _composition_oracle(pts, pose))) <= 1e-12, yaw
+
 
 class TestProjectionConsistency:
     def test_east_south_shift_moves_pixels_exactly(self):

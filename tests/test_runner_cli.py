@@ -206,16 +206,17 @@ class TestRunLocalize:
 
 # (final lateral m, final longitudinal m, final yaw deg, iterations) of
 # run_eval on small_scene, 6 trials at 10 m / 30 deg, master seed 5.
-# Recorded again when the coarsest level came to solve on every 4th point:
-# each value moved by at most 7.4e-7 (row 4's yaw, in degrees), and three
-# iteration counts moved by one (rows 1 and 3: 7 -> 6; row 4: 8 -> 9).
+# Recorded again when the solve path moved to element-wise map-plane
+# arithmetic with no BLAS call: each value moved by at most 5.0e-16 (row 2's
+# yaw, in degrees), and no iteration count changed. The rows are now the same
+# under the OpenBLAS kernels SkylakeX, Haswell, Zen, SandyBridge and Prescott.
 _RECORDED_EVAL = [
-    (-8.878366420367956e-09, 1.01967551059531e-09, 6.666164502026225e-08, 6),
-    (-7.158737560276027e-08, 5.837854741438713e-09, 4.5662329401660344e-07, 6),
-    (2.2978436196106076e-10, 6.013698883954393e-10, 1.089021025185841e-08, 8),
-    (-1.0779486810774821e-08, 7.88274546343719e-09, 1.0022818668414314e-07, 6),
-    (2.340602227820595e-10, 6.014635568370257e-10, 1.0864250854467791e-08, 9),
-    (2.389891838715377e-10, 6.016492832448286e-10, 1.0834726452335886e-08, 7),
+    (-8.87836630202301e-09, 1.0196757529754258e-09, 6.666164490819277e-08, 6),
+    (-7.158737568280107e-08, 5.837854488315845e-09, 4.566232939893133e-07, 6),
+    (2.297843650676881e-10, 6.013701399156233e-10, 1.0890209754840663e-08, 8),
+    (-1.0779486757946207e-08, 7.882745466675357e-09, 1.002281863462748e-07, 6),
+    (2.340601980255397e-10, 6.014633875038671e-10, 1.0864250881682249e-08, 9),
+    (2.3898910051393677e-10, 6.016492768459394e-10, 1.0834726790438013e-08, 7),
 ]
 
 

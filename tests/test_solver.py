@@ -482,17 +482,18 @@ class TestRefinePose:
             assert report.levels[-1].level == 0
             assert report.levels[-1].stopped_by_tolerance
 
-    # Two starts that once ended the solve at level 1: a candidate that masks
-    # every point, and a damped system with no Cholesky factor once lambda
-    # has decayed to 1e-16 with few points left on the crop. The second is
-    # sample_initial_pose(gt, PerturbBounds(10, 15), 452), unrounded: the
-    # step is that rare, and the start rounded to 2 or 3 decimals misses it.
+    # Two unscored level-1 steps: a candidate that masks every point, and a
+    # damped system with no Cholesky factor. The second is made by
+    # construction: the first level-1 factorization reports no factor, so
+    # lm_step's own None path runs whatever the rounding.
     @pytest.mark.parametrize("d_lat, d_lon, d_yaw_deg, unsolved", [
         (0.0, 9.0, 0.0, False),
-        (9.192437122647949, -9.330956548085084, 8.731075643060596, True),
+        (3.0, -4.0, 5.0, True),
     ], ids=["all_masked_candidate", "singular_step"])
-    def test_unscorable_step_is_rejected(self, small_scene, d_lat, d_lon, d_yaw_deg,
-                                         unsolved):
+    def test_unscorable_step_is_rejected(self, small_scene, monkeypatch, d_lat, d_lon,
+                                         d_yaw_deg, unsolved):
+        if unsolved:
+            _fail_first_factorization(monkeypatch, level=1)
         gt = small_scene.gt_pose
         init = Pose3(gt.lateral + d_lat, gt.longitudinal + d_lon,
                      gt.yaw + math.radians(d_yaw_deg))
@@ -502,14 +503,15 @@ class TestRefinePose:
         level1 = report.levels[1].iterations
         unscored = [i for i, rec in enumerate(level1) if rec.candidate_cost == math.inf]
         assert unscored
+        assert unscored[-1] + 1 < len(level1)
         for i in unscored:
             assert not level1[i].accepted
-            if i + 1 < len(level1):
-                assert level1[i + 1].lam == level1[i].lam * solver.LAMBDA_UP
+            assert level1[i + 1].lam == level1[i].lam * solver.LAMBDA_UP
         assert any(level1[i].delta is None for i in unscored) == unsolved
         # written as null, never as the non-standard Infinity
         trace = report.levels[1].to_dict()["iterations"]
         assert all(trace[i]["candidate_cost"] is None for i in unscored)
+        assert all((trace[i]["delta"] is None) == (level1[i].delta is None) for i in unscored)
         json.dumps([lv.to_dict() for lv in report.levels], allow_nan=False)
 
     def test_deterministic_reports(self, small_scene):
@@ -528,6 +530,25 @@ class TestRefinePose:
     def test_trace_is_json_serializable(self, small_scene):
         report = refine_pose(small_scene, small_scene.gt_pose)
         json.dumps([lv.to_dict() for lv in report.levels], allow_nan=False)
+
+
+def _fail_first_factorization(monkeypatch, level: int) -> None:
+    """Make the first Cholesky factorization of ``level`` report no factor."""
+    state = {"level": None, "failed": False}
+    solve_level, cho_factor = solver._solve_level, solver.cho_factor
+
+    def tracked_solve_level(problem, pose, lvl, cfg, cost):
+        state["level"] = lvl
+        return solve_level(problem, pose, lvl, cfg, cost)
+
+    def failing_cho_factor(a):
+        if state["level"] == level and not state["failed"]:
+            state["failed"] = True
+            return None
+        return cho_factor(a)
+
+    monkeypatch.setattr(solver, "_solve_level", tracked_solve_level)
+    monkeypatch.setattr(solver, "cho_factor", failing_cho_factor)
 
 
 @functools.cache

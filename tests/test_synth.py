@@ -2,9 +2,7 @@
 
 import hashlib
 import math
-import os
 import sys
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -151,27 +149,13 @@ _SCENE_SHA256 = {
 }
 
 
-class TestParallelSmoothing:
-    """A scene's bytes are pinned, and do not depend on the CPU count."""
+class TestSceneBytes:
+    """A generated scene's file bytes are pinned by their SHA-256."""
 
     @pytest.mark.parametrize("name", sorted(_SCENE_SHA256))
     def test_scene_bytes_pinned(self, name, tmp_path):
         cfg, digest = _SCENE_SHA256[name]
         assert _scene_sha256(cfg, tmp_path / "s.cvls") == digest
-
-    @pytest.mark.parametrize("cpus", [1, 3])
-    @pytest.mark.parametrize("name", sorted(_SCENE_SHA256))
-    def test_bytes_do_not_depend_on_cpu_count(self, name, cpus, tmp_path, monkeypatch):
-        cfg, _ = _SCENE_SHA256[name]
-        default = _scene_sha256(cfg, tmp_path / "default.cvls")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        assert _scene_sha256(cfg, tmp_path / "pinned.cvls") == default
-
-    def test_no_thread_outlives_generation(self):
-        before = set(threading.enumerate())
-        generate_scene(SMALL_SCENE_CFG)
-        assert set(threading.enumerate()) == before
 
 
 class TestSpectralSmoothing:
