@@ -4,7 +4,8 @@ Feature maps are stored row-major (height, width, channels); lookup
 coordinates are (u, v) with u along width and v along height. Lookups use
 bilinear interpolation; ``bilinear_lookup_many`` also returns the analytic
 spatial gradient of the interpolant, which downstream Jacobians chain with
-the projection geometry, and ``bilinear_values_many`` skips it.
+the projection geometry, and ``bilinear_values_many`` skips it. Lookups only
+interpolate, at uv clamped to the border; callers mask rows by ``in_bounds``.
 """
 
 from __future__ import annotations
@@ -119,19 +120,6 @@ class FeaturePyramid:
         return self.levels[level][1]
 
 
-@dataclass(frozen=True)
-class SparseAlignment:
-    """Per-point residuals and weights of one cross-view evaluation.
-
-    Rows with ``valid_mask`` False carry zero residual and zero weight, so
-    masked points contribute exactly nothing to downstream sums.
-    """
-
-    residuals: np.ndarray
-    weights: np.ndarray
-    valid_mask: np.ndarray
-
-
 def normalize_features(fmap: FeatureMap) -> FeatureMap:
     """L2-normalize every pixel's channel vector.
 
@@ -184,8 +172,7 @@ def _corner_sum(data: np.ndarray, uv: np.ndarray, corners):
     """Corners, float64 corner texels and bilinear values of a lookup.
 
     The one home of the four-corner sum that value-only and gradient
-    lookups share. Returns (corners, texels (4, N, c), values (N, c)); the
-    values are not yet zeroed outside the map.
+    lookups share. Returns (corners, texels (4, N, c), values (N, c)).
     """
     h, w, c = data.shape
     if corners is None:
@@ -207,10 +194,7 @@ def bilinear_values_many(data: np.ndarray, uv: np.ndarray, corners=None):
     never read the gradients; arguments as there.
     """
     corners, _, values = _corner_sum(data, uv, corners)
-    in_bounds = corners[4]
-    if not in_bounds.all():
-        values[~in_bounds] = 0.0
-    return values, in_bounds
+    return values, corners[4]
 
 
 def bilinear_lookup_many(data: np.ndarray, uv: np.ndarray, corners=None):
@@ -224,11 +208,11 @@ def bilinear_lookup_many(data: np.ndarray, uv: np.ndarray, corners=None):
             from ``uv`` when omitted.
 
     Returns:
-        values: (N, c) interpolated values, zero where out of bounds.
-        grads: (N, c, 2) d(value)/d(u, v), zero where out of bounds. It is a
+        values: (N, c) interpolated values, at uv clamped to the border if out of bounds.
+        grads: (N, c, 2) d(value)/d(u, v) of the same interpolant. It is a
             transposed view of one (2, N, c) buffer, so each derivative is
             written as one contiguous (N, c) plane.
-        in_bounds: (N,) True where uv lies in [0, w-1] x [0, h-1].
+        in_bounds: (N,) True where uv lies in [0, w-1] x [0, h-1]; callers mask the rest.
     """
     corners, texels, values = _corner_sum(data, uv, corners)
     _, _, fu, fv, in_bounds = corners
@@ -236,13 +220,7 @@ def bilinear_lookup_many(data: np.ndarray, uv: np.ndarray, corners=None):
     planes = np.empty((2,) + values.shape)
     np.einsum("kn,knc->nc", (1.0 - fv, fv), texels[1::2] - texels[::2], out=planes[0])
     np.einsum("kn,knc->nc", (1.0 - fu, fu), texels[2:] - texels[:2], out=planes[1])
-    grads = planes.transpose(1, 2, 0)
-
-    if not in_bounds.all():
-        outside = ~in_bounds
-        values[outside] = 0.0
-        grads[outside] = 0.0
-    return values, grads, in_bounds
+    return values, planes.transpose(1, 2, 0), in_bounds
 
 
 def attention_lookup_many(amap: AttentionMap, uv: np.ndarray, corners=None):

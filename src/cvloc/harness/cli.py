@@ -6,12 +6,9 @@ every bound through ``runner.run_bounds``), and ``check-numerics``.
 ``eval`` output directory (``runner.paired_hits``) and adds the counts to
 ``summary.json`` as its ``paired`` block.
 
-Exit codes: 0 success, 2 configuration error (and any other invalid value
-or input a library check rejects, or a run out of memory), 3 I/O or
-file-format error, 4 degenerate problem (a solve whose report reads
-``degenerate``, or an eval bound where every trial fails), 5 numeric
-self-check failure (an LM step the self-check cannot solve included);
-each ``CvlocError`` class carries its own.
+Exit codes, which README lists with what each covers: 0 success, 5 a
+failed numeric self-check, 3 an ``OSError``, 2 a ``MemoryError``, and for
+a ``CvlocError`` its class's ``exit_code`` (2, 3 or 4).
 """
 
 from __future__ import annotations
@@ -95,7 +92,8 @@ def _cmd_eval(args) -> int:
 
 def _read_baseline(path: Path, seed: int, trials: int, grid) -> list[dict]:
     """The trial rows of an earlier ``eval`` output directory, which must
-    have run the same master seed, trial count and bound grid."""
+    have run the same master seed, trial count and bound grid. Every row is
+    checked here, before any trial, to hold the values ``paired_hits`` reads."""
     try:
         summary = json.loads((path / "summary.json").read_text(encoding="utf-8"))
         ran = (summary["master_seed"], summary["trials_per_bound"],
@@ -108,10 +106,18 @@ def _read_baseline(path: Path, seed: int, trials: int, grid) -> list[dict]:
              for name, here, there in zip(("master seed", "trials per bound", "bound grid"),
                                           want, ran) if here != there]
     if diffs:
-        raise ConfigError(f"--baseline {path} is not paired with this run: "
-                          + "; ".join(diffs))
-    with open(path / "trials.csv", newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+        raise ConfigError(f"--baseline {path} is not paired with this run: {'; '.join(diffs)}")
+    table = path / "trials.csv"
+    with open(table, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    if len(rows) != trials * len(grid):
+        raise ConfigError(f"--baseline {table} has {len(rows)} rows, not {trials * len(grid)}")
+    for r, row in enumerate(rows):  # row r as run_bounds numbers them
+        try:  # every value paired_hits reads, read as it reads it
+            runner.paired_hits([row], [row], 1)
+        except ConfigError as exc:
+            raise ConfigError(f"--baseline {table} row {r}: {exc}") from None
+    return rows
 
 
 def _parse_bounds(text: str) -> list[PerturbBounds]:

@@ -168,14 +168,9 @@ def _eval_trial(problem: AlignmentProblem, trial: int, master: int,
         "init_yaw_deg": math.degrees(init.yaw),
     }
     report = refine_pose(problem, init, solver, cost)
-    if report.degenerate:
-        row.update({
-            "final_lateral_m": "", "final_longitudinal_m": "", "final_yaw_deg": "",
-            "err_lateral_m": "", "err_longitudinal_m": "", "err_yaw_deg": "",
-            "converged": "", "iterations": "",
-            "status": f"degenerate: {_masked_level(report)}",
-        })
-        return row
+    if report.degenerate:  # the solve's columns stay empty
+        return {**dict.fromkeys(_TRIAL_CSV_COLUMNS, ""), **row,
+                "status": f"degenerate: {_masked_level(report)}"}
     err = pose_error(report.final_pose, problem.gt_pose)
     row.update({
         "final_lateral_m": report.final_pose.lateral,
@@ -282,15 +277,26 @@ def eval_summary(results, trials: int, master_seed: int) -> dict:
 PAIRED_HIT_M = 1.0
 
 
+def _cell(row: dict, column: str, kind=float):
+    """``row[column]``, a number or a trials.csv string, as ``kind``; a
+    ConfigError names a column that is missing or does not parse."""
+    try:
+        if row[column] is None:  # a csv row short of fields
+            raise KeyError(column)
+        return kind(row[column])
+    except (KeyError, ValueError):
+        raise ConfigError(f"column {column}: {row.get(column)!r} is not {kind.__name__}") from None
+
+
 def _row_key(row: dict) -> tuple:
-    # rows from run_bounds hold numbers, rows read back from trials.csv strings
-    return (int(row["trial"]), int(row["seed"]), float(row["max_shift_m"]),
-            float(row["max_yaw_deg"]))
+    return (_cell(row, "trial", int), _cell(row, "seed", int), _cell(row, "max_shift_m"),
+            _cell(row, "max_yaw_deg"))
 
 
 def _is_hit(row: dict) -> bool:
-    return (row["status"] == "ok" and abs(float(row["err_lateral_m"])) < PAIRED_HIT_M
-            and abs(float(row["err_longitudinal_m"])) < PAIRED_HIT_M)
+    return (_cell(row, "status", str) == "ok"
+            and abs(_cell(row, "err_lateral_m")) < PAIRED_HIT_M
+            and abs(_cell(row, "err_longitudinal_m")) < PAIRED_HIT_M)
 
 
 def sign_test_p(wins: int, losses: int) -> float:

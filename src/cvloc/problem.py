@@ -8,9 +8,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError
-from .features import (AttentionMap, FeatureMap, FeaturePyramid, SparseAlignment,
-                       attention_lookup_many, bilinear_lookup_many, bilinear_values_many,
-                       bilinear_weights)
+from .features import (AttentionMap, FeatureMap, FeaturePyramid, attention_lookup_many,
+                       bilinear_lookup_many, bilinear_values_many, bilinear_weights)
 from .geometry import (CameraIntrinsics, PointSet, Pose3, SatelliteGeoref,
                        ground_pixels_finite, pose_to_transform, project_ground,
                        project_satellite, satellite_pixels_finite, transform_points)
@@ -98,7 +97,8 @@ class GroundLevelData:
     problem, all of them elsewhere. So the coarsest level's rows are a
     subset of every finer level's. ``points`` holds those rows as a
     contiguous array, and the lookups are sampled at their ground-image
-    projections scaled to the level. The arrays are read-only.
+    projections scaled to the level, border-clamped in rows that ``valid``
+    marks False and ``evaluate_pose`` masks unread. The arrays are read-only.
     """
 
     rows: slice
@@ -144,6 +144,16 @@ def _compute_ground_level(problem: AlignmentProblem, level: int) -> GroundLevelD
 
 
 @dataclass(frozen=True)
+class SparseAlignment:
+    """Per-point residuals and weights of one cross-view evaluation, both zero
+    where ``valid_mask`` is False: ``evaluate_pose`` masks those rows."""
+
+    residuals: np.ndarray
+    weights: np.ndarray
+    valid_mask: np.ndarray
+
+
+@dataclass(frozen=True)
 class PoseEvaluation:
     """Sparse alignment at one pose and level, plus solver-side extras."""
 
@@ -158,8 +168,10 @@ def evaluate_pose(problem: AlignmentProblem, pose: Pose3, level: int = 0,
     """Residuals, weights and satellite gradients of the alignment at ``pose``,
     one row per point of the level (``GroundLevelData.rows``).
 
-    Also keeps the points' map positions and each point's squared residual
-    norm, the one home of sum_c r^2 for the robust cost and the weights.
+    The one place rows are masked: zero residual, weight and gradient for a
+    point off either map or hidden from the ground camera. Also keeps the
+    points' map positions and each point's squared residual norm, the one
+    home of sum_c r^2 for the robust cost and the weights.
     ``ground`` may carry precomputed ground-view lookups for the level.
     """
     f_sat, a_sat, georef = problem.satellite_level(level)
@@ -180,9 +192,7 @@ def evaluate_pose(problem: AlignmentProblem, pose: Pose3, level: int = 0,
     valid = ground.valid & inb_sat
     if not valid.all():
         masked = ~valid
-        residuals[masked] = 0.0
-        weights[masked] = 0.0
-        grads_sat[masked] = 0.0
+        residuals[masked] = weights[masked] = grads_sat[masked] = 0.0
 
     alignment = SparseAlignment(residuals=residuals, weights=weights, valid_mask=valid)
     return PoseEvaluation(alignment=alignment, sat_grads=grads_sat, pts_sat=pts_sat,

@@ -25,7 +25,7 @@ from .features import (AttentionMap, FeatureMap, FeaturePyramid,
 from .geometry import (CameraIntrinsics, PointSet, Pose3, SatelliteGeoref,
                        pose_to_transform, project_ground, project_satellite,
                        satellite_pixels_finite, transform_points)
-from .problem import AlignmentProblem, ground_level_data
+from .problem import AlignmentProblem, evaluate_pose
 
 # The size budget of a scene's arrays, checked before anything is allocated.
 # Each satellite and ground texel of every level holds a float64 field and a
@@ -227,7 +227,7 @@ def generate_scene(cfg: SynthConfig) -> AlignmentProblem:
         grd_pyramid=FeaturePyramid(tuple(grd_levels)), intrinsics=intrinsics,
         points=points, gt_pose=GT_POSE)
 
-    _assert_zero_residual(problem, sat_vals_per_level)
+    _assert_zero_residual(problem)
     return problem
 
 
@@ -254,17 +254,15 @@ def _splat_ground_map(shape, uv: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assert_zero_residual(problem: AlignmentProblem, sat_vals_per_level,
-                          tol: float = 1e-6) -> None:
-    """Check the ground lookups the solver will read against the satellite's,
-    on each level's own rows."""
+def _assert_zero_residual(problem: AlignmentProblem, tol: float = 1e-6) -> None:
+    """Check the solver's own evaluation at the truth: on every level each
+    row is valid and its residual norm at most ``tol``."""
     for lvl in range(problem.level_count):
-        ground = ground_level_data(problem, lvl)
-        worst = float(np.max(np.linalg.norm(
-            sat_vals_per_level[lvl][ground.rows] - ground.features, axis=1)))
-        if worst > tol:
-            raise GenerationError(
-                f"splat construction failed at level {lvl}: residual {worst:.2e}")
+        ev = evaluate_pose(problem, problem.gt_pose, lvl)
+        worst = math.sqrt(float(ev.sq_norms.max()))
+        if not ev.alignment.valid_mask.all() or worst > tol:
+            raise GenerationError(f"splat construction failed at level {lvl}: residual "
+                                  f"{worst:.2e}, {np.sum(~ev.alignment.valid_mask)} rows masked")
 
 
 def sample_initial_pose(gt: Pose3, bounds: PerturbBounds, seed: int) -> Pose3:

