@@ -8,7 +8,11 @@ from cvloc.errors import ContractError, DomainError
 from cvloc.features import (AttentionMap, FeatureMap, FeaturePyramid,
                             attention_lookup_many, bilinear_lookup_many,
                             bilinear_weights, normalize_features)
+from cvloc.geometry import PointSet, Pose3
 from cvloc.harness.checks import bilinear_gradient_error
+from cvloc.problem import evaluate_pose
+
+from conftest import tiny_problem
 
 
 class TestFeatureMapValidation:
@@ -250,3 +254,34 @@ class TestFeaturePyramid:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             FeaturePyramid(())
+
+
+# The residual and weight formulas live in problem.evaluate_pose, the one
+# place rows are masked: satellite minus ground feature, and the product of
+# the two attention lookups, zeroed wherever either lookup misses its map.
+# These cases pin that masking on a ground point whose satellite projection
+# lies 20 m east, outside the 16 px crop of tiny_problem.
+_IN_MAP, _OFF_MAP = 0, 1
+_OFF_MAP_POINTS = PointSet(np.array([[0.0, 0.0, 3.0], [20.0, 0.0, 20.0]]))
+
+
+def _off_map_alignment(**kwargs):
+    problem = tiny_problem(points=_OFF_MAP_POINTS, **kwargs)
+    return evaluate_pose(problem, Pose3(0.0, 0.0, 0.0)).alignment
+
+
+class TestEvaluatePoseMasksResiduals:
+    def test_out_of_bounds_masks(self):
+        al = _off_map_alignment()
+        assert not al.valid_mask[_OFF_MAP]
+        assert np.all(al.residuals[_OFF_MAP] == 0)
+        # the in-bounds row is untouched
+        assert al.valid_mask[_IN_MAP]
+        assert np.linalg.norm(al.residuals[_IN_MAP]) > 0
+
+
+class TestEvaluatePoseMasksWeights:
+    def test_out_of_bounds_zero(self):
+        al = _off_map_alignment()
+        assert al.weights[_OFF_MAP] == 0.0
+        assert al.weights[_IN_MAP] == 1.0
