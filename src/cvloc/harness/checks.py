@@ -96,7 +96,7 @@ def weighted_distance(problem: AlignmentProblem, pose: Pose3, cost: RobustCost,
     Evaluated at the finest pyramid level by default. Raises
     DegenerateProblemError when no point is valid there.
     """
-    ev = evaluate_pose(problem, pose, level=level)
+    ev = evaluate_pose(problem, pose, level=level, gradients=False)
     if not np.any(ev.alignment.valid_mask):
         raise DegenerateProblemError(f"no valid points at level {level} for pose {pose}")
     return weighted_cost(ev.alignment.weights, ev.sq_norms, cost)
@@ -225,7 +225,8 @@ def residual_jacobian_error(problem: AlignmentProblem, pose: Pose3,
     n = len(ev.pts_sat)
     analytic = build_jacobian(problem, pose, level).reshape(n, -1, 3)[safe]
     fd = _central_differences(lambda step: evaluate_pose(
-        problem, pose.with_delta(step), level).alignment.residuals, 3)[safe]
+        problem, pose.with_delta(step), level,
+        gradients=False).alignment.residuals, 3)[safe]
     scale = np.maximum(np.abs(fd).max(axis=(1, 2)), 1e-6)
     return float(np.max(np.abs(analytic - fd).max(axis=(1, 2)) / scale)), int(safe.sum())
 

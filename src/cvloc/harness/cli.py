@@ -93,7 +93,8 @@ def _cmd_eval(args) -> int:
 def _read_baseline(path: Path, seed: int, trials: int, grid) -> list[dict]:
     """The trial rows of an earlier ``eval`` output directory, which must
     have run the same master seed, trial count and bound grid. Every row is
-    checked here, before any trial, to hold the values ``paired_hits`` reads."""
+    checked here, before any trial, to hold the values ``paired_hits`` reads
+    and the trial, seed and bound that this run gives the same row."""
     try:
         summary = json.loads((path / "summary.json").read_text(encoding="utf-8"))
         ran = (summary["master_seed"], summary["trials_per_bound"],
@@ -117,6 +118,12 @@ def _read_baseline(path: Path, seed: int, trials: int, grid) -> list[dict]:
             runner.paired_hits([row], [row], 1)
         except ConfigError as exc:
             raise ConfigError(f"--baseline {table} row {r}: {exc}") from None
+        bounds = grid[r // trials]
+        want = (r, runner._trial_seed(seed, r), bounds.max_shift, bounds.max_yaw_deg)
+        got = runner._row_key(row)
+        if got != want:
+            raise ConfigError(f"--baseline {table} row {r}: (trial, seed, max_shift_m, "
+                              f"max_yaw_deg) is {got}, this run's is {want}")
     return rows
 
 

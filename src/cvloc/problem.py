@@ -78,27 +78,30 @@ class AlignmentProblem:
     def _ground_levels(self) -> tuple[GroundLevelData, ...]:
         # Filled on first use; a concurrent first fill from two threads
         # computes the same read-only arrays, so either result may stay.
-        return tuple(_compute_ground_level(self, lvl) for lvl in range(self.level_count))
+        levels = []
+        for lvl in range(self.level_count):
+            levels.append(_compute_ground_level(self, lvl, levels[-1] if levels else None))
+        return tuple(levels)
 
 
-#: The coarsest level of a problem with more than one level solves on every
-#: ``COARSEST_STRIDE``-th point, in stored order; every other level keeps
-#: every point. The coarse levels only have to bring the start into the
-#: finest level's basin, and the finest level reaches the full-data optimum.
-COARSEST_STRIDE = 4
+#: Every level above the finest solves on every ``COARSE_STRIDE``-th point,
+#: in stored order; the finest level keeps every point. The coarse levels
+#: only have to bring the start into the finest level's basin, and the
+#: finest level reaches the full-data optimum.
+COARSE_STRIDE = 4
 
 
 @dataclass(frozen=True)
 class GroundLevelData:
     """Pose-independent ground-view lookups for one pyramid level.
 
-    ``rows`` selects the level's points from ``problem.points``: every
-    ``COARSEST_STRIDE``-th one at the coarsest level of a multi-level
-    problem, all of them elsewhere. So the coarsest level's rows are a
-    subset of every finer level's. ``points`` holds those rows as a
-    contiguous array, and the lookups are sampled at their ground-image
-    projections scaled to the level, border-clamped in rows that ``valid``
-    marks False and ``evaluate_pose`` masks unread. The arrays are read-only.
+    ``rows`` selects the level's points from ``problem.points``: all of
+    them at the finest level, every ``COARSE_STRIDE``-th one at every level
+    above it. So the levels above the finest share one row set, a subset of
+    the finest level's, and one ``points`` array: those rows as a contiguous
+    copy. The lookups are sampled at their ground-image projections scaled
+    to the level, border-clamped in rows that ``valid`` marks False and
+    ``evaluate_pose`` masks unread. The arrays are read-only.
     """
 
     rows: slice
@@ -118,17 +121,21 @@ def ground_level_data(problem: AlignmentProblem, level: int) -> GroundLevelData:
     return problem._ground_levels[level]
 
 
-def _compute_ground_level(problem: AlignmentProblem, level: int) -> GroundLevelData:
+def _compute_ground_level(problem: AlignmentProblem, level: int,
+                          finer: GroundLevelData | None = None) -> GroundLevelData:
     """Select the level's rows, project them into the ground view and sample
-    that level's maps.
+    that level's maps. ``finer`` is the level below, when already computed:
+    a level with its rows reuses its ``points``.
 
     Coordinates are projected at full resolution and scaled by 2**-level
     for coarser maps.
     """
-    coarsest = problem.level_count > 1 and level == problem.level_count - 1
-    rows = slice(None, None, COARSEST_STRIDE if coarsest else 1)
-    # a view of the point set's own array where every row is kept
-    points = np.ascontiguousarray(problem.points.points[rows])
+    rows = slice(None, None, COARSE_STRIDE if level > 0 else 1)
+    if finer is not None and finer.rows == rows:
+        points = finer.points
+    else:
+        # a view of the point set's own array where every row is kept
+        points = np.ascontiguousarray(problem.points.points[rows])
     uv0, visible = project_ground(points, problem.intrinsics)
     uv = uv0 / float(2**level)
     fmap = problem.grd_pyramid.feature(level)
@@ -158,13 +165,16 @@ class PoseEvaluation:
     """Sparse alignment at one pose and level, plus solver-side extras."""
 
     alignment: SparseAlignment
-    sat_grads: np.ndarray  # (N_l, c, 2) satellite feature gradients, zero where masked
+    # (N_l, c, 2) satellite feature gradients, zero where masked; None when
+    # evaluated without gradients
+    sat_grads: np.ndarray | None
     pts_sat: np.ndarray    # (N_l, 2) the level's map positions (east, south) at the pose
     sq_norms: np.ndarray   # (N_l,) squared residual norms sum_c r^2, zero where masked
 
 
 def evaluate_pose(problem: AlignmentProblem, pose: Pose3, level: int = 0,
-                  ground: GroundLevelData | None = None) -> PoseEvaluation:
+                  ground: GroundLevelData | None = None,
+                  gradients: bool = True) -> PoseEvaluation:
     """Residuals, weights and satellite gradients of the alignment at ``pose``,
     one row per point of the level (``GroundLevelData.rows``).
 
@@ -173,6 +183,8 @@ def evaluate_pose(problem: AlignmentProblem, pose: Pose3, level: int = 0,
     points' map positions and each point's squared residual norm, the one
     home of sum_c r^2 for the robust cost and the weights.
     ``ground`` may carry precomputed ground-view lookups for the level.
+    With ``gradients`` False no gradient plane is built and ``sat_grads`` is
+    None; every other field is the same to the bit.
     """
     f_sat, a_sat, georef = problem.satellite_level(level)
     if ground is None:
@@ -184,7 +196,11 @@ def evaluate_pose(problem: AlignmentProblem, pose: Pose3, level: int = 0,
     # One set of corners serves both lookups: the attention map has the
     # feature map's size at every level.
     corners = bilinear_weights(f_sat.data.shape[:2], uv_sat)
-    residuals, grads_sat, inb_sat = bilinear_lookup_many(f_sat.data, uv_sat, corners)
+    if gradients:
+        residuals, grads_sat, inb_sat = bilinear_lookup_many(f_sat.data, uv_sat, corners)
+    else:
+        residuals, inb_sat = bilinear_values_many(f_sat.data, uv_sat, corners)
+        grads_sat = None
     weights, _ = attention_lookup_many(a_sat, uv_sat, corners)
 
     residuals -= ground.features
@@ -192,7 +208,9 @@ def evaluate_pose(problem: AlignmentProblem, pose: Pose3, level: int = 0,
     valid = ground.valid & inb_sat
     if not valid.all():
         masked = ~valid
-        residuals[masked] = weights[masked] = grads_sat[masked] = 0.0
+        residuals[masked] = weights[masked] = 0.0
+        if grads_sat is not None:
+            grads_sat[masked] = 0.0
 
     alignment = SparseAlignment(residuals=residuals, weights=weights, valid_mask=valid)
     return PoseEvaluation(alignment=alignment, sat_grads=grads_sat, pts_sat=pts_sat,

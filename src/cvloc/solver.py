@@ -2,10 +2,10 @@
 
 ``refine_pose`` runs ``_solve_level`` from the coarsest pyramid level to
 the finest, seeding each level with the pose the previous one ended at.
-The coarsest level of a multi-level problem solves on every 4th point
-(``problem.COARSEST_STRIDE``), enough to bring the start into the finer
-levels' basin; every finer level solves on all of them, so the finest
-level ends at the full-data optimum.
+Every level above the finest solves on every 4th point
+(``problem.COARSE_STRIDE``), enough to bring the start into the finest
+level's basin; the finest level solves on all of them, so it ends at the
+full-data optimum.
 Each iteration projects the 3D points into the satellite map, forms
 weighted feature residuals and their normal equations, and solves them
 damped by Cholesky. A step is accepted only if the weighted cost
@@ -20,6 +20,8 @@ Hot path per level: the ground-view lookups come once per problem from
 ``ground_level_data``'s cache. Each evaluated pose gathers feature values,
 gradient planes and attention through one set of bilinear corners, and
 keeps each point's sum_c r^2, so a candidate's cost evaluates only rho.
+A candidate that ends its level, by the tolerance or the budget, is never
+linearized, so it is evaluated without gradient planes.
 After an accepted step ``_normal_equations`` assembles H and g straight
 from the planes, with no (N, c, 3) Jacobian; a rejected step reuses them.
 ``lm_step`` is the damped 3x3 solve alone, by the closed-form Cholesky of
@@ -181,9 +183,9 @@ class OptimReport:
     the last level's. ``final_pose`` is where it ended. ``converged`` means
     it stopped by tolerance after an informative linearization.
     ``degenerate`` means no point of its level was valid at its start, so
-    it has no iteration. The coarsest level's points are a subset of every
-    finer level's, and a point valid at one level is valid at every finer
-    one: only the coarsest can be so.
+    it has no iteration. The levels above the finest share one point set, a
+    subset of the finest level's, and a point valid at one level is valid at
+    every finer one: only the coarsest can be so.
     """
 
     levels: tuple
@@ -327,7 +329,7 @@ def _solve_level(problem: AlignmentProblem, pose: Pose3, level: int, cfg: LMConf
     lam = LAMBDA_INIT
     records = []
     hess = None  # relinearize only after accepted steps
-    for _ in range(cfg.max_iters_per_level):
+    for it in range(cfg.max_iters_per_level):
         if hess is None:
             proj_jac = d_satproj_d_pose_many(ev.pts_sat, pose, georef)
             w_points = build_weight_matrix(ev.alignment.weights, ev.sq_norms, cost)
@@ -337,9 +339,15 @@ def _solve_level(problem: AlignmentProblem, pose: Pose3, level: int, cfg: LMConf
             informative = bool(np.any(hess))
         cand_cost = math.inf
         delta = lm_step(hess, grad, lam)
+        stopped_by_tol = delta is not None and bool(
+            abs(delta[0]) < cfg.stop_tol and abs(delta[1]) < cfg.stop_tol
+            and abs(math.degrees(delta[2])) < cfg.stop_tol)
         if delta is not None:
             candidate = pose.with_delta(delta)
-            ev_cand = evaluate_pose(problem, candidate, level=level, ground=ground)
+            # A candidate that ends the level is never linearized: no planes.
+            ends_level = stopped_by_tol or it == cfg.max_iters_per_level - 1
+            ev_cand = evaluate_pose(problem, candidate, level=level, ground=ground,
+                                    gradients=not ends_level)
             if np.any(ev_cand.alignment.valid_mask):
                 cand_cost = weighted_cost(ev_cand.alignment.weights, ev_cand.sq_norms, cost)
 
@@ -352,10 +360,6 @@ def _solve_level(problem: AlignmentProblem, pose: Pose3, level: int, cfg: LMConf
             accepted=accepted,
             delta=None if delta is None else tuple(float(d) for d in delta)))
         lam *= LAMBDA_DOWN if accepted else LAMBDA_UP
-
-        stopped_by_tol = delta is not None and bool(
-            abs(delta[0]) < cfg.stop_tol and abs(delta[1]) < cfg.stop_tol
-            and abs(math.degrees(delta[2])) < cfg.stop_tol)
         if stopped_by_tol:
             break
 

@@ -258,7 +258,7 @@ def _assert_zero_residual(problem: AlignmentProblem, tol: float = 1e-6) -> None:
     """Check the solver's own evaluation at the truth: on every level each
     row is valid and its residual norm at most ``tol``."""
     for lvl in range(problem.level_count):
-        ev = evaluate_pose(problem, problem.gt_pose, lvl)
+        ev = evaluate_pose(problem, problem.gt_pose, lvl, gradients=False)
         worst = math.sqrt(float(ev.sq_norms.max()))
         if not ev.alignment.valid_mask.all() or worst > tol:
             raise GenerationError(f"splat construction failed at level {lvl}: residual "

@@ -77,6 +77,29 @@ class TestEvaluatePose:
         assert np.all(np.linalg.norm(al.residuals[:_INVISIBLE], axis=1) > 0)
         assert np.all(al.weights[:_INVISIBLE] == 1.0)
 
+    @staticmethod
+    def _assert_value_only_matches(problem, pose, level):
+        full = evaluate_pose(problem, pose, level)
+        values = evaluate_pose(problem, pose, level, gradients=False)
+        assert values.sat_grads is None and full.sat_grads is not None
+        for name in ("residuals", "weights", "valid_mask"):
+            assert np.array_equal(getattr(values.alignment, name),
+                                  getattr(full.alignment, name)), name
+        for name in ("sq_norms", "pts_sat"):
+            assert np.array_equal(getattr(values, name), getattr(full, name)), name
+        return values.alignment.valid_mask
+
+    def test_value_only_equals_full_evaluation(self, default_scene):
+        for level in range(default_scene.level_count):
+            valid = self._assert_value_only_matches(default_scene, Pose3(3.0, -2.0, 0.1),
+                                                    level)
+            assert valid.any()
+
+    def test_value_only_masks_off_map_rows(self):
+        valid = self._assert_value_only_matches(tiny_problem(points=_MASKED_POINTS),
+                                                Pose3(0.0, 0.0, 0.0), 0)
+        assert not valid[_OFF_MAP] and valid[:_INVISIBLE].all()
+
     def test_unit_attention_gives_unit_weights(self):
         al = _alignment()
         assert np.allclose(al.weights, 1.0)
@@ -144,8 +167,8 @@ class TestFusedEvaluation:
         n = small_scene.points.count
         for level in range(small_scene.level_count):
             valid = _assert_matches_unfused(small_scene, Pose3(2.5, -1.5, 0.08), level)
-            # the coarsest level evaluates every 4th point, the others all
-            assert len(valid) == (-(-n // 4) if level == 2 else n)
+            # the levels above the finest evaluate every 4th point, the finest all
+            assert len(valid) == (n if level == 0 else -(-n // 4))
 
     def test_one_corner_build_per_evaluation(self, small_scene, monkeypatch):
         ground = ground_level_data(small_scene, 0)  # filled before counting
@@ -205,9 +228,9 @@ class TestGroundLevelData:
         for level in range(small_scene.level_count):
             first = ground_level_data(small_scene, level)
             assert ground_level_data(small_scene, level) is first
-            # ceil(N / 4) rows at the coarsest level, every row elsewhere
-            points = small_scene.points.points[::4 if level == 2 else 1]
-            assert len(points) == (-(-n // 4) if level == 2 else n)
+            # every row at the finest level, ceil(N / 4) rows above it
+            points = small_scene.points.points[::1 if level == 0 else 4]
+            assert len(points) == (n if level == 0 else -(-n // 4))
             uv0, visible = project_ground(points, small_scene.intrinsics)
             uv = uv0 / float(2**level)
             feats, _, inb_f = bilinear_lookup_many(
@@ -219,6 +242,9 @@ class TestGroundLevelData:
                 arr = getattr(first, name)
                 assert not arr.flags.writeable, name
                 assert np.array_equal(arr, expect), name
+        # the coarse levels share one row set and one copy of its points
+        coarse = [ground_level_data(small_scene, level) for level in (1, 2)]
+        assert coarse[0].points is coarse[1].points
 
     def test_replaced_problem_gets_its_own_entries(self):
         problem = tiny_problem()

@@ -207,17 +207,18 @@ class TestRunLocalize:
 
 # (final lateral m, final longitudinal m, final yaw deg, iterations) of
 # run_eval on small_scene, 6 trials at 10 m / 30 deg, master seed 5.
-# Recorded again when the solve path moved to element-wise map-plane
-# arithmetic with no BLAS call: each value moved by at most 5.0e-16 (row 2's
-# yaw, in degrees), and no iteration count changed. The rows are now the same
-# under the OpenBLAS kernels SkylakeX, Haswell, Zen, SandyBridge and Prescott.
+# Recorded again when every level above the finest came to solve on every
+# 4th point: each value moved by at most 2.1e-8 (trial 3's yaw, in degrees),
+# and no iteration count changed. The solve path makes no BLAS call, so the
+# rows are the same under the OpenBLAS kernels SkylakeX, Haswell, Zen,
+# SandyBridge and Prescott.
 _RECORDED_EVAL = [
-    (-8.87836630202301e-09, 1.0196757529754258e-09, 6.666164490819277e-08, 6),
-    (-7.158737568280107e-08, 5.837854488315845e-09, 4.566232939893133e-07, 6),
-    (2.297843650676881e-10, 6.013701399156233e-10, 1.0890209754840663e-08, 8),
-    (-1.0779486757946207e-08, 7.882745466675357e-09, 1.002281863462748e-07, 6),
-    (2.340601980255397e-10, 6.014633875038671e-10, 1.0864250881682249e-08, 9),
-    (2.3898910051393677e-10, 6.016492768459394e-10, 1.0834726790438013e-08, 7),
+    (-7.855442510538e-09, 1.0459447071041357e-09, 6.074481918966858e-08, 6),
+    (-6.855020060377109e-08, 6.812273906922504e-09, 4.384004053970152e-07, 6),
+    (7.667232155190264e-10, 4.899397896428023e-10, 7.890111089557876e-09, 8),
+    (-1.4303320182636687e-08, 7.922031100888079e-09, 1.2084173340751682e-07, 6),
+    (7.705665201805268e-10, 4.899796456736412e-10, 7.866715111821864e-09, 9),
+    (7.749450712720771e-10, 4.901004300276031e-10, 7.840446708864438e-09, 7),
 ]
 
 
@@ -451,12 +452,23 @@ class TestPairedHits:
     def _short_last_row(lines):
         lines[-1] = lines[-1].rsplit(",", 1)[0]  # the status field is cut off
 
+    @staticmethod
+    def _raised_seed(lines):
+        cells = lines[2].split(",")  # row 1
+        seed = int(cells[1])
+        assert seed == runner._trial_seed(4, 1)
+        cells[1] = str(seed + 1)
+        lines[2] = ",".join(cells)
+
     @pytest.mark.parametrize("edit, what", [
         (_rename_seed, "trials.csv row 0: column seed: None is not int"),
         (_non_numeric_error, "trials.csv row 2: column err_lateral_m: 'abc' is not float"),
         (_one_row, "trials.csv has 1 rows, not 6"),
         (_short_last_row, "trials.csv row 5: column status: None is not str"),
-    ], ids=["renamed_column", "non_numeric_error", "one_row", "short_row"])
+        (_raised_seed, f"trials.csv row 1: (trial, seed, max_shift_m, max_yaw_deg) is "
+                       f"(1, {runner._trial_seed(4, 1) + 1}, 2.0, 6.0), this run's is "
+                       f"(1, {runner._trial_seed(4, 1)}, 2.0, 6.0)"),
+    ], ids=["renamed_column", "non_numeric_error", "one_row", "short_row", "raised_seed"])
     def test_malformed_baseline_rows_exit_2(self, tmp_path, scene_path, edit, what, capsys):
         argv = ["eval", "--scene", str(scene_path), "--bounds", "2:6,5:15", "--trials", "3",
                 "--seed", "4"]

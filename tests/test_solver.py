@@ -566,8 +566,9 @@ class TestValidityNests:
     """At any pose, a point valid at a pyramid level is valid one level
     finer: pyramids halve by ceiling, ``SatelliteGeoref.coarsened`` scales
     pixel coordinates by an exact power of 2, and the bilinear bounds shrink
-    with the level. The coarsest level's rows are a subset of the finer
-    levels' rows, so only the coarsest level can leave no valid point."""
+    with the level. The levels above the finest share one row set, a subset
+    of the finest level's rows, so only the coarsest level can leave no
+    valid point."""
 
     @pytest.mark.parametrize("scene", sorted(_NESTING_SCENES))
     @given(lat=st.floats(-15.0, 15.0), lon=st.floats(-15.0, 15.0),
@@ -576,12 +577,16 @@ class TestValidityNests:
     def test_valid_at_a_level_is_valid_one_level_finer(self, scene, lat, lon, yaw_deg):
         problem = _NESTING_SCENES[scene]()
         pose = Pose3(lat, lon, math.radians(yaw_deg))
-        valid = [evaluate_pose(problem, pose, level=lvl).alignment.valid_mask
-                 for lvl in range(problem.level_count)]
-        for lvl, (finer, coarser) in enumerate(zip(valid, valid[1:]), start=1):
-            # the finer mask on the coarser level's own rows
-            finer = finer[ground_level_data(problem, lvl).rows]
-            assert not np.any(coarser & ~finer)
+        points = np.arange(problem.points.count)
+        rows, valid = [], []
+        for lvl in range(problem.level_count):
+            rows.append(points[ground_level_data(problem, lvl).rows])
+            valid.append(evaluate_pose(problem, pose, level=lvl).alignment.valid_mask)
+        for lvl in range(1, problem.level_count):
+            # level lvl's points, and their validity one level finer
+            assert np.isin(rows[lvl], rows[lvl - 1]).all()
+            finer = valid[lvl - 1][np.searchsorted(rows[lvl - 1], rows[lvl])]
+            assert not np.any(valid[lvl] & ~finer)
 
     @pytest.mark.parametrize("scene", sorted(_NESTING_SCENES))
     @given(lat=st.floats(-30.0, 30.0), lon=st.floats(-30.0, 30.0),
@@ -601,14 +606,16 @@ class TestValidityNests:
             assert [t.level for t in report.levels] == list(range(coarsest, -1, -1))
 
     def test_coarsest_rows_all_masked_is_degenerate(self, small_scene):
-        # every 4th point moved behind the camera: the coarsest level's rows
-        # are all masked, while the finer levels keep the other points
+        # every 4th point moved behind the camera: the rows of every level
+        # above the finest are all masked, while the finest level keeps the
+        # other points. The solve stops at the coarsest level.
         pts = small_scene.points.points.copy()
         pts[::4] = [0.0, 0.0, -2.0]
         problem = dataclasses.replace(small_scene, points=PointSet(pts))
         init = problem.gt_pose
-        assert not evaluate_pose(problem, init, level=2).alignment.valid_mask.any()
-        assert evaluate_pose(problem, init, level=1).alignment.valid_mask.any()
+        for level in (2, 1):
+            assert not evaluate_pose(problem, init, level=level).alignment.valid_mask.any()
+        assert evaluate_pose(problem, init, level=0).alignment.valid_mask.any()
         report = refine_pose(problem, init)
         assert report.degenerate and not report.converged
         assert [t.level for t in report.levels] == [2]
@@ -617,18 +624,18 @@ class TestValidityNests:
 
 # (iteration budget per level, perturbation seed, final lateral m,
 # longitudinal m, yaw rad, total iterations) of refine_pose on small_scene
-# from PerturbBounds(5, 15). Recorded again when the coarsest level came to
-# solve on every 4th point: the values moved by at most 2.0e-4 at budget 2
-# and 3.7e-8 at budget 20, and no iteration count or stop changed. The
-# budget-2 runs stop mid-trajectory, so they pin the iterates, not only the
-# optimum.
+# from PerturbBounds(5, 15). Recorded again when every level above the
+# finest came to solve on every 4th point: the values moved by at most
+# 2.9e-5 at budget 2 and 2.6e-9 at budget 20, and no iteration count or stop
+# changed. The budget-2 runs stop mid-trajectory, so they pin the iterates,
+# not only the optimum.
 _GOLDEN_SOLVES = [
-    (20, 900, 1.596395382508779e-09, 5.492231890925968e-10, 4.3671419721682296e-11, 7),
-    (20, 901, 6.415670477607964e-09, 3.0087697788743147e-10, -4.756623704627845e-10, 6),
-    (20, 902, 4.045577910915864e-08, 1.7501658507057305e-10, -4.031505431830137e-09, 6),
-    (2, 900, -0.000392236933159814, 3.548063227501268e-05, 4.1933000741228334e-05, 6),
-    (2, 901, 0.00017381685154280196, -7.762245027573235e-06, -1.8735903734624228e-05, 5),
-    (2, 903, -0.00010404336872708387, 8.758760286488937e-06, 1.1329317256419773e-05, 5),
+    (20, 900, 2.052736282238518e-09, 4.1796140165752943e-10, -2.695776240301699e-13, 7),
+    (20, 901, 6.632243430448296e-09, 9.931157017093233e-11, -4.944387556666877e-10, 6),
+    (20, 902, 3.7870311561765245e-08, -5.452904886425993e-10, -3.759575319000827e-09, 6),
+    (2, 900, -0.0003629404839769982, 3.454450448663439e-05, 3.886180992225682e-05, 6),
+    (2, 901, 0.00015733516966823545, -1.066921364802291e-05, -1.701714461680192e-05, 5),
+    (2, 903, -0.00011459570123414445, 1.129207392755593e-05, 1.2447997978050623e-05, 5),
 ]
 
 # (budget, seed) of the same runs -> (stopped_by_tolerance per level, coarsest
@@ -759,21 +766,47 @@ def test_north_star_trials_keep_their_steps(default_scene):
     assert got == _NORTH_STAR_STEPS
 
 
+def test_only_candidates_that_may_continue_build_planes(default_scene, monkeypatch):
+    """Gradient planes (``bilinear_lookup_many``) are built at each level's
+    start and for each candidate whose acceptance would continue its level;
+    a candidate that ends its level reads values only. Every step of the
+    first 20 north-star trials is accepted (``_NORTH_STAR_STEPS``), so the
+    planes are built once per level run and per accepted step that did not
+    end its level."""
+    real = cvloc.problem.bilinear_lookup_many
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cvloc.problem, "bilinear_lookup_many", counting)
+    bounds = PerturbBounds(10.0, 30.0)
+    expected = 0
+    for trial in range(20):
+        init = sample_initial_pose(default_scene.gt_pose, bounds, _trial_seed(42, trial))
+        report = refine_pose(default_scene, init)
+        for lv in report.levels:
+            expected += 1 + sum(it.accepted for it in lv.iterations[:-1])
+    assert len(calls) == expected
+
+
 def test_subset_solve_matches_full_solve(default_scene, monkeypatch):
-    """The coarsest level on every 4th point ends the first 20 north-star
-    trials where the same solve on every point does: the finer levels take
-    both to the full-data optimum. On a clean scene every subset's optimum
-    is the truth, so the finest level's row count is checked as well."""
+    """The levels above the finest on every 4th point end the first 20
+    north-star trials where the same solve on every point at every level
+    does: the finest level takes both to the full-data optimum. On a clean
+    scene every subset's optimum is the truth, so the finest level's row
+    count is checked as well."""
     n = default_scene.points.count
     assert [len(ground_level_data(default_scene, lvl).points) for lvl in range(3)] == [
-        n, n, -(-n // 4)]
+        n, -(-n // 4), -(-n // 4)]
     bounds = PerturbBounds(10.0, 30.0)
     inits = [sample_initial_pose(default_scene.gt_pose, bounds, _trial_seed(42, trial))
              for trial in range(20)]
     subset = [refine_pose(default_scene, init).final_pose for init in inits]
-    monkeypatch.setattr(cvloc.problem, "COARSEST_STRIDE", 1)
+    monkeypatch.setattr(cvloc.problem, "COARSE_STRIDE", 1)
     full_problem = dataclasses.replace(default_scene)  # its own ground cache
-    assert len(ground_level_data(full_problem, 2).points) == n
+    assert [len(ground_level_data(full_problem, lvl).points) for lvl in range(3)] == [n] * 3
     for init, got in zip(inits, subset):
         want = refine_pose(full_problem, init).final_pose
         assert abs(got.lateral - want.lateral) <= 1e-6
