@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -75,6 +76,9 @@ def _cmd_eval(args) -> int:
     problem = load_scene(args.scene)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable path fails before any trial
+    if args.workers > 1 and not hasattr(os, "fork"):
+        print("eval: os.fork is missing on this platform, so the trials run serially "
+              "in this process", file=sys.stderr)
     results, rows = runner.run_bounds(problem, args.trials, grid, workers=args.workers,
                                       master_seed=args.seed, config=config)
     runner.write_trials_csv(out_dir / "trials.csv", rows)
@@ -194,8 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True, help="trials per bound")
     p.add_argument("--seed", type=_seed, default=0, help="master seed for trial fan-out")
     p.add_argument("--workers", type=int, default=1,
-                   help="most trials run in parallel; capped at the trial count "
-                        "and the available CPUs")
+                   help="most worker processes, this one included, that run "
+                        "trials in parallel; capped at the trial count and the "
+                        "available CPUs (serial where os.fork is missing)")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.add_argument("--baseline",

@@ -1,8 +1,9 @@
 """Config parsing, single-run localization and batch evaluation.
 
 One trial driver, ``run_bounds``, serves every batch run: the trials of all
-perturbation bounds go through one serial loop or one thread pool, and
-result row ``r = bound index * trials + trial`` draws its initial pose from
+perturbation bounds go through one serial loop, or are split row by row
+between the caller and forked worker processes, and result row
+``r = bound index * trials + trial`` draws its initial pose from
 ``SeedSequence((master seed, r))``. ``run_eval`` is its one-bound case.
 So two runs from the same master seed and bound grid start row ``r`` at
 the same pose, and ``paired_hits`` compares them row by row.
@@ -14,8 +15,10 @@ import csv
 import json
 import math
 import os
+import pickle
+import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import get_type_hints
 
@@ -24,7 +27,7 @@ import numpy as np
 from ..errors import ConfigError, DegenerateProblemError, require_number
 from ..geometry import Pose3
 from ..metrics import MetricsSummary, PoseError, pose_error, summarize
-from ..problem import AlignmentProblem
+from ..problem import AlignmentProblem, ground_level_data
 from ..solver import LMConfig, OptimReport, RobustCost, refine_pose
 from ..synth import PerturbBounds, SynthConfig, sample_initial_pose
 
@@ -194,6 +197,87 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _run_share(one, jobs: list, worker: int, n: int) -> tuple[list, tuple | None]:
+    """Worker ``worker``'s rows ``worker, worker + n, ...`` of ``jobs`` up to
+    the first that raises: ([(r, row)], that row's (r, exception) or None)."""
+    done = []
+    for r in range(worker, len(jobs), n):
+        try:
+            done.append((r, one(jobs[r])))
+        except Exception as exc:
+            return done, (r, exc)
+    return done, None
+
+
+def _picklable(exc: Exception) -> Exception:
+    """``exc`` if it survives a pickle round trip, else a RuntimeError with
+    its type and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _child(write_fd: int, one, jobs: list, worker: int, n: int) -> None:
+    """A forked worker's whole life: pickle its share's result into
+    ``write_fd``, then ``os._exit``, 0 once the result is written. It never
+    returns into the caller's stack."""
+    status = 1
+    try:
+        done, failed = _run_share(one, jobs, worker, n)
+        if failed is not None:
+            failed = (failed[0], _picklable(failed[1]))
+        with os.fdopen(write_fd, "wb") as fh:
+            pickle.dump((done, failed), fh, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked_rows(one, jobs: list, n: int) -> list:
+    """``[one(job) for job in jobs]`` on ``n`` workers: the caller is worker
+    0 and forks the other ``n - 1``. Each child sends its rows back through
+    a pipe. Every child is reaped before this returns or raises; one still
+    running then is killed first, even one blocked on a full pipe."""
+    children = {}  # pid -> the read end of its pipe, until reaped
+    try:
+        for worker in range(1, n):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)  # so a write to a caller gone breaks, not blocks
+                _child(write_fd, one, jobs, worker, n)
+            os.close(write_fd)
+            children[pid] = os.fdopen(read_fd, "rb")
+        shares = [_run_share(one, jobs, 0, n)]
+        for pid, reader in list(children.items()):
+            with reader:
+                data = reader.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                ended = f"exit status {code}" if code > 0 else f"signal {-code}"
+                raise RuntimeError(f"eval worker process {pid} ended with {ended} "
+                                   "and sent no result")
+            shares.append(pickle.loads(data))
+        failures = [failed for _, failed in shares if failed is not None]
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+    finally:
+        for pid, reader in children.items():
+            reader.close()
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    rows = [None] * len(jobs)
+    for done, _ in shares:
+        for r, row in done:
+            rows[r] = row
+    return rows
+
+
 def run_bounds(problem: AlignmentProblem, trials: int, bound_grid, workers: int = 1,
                master_seed: int = 0, config: RunConfig | None = None
                ) -> tuple[list[tuple[PerturbBounds, MetricsSummary, int]], list]:
@@ -202,8 +286,12 @@ def run_bounds(problem: AlignmentProblem, trials: int, bound_grid, workers: int 
     Returns ((bounds, summary, failure count) per bound, all rows in row
     order). Row ``r = bound index * trials + trial`` is seeded by
     (master_seed, r) alone, so the output is identical for any worker
-    count. ``workers`` is an upper bound: at most one thread runs per row
-    and per available CPU. Failed trials (degenerate problems) count as
+    count. ``workers`` is an upper bound on the worker processes, the
+    caller included: ``n = min(workers, rows, available CPUs)``, and where
+    ``os.fork`` is missing, 1. For ``n > 1`` the caller forks ``n - 1``
+    children and row ``r`` runs on worker ``r % n``, worker 0 being the
+    caller; a trial's exception is raised here, that of the lowest row if
+    several raise. Failed trials (degenerate problems) count as
     misses in the recalls. Raises DegenerateProblemError, naming the bound, if every
     trial at some bound fails, and ConfigError if the grid is empty.
     """
@@ -222,12 +310,14 @@ def run_bounds(problem: AlignmentProblem, trials: int, bound_grid, workers: int 
         trial, bounds = job
         return _eval_trial(problem, trial, master_seed, bounds, config.solver, config.cost)
 
-    threads = min(workers, len(jobs), available_cpus())
-    if threads == 1:
+    n = min(workers, len(jobs), available_cpus()) if hasattr(os, "fork") else 1
+    if n == 1:
         rows = [one(job) for job in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, jobs))
+        # filled once here, the cache is shared by the children copy-on-write
+        for level in range(problem.level_count):
+            ground_level_data(problem, level)
+        rows = _forked_rows(one, jobs, n)
 
     results = []
     for b, bounds in enumerate(grid):

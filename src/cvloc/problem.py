@@ -76,8 +76,9 @@ class AlignmentProblem:
 
     @cached_property
     def _ground_levels(self) -> tuple[GroundLevelData, ...]:
-        # Filled on first use; a concurrent first fill from two threads
-        # computes the same read-only arrays, so either result may stay.
+        # Filled on first use; ``run_bounds`` fills it before it forks its
+        # workers. A concurrent first fill from two threads computes the
+        # same read-only arrays, so either result may stay.
         levels = []
         for lvl in range(self.level_count):
             levels.append(_compute_ground_level(self, lvl, levels[-1] if levels else None))

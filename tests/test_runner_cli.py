@@ -6,15 +6,17 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from cvloc import errors, solver
 from cvloc.cvls import load_scene, save_scene
-from cvloc.errors import ConfigError, CvlocError
+from cvloc.errors import ConfigError, ContractError, CvlocError
 from cvloc.geometry import Pose3
 from cvloc.harness import cli, runner
 from cvloc.harness.cli import main
@@ -265,37 +267,37 @@ class TestRunEval:
         runner.write_trials_csv(p4, rows4)
         assert p1.read_bytes() == p4.read_bytes()
 
-    @pytest.mark.parametrize("workers, trials, cpus, threads", [
+    @pytest.mark.parametrize("workers, trials, cpus, parallel", [
         (64, 3, 8, 3), (64, 3, 2, 2), (2, 3, 8, 2), (10**9, 2, 10**9, 2),
         (1, 3, 8, None), (64, 1, 8, None), (64, 3, 1, None),
     ])
     def test_pool_capped_at_rows_and_cpus(self, small_scene, monkeypatch, workers, trials,
-                                          cpus, threads):
-        # a fake pool records its size and maps serially; no thread starts
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
+                                          cpus, parallel):
+        # ``parallel`` workers, the caller included, or None for the serial loop
+        n = parallel or 1
         bounds = PerturbBounds(1.0, 3.0)
         _, serial, _ = runner.run_eval(small_scene, trials, bounds, master_seed=5)
-        monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingPool)
+        forks, caller_rows, caller = [], [], os.getpid()
+        fork, trial = os.fork, runner._eval_trial
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        def recorded_trial(problem, r, *args):
+            if os.getpid() == caller:
+                caller_rows.append(r)
+            return trial(problem, r, *args)
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(runner, "_eval_trial", recorded_trial)
         # a range has a length but allocates no set
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cpus),
                             raising=False)
         _, rows, _ = runner.run_eval(small_scene, trials, bounds, workers=workers,
                                      master_seed=5)
-        assert sizes == ([] if threads is None else [threads])
+        assert len(forks) == n - 1
+        assert caller_rows == list(range(0, trials, n))  # the caller is worker 0
         assert rows == serial
 
     def test_zero_workers_rejected(self, small_scene):
@@ -303,8 +305,9 @@ class TestRunEval:
             runner.run_eval(small_scene, 2, PerturbBounds(1.0, 3.0), workers=0)
 
     def test_two_workers_on_cold_problem_match_one(self, scene_path):
-        # each run starts from a freshly loaded scene, so the two threads
-        # race to fill the per-problem ground-level cache
+        # each run starts from a freshly loaded scene: the caller fills the
+        # per-problem ground-level cache before it forks, and the children
+        # share it
         bounds = PerturbBounds(5.0, 15.0)
         cold = load_scene(scene_path)
         assert "_ground_levels" not in vars(cold)
@@ -343,6 +346,171 @@ class TestRunEval:
         runner.write_trials_csv(path, rows)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 5  # header + 4 trials
+
+
+def _failing_trial(monkeypatch, fail_row: int, fail):
+    """Make ``runner._eval_trial`` call ``fail(row)`` at row ``fail_row``;
+    every other row returns a stub that the summaries accept."""
+    def trial(problem, r, *args):
+        if r == fail_row:
+            fail(r)
+        return {"trial": r, "status": "ok", "err_lateral_m": 0.0,
+                "err_longitudinal_m": 0.0, "err_yaw_deg": 0.0}
+
+    monkeypatch.setattr(runner, "_eval_trial", trial)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes need os.fork")
+class TestWorkerProcesses:
+    """``run_bounds`` at 2 workers: the caller runs rows 0, 2, 4, ... and its
+    one forked child rows 1, 3, 5, .... No child outlives the call."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(2), raising=False)
+
+    @pytest.fixture(autouse=True)
+    def time_limit(self):
+        # a caller stuck on a child fails its test instead of hanging the suite;
+        # a forked child does not inherit the alarm. Not an Exception, which
+        # run_bounds would take for the failure of a trial.
+        class TimeLimit(BaseException):
+            pass
+
+        def expire(signum, frame):
+            raise TimeLimit("run_bounds did not return within 60 s")
+
+        handler = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+    def test_normal_return_reaps_the_child(self, small_scene):
+        _, rows, _ = runner.run_eval(small_scene, 5, PerturbBounds(1.0, 3.0), workers=2,
+                                     master_seed=5)
+        assert [r["trial"] for r in rows] == [0, 1, 2, 3, 4]
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("row", [3, 2], ids=["child_row", "caller_row"])
+    def test_trial_error_keeps_its_type_and_message(self, monkeypatch, small_scene, row):
+        def fail(r):
+            raise ContractError(f"row {r} rejected")
+
+        _failing_trial(monkeypatch, row, fail)
+        with pytest.raises(ContractError, match=f"^row {row} rejected$") as info:
+            runner.run_eval(small_scene, 6, PerturbBounds(1.0, 3.0), workers=2)
+        assert info.type is ContractError
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("error", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_every_error_class_crosses_the_pipe(self, monkeypatch, small_scene, error):
+        # FormatError's extra ``field`` argument comes back too
+        raised = error("bad", field="levels") if error is errors.FormatError else error("bad")
+
+        def fail(r):
+            raise raised
+
+        _failing_trial(monkeypatch, 1, fail)  # the child's row
+        with pytest.raises(error) as info:
+            runner.run_eval(small_scene, 2, PerturbBounds(1.0, 3.0), workers=2)
+        assert info.type is error
+        assert str(info.value) == str(raised)
+        assert vars(info.value) == vars(raised)
+        _assert_no_child_left()
+
+    def test_unpicklable_error_comes_back_named(self, monkeypatch, small_scene):
+        class LocalError(Exception):  # pickle cannot find a local class by name
+            pass
+
+        def fail(r):
+            raise LocalError("bad")
+
+        _failing_trial(monkeypatch, 1, fail)
+        with pytest.raises(RuntimeError, match="^LocalError: bad$"):
+            runner.run_eval(small_scene, 2, PerturbBounds(1.0, 3.0), workers=2)
+        _assert_no_child_left()
+
+    def test_lowest_failing_row_is_raised(self, monkeypatch, small_scene):
+        # as in the serial loop, whichever worker ends first
+        trial = runner._eval_trial
+
+        def failing(problem, r, *args):
+            if r == 3:
+                raise errors.DomainError("row 3")
+            if r == 4:
+                raise ContractError("row 4")
+            return trial(problem, r, *args)
+
+        monkeypatch.setattr(runner, "_eval_trial", failing)
+        with pytest.raises(errors.DomainError, match="^row 3$"):
+            runner.run_eval(small_scene, 6, PerturbBounds(1.0, 3.0), workers=2)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("end, ended", [
+        (lambda: os._exit(3), "exit status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
+    ], ids=["exit", "killed"])
+    def test_child_ending_without_result_names_its_status(self, monkeypatch, small_scene,
+                                                          end, ended):
+        _failing_trial(monkeypatch, 1, lambda r: end())
+        with pytest.raises(RuntimeError, match=f"ended with {ended} and sent no result"):
+            runner.run_eval(small_scene, 4, PerturbBounds(1.0, 3.0), workers=2)
+        _assert_no_child_left()
+
+    def test_result_larger_than_a_pipe_buffer(self, monkeypatch, small_scene):
+        # the child blocks on its write until the caller has run its share
+        def big(problem, r, *args):
+            return {"trial": r, "status": "ok", "err_lateral_m": 0.0,
+                    "err_longitudinal_m": 0.0, "err_yaw_deg": 0.0, "pad": "x" * 2**20}
+
+        monkeypatch.setattr(runner, "_eval_trial", big)
+        _, rows, _ = runner.run_eval(small_scene, 4, PerturbBounds(1.0, 3.0), workers=2)
+        assert [r["trial"] for r in rows] == [0, 1, 2, 3]
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("child_row", [
+        lambda: {"pad": "x" * 2**20},  # by the interrupt, blocked on a full pipe
+        lambda: time.sleep(600),  # still running; the test's time limit is 60 s
+    ], ids=["blocked_on_pipe", "running"])
+    def test_interrupt_kills_the_child(self, monkeypatch, small_scene, child_row):
+        def interrupted(problem, r, *args):
+            if r % 2:  # the child's rows
+                return child_row()
+            if r == 2:
+                time.sleep(0.2)
+                raise KeyboardInterrupt
+            return {}
+
+        monkeypatch.setattr(runner, "_eval_trial", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            runner.run_eval(small_scene, 4, PerturbBounds(1.0, 3.0), workers=2)
+        _assert_no_child_left()
+
+
+class TestSerialFallback:
+    """Without ``os.fork`` every row runs in the calling process."""
+
+    def test_rows_run_serially(self, monkeypatch, small_scene):
+        bounds = PerturbBounds(1.0, 3.0)
+        _, serial, _ = runner.run_eval(small_scene, 4, bounds, master_seed=5)
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(2), raising=False)
+        _, rows, _ = runner.run_eval(small_scene, 4, bounds, workers=2, master_seed=5)
+        assert rows == serial
+
+    def test_eval_says_so_on_one_line(self, monkeypatch, scene_path, tmp_path, capsys):
+        monkeypatch.delattr(os, "fork")
+        code = main(["eval", "--scene", str(scene_path), "--trials", "2", "--workers", "2",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "os.fork is missing" in err
 
 
 def _row(trial, lat, lon=0.0, status="ok", bounds=(10.0, 30.0)):
